@@ -66,6 +66,7 @@ from .twirl import (
     design_epsilon_bound,
     design_twirl2,
     haar_sample,
+    haar_samples,
     haar_twirl2_exact,
     haar_twirl2_mc,
     perm_twirl2_brute,

@@ -1,0 +1,93 @@
+"""Batched, chunked averages over group elements.
+
+Every average over permutations, Haar samples or unitary ensembles in declab
+runs through this kernel. A set of group elements is one array: an integer
+array (n, d) of permutations (row k maps j to perms[k, j], as in symgroup)
+or a complex array (n, d, d) of unitaries. Conjugating an operator by every
+element on chosen tensor factors gives a stack of operators: a permutation
+acts as an index gather on the factors it moves, a unitary as a batched
+product with its lift to the whole space. Channels, partial traces and norms
+are then applied to the whole stack at once.
+
+Stacks are built and consumed in chunks of at most CHUNK_BYTES of operator
+data, so the working set does not grow with the number of elements.
+"""
+
+from __future__ import annotations
+
+from math import prod
+
+import numpy as np
+
+CHUNK_BYTES = 1 << 21       # bytes of stacked operators held per chunk
+
+
+def chunks(n: int, item_bytes: int) -> list[slice]:
+    """Consecutive slices covering range(n), each holding at least one item
+    and at most CHUNK_BYTES // item_bytes."""
+    step = max(1, CHUNK_BYTES // max(1, item_bytes))
+    return [slice(i, min(i + step, n)) for i in range(0, n, step)]
+
+
+def perm_stack(perms) -> np.ndarray:
+    """Permutation tuples as one integer array (n, d)."""
+    return np.array(list(perms), dtype=np.intp)
+
+
+def conjugates(mat: np.ndarray, dims, elems: np.ndarray, sites=(0,)) -> np.ndarray:
+    """The stack g mat g^dagger over the elements g, each acting on every
+    factor listed in `sites` and as the identity on the other factors."""
+    dims = tuple(int(d) for d in dims)
+    n = prod(dims)
+    if np.issubdtype(elems.dtype, np.integer):
+        inv = np.argsort(elems, axis=1)
+        digits = np.indices(dims).reshape(len(dims), n)
+        strides = [prod(dims[f + 1:]) for f in range(len(dims))]
+        src = sum((inv[:, digits[f]] if f in sites else digits[f]) * strides[f]
+                  for f in range(len(dims)))
+        return mat[src[:, :, None], src[:, None, :]]
+    lift = np.ones((len(elems), 1, 1))
+    for f, d in enumerate(dims):
+        fac = elems if f in sites else np.eye(d)[None]
+        lift = (lift[:, :, None, :, None] * fac[:, None, :, None, :]).reshape(
+            len(elems), lift.shape[1] * d, lift.shape[2] * d)
+    return lift @ mat @ lift.conj().transpose(0, 2, 1)
+
+
+def group_values(mat: np.ndarray, dims, elems: np.ndarray, fn, sites=(0,)) -> np.ndarray:
+    """fn applied chunk by chunk to the conjugate stack of mat; fn maps a
+    stack to one value per operator, and the values come back in element order."""
+    n = prod(dims)
+    return np.concatenate([fn(conjugates(mat, dims, elems[sl], sites))
+                           for sl in chunks(len(elems), 16 * n * n)])
+
+
+def group_mean(mat: np.ndarray, dims, elems: np.ndarray, weights=None, sites=(0,)) -> np.ndarray:
+    """Average of g mat g^dagger over the elements: uniform, or with the given weights."""
+    n = prod(dims)
+    total = 0.0
+    for sl in chunks(len(elems), 16 * n * n):
+        stack = conjugates(mat, dims, elems[sl], sites)
+        total = total + (stack.sum(axis=0) if weights is None
+                         else np.tensordot(weights[sl], stack, axes=1))
+    return total / len(elems) if weights is None else total
+
+
+def apply_channel_stack(ch, stack: np.ndarray, d_r: int) -> np.ndarray:
+    """The channel applied to the first factor of every operator in a stack on A x R."""
+    w4 = ch.choi.reshape(ch.d_in, ch.d_out, ch.d_in, ch.d_out)
+    kernel = ch.d_in * w4.transpose(1, 3, 0, 2)           # [e, f, b, a]
+    t = stack.reshape(-1, ch.d_in, d_r, ch.d_in, d_r)
+    out = np.tensordot(t, kernel, axes=([1, 3], [2, 3]))  # [k, r, s, e, f]
+    n = ch.d_out * d_r
+    return out.transpose(0, 3, 1, 4, 2).reshape(-1, n, n)
+
+
+def schatten_stack(stack: np.ndarray, p) -> np.ndarray:
+    """Schatten p-norm of every operator in a stack, p in {1, 2}; the
+    1-norm assumes Hermitian operators and sums absolute eigenvalues."""
+    if p == 1:
+        return np.abs(np.linalg.eigvalsh(stack)).sum(axis=-1)
+    if p == 2:
+        return np.sqrt((stack.real ** 2 + stack.imag ** 2).sum(axis=(-2, -1)))
+    raise ValueError(f"unsupported Schatten index {p!r}")

@@ -14,6 +14,7 @@ from typing import Callable
 import numpy as np
 
 from . import symgroup, twirl, verify
+from ._groupavg import apply_channel_stack, group_mean, group_values, perm_stack, schatten_stack
 from .entropy import (
     generalized_trace_distance,
     h2_cond,
@@ -112,7 +113,8 @@ def mc_cross_check(seed, d_a: int = 2, n_mc: int = 100_000) -> VerificationRepor
     """Monte Carlo Haar average of the squared 2-norm deviation at d_A = 2,
     compared with the closed right side within three standard errors.
 
-    Samples are drawn and contracted in one batch, so 10^5 unitaries are cheap.
+    Samples are drawn in one batch and contracted by the group-average
+    kernel, so 10^5 unitaries are cheap.
     """
     rng = np.random.default_rng([seed, 77])
     d_r = d_e = 2
@@ -123,15 +125,9 @@ def mc_cross_check(seed, d_a: int = 2, n_mc: int = 100_000) -> VerificationRepor
     q, r = np.linalg.qr(z / np.sqrt(2))
     diag = np.einsum('nii->ni', r)
     us = q * (diag / np.abs(diag))[:, None, :]
-    rho4 = rho.mat.reshape(d_a, d_r, d_a, d_r)
-    moved = np.einsum('nab,brcs,ndc->nards', us, rho4, us.conj(), optimize=True)
-    # kernel K[e,f,a,d] applied on the first subsystem: out = T(moved)
-    w4 = ch.choi.reshape(d_a, d_e, d_a, d_e)
-    kernel = d_a * w4.transpose(1, 3, 0, 2)
-    out = np.einsum('efad,nards->nerfs', kernel, moved, optimize=True)
-    target = tensor(ch.env_marginal, rho.marginal([1])).reshape(d_e, d_r, d_e, d_r)
-    dev = out - target[None]
-    vals = np.einsum('nerfs,nerfs->n', dev, dev.conj(), optimize=True).real
+    target = tensor(ch.env_marginal, rho.marginal([1]))
+    vals = group_values(rho.mat, rho.dims, us, lambda stack: schatten_stack(
+        apply_channel_stack(ch, stack, d_r) - target, 2) ** 2)
     dev_rho = verify.product_difference(rho.mat, rho.dims)
     dev_om = verify.product_difference(ch.choi, (ch.d_in, ch.d_out))
     rhs = (d_a**2 / (d_a**2 - 1)
@@ -232,12 +228,12 @@ def check_pair_state_twirl(cfg: SuiteConfig, dims=None):
     for d in (dims or _dims_or(cfg, (2, 3, 4), 2, 5)):
         tee = classical_correlated(d).mat * d
         worst = 0.0
-        group = [np.kron(perm_operator(p), perm_operator(p)) for p in all_perms(d)]
+        group = perm_stack(all_perms(d))
         for i in range(d):
             for j in range(d):
                 e = np.zeros((d * d, d * d))
                 e[i * d + j, i * d + j] = 1.0
-                avg = sum(g @ e @ g.T for g in group) / factorial(d)
+                avg = group_mean(e, (d, d), group, sites=(0, 1))
                 delta = 1.0 if i == j else 0.0
                 closed = ((1 - delta) / (d * d - d) * np.eye(d * d)
                           - (1 - delta) / (d - 1) * tee / d + delta * tee / d)
@@ -254,12 +250,7 @@ def check_doubled_classical_twirl(cfg: SuiteConfig, dims=None):
     reports = []
     for d in (dims or _dims_or(cfg, (2, 3, 4), 2, 5)):
         lam = cq_decoupling_state(d)
-        doubled = tensor(lam, lam)
-        acc = np.zeros_like(doubled)
-        for p in all_perms(d):
-            pp = tensor(perm_operator(p), np.eye(d), perm_operator(p), np.eye(d))
-            acc += pp @ doubled @ pp.T
-        acc /= factorial(d)
+        acc = group_mean(tensor(lam, lam), (d, d, d, d), perm_stack(all_perms(d)), sites=(0, 2))
         closed = permute_systems(tensor(lam, lam), (d, d, d, d), [0, 2, 1, 3]) / (d - 1)
         reports.append(equality_report(
             f"doubled_classical_twirl[d={d}]", float(np.abs(acc - closed).max()), 0.0, 1e-12))

@@ -238,45 +238,27 @@ def affine_family(n: int) -> PermFamily:
     return PermFamily(tuple(members))
 
 
+def _pair_distributions(perms, weights, d):
+    """dist[x1*d + x2, y1*d + y2]: total weight of the members mapping the
+    ordered pair (x1, x2) to (y1, y2)."""
+    arr = np.asarray(perms, dtype=np.intp).reshape(-1, d)
+    images = arr[:, :, None] * d + arr[:, None, :]              # (member, x1, x2)
+    cells = np.arange(d * d).reshape(d, d) * (d * d) + images
+    dist = np.bincount(cells.ravel(), weights=np.repeat(weights, d * d), minlength=d ** 4)
+    return dist.reshape(d * d, d * d)
+
+
 def pairwise_dependence(fam: PermFamily, d: int) -> float:
     """Worst-case statistical distance (un-halved) of the induced pair
     distribution from uniform over ordered distinct pairs."""
     if d < 2:
         raise ValueError("needs d >= 2")
-    n_pairs = d * (d - 1)
-    uniform = 1.0 / n_pairs
-    # dist[x1*d+x2, y1*d+y2] built by scanning the family once
-    dist = np.zeros((d * d, d * d))
-    for p, w in zip(fam.perms, fam.weights):
-        arr = np.array(p)
-        out = arr[:, None] * d + arr[None, :]
-        src = np.arange(d)[:, None] * d + np.arange(d)[None, :]
-        dist[src.ravel(), out.ravel()] += w
-    worst = 0.0
-    for x1 in range(d):
-        for x2 in range(d):
-            if x1 == x2:
-                continue
-            row = dist[x1 * d + x2]
-            dev = 0.0
-            for y1 in range(d):
-                for y2 in range(d):
-                    if y1 == y2:
-                        dev += row[y1 * d + y2]
-                    else:
-                        dev += abs(row[y1 * d + y2] - uniform)
-            worst = max(worst, dev)
-    return worst
-
-
-def _pair_distributions(perms, weights, d):
-    dist = np.zeros((d * d, d * d))
-    for p, w in zip(perms, weights):
-        arr = np.array(p)
-        out = arr[:, None] * d + arr[None, :]
-        src = np.arange(d)[:, None] * d + np.arange(d)[None, :]
-        dist[src.ravel(), out.ravel()] += w
-    return dist
+    uniform = 1.0 / (d * (d - 1))
+    distinct = ~np.eye(d, dtype=bool).ravel()                  # pair index x1*d + x2, x1 != x2
+    rows = _pair_distributions(fam.perms, fam.weights, d)[distinct]
+    terms = np.where(distinct, np.abs(rows - uniform), rows)
+    dev = np.cumsum(terms, axis=1)[:, -1]       # sequential, in pair order (np.sum pairs terms up)
+    return float(dev.max())
 
 
 def classical_diamond_distance(fam: PermFamily, d: int) -> float:

@@ -6,11 +6,13 @@ commutant basis with its closed-form Gramian.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import factorial
 
 import numpy as np
 
-from .linalg import require_hermitian, swap_operator, tensor
+from ._groupavg import chunks, group_mean
+from .linalg import permute_systems, require_hermitian, swap_operator, tensor
 from .symgroup import all_perms, perm_operator
 
 UNITARY_TOL = 1e-10
@@ -31,17 +33,22 @@ class PermTwirlResult:
 
 @dataclass(frozen=True)
 class UnitaryEnsemble:
+    """Weighted unitaries, stored as one read-only stack (n, d, d)."""
+
     weights: np.ndarray
-    unitaries: tuple
+    unitaries: np.ndarray
 
     def __post_init__(self):
         w = np.asarray(self.weights, dtype=float)
-        us = tuple(np.asarray(u, dtype=complex) for u in self.unitaries)
+        us = np.array(self.unitaries, dtype=complex)
+        if us.ndim != 3 or us.shape[1] != us.shape[2]:
+            raise ValueError("members must be square matrices of one dimension")
         if w.shape != (len(us),) or abs(w.sum() - 1.0) > 1e-12:
             raise ValueError("weights must match members and sum to 1")
-        for u in us:
-            if np.abs(u.conj().T @ u - np.eye(u.shape[0])).max() > UNITARY_TOL:
-                raise ValueError("ensemble member is not unitary within tolerance")
+        gram = us.conj().transpose(0, 2, 1) @ us
+        if np.abs(gram - np.eye(us.shape[1])).max() > UNITARY_TOL:
+            raise ValueError("ensemble member is not unitary within tolerance")
+        us.flags.writeable = False
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "unitaries", us)
 
@@ -50,7 +57,7 @@ class UnitaryEnsemble:
 
     @property
     def dim(self) -> int:
-        return self.unitaries[0].shape[0]
+        return self.unitaries.shape[1]
 
 
 @dataclass(frozen=True)
@@ -80,25 +87,32 @@ def haar_twirl2_exact(mat: np.ndarray, d: int) -> HaarTwirlResult:
     return HaarTwirlResult(complex(alpha), complex(beta), rec)
 
 
-def haar_sample(d: int, rng) -> np.ndarray:
-    """Haar unitary via QR of a complex Ginibre matrix with phase correction."""
+def haar_samples(d: int, n: int, rng) -> np.ndarray:
+    """n Haar unitaries as a stack (n, d, d), via QR of complex Ginibre
+    matrices with phase correction. The generator is consumed exactly as by
+    n successive haar_sample calls, so both give the same unitaries."""
     rng = np.random.default_rng(rng)
-    z = (rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))) / np.sqrt(2)
-    q, r = np.linalg.qr(z)
-    diag = np.diag(r)
-    return q * (diag / np.abs(diag))
+    g = rng.normal(size=(n, 2, d, d))
+    q, r = np.linalg.qr((g[:, 0] + 1j * g[:, 1]) / np.sqrt(2))
+    diag = np.einsum('kii->ki', r)
+    return q * (diag / np.abs(diag))[:, None, :]
+
+
+def haar_sample(d: int, rng) -> np.ndarray:
+    """One Haar unitary (see haar_samples)."""
+    return haar_samples(d, 1, rng)[0]
+
+
+def _adjoints(us: np.ndarray) -> np.ndarray:
+    return us.conj().transpose(0, 2, 1)
 
 
 def haar_twirl2_mc(mat: np.ndarray, d: int, n: int, seed=0) -> np.ndarray:
     """(1/N) sum_k U_k^t2-dagger M U_k^t2 over Haar samples."""
     if n < 1:
         raise ValueError("need at least one sample")
-    rng = np.random.default_rng(seed)
-    acc = np.zeros_like(np.asarray(mat, dtype=complex))
-    for _ in range(n):
-        w = tensor(*(2 * [haar_sample(d, rng)]))
-        acc += w.conj().T @ mat @ w
-    return acc / n
+    us = haar_samples(d, n, np.random.default_rng(seed))
+    return group_mean(np.asarray(mat, dtype=complex), (d, d), _adjoints(us), sites=(0, 1))
 
 
 def design_twirl2(ens: UnitaryEnsemble, mat: np.ndarray, adjoint_side: bool = False) -> np.ndarray:
@@ -107,14 +121,9 @@ def design_twirl2(ens: UnitaryEnsemble, mat: np.ndarray, adjoint_side: bool = Fa
     adjoint_side=True conjugates by U-dagger on the left, the variant used when
     pulling operators back through channels.
     """
-    acc = np.zeros_like(np.asarray(mat, dtype=complex))
-    for w, u in zip(ens.weights, ens.unitaries):
-        uu = tensor(u, u)
-        if adjoint_side:
-            acc += w * (uu.conj().T @ mat @ uu)
-        else:
-            acc += w * (uu @ mat @ uu.conj().T)
-    return acc
+    us = _adjoints(ens.unitaries) if adjoint_side else ens.unitaries
+    return group_mean(np.asarray(mat, dtype=complex), (ens.dim, ens.dim), us, ens.weights,
+                      sites=(0, 1))
 
 
 def clifford_1q() -> UnitaryEnsemble:
@@ -155,9 +164,11 @@ def moment_superop_choi(ens: UnitaryEnsemble | None, d: int) -> np.ndarray:
     if ens is None:
         return _haar_choi(d)
     acc = np.zeros((n * n, n * n), dtype=complex)
-    for w, u in zip(ens.weights, ens.unitaries):
-        vec = tensor(u, u).reshape(-1) / np.sqrt(n)
-        acc += w * np.outer(vec, vec.conj())
+    for sl in chunks(len(ens), 16 * n * n):
+        us = ens.unitaries[sl]
+        vecs = (us[:, :, None, :, None] * us[:, None, :, None, :]).reshape(len(us), -1)
+        vecs /= np.sqrt(n)
+        acc += (ens.weights[sl, None] * vecs).T @ vecs.conj()
     return acc
 
 
@@ -188,6 +199,24 @@ def design_epsilon_bound(ens: UnitaryEnsemble, d: int) -> float:
 _HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
 _TGATE = np.diag([1.0, np.exp(1j * np.pi / 4)])
 _CNOT = np.array([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex)
+_UNIVERSAL = (tensor(_HADAMARD, np.eye(2)), tensor(_TGATE, np.eye(2)), _CNOT)
+
+
+def _lift_gate(gate: np.ndarray, n_qubits: int, q1: int, q2: int) -> np.ndarray:
+    """A two-qubit gate acting on the ordered qubit pair (q1, q2) of the register."""
+    rest = [q for q in range(n_qubits) if q not in (q1, q2)]
+    big = tensor(gate, np.eye(2 ** (n_qubits - 2)))
+    order = [q1, q2] + rest
+    inv_order = [order.index(q) for q in range(n_qubits)]
+    return permute_systems(big, (2,) * n_qubits, inv_order)
+
+
+@lru_cache(maxsize=None)
+def _lifted_universal(n_qubits: int, q1: int, q2: int, pick: int) -> np.ndarray:
+    """Gate `pick` of the {H, T, CNOT} set lifted to (q1, q2); cached read-only."""
+    lifted = _lift_gate(_UNIVERSAL[pick], n_qubits, q1, q2)
+    lifted.flags.writeable = False
+    return lifted
 
 
 def random_circuit(n_qubits: int, t: int, seed=0, gates: str = "universal") -> np.ndarray:
@@ -204,28 +233,14 @@ def random_circuit(n_qubits: int, t: int, seed=0, gates: str = "universal") -> n
     if gates not in ("universal", "haar"):
         raise ValueError("gates must be 'universal' or 'haar'")
     rng = np.random.default_rng(seed)
-    dim = 2 ** n_qubits
-    u = np.eye(dim, dtype=complex)
-    dims = (2,) * n_qubits
-    from .linalg import permute_systems
-
+    u = np.eye(2 ** n_qubits, dtype=complex)
     for _ in range(t):
         q1, q2 = (int(q) for q in rng.choice(n_qubits, size=2, replace=False))
         if gates == "haar":
-            gate = haar_sample(4, rng)
+            lifted = _lift_gate(haar_sample(4, rng), n_qubits, q1, q2)
         else:
-            pick = rng.integers(3)
-            if pick == 0:
-                gate = tensor(_HADAMARD, np.eye(2))
-            elif pick == 1:
-                gate = tensor(_TGATE, np.eye(2))
-            else:
-                gate = _CNOT
-        rest = [q for q in range(n_qubits) if q not in (q1, q2)]
-        big = tensor(gate, np.eye(2 ** (n_qubits - 2)))
-        order = [q1, q2] + rest
-        inv_order = [order.index(q) for q in range(n_qubits)]
-        u = permute_systems(big, dims, inv_order) @ u
+            lifted = _lifted_universal(n_qubits, q1, q2, int(rng.integers(3)))
+        u = lifted @ u
     return u
 
 
@@ -356,9 +371,9 @@ def commutant_dim_brute(d: int) -> int:
 
 
 def perm_twirl2_brute(mat: np.ndarray, d: int) -> np.ndarray:
-    """Exhaustive uniform average of P^t2 M P^t2-dagger over all d! permutations."""
-    if d > 7:
-        raise ValueError("brute-force permutation twirl limited to d <= 7")
+    """Exhaustive uniform average of P^t2 M P^t2-dagger over all d! permutations
+    (d <= symgroup.MAX_ENUM_D), one permutation matrix at a time: the reference
+    that the commutant expansion is checked against."""
     acc = np.zeros_like(np.asarray(mat, dtype=complex))
     for p in all_perms(d):
         pp = np.kron(perm_operator(p), perm_operator(p))

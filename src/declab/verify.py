@@ -9,6 +9,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._groupavg import apply_channel_stack, group_values, perm_stack, schatten_stack
 from .entropy import h2_cond, h_min_cond
 from .linalg import partial_trace, permute_systems, schatten_norm, tensor
 from .states import (
@@ -20,8 +21,8 @@ from .states import (
     max_entangled,
     pinch_mat,
 )
-from .symgroup import PermFamily, all_perms, classical_diamond_distance, perm_operator
-from .twirl import UnitaryEnsemble, design_epsilon_bound, haar_sample, haar_twirl2_exact
+from .symgroup import PermFamily, all_perms, classical_diamond_distance
+from .twirl import UnitaryEnsemble, design_epsilon_bound, haar_samples, haar_twirl2_exact
 
 EQ_TOL = 1e-9
 BOUND_TOL = 1e-9
@@ -88,6 +89,27 @@ def channel_deviation(mat, dims, ch: ChoiChannel):
     return out - tensor(ch.env_marginal, marg), out_dims
 
 
+def _channel_norms(ch: ChoiChannel, mat, dims, elems, p, target=None) -> np.ndarray:
+    """Schatten p-norm of T(g X g^dagger) - target for every group element g
+    acting on A of the operator X on A x R (no target: of the output itself)."""
+    def norms(stack):
+        out = apply_channel_stack(ch, stack, dims[1])
+        return schatten_stack(out if target is None else out - target, p)
+
+    return group_values(mat, dims, elems, norms)
+
+
+def _deviation_norms(ch: ChoiChannel, mat, dims, elems, p) -> np.ndarray:
+    """Schatten p-norm of T(g rho g^dagger) - omega_E (x) rho_R for every element g on A."""
+    target = tensor(ch.env_marginal, partial_trace(mat, dims, [1]))
+    return _channel_norms(ch, mat, dims, elems, p, target)
+
+
+def _haar_deviation_norms(rho: DensityOp, ch: ChoiChannel, n_samples: int, seed) -> np.ndarray:
+    us = haar_samples(rho.dims[0], n_samples, np.random.default_rng(seed))
+    return _deviation_norms(ch, rho.mat, rho.dims, us, 1)
+
+
 def _h2_pair(rho_mat, rho_dims, ch: ChoiChannel, optimize_sigma: bool):
     h2_rho = h2_cond(rho_mat, rho_dims, optimize=optimize_sigma).value
     h2_om = h2_cond(ch.choi, (ch.d_in, ch.d_out), optimize=optimize_sigma).value
@@ -122,13 +144,7 @@ def verify_decoupling_theorem(rho: DensityOp, ch: ChoiChannel, n_samples: int = 
     """Sampled Haar average of the 1-norm deviation against the collision-entropy
     bound 2^(-H2/2 - H2/2)."""
     d_a, d_r = rho.dims
-    rng = np.random.default_rng(seed)
-    vals = np.empty(n_samples)
-    for k in range(n_samples):
-        u = haar_sample(d_a, rng)
-        conj = tensor(u, np.eye(d_r))
-        dev, _ = channel_deviation(conj @ rho.mat @ conj.conj().T, rho.dims, ch)
-        vals[k] = schatten_norm(dev, 1)
+    vals = _haar_deviation_norms(rho, ch, n_samples, seed)
     h2_rho, h2_om = _h2_pair(rho.mat, rho.dims, ch, optimize_sigma)
     rhs = 2.0 ** (-0.5 * h2_om - 0.5 * h2_rho)
     se = float(vals.std(ddof=1) / np.sqrt(n_samples)) if n_samples > 1 else 0.0
@@ -142,13 +158,7 @@ def verify_improved_decoupling(rho: DensityOp, ch: ChoiChannel, n_samples: int =
     """Sampled Haar average against the min-entropy bound with the two bracket
     terms 2^(-Hmin) - tr/d_A and the 1-norm deviation factors."""
     d_a, d_r = rho.dims
-    rng = np.random.default_rng(seed)
-    vals = np.empty(n_samples)
-    for k in range(n_samples):
-        u = haar_sample(d_a, rng)
-        conj = tensor(u, np.eye(d_r))
-        dev, _ = channel_deviation(conj @ rho.mat @ conj.conj().T, rho.dims, ch)
-        vals[k] = schatten_norm(dev, 1)
+    vals = _haar_deviation_norms(rho, ch, n_samples, seed)
     hmin_rho = h_min_cond(rho.mat, rho.dims).value
     hmin_om = h_min_cond(ch.choi, (ch.d_in, ch.d_out)).value
     tr_rho_r = float(np.trace(rho.mat).real)
@@ -173,11 +183,7 @@ def verify_design_decoupling(ens: UnitaryEnsemble, rho: DensityOp, ch: ChoiChann
     d_a, d_r = rho.dims
     if ens.dim != d_a:
         raise ValueError("ensemble dimension must match subsystem A")
-    lhs = 0.0
-    for w, u in zip(ens.weights, ens.unitaries):
-        conj = tensor(u, np.eye(d_r))
-        dev, _ = channel_deviation(conj @ rho.mat @ conj.conj().T, rho.dims, ch)
-        lhs += w * schatten_norm(dev, 1)
+    lhs = float(ens.weights @ _deviation_norms(ch, rho.mat, rho.dims, ens.unitaries, 1))
     eps = design_epsilon_bound(ens, d_a) if epsilon is None else float(epsilon)
     h2_rho, h2_om = _h2_pair(rho.mat, rho.dims, ch, optimize_sigma)
     rhs = float(np.sqrt(1 + 4 * eps * d_a ** 4) * 2.0 ** (-0.5 * (h2_om + h2_rho)))
@@ -189,34 +195,18 @@ def verify_design_decoupling(ens: UnitaryEnsemble, rho: DensityOp, ch: ChoiChann
 # CQ states under the full permutation group
 # ---------------------------------------------------------------------------
 
-def _perm_average(d_a, fn, perms=None, weights=None):
-    if perms is None:
-        perms = all_perms(d_a)
-        weights = None
-    total, n = 0.0, 0
-    for idx, p in enumerate(perms):
-        w = 1.0 if weights is None else weights[idx]
-        total += w * fn(perm_operator(p))
-        n += 1
-    return total / n if weights is None else total
+def _full_group(d_a: int) -> np.ndarray:
+    """All permutations of d_A points (at most symgroup.MAX_ENUM_D) as one array."""
+    return perm_stack(all_perms(d_a))
 
 
-def verify_cq_decoupling_lemma(rho: DensityOp, ch: ChoiChannel, tol=EQ_TOL,
-                               brute_limit: int = 6) -> VerificationReport:
+def verify_cq_decoupling_lemma(rho: DensityOp, ch: ChoiChannel, tol=EQ_TOL) -> VerificationReport:
     """Exhaustive permutation average of the squared 2-norm deviation equals
     d^2/(d-1) times the product of classicalized deviation norms."""
     d_a, d_r = rho.dims
     if not is_cq(rho, 0):
         raise ValueError("state must be classical on A")
-    if d_a > min(brute_limit, 7):
-        raise ValueError(f"exhaustive sum limited to d_A <= {min(brute_limit, 7)}")
-
-    def term(p):
-        conj = tensor(p, np.eye(d_r))
-        dev, _ = channel_deviation(conj @ rho.mat @ conj.T, rho.dims, ch)
-        return schatten_norm(dev, 2) ** 2
-
-    lhs = _perm_average(d_a, term)
+    lhs = float(np.mean(_deviation_norms(ch, rho.mat, rho.dims, _full_group(d_a), 2) ** 2))
     w_cl = classicalize_channel(ch)
     dev_rho = product_difference(rho.mat, rho.dims)
     dev_om = product_difference(w_cl.choi, (d_a, ch.d_out))
@@ -226,22 +216,28 @@ def verify_cq_decoupling_lemma(rho: DensityOp, ch: ChoiChannel, tol=EQ_TOL,
                            dims={"d_A": d_a, "d_R": d_r, "d_E": ch.d_out})
 
 
-def _hash_lhs(rho_mat, d_a1, d_a2, d_r, perms=None, weights=None):
+def _hash_norms(mat, d_a1, d_a2, d_r, elems, p, target) -> np.ndarray:
+    """Schatten p-norm of tr_A2(g X g^dagger) - target for every permutation g of A = A1 x A2."""
+    def norms(stack):
+        t = stack.reshape(-1, d_a1, d_a2, d_r, d_a1, d_a2, d_r)
+        reduced = np.einsum('kabrcbs->karcs', t).reshape(-1, d_a1 * d_r, d_a1 * d_r)
+        return schatten_stack(reduced - target, p)
+
+    return group_values(mat, (d_a1 * d_a2, d_r), elems, norms)
+
+
+def _hash_lhs(rho_mat, d_a1, d_a2, d_r, fam: PermFamily | None = None) -> float:
+    """Average 1-norm distance of tr_A2 of the permuted state from pi_A1 (x) rho_R,
+    over the full group or the weighted family."""
     d_a = d_a1 * d_a2
     rho_r = partial_trace(rho_mat, (d_a, d_r), [1])
     target = tensor(np.eye(d_a1) / d_a1, rho_r)
-
-    def term(p):
-        conj = tensor(p, np.eye(d_r))
-        moved = conj @ rho_mat @ conj.T
-        reduced = partial_trace(moved, (d_a1, d_a2, d_r), [0, 2])
-        return schatten_norm(reduced - target, 1)
-
-    return _perm_average(d_a, term, perms, weights)
+    elems = _full_group(d_a) if fam is None else perm_stack(fam.perms)
+    vals = _hash_norms(rho_mat, d_a1, d_a2, d_r, elems, 1, target)
+    return float(np.mean(vals) if fam is None else fam.weights @ vals)
 
 
-def verify_cq_hash(rho: DensityOp, d_a1: int, d_a2: int, tol=BOUND_TOL,
-                   brute_limit: int = 6) -> VerificationReport:
+def verify_cq_hash(rho: DensityOp, d_a1: int, d_a2: int, tol=BOUND_TOL) -> VerificationReport:
     """Leftover-hash style bound for tracing out A2 of a CQ state under the
     full permutation group, with the min-entropy right side."""
     d_a, d_r = rho.dims
@@ -249,8 +245,6 @@ def verify_cq_hash(rho: DensityOp, d_a1: int, d_a2: int, tol=BOUND_TOL,
         raise ValueError("split does not match d_A")
     if not is_cq(rho, 0):
         raise ValueError("state must be classical on A")
-    if d_a > min(brute_limit, 7):
-        raise ValueError(f"exhaustive sum limited to d_A <= {min(brute_limit, 7)}")
     lhs = _hash_lhs(rho.mat, d_a1, d_a2, d_r)
     hmin = h_min_cond(rho.mat, rho.dims).value
     rhs = float(np.sqrt(d_a1 * (d_a - d_a2) / (d_a - 1) * 2.0 ** (-hmin)))
@@ -261,23 +255,15 @@ def verify_cq_hash(rho: DensityOp, d_a1: int, d_a2: int, tol=BOUND_TOL,
 
 
 def verify_cq_tpcp(rho: DensityOp, ch: ChoiChannel, tol=BOUND_TOL,
-                   optimize_sigma=False, brute_limit: int = 6) -> VerificationReport:
+                   optimize_sigma=False) -> VerificationReport:
     """Permutation decoupling of a CQ state through a trace-preserving map."""
     d_a, d_r = rho.dims
     if not ch.tp:
         raise ValueError("channel must be trace preserving")
     if not is_cq(rho, 0):
         raise ValueError("state must be classical on A")
-    if d_a > min(brute_limit, 7):
-        raise ValueError(f"exhaustive sum limited to d_A <= {min(brute_limit, 7)}")
     d_e = ch.d_out
-
-    def term(p):
-        conj = tensor(p, np.eye(d_r))
-        dev, _ = channel_deviation(conj @ rho.mat @ conj.T, rho.dims, ch)
-        return schatten_norm(dev, 1)
-
-    lhs = _perm_average(d_a, term)
+    lhs = float(np.mean(_deviation_norms(ch, rho.mat, rho.dims, _full_group(d_a), 1)))
     h2 = h2_cond(rho.mat, rho.dims, optimize=optimize_sigma).value
     rhs = float(np.sqrt(d_e * (d_a - d_a / d_e) / (d_a - 1) * 2.0 ** (-h2)))
     return bound_report("cq_tpcp", lhs, rhs, tol,
@@ -285,21 +271,13 @@ def verify_cq_tpcp(rho: DensityOp, ch: ChoiChannel, tol=BOUND_TOL,
 
 
 def verify_cq_general(rho: DensityOp, ch: ChoiChannel, tol=BOUND_TOL,
-                      optimize_sigma=False, brute_limit: int = 6) -> VerificationReport:
+                      optimize_sigma=False) -> VerificationReport:
     """General CQ decoupling bound sqrt((d_A + 1) 2^(-H2 - H2)) with the
     collision entropy of the classicalized Choi operator."""
     d_a, d_r = rho.dims
     if not is_cq(rho, 0):
         raise ValueError("state must be classical on A")
-    if d_a > min(brute_limit, 7):
-        raise ValueError(f"exhaustive sum limited to d_A <= {min(brute_limit, 7)}")
-
-    def term(p):
-        conj = tensor(p, np.eye(d_r))
-        dev, _ = channel_deviation(conj @ rho.mat @ conj.T, rho.dims, ch)
-        return schatten_norm(dev, 1)
-
-    lhs = _perm_average(d_a, term)
+    lhs = float(np.mean(_deviation_norms(ch, rho.mat, rho.dims, _full_group(d_a), 1)))
     w_cl = classicalize_channel(ch)
     h2_rho = h2_cond(rho.mat, rho.dims, optimize=optimize_sigma).value
     h2_om = h2_cond(w_cl.choi, (d_a, ch.d_out), optimize=optimize_sigma).value
@@ -321,7 +299,7 @@ def verify_family_hash(fam: PermFamily, rho: DensityOp, d_a1: int, d_a2: int,
         raise ValueError("split does not match d_A")
     if not is_cq(rho, 0):
         raise ValueError("state must be classical on A")
-    lhs = _hash_lhs(rho.mat, d_a1, d_a2, d_r, perms=fam.perms, weights=fam.weights)
+    lhs = _hash_lhs(rho.mat, d_a1, d_a2, d_r, fam)
     eps = classical_diamond_distance(fam, d_a)
     h2 = h2_cond(rho.mat, rho.dims, optimize=optimize_sigma).value
     rhs = float(np.sqrt(d_a1 * ((d_a - d_a2) / (d_a - 1) + 4 * eps * d_a) * 2.0 ** (-h2)))
@@ -365,29 +343,19 @@ def verify_distance_from_classicality(ch: ChoiChannel, d_r: int,
     meta['bound_check'] carries the 1-norm corollary with the H2 right side.
     """
     d_a = ch.d_in
-    if not 4 <= d_a <= 6:
-        raise ValueError("needs 4 <= d_A <= 6")
+    if d_a < 4:
+        raise ValueError("needs d_A >= 4")
     if not 1 <= d_r <= d_a:
         raise ValueError("needs d_R <= d_A")
     st = _embedded_pair_state(d_a, d_r, "phi") - _embedded_pair_state(d_a, d_r, "tee")
-
-    def term2(p):
-        conj = tensor(p, np.eye(d_r))
-        out, _ = apply_channel_mat(ch, conj @ st @ conj.T, (d_a, d_r), 0)
-        return schatten_norm(out, 2) ** 2
-
-    lhs = _perm_average(d_a, term2)
+    group = _full_group(d_a)
+    lhs = float(np.mean(_channel_norms(ch, st, (d_a, d_r), group, 2) ** 2))
     w_cl = pinch_mat(ch.choi, (d_a, ch.d_out), 0)
     rhs = ((d_a / d_r) * (d_r - 1) / (d_a - 1) * schatten_norm(ch.choi - w_cl, 2) ** 2)
     report = equality_report("distance_from_classicality", lhs, rhs, tol,
                              dims={"d_A": d_a, "d_R": d_r, "d_E": ch.d_out})
 
-    def term1(p):
-        conj = tensor(p, np.eye(d_r))
-        out, _ = apply_channel_mat(ch, conj @ st @ conj.T, (d_a, d_r), 0)
-        return schatten_norm(out, 1)
-
-    lhs1 = _perm_average(d_a, term1)
+    lhs1 = float(np.mean(_channel_norms(ch, st, (d_a, d_r), group, 1)))
     h2_om = h2_cond(ch.choi, (d_a, ch.d_out), optimize=optimize_sigma).value
     rhs1 = float(np.sqrt(d_a * (d_r - 1) / (d_a - 1)) * 2.0 ** (-0.5 * h2_om))
     report.meta["bound_check"] = bound_report(
@@ -405,18 +373,12 @@ def verify_perm_decoupling_lemma(ch: ChoiChannel, d_r: int, tol=EQ_TOL) -> Verif
     right side matches the Haar decoupling lemma on the entangled input.
     """
     d_a = ch.d_in
-    if not 4 <= d_a <= 6:
-        raise ValueError("needs 4 <= d_A <= 6")
+    if d_a < 4:
+        raise ValueError("needs d_A >= 4")
     if not 1 <= d_r <= d_a:
         raise ValueError("needs d_R <= d_A")
     st = _embedded_pair_state(d_a, d_r, "phi") - _embedded_pair_state(d_a, d_r, "pi")
-
-    def term(p):
-        conj = tensor(p, np.eye(d_r))
-        out, _ = apply_channel_mat(ch, conj @ st @ conj.T, (d_a, d_r), 0)
-        return schatten_norm(out, 2) ** 2
-
-    lhs = _perm_average(d_a, term)
+    lhs = float(np.mean(_channel_norms(ch, st, (d_a, d_r), _full_group(d_a), 2) ** 2))
     w_cl = pinch_mat(ch.choi, (d_a, ch.d_out), 0)
     tr_w2 = schatten_norm(ch.choi, 2) ** 2
     tr_we2 = schatten_norm(ch.env_marginal, 2) ** 2
@@ -437,8 +399,8 @@ def verify_quantum_hash(rho: DensityOp, d_a1: int, d_a2: int,
     d_r = rho.dims[1]
     if rho.dims[0] != d_a:
         raise ValueError("split does not match d_A")
-    if not 4 <= d_a <= 6:
-        raise ValueError("needs 4 <= d_A <= 6")
+    if d_a < 4:
+        raise ValueError("needs d_A >= 4")
     lhs = _hash_lhs(rho.mat, d_a1, d_a2, d_r)
     res = h_min_cond(rho.mat, rho.dims)
     hmin = res.value
@@ -456,12 +418,7 @@ def verify_quantum_hash(rho: DensityOp, d_a1: int, d_a2: int,
     tilde_r = partial_trace(tilde, rho.dims, [1])
     target = tensor(np.eye(d_a1) / d_a1, tilde_r)
 
-    def term2(p):
-        conj = tensor(p, np.eye(d_r))
-        reduced = partial_trace(conj @ tilde @ conj.T, (d_a1, d_a2, d_r), [0, 2])
-        return schatten_norm(reduced - target, 2) ** 2
-
-    lhs2 = _perm_average(d_a, term2)
+    lhs2 = float(np.mean(_hash_norms(tilde, d_a1, d_a2, d_r, _full_group(d_a), 2, target) ** 2))
     rhs2 = ((d_a1 - 1) / (d_a - 1) * schatten_norm(tilde, 2) ** 2
             + (d_a1 - 1) * (d_a2 - 1) / (d_a - 1) * schatten_norm(tilde_cl, 2) ** 2
             + schatten_norm(tilde, 2) ** 2)

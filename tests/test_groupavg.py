@@ -1,0 +1,192 @@
+"""The batched group-average kernel against per-element reference loops.
+
+Every test runs the kernel with a chunk budget small enough that at least
+three chunks run, the last one shorter than the others.
+"""
+
+import numpy as np
+import pytest
+
+from declab import _groupavg
+from declab._groupavg import (
+    apply_channel_stack,
+    group_mean,
+    group_values,
+    perm_stack,
+    schatten_stack,
+)
+from declab.linalg import partial_trace, schatten_norm, tensor
+from declab.states import apply_channel_mat, random_channel, random_cq, random_density
+from declab.symgroup import PermFamily, all_perms, perm_operator
+from declab.twirl import circuit_ensemble, design_twirl2, haar_samples
+from declab.verify import (
+    verify_cq_tpcp,
+    verify_decoupling_theorem,
+    verify_design_decoupling,
+    verify_family_hash,
+    verify_perm_decoupling_lemma,
+)
+
+RTOL = 1e-12
+
+
+def close(kernel, reference):
+    kernel, reference = np.asarray(kernel), np.asarray(reference)
+    return np.abs(kernel - reference).max() <= RTOL * max(1.0, np.abs(reference).max())
+
+
+@pytest.fixture
+def chunked(monkeypatch):
+    """use(n_ops, dim) sets the budget to n_ops operators of dimension dim and
+    returns the list that collects the size of every chunk the kernel builds."""
+    sizes = []
+    conjugates = _groupavg.conjugates
+
+    def spy(mat, dims, elems, sites=(0,)):
+        sizes.append(len(elems))
+        return conjugates(mat, dims, elems, sites)
+
+    monkeypatch.setattr(_groupavg, "conjugates", spy)
+
+    def use(n_ops, dim):
+        monkeypatch.setattr(_groupavg, "CHUNK_BYTES", 16 * dim * dim * n_ops)
+        return sizes
+
+    return use
+
+
+def assert_ragged(sizes):
+    assert len(sizes) >= 3
+    assert len(set(sizes[:-1])) == 1 and 0 < sizes[-1] < sizes[0]
+
+
+def reference_norms(ch, mat, dims, ops, p, target=0.0):
+    """Per element g: Schatten p-norm of T((g x 1) X (g x 1)^dagger) - target."""
+    out = []
+    for g in ops:
+        conj = tensor(g, np.eye(dims[1]))
+        y, _ = apply_channel_mat(ch, conj @ mat @ conj.conj().T, dims, 0)
+        out.append(schatten_norm(y - target, p))
+    return np.array(out)
+
+
+def channel_norms(ch, d_r, p, target=0.0):
+    return lambda stack: schatten_stack(apply_channel_stack(ch, stack, d_r) - target, p)
+
+
+def test_chunks_cover_in_order(monkeypatch):
+    monkeypatch.setattr(_groupavg, "CHUNK_BYTES", 100)
+    assert _groupavg.chunks(7, 30) == [slice(0, 3), slice(3, 6), slice(6, 7)]
+    assert _groupavg.chunks(2, 1000) == [slice(0, 1), slice(1, 2)]
+
+
+@pytest.mark.parametrize("d_a", [4, 5])
+@pytest.mark.parametrize("p", [1, 2])
+def test_all_permutations(chunked, d_a, p):
+    sizes = chunked(7 if d_a == 4 else 50, 2 * d_a)
+    rho = random_cq((d_a, 2), seed=d_a)
+    ch = random_channel(d_a, 3, tp=False, seed=10 + d_a)
+    target = tensor(ch.env_marginal, partial_trace(rho.mat, rho.dims, [1]))
+    perms = list(all_perms(d_a))
+    vals = group_values(rho.mat, rho.dims, perm_stack(perms), channel_norms(ch, 2, p, target))
+    assert_ragged(sizes)
+    ref = reference_norms(ch, rho.mat, rho.dims, [perm_operator(q) for q in perms], p, target)
+    assert close(vals, ref)
+    if p == 1:
+        ch_tp = random_channel(d_a, 2, tp=True, seed=20 + d_a)
+        target = tensor(ch_tp.env_marginal, partial_trace(rho.mat, rho.dims, [1]))
+        ref = reference_norms(ch_tp, rho.mat, rho.dims, [perm_operator(q) for q in perms], 1,
+                              target)
+        assert close(verify_cq_tpcp(rho, ch_tp).lhs, ref.mean())
+
+
+def test_all_permutations_on_two_factors(chunked):
+    d = 4
+    sizes = chunked(5, d * d)
+    rng = np.random.default_rng(0)
+    m = rng.normal(size=(d * d, d * d)) + 1j * rng.normal(size=(d * d, d * d))
+    perms = list(all_perms(d))
+    avg = group_mean(m, (d, d), perm_stack(perms), sites=(0, 1))
+    assert_ragged(sizes)
+    ref = sum(np.kron(perm_operator(q), perm_operator(q)) @ m
+              @ np.kron(perm_operator(q), perm_operator(q)).T for q in perms) / len(perms)
+    assert close(avg, ref)
+
+
+def test_perm_decoupling_lhs(chunked):
+    d_a, d_r = 5, 3
+    sizes = chunked(50, d_a * d_r)
+    ch = random_channel(d_a, 2, tp=True, seed=3)
+    rep = verify_perm_decoupling_lemma(ch, d_r)
+    assert_ragged(sizes)
+    st = np.zeros((d_a * d_r, d_a * d_r))
+    for i in range(d_r):
+        for j in range(d_r):
+            st[i * d_r + i, j * d_r + j] += 1.0 / d_r
+            st[i * d_r + j, i * d_r + j] -= 1.0 / d_r ** 2
+    ref = reference_norms(ch, st, (d_a, d_r), [perm_operator(q) for q in all_perms(d_a)], 2)
+    assert close(rep.lhs, np.mean(ref ** 2))
+
+
+def test_weighted_family(chunked):
+    d_a1, d_a2, d_r = 3, 2, 2
+    d_a = d_a1 * d_a2
+    sizes = chunked(8, d_a * d_r)
+    rng = np.random.default_rng(4)
+    perms = tuple(dict.fromkeys(tuple(int(x) for x in rng.permutation(d_a)) for _ in range(30)))
+    fam = PermFamily(perms, rng.dirichlet(np.ones(len(perms))))
+    rho = random_cq((d_a, d_r), seed=5)
+    rep = verify_family_hash(fam, rho, d_a1, d_a2)
+    assert_ragged(sizes)
+    target = tensor(np.eye(d_a1) / d_a1, partial_trace(rho.mat, rho.dims, [1]))
+    ref = 0.0
+    for w, q in zip(fam.weights, fam.perms):
+        conj = tensor(perm_operator(q), np.eye(d_r))
+        reduced = partial_trace(conj @ rho.mat @ conj.T, (d_a1, d_a2, d_r), [0, 2])
+        ref += w * schatten_norm(reduced - target, 1)
+    assert close(rep.lhs, ref)
+    sizes.clear()
+    avg = group_mean(rho.mat, rho.dims, perm_stack(fam.perms), fam.weights)
+    assert_ragged(sizes)
+    ref = sum(w * tensor(perm_operator(q), np.eye(d_r)) @ rho.mat
+              @ tensor(perm_operator(q), np.eye(d_r)).T for w, q in zip(fam.weights, fam.perms))
+    assert close(avg, ref)
+
+
+def test_haar_stack(chunked):
+    d_a, d_r, n = 4, 2, 45
+    sizes = chunked(10, d_a * d_r)
+    rho = random_density(d_a * d_r, seed=6, dims=(d_a, d_r))
+    ch = random_channel(d_a, 2, tp=True, seed=7)
+    rep = verify_decoupling_theorem(rho, ch, n_samples=n, seed=8)
+    assert_ragged(sizes)
+    us = haar_samples(d_a, n, np.random.default_rng(8))
+    target = tensor(ch.env_marginal, partial_trace(rho.mat, rho.dims, [1]))
+    ref = reference_norms(ch, rho.mat, rho.dims, us, 1, target)
+    assert close(rep.lhs, ref.mean())
+    sizes.clear()
+    vals = group_values(rho.mat, rho.dims, us, channel_norms(ch, d_r, 2, target))
+    assert_ragged(sizes)
+    assert close(vals, reference_norms(ch, rho.mat, rho.dims, us, 2, target))
+
+
+def test_circuit_ensemble(chunked):
+    d = 4
+    ens = circuit_ensemble(2, 12, 40, seed=9)
+    rho = random_density(8, seed=10, dims=(d, 2))
+    ch = random_channel(d, 2, tp=True, seed=11)
+    sizes = chunked(9, 2 * d)
+    rep = verify_design_decoupling(ens, rho, ch, epsilon=0.0)
+    assert_ragged(sizes)
+    target = tensor(ch.env_marginal, partial_trace(rho.mat, rho.dims, [1]))
+    ref = reference_norms(ch, rho.mat, rho.dims, ens.unitaries, 1, target)
+    assert close(rep.lhs, ens.weights @ ref)
+    sizes = chunked(9, d * d)
+    sizes.clear()
+    rng = np.random.default_rng(12)
+    m = rng.normal(size=(d * d, d * d)) + 1j * rng.normal(size=(d * d, d * d))
+    tw = design_twirl2(ens, m)
+    assert_ragged(sizes)
+    ref = sum(w * np.kron(u, u) @ m @ np.kron(u, u).conj().T
+              for w, u in zip(ens.weights, ens.unitaries))
+    assert close(tw, ref)

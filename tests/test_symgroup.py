@@ -176,6 +176,37 @@ def test_pairwise_dependence_reference_cases():
     assert np.isclose(pairwise_dependence(singleton, 3), 5.0 / 3.0)
 
 
+def pairwise_dependence_loop(fam, d):
+    """Scan of every distinct input pair and every output pair."""
+    uniform = 1.0 / (d * (d - 1))
+    dist = np.zeros((d * d, d * d))
+    for p, w in zip(fam.perms, fam.weights):
+        for x1 in range(d):
+            for x2 in range(d):
+                dist[x1 * d + x2, p[x1] * d + p[x2]] += w
+    worst = 0.0
+    for x1 in range(d):
+        for x2 in range(d):
+            if x1 != x2:
+                dev = 0.0
+                for y1 in range(d):
+                    for y2 in range(d):
+                        v = dist[x1 * d + x2, y1 * d + y2]
+                        dev += v if y1 == y2 else abs(v - uniform)
+                worst = max(worst, dev)
+    return worst
+
+
+def test_pairwise_dependence_matches_pair_loop():
+    rng = np.random.default_rng(1)
+    for k in range(40):
+        d = 2 + k % 5
+        members = tuple(dict.fromkeys(tuple(int(x) for x in rng.permutation(d))
+                                      for _ in range(1 + k % 9)))
+        fam = PermFamily(members, rng.dirichlet(np.ones(len(members))))
+        assert abs(pairwise_dependence(fam, d) - pairwise_dependence_loop(fam, d)) <= 1e-15
+
+
 def test_classical_diamond_distance():
     full = PermFamily(tuple(all_perms(4)))
     assert classical_diamond_distance(full, 4) < 1e-12

@@ -3,7 +3,8 @@ from math import log2
 import numpy as np
 import pytest
 
-from declab.linalg import schatten_norm, swap_operator, tensor
+from declab import twirl
+from declab.linalg import permute_systems, schatten_norm, swap_operator, tensor
 from declab.states import random_channel
 from declab.symgroup import all_perms, perm_operator
 from declab.twirl import (
@@ -17,6 +18,7 @@ from declab.twirl import (
     design_twirl2,
     gram_closed_form,
     haar_sample,
+    haar_samples,
     haar_twirl2_exact,
     haar_twirl2_mc,
     perm_twirl2_brute,
@@ -86,6 +88,12 @@ def test_haar_sample_properties():
     assert np.abs(acc / n).max() <= 5 / np.sqrt(n)                     # first moment vanishes
 
 
+def test_haar_samples_match_successive_draws():
+    rng = np.random.default_rng(11)
+    one_by_one = np.array([haar_sample(3, rng) for _ in range(7)])
+    assert np.array_equal(haar_samples(3, 7, np.random.default_rng(11)), one_by_one)
+
+
 def test_haar_twirl2_mc_agreement():
     rng = np.random.default_rng(4)
     d = 3
@@ -151,6 +159,47 @@ def test_random_circuit_basics():
     assert np.abs(u_haar.conj().T @ u_haar - np.eye(4)).max() < 1e-9
     with pytest.raises(ValueError):
         random_circuit(5, 1)
+
+
+def step_by_step_circuit(n_qubits, t, seed, gates):
+    """random_circuit built without the gate cache: every step draws its pair
+    and gate, then lifts the gate with tensor and permute_systems."""
+    h = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
+    tg = np.diag([1.0, np.exp(1j * np.pi / 4)])
+    cnot = np.array([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex)
+    rng = np.random.default_rng(seed)
+    dims = (2,) * n_qubits
+    u = np.eye(2 ** n_qubits, dtype=complex)
+    for _ in range(t):
+        q1, q2 = (int(q) for q in rng.choice(n_qubits, size=2, replace=False))
+        if gates == "haar":
+            z = (rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))) / np.sqrt(2)
+            q, r = np.linalg.qr(z)
+            gate = q * (np.diag(r) / np.abs(np.diag(r)))
+        else:
+            pick = rng.integers(3)
+            gate = (tensor(h, np.eye(2)), tensor(tg, np.eye(2)), cnot)[pick]
+        rest = [q for q in range(n_qubits) if q not in (q1, q2)]
+        big = tensor(gate, np.eye(2 ** (n_qubits - 2)))
+        order = [q1, q2] + rest
+        u = permute_systems(big, dims, [order.index(q) for q in range(n_qubits)]) @ u
+    return u
+
+
+@pytest.mark.parametrize("n_qubits", [2, 3, 4])
+@pytest.mark.parametrize("gates", ["universal", "haar"])
+def test_random_circuit_matches_step_by_step(n_qubits, gates):
+    for seed in range(3):
+        assert np.array_equal(random_circuit(n_qubits, 20, seed=seed, gates=gates),
+                              step_by_step_circuit(n_qubits, 20, seed, gates))
+
+
+def test_cached_gate_lift_is_read_only():
+    random_circuit(3, 10, seed=0)
+    lifted = twirl._lifted_universal(3, 2, 0, 2)
+    assert lifted is twirl._lifted_universal(3, 2, 0, 2)
+    with pytest.raises(ValueError):
+        lifted[0, 0] = 0.0
 
 
 def test_circuit_ensemble_trend():

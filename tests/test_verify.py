@@ -143,7 +143,7 @@ def test_cq_lemma_two_permutation_oracle():
     assert abs(rep.lhs - by_hand) < 1e-12
 
 
-@pytest.mark.parametrize("d_a", [3, 4])
+@pytest.mark.parametrize("d_a", [3, 4, 7])
 def test_cq_lemma_random(d_a):
     for k in range(3):
         rho = random_cq((d_a, 2), seed=100 + k)
@@ -232,10 +232,20 @@ def test_perm_decoupling_lemma():
     # constant channel: the difference state is annihilated
     rep = verify_perm_decoupling_lemma(constant_channel(4, 2), 4)
     assert rep.passed and abs(rep.lhs) < 1e-13 and abs(rep.rhs) < 1e-13
-    for k, d_r in enumerate((2, 3, 4)):
-        ch = random_channel(4, 2, tp=bool(k % 2), seed=220 + k)
+    for k, (d_a, d_r) in enumerate(((4, 2), (4, 3), (4, 4), (7, 3))):
+        ch = random_channel(d_a, 2, tp=bool(k % 2), seed=220 + k)
         rep = verify_perm_decoupling_lemma(ch, d_r)
-        assert rep.passed, (d_r, rep.lhs, rep.rhs)
+        assert rep.passed, (d_a, d_r, rep.lhs, rep.rhs)
+
+
+def test_exhaustive_averages_share_one_cap():
+    # symgroup.MAX_ENUM_D = 8 caps every exhaustive average; ch7 needs d_A >= 4
+    with pytest.raises(ValueError):
+        verify_cq_tpcp(random_cq((9, 2), seed=0), random_channel(9, 2, tp=True, seed=1))
+    with pytest.raises(ValueError):
+        verify_perm_decoupling_lemma(random_channel(9, 2, seed=2), 2)
+    with pytest.raises(ValueError):
+        verify_distance_from_classicality(random_channel(3, 2, seed=3), 2)
 
 
 def test_perm_decoupling_outside_form_at_full_rank():
