@@ -531,7 +531,7 @@ def check_hmin_le_h2(cfg: SuiteConfig, n_states: int = 100):
                              dims=(d_a, d_b))
         rho = DensityOp(rho.mat * scale, rho.dims)
         res = h_min_cond(rho.mat, rho.dims)
-        h2 = h2_cond(rho.mat, rho.dims, optimize=True, seed=k,
+        h2 = h2_cond(rho.mat, rho.dims, optimize=True,
                      zeta_start=res.optimizer).value
         worst = max(worst, res.value - h2)
     return [bound_report("hmin_le_h2", float(worst), 0.0, tol=1e-6,
@@ -544,7 +544,7 @@ def check_h2_monotone(cfg: SuiteConfig, n_states: int = 40):
         s = _instance_seed(cfg.seed, "h2mono", k)
         rho = random_density(6, seed=s, dims=(3, 2))
         fixed = h2_cond(rho.mat, rho.dims).value
-        opt = h2_cond(rho.mat, rho.dims, optimize=True, seed=k).value
+        opt = h2_cond(rho.mat, rho.dims, optimize=True).value
         worst = max(worst, fixed - opt)
     return [bound_report("h2_optimized_ge_fixed", float(worst), 0.0, tol=1e-9,
                          n_states=n_states)]

@@ -256,7 +256,7 @@ def test_criterion_12_entropy_metric_properties():
                              seed=int(rng_master.integers(2**31)), dims=(d_a, d_b))
         mat = rho.mat * scale
         res = h_min_cond(mat, rho.dims)
-        h2 = h2_cond(mat, rho.dims, optimize=True, seed=k,
+        h2 = h2_cond(mat, rho.dims, optimize=True,
                      zeta_start=res.optimizer).value
         worst_l5 = max(worst_l5, res.value - h2)
 

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from declab import entropy
 from declab.entropy import (
     fidelity,
     generalized_fidelity,
@@ -92,10 +93,116 @@ def test_h2_monotone_and_min_entropy_bound():
         rho = random_density(6, seed=50 + k, dims=(3, 2))
         res = h_min_cond(rho.mat, rho.dims)
         fixed = h2_cond(rho.mat, rho.dims).value
-        opt = h2_cond(rho.mat, rho.dims, optimize=True, seed=k,
+        opt = h2_cond(rho.mat, rho.dims, optimize=True,
                       zeta_start=res.optimizer).value
         assert fixed <= opt + 1e-9
         assert res.value <= opt + 1e-8
+
+
+def _assert_h2_bracket(mat, dims, exact):
+    res = h2_cond(mat, dims, optimize=True)
+    assert res.meta["status"] == "converged"
+    assert res.value - 1e-12 <= exact <= res.meta["h2_upper"] + 1e-12
+
+
+@pytest.mark.parametrize("dims", [(2, 3), (2, 4), (3, 4), (4, 2)])
+def test_h2_optimized_pure_state_closed_form(dims):
+    # sandwiched duality with beta = 2/3: H2(A|B) = -3 log2 tr rho_A^(2/3);
+    # rho_B is singular whenever d_A < d_B
+    d_a, d_b = dims
+    rng = np.random.default_rng(d_a * 10 + d_b)
+    psi = rng.normal(size=d_a * d_b) + 1j * rng.normal(size=d_a * d_b)
+    psi /= np.linalg.norm(psi)
+    p = np.linalg.svd(psi.reshape(d_a, d_b), compute_uv=False) ** 2   # Schmidt spectrum
+    _assert_h2_bracket(np.outer(psi, psi.conj()), dims, -3 * np.log2(np.sum(p ** (2 / 3))))
+
+
+@pytest.mark.parametrize("dims", [(2, 2), (3, 2), (2, 4), (4, 3)])
+def test_h2_optimized_diagonal_closed_form(dims):
+    # diagonal rho: the optimum is sigma_b ~ sqrt(sum_a p_ab^2)
+    d_a, d_b = dims
+    p = np.random.default_rng(d_a + d_b).dirichlet(np.ones(d_a * d_b)) * 0.7
+    q = (np.sum(np.sqrt((p.reshape(d_a, d_b) ** 2).sum(axis=0)))) ** 2 / p.sum()
+    _assert_h2_bracket(np.diag(p).astype(complex), dims, -np.log2(q))
+
+
+@pytest.mark.parametrize("dims", [(2, 3), (3, 3), (4, 2)])
+def test_h2_optimized_product_closed_form(dims):
+    # rho_A (x) rho_B with tr rho_B = 1: the optimum is tr rho_A^2 / tr rho_A
+    d_a, d_b = dims
+    rho_a = 0.6 * random_density(d_a, seed=d_a).mat
+    rho_b = random_density(d_b, seed=10 + d_b).mat
+    q = np.trace(rho_a @ rho_a).real / np.trace(rho_a).real
+    _assert_h2_bracket(tensor(rho_a, rho_b), dims, -np.log2(q))
+
+
+def test_h2_optimized_never_below_starts_and_deterministic():
+    for k in range(6):
+        rng = np.random.default_rng(300 + k)
+        d_a, d_b = (int(x) for x in rng.integers(2, 5, size=2))
+        rho = random_density(d_a * d_b, rank=int(rng.integers(1, d_a * d_b + 1)),
+                             seed=k, dims=(d_a, d_b))
+        zeta = h_min_cond(rho.mat, rho.dims).optimizer
+        runs = [h2_cond(rho.mat, rho.dims, optimize=True, zeta_start=zeta) for _ in range(2)]
+        res = runs[0]
+        assert res.meta["status"] == "converged"
+        assert res.value >= h2_cond(rho.mat, rho.dims).value
+        assert res.value >= h2_cond(rho.mat, rho.dims,
+                                    sigma=zeta / np.trace(zeta).real).value
+        assert res.value <= res.meta["h2_upper"]
+        assert res.value == runs[1].value
+        assert res.optimizer.tobytes() == runs[1].optimizer.tobytes()
+        assert res.meta == runs[1].meta
+
+
+def test_h2_optimized_scores_every_start(monkeypatch):
+    # with no mirror step the result is the best exactly scored start; on
+    # these states the min-entropy optimizer beats the marginal by > 1e-4 bits
+    monkeypatch.setattr(entropy, "H2_MAX_ITER", 0)
+    for seed in (404, 407, 408, 425):
+        rho = random_density(6, seed=seed, dims=(3, 2))
+        zeta = h_min_cond(rho.mat, rho.dims).optimizer
+        res = h2_cond(rho.mat, rho.dims, optimize=True, zeta_start=zeta)
+        at_zeta = h2_cond(rho.mat, rho.dims, sigma=zeta / np.trace(zeta).real).value
+        assert res.meta["status"] == "max_iter"
+        assert res.value == at_zeta > h2_cond(rho.mat, rho.dims).value + 1e-4
+
+
+def test_h2_gradient_matches_finite_differences():
+    # G (returned in sigma's eigenbasis u) against central differences of the
+    # objective along random Hermitian directions
+    rng = np.random.default_rng(500)
+    for d_a, d_b in [(2, 3), (3, 4)]:
+        mat = random_density(d_a * d_b, seed=d_a * d_b).mat
+        blocks = mat.reshape(d_a, d_b, d_a, d_b).transpose(0, 2, 1, 3)
+        sigma = (random_density(d_b, seed=d_b).mat + np.eye(d_b) / d_b) / 2
+
+        def terms(s):
+            w, u = np.linalg.eigh(s)
+            return entropy._h2_terms(blocks, w, u), u
+
+        (_, grad, _, _), u = terms(sigma)
+        g = u @ grad @ u.conj().T
+        for _ in range(3):
+            h = rng.normal(size=(d_b, d_b)) + 1j * rng.normal(size=(d_b, d_b))
+            h = (h + h.conj().T) * 1e-6
+            fd = (terms(sigma + h)[0][0] - terms(sigma - h)[0][0]) / 2
+            assert abs(np.trace(g @ h).real - fd) <= 1e-6 * abs(fd)
+
+
+@pytest.mark.parametrize("d_a", [2, 3, 4])
+@pytest.mark.parametrize("d_b", [2, 3, 4])
+def test_sdp_conditional_lift_matches_kron(monkeypatch, d_a, d_b):
+    z = random_density(d_b, seed=d_b).mat
+    assert np.array_equal(entropy._lift(z, d_a), np.kron(np.eye(d_a), z))
+    for rank in (1, d_a * d_b):
+        rho = random_density(d_a * d_b, rank=rank, seed=d_a * d_b + rank).mat
+        val, z_opt = entropy._sdp_conditional(rho, d_a, d_b)
+        with monkeypatch.context() as m:
+            m.setattr(entropy, "_lift", lambda z, d: np.kron(np.eye(d), z))
+            ref_val, ref_z = entropy._sdp_conditional(rho, d_a, d_b)
+        assert val == ref_val
+        assert np.array_equal(z_opt, ref_z)
 
 
 def test_trace_distances():
