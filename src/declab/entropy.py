@@ -1,10 +1,11 @@
 """Single-shot entropies and distance measures for sub-normalized states.
 
 All entropies are in bits. The conditional min-entropy is computed by a small
-interior-point solver written for the one SDP shape needed here,
-min{tr z : rho <= I (x) z, z >= 0}, which is plenty at total dimension <= 16.
-The optimized conditional collision entropy comes from exponentiated-gradient
-(mirror) descent over density matrices, which carries a Frank-Wolfe bracket.
+barrier solver written for the one SDP shape needed here,
+min{tr z : rho <= I (x) z, z >= 0}, which is plenty at total dimension <= 16;
+a dual witness from its central path brackets the optimum. The optimized
+conditional collision entropy comes from exponentiated-gradient (mirror)
+descent over density matrices, which carries a Frank-Wolfe bracket.
 """
 
 from __future__ import annotations
@@ -47,21 +48,8 @@ def h_min(state, dims=None) -> float:
 # barrier solver for min tr z  s.t.  I_A (x) z - rho >= 0,  z >= 0
 # ---------------------------------------------------------------------------
 
-def _herm_basis(d: int) -> np.ndarray:
-    """Orthonormal basis of Hermitian d x d matrices under tr(AB)."""
-    basis = np.zeros((d * d, d, d), dtype=complex)
-    i = 0
-    for k in range(d):
-        basis[i, k, k] = 1.0
-        i += 1
-    for k in range(d):
-        for l in range(k + 1, d):
-            basis[i, k, l] = basis[i, l, k] = 1 / np.sqrt(2)
-            i += 1
-            basis[i, k, l] = -1j / np.sqrt(2)
-            basis[i, l, k] = 1j / np.sqrt(2)
-            i += 1
-    return basis
+HMIN_PATH_TOL = 1e-10       # follow the central path until nu / t is below this
+HMIN_BRACKET_TOL = 1e-6     # widest certified bracket, in bits, that counts as converged
 
 
 def _is_pd(m: np.ndarray) -> bool:
@@ -70,63 +58,6 @@ def _is_pd(m: np.ndarray) -> bool:
         return True
     except np.linalg.LinAlgError:
         return False
-
-
-def min_trace_dominating(blocks, gap_tol: float = 1e-10):
-    """min tr z over z with z >= B_i for every Hermitian block B_i (all d x d).
-
-    Path-following barrier that stops once the central-path gap nu / t is
-    below gap_tol; that bound is nominal, as it assumes every centering step
-    converged. Returns (optimal trace, z).
-    """
-    blocks = [np.asarray(b, dtype=complex) for b in blocks]
-    d = blocks[0].shape[0]
-    basis = _herm_basis(d)
-    n = d * d
-    tr_basis = np.einsum('kaa->k', basis).real
-    lam = max(float(np.linalg.eigvalsh(b)[-1]) for b in blocks)
-    z = (max(lam, 0.0) + max(1.0, abs(lam))) * np.eye(d, dtype=complex)
-    nu = d * (len(blocks) + 1)          # total barrier degree incl. z >= 0
-    t = max(1.0, nu / max(lam * d, 1e-2))
-    while True:
-        for _ in range(60):
-            surpluses = [z - b for b in blocks] + [z]
-            try:
-                inverses = [np.linalg.inv(s) for s in surpluses]
-            except np.linalg.LinAlgError:
-                break
-            grad = t * tr_basis
-            hess = np.zeros((n, n))
-            for si in inverses:
-                q = np.matmul(si[None, :, :], basis)
-                grad = grad - np.einsum('kii->k', q).real
-                flat = q.reshape(n, -1)
-                flat_t = q.transpose(0, 2, 1).reshape(n, -1)
-                hess += (flat @ flat_t.T).real
-            try:
-                dx = np.linalg.solve(hess, -grad)
-            except np.linalg.LinAlgError:
-                dx = np.linalg.lstsq(hess, -grad, rcond=None)[0]
-            dec = float(-grad @ dx)
-            if not np.isfinite(dec) or dec <= 0:
-                break
-            dz = np.tensordot(dx, basis, axes=(0, 0))
-            step, ok = 1.0, False
-            for _ in range(60):
-                z_new = z + step * dz
-                if all(_is_pd(z_new - b) for b in blocks) and _is_pd(z_new):
-                    ok = True
-                    break
-                step *= 0.5
-            if not ok:
-                break
-            z = z_new
-            if dec < 1e-11:
-                break
-        if nu / t < gap_tol:
-            break
-        t *= 20.0
-    return float(np.trace(z).real), z
 
 
 def _lift(z: np.ndarray, d_a: int) -> np.ndarray:
@@ -138,48 +69,44 @@ def _lift(z: np.ndarray, d_a: int) -> np.ndarray:
     return out.reshape(d_a * d_b, d_a * d_b)
 
 
-def _sdp_conditional(rho: np.ndarray, d_a: int, d_b: int, gap_tol: float = 1e-10):
-    """Solve min{tr z : rho_AB <= I_A (x) z} via its block form.
+def _sdp_conditional(rho: np.ndarray, d_a: int, d_b: int):
+    """Solve min{tr z : I_A (x) z >= rho, z >= 0} and certify the optimum from below.
 
-    The constraint I (x) z >= rho is kept whole (it does not decompose for
-    entangled rho), so the generic solver is called with the block structure
-    handled through an equivalent embedding: we treat S(z) = I (x) z - rho
-    directly.
+    Path-following barrier on t tr z - log det S - log det z, S = I (x) z - rho,
+    with t growing 20-fold per centering until nu / t < HMIN_PATH_TOL. The
+    Newton step is solved in matrix form: with S_ac the d_B x d_B blocks of
+    S^-1, the gradient is t I - tr_A S^-1 - z^-1 and the Hessian maps X to
+    sum_ac S_ac X S_ca + z^-1 X z^-1. A centering stops early when a step
+    cannot be computed or no step keeps S and z positive definite.
+
+    After each centering, Y = S^-1 / lambda_max(tr_A S^-1) is feasible for the
+    dual max{tr(rho Y) : tr_A Y <= I, Y >= 0}, so tr(rho Y) <= min tr z <= tr z
+    (on the central path S^-1 / t is already feasible). Returns (tr z, z, Y)
+    with the Y of largest tr(rho Y) over the path; near the end of the path S
+    is close to singular and the last Y alone can be a poor witness.
     """
-    basis = _herm_basis(d_b)
-    n = d_b * d_b
-    D = d_a * d_b
-    tr_basis = np.einsum('kaa->k', basis).real
     lam = float(np.linalg.eigvalsh(rho)[-1])
     z = (max(lam, 0.0) + max(1.0, abs(lam))) * np.eye(d_b, dtype=complex)
-    nu = D + d_b
+    nu = d_a * d_b + d_b
     t = max(1.0, nu / max(lam * d_b, 1e-2))
+    eye = np.eye(d_b)
+    y, y_val = None, -np.inf
     while True:
         for _ in range(60):
-            s = _lift(z, d_a) - rho
             try:
-                si = np.linalg.inv(s)
+                si = np.linalg.inv(_lift(z, d_a) - rho)
                 zi = np.linalg.inv(z)
+                blk = si.reshape(d_a, d_b, d_a, d_b).transpose(0, 2, 1, 3)
+                grad = t * eye - np.einsum('aaij->ij', blk) - zi
+                hess = (np.einsum('acij,calk->ikjl', blk, blk)
+                        + np.einsum('ij,lk->ikjl', zi, zi)).reshape(d_b * d_b, d_b * d_b)
+                dz = np.linalg.solve(hess, -grad.reshape(-1)).reshape(d_b, d_b)
             except np.linalg.LinAlgError:
                 break
-            si4 = si.reshape(d_a, d_b, d_a, d_b)
-            p = np.tensordot(si4, basis, axes=([3], [1]))        # (a,i,b,k,j)
-            p = p.transpose(3, 0, 1, 2, 4).reshape(n, D, D)
-            q = np.matmul(zi[None, :, :], basis)
-            grad = t * tr_basis - np.einsum('kii->k', p).real - np.einsum('kii->k', q).real
-            p_flat = p.reshape(n, -1)
-            p_flat_t = p.transpose(0, 2, 1).reshape(n, -1)
-            q_flat = q.reshape(n, -1)
-            q_flat_t = q.transpose(0, 2, 1).reshape(n, -1)
-            hess = (p_flat @ p_flat_t.T + q_flat @ q_flat_t.T).real
-            try:
-                dx = np.linalg.solve(hess, -grad)
-            except np.linalg.LinAlgError:
-                dx = np.linalg.lstsq(hess, -grad, rcond=None)[0]
-            dec = float(-grad @ dx)
+            dz = (dz + dz.conj().T) / 2
+            dec = -float(np.vdot(grad, dz).real)
             if not np.isfinite(dec) or dec <= 0:
                 break
-            dz = np.tensordot(dx, basis, axes=(0, 0))
             step, ok = 1.0, False
             for _ in range(60):
                 z_new = z + step * dz
@@ -192,18 +119,28 @@ def _sdp_conditional(rho: np.ndarray, d_a: int, d_b: int, gap_tol: float = 1e-10
             z = z_new
             if dec < 1e-11:
                 break
-        if nu / t < gap_tol:
+        si = np.linalg.inv(_lift(z, d_a) - rho)
+        cand = (si + si.conj().T) / 2
+        cand /= np.linalg.eigvalsh(np.einsum('aiaj->ij', cand.reshape(d_a, d_b, d_a, d_b)))[-1]
+        cand_val = float(np.vdot(cand, rho).real)
+        if cand_val > y_val:
+            y, y_val = cand, cand_val
+        if nu / t < HMIN_PATH_TOL:
             break
         t *= 20.0
-    return float(np.trace(z).real), z
+    return float(np.trace(z).real), z, y
 
 
-def h_min_cond(state, dims=None, gap_tol: float = 1e-10) -> EntropyResult:
+def h_min_cond(state, dims=None) -> EntropyResult:
     """Conditional min-entropy of the first subsystem given the second.
 
-    Solves min{tr z : rho_AB <= I_A (x) z, z >= 0}; value = -log2 tr z*.
-    meta["gap_bound"] is the nominal central-path gap nu * gap_tol, not a
-    certificate: it assumes every centering step converged.
+    Solves min{tr z : rho_AB <= I_A (x) z, z >= 0}, whose optimum is
+    2^-H_min. `value` = -log2 tr z at the strictly feasible z returned, the
+    lower end of the bracket, so every bound built from 2^-H_min stays sound.
+    `meta` holds `hmin_upper` = -log2 tr(rho Y) for the dual witness Y, the
+    certified upper end; `status`, which is "converged" when the bracket
+    [value, hmin_upper] is at most HMIN_BRACKET_TOL bits wide and "wide"
+    otherwise; and `primal_slack`, the smallest eigenvalue of I (x) z - rho.
     """
     mat, dims = _matdims(state, dims)
     if len(dims) != 2:
@@ -211,15 +148,16 @@ def h_min_cond(state, dims=None, gap_tol: float = 1e-10) -> EntropyResult:
     d_a, d_b = dims
     if np.trace(mat).real <= 0:
         raise ValueError("h_min_cond of a zero operator is undefined")
-    val, z = _sdp_conditional(mat, d_a, d_b, gap_tol=gap_tol)
-    s_min = float(np.linalg.eigvalsh(_lift(z, d_a) - mat)[0])
-    meta = {"gap_bound": (d_a * d_b + d_b) * gap_tol, "primal_slack": s_min}
-    return EntropyResult(
-        value=float(-np.log2(val)),
-        optimizer=z / np.trace(z).real,
-        method="optimized",
-        meta=meta,
-    )
+    val, z, y = _sdp_conditional(mat, d_a, d_b)
+    value = float(-np.log2(val))
+    upper = float(-np.log2(np.vdot(y, mat).real))
+    meta = {
+        "primal_slack": float(np.linalg.eigvalsh(_lift(z, d_a) - mat)[0]),
+        "hmin_upper": upper,
+        "status": "converged" if upper - value <= HMIN_BRACKET_TOL else "wide",
+    }
+    return EntropyResult(value=value, optimizer=z / np.trace(z).real,
+                         method="optimized", meta=meta)
 
 
 def _sandwich_trace(mat: np.ndarray, dims, s_half: np.ndarray) -> float:
@@ -311,8 +249,8 @@ def h2_cond(state, dims=None, sigma=None, optimize: bool = False, *,
             zeta_start=None, seed=None) -> EntropyResult:
     """Conditional collision entropy of the first subsystem given the second.
 
-    With `sigma` fixed the returned value lower-bounds the optimum, which keeps
-    every decoupling upper bound valid. The default sigma is the conditioning
+    With `sigma` fixed, scored as sigma / tr sigma, the returned value
+    lower-bounds the optimum, which keeps every decoupling upper bound valid. The default sigma is the conditioning
     marginal. `optimize=True` maximizes over sigma by mirror descent, started
     at the marginal and confined to its support. The value is the best of the
     marginal, `zeta_start` (the min-entropy optimizer, when the caller has
@@ -331,8 +269,8 @@ def h2_cond(state, dims=None, sigma=None, optimize: bool = False, *,
     if sigma is not None:
         sigma = np.asarray(sigma, dtype=complex)
         _check_support(sigma, rho_b)
-        val = _h2_value(mat, dims, sigma)
-        return EntropyResult(float(-np.log2(val)), sigma / np.trace(sigma).real, "fixed_sigma")
+        sigma = sigma / np.trace(sigma).real
+        return EntropyResult(float(-np.log2(_h2_value(mat, dims, sigma))), sigma, "fixed_sigma")
 
     sigma0 = rho_b / np.trace(rho_b).real
     best_sigma, best_val = sigma0, _h2_value(mat, dims, sigma0)

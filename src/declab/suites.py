@@ -113,18 +113,14 @@ def mc_cross_check(seed, d_a: int = 2, n_mc: int = 100_000) -> VerificationRepor
     """Monte Carlo Haar average of the squared 2-norm deviation at d_A = 2,
     compared with the closed right side within three standard errors.
 
-    Samples are drawn in one batch and contracted by the group-average
-    kernel, so 10^5 unitaries are cheap.
+    Samples are drawn in one batch by twirl.haar_samples and contracted by
+    the group-average kernel, so 10^5 unitaries are cheap.
     """
     rng = np.random.default_rng([seed, 77])
     d_r = d_e = 2
     rho = random_density(d_a * d_r, seed=int(rng.integers(2**31)), dims=(d_a, d_r))
     ch = random_channel(d_a, d_e, tp=False, seed=int(rng.integers(2**31)))
-    # batched Haar sampling: QR of Ginibre with the phase correction
-    z = (rng.normal(size=(n_mc, d_a, d_a)) + 1j * rng.normal(size=(n_mc, d_a, d_a)))
-    q, r = np.linalg.qr(z / np.sqrt(2))
-    diag = np.einsum('nii->ni', r)
-    us = q * (diag / np.abs(diag))[:, None, :]
+    us = twirl.haar_samples(d_a, n_mc, rng)
     target = tensor(ch.env_marginal, rho.marginal([1]))
     vals = group_values(rho.mat, rho.dims, us, lambda stack: schatten_stack(
         apply_channel_stack(ch, stack, d_r) - target, 2) ** 2)
@@ -519,8 +515,17 @@ def check_hook_dimensions(cfg: SuiteConfig, dims=(4, 5, 6, 7)):
 # entropy and metric properties
 # ---------------------------------------------------------------------------
 
+def _certified(rep: VerificationReport, hmin_results) -> VerificationReport:
+    """Fail `rep` unless every H_min solve behind it converged, and record
+    the widest certified bracket hmin_upper - value in its meta."""
+    rep.meta["hmin_bracket"] = max(r.meta["hmin_upper"] - r.value for r in hmin_results)
+    rep.passed = rep.passed and all(r.meta["status"] == "converged" for r in hmin_results)
+    return rep
+
+
 def check_hmin_le_h2(cfg: SuiteConfig, n_states: int = 100):
     worst = -np.inf
+    solves = []
     for k in range(n_states):
         rng = np.random.default_rng(_instance_seed(cfg.seed, "hminh2", k))
         d_a = int(rng.integers(2, 5))
@@ -531,11 +536,12 @@ def check_hmin_le_h2(cfg: SuiteConfig, n_states: int = 100):
                              dims=(d_a, d_b))
         rho = DensityOp(rho.mat * scale, rho.dims)
         res = h_min_cond(rho.mat, rho.dims)
+        solves.append(res)
         h2 = h2_cond(rho.mat, rho.dims, optimize=True,
                      zeta_start=res.optimizer).value
         worst = max(worst, res.value - h2)
-    return [bound_report("hmin_le_h2", float(worst), 0.0, tol=1e-6,
-                         n_states=n_states)]
+    return [_certified(bound_report("hmin_le_h2", float(worst), 0.0, tol=1e-6,
+                                    n_states=n_states), solves)]
 
 
 def check_h2_monotone(cfg: SuiteConfig, n_states: int = 40):
@@ -551,14 +557,14 @@ def check_h2_monotone(cfg: SuiteConfig, n_states: int = 40):
 
 
 def check_sdp_feasibility(cfg: SuiteConfig, n_states: int = 40):
-    worst = np.inf
+    solves = []
     for k in range(n_states):
         s = _instance_seed(cfg.seed, "sdpfeas", k)
         rho = random_density(8, seed=s, dims=(4, 2))
-        res = h_min_cond(rho.mat, rho.dims)
-        worst = min(worst, res.meta["primal_slack"])
-    return [bound_report("sdp_primal_feasibility", float(-worst), 1e-8, tol=0.0,
-                         n_states=n_states)]
+        solves.append(h_min_cond(rho.mat, rho.dims))
+    worst = min(res.meta["primal_slack"] for res in solves)
+    return [_certified(bound_report("sdp_primal_feasibility", float(-worst), 1e-8, tol=0.0,
+                                    n_states=n_states), solves)]
 
 
 def check_fuchs_van_de_graaf(cfg: SuiteConfig, n_pairs: int = 1000):

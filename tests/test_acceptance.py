@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from declab.entropy import (
+    HMIN_BRACKET_TOL,
     generalized_trace_distance,
     h2_cond,
     h_min_cond,
@@ -247,6 +248,7 @@ def test_criterion_11_circuit_convergence():
 def test_criterion_12_entropy_metric_properties():
     rng_master = np.random.default_rng(12)
     worst_l5 = -np.inf
+    widest, unconverged = 0.0, 0
     for k in range(500):
         d_a = int(rng_master.integers(2, 5))
         d_b = int(rng_master.integers(2, 5))
@@ -256,6 +258,8 @@ def test_criterion_12_entropy_metric_properties():
                              seed=int(rng_master.integers(2**31)), dims=(d_a, d_b))
         mat = rho.mat * scale
         res = h_min_cond(mat, rho.dims)
+        unconverged += res.meta["status"] != "converged"
+        widest = max(widest, res.meta["hmin_upper"] - res.value)
         h2 = h2_cond(mat, rho.dims, optimize=True,
                      zeta_start=res.optimizer).value
         worst_l5 = max(worst_l5, res.value - h2)
@@ -289,8 +293,10 @@ def test_criterion_12_entropy_metric_properties():
                                      * (sv[1] ** 2).sum() ** 0.5
                                      * (sv[2] ** 4).sum() ** 0.25),
         )
-    ok = worst_l5 <= 1e-8 and worst_fvdg <= 1e-8 and worst_norm <= 1e-8
+    ok = (worst_l5 <= 1e-8 and worst_fvdg <= 1e-8 and worst_norm <= 1e-8
+          and widest <= HMIN_BRACKET_TOL and unconverged == 0)
     report(12, ok, f"hmin<=h2 margin {worst_l5:.2e} (500); "
+                   f"widest hmin bracket {widest:.2e} bits, {unconverged} unconverged; "
                    f"FvdG margin {worst_fvdg:.2e} (1000); "
                    f"norm margins {worst_norm:.2e} (500)")
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from declab import entropy
+from declab import entropy, suites
 from declab.entropy import (
     fidelity,
     generalized_fidelity,
@@ -10,7 +10,6 @@ from declab.entropy import (
     h_min,
     h_min_cond,
     in_epsilon_ball,
-    min_trace_dominating,
     purified_distance,
     trace_distance,
 )
@@ -28,10 +27,18 @@ def test_h_min_basics():
         h_min(np.zeros((2, 2)))
 
 
+def _assert_hmin_bracket(mat, dims, exact):
+    res = h_min_cond(mat, dims)
+    assert res.meta["status"] == "converged"
+    assert res.value <= exact + 1e-12
+    assert exact <= res.meta["hmin_upper"] + 1e-12
+    return res
+
+
 def test_h_min_cond_product():
     rho_a = random_density(3, seed=0).mat
     sig_b = random_density(2, seed=1).mat
-    res = h_min_cond(tensor(rho_a, sig_b), (3, 2))
+    res = _assert_hmin_bracket(tensor(rho_a, sig_b), (3, 2), h_min(rho_a))
     assert abs(res.value - h_min(rho_a)) < 1e-8
     assert np.isclose(np.trace(res.optimizer).real, 1.0)
 
@@ -39,25 +46,45 @@ def test_h_min_cond_product():
 @pytest.mark.parametrize("d", [2, 3])
 def test_h_min_cond_max_entangled(d):
     phi = max_entangled(d)
-    res = h_min_cond(phi.mat, phi.dims)
+    res = _assert_hmin_bracket(phi.mat, phi.dims, -np.log2(d))
     assert abs(res.value + np.log2(d)) < 1e-8
     assert res.meta["primal_slack"] > -1e-8
 
 
-def test_h_min_cond_cq_reduced_oracle():
-    # classical mixture on A: the SDP decomposes into blockwise domination
-    rng = np.random.default_rng(2)
-    probs = rng.dirichlet(np.ones(3))
-    blocks = [probs[i] * random_density(2, seed=10 + i).mat for i in range(3)]
-    mat = np.zeros((6, 6), dtype=complex)
-    for i, b in enumerate(blocks):
-        mat[2 * i:2 * i + 2, 2 * i:2 * i + 2] = b
-    from declab.linalg import permute_systems
+@pytest.mark.parametrize("d_b", [2, 3, 4])
+def test_h_min_cond_helstrom_closed_form(d_b):
+    # classical bit A: 2^-H_min is the Helstrom guessing probability
+    # (tr rho + ||rho_0 - rho_1||_1) / 2 of the sub-normalized blocks
+    rho = random_cq((2, d_b), seed=20 + d_b, trace=0.7).mat
+    blocks = rho.reshape(2, d_b, 2, d_b)
+    p_guess = (np.trace(rho).real + trace_distance(blocks[0, :, 0], blocks[1, :, 1])) / 2
+    _assert_hmin_bracket(rho, (2, d_b), -np.log2(p_guess))
 
-    rho = permute_systems(mat, (3, 2), [0, 1])   # already (A, B) ordered
-    full = h_min_cond(rho, (3, 2)).value
-    reduced_tr, _ = min_trace_dominating(blocks)
-    assert abs(full + np.log2(reduced_tr)) < 1e-7
+
+@pytest.mark.parametrize("d_a", [2, 3, 4])
+@pytest.mark.parametrize("d_b", [2, 3, 4])
+def test_h_min_cond_classical_closed_form(d_a, d_b):
+    # diagonal rho: 2^-H_min = sum_b max_a p_ab
+    p = np.random.default_rng(10 * d_a + d_b).dirichlet(np.ones(d_a * d_b)) * 0.6
+    exact = -np.log2(p.reshape(d_a, d_b).max(axis=0).sum())
+    _assert_hmin_bracket(np.diag(p).astype(complex), (d_a, d_b), exact)
+
+
+def test_sdp_conditional_dual_witness():
+    cases = [(0.8 * random_density(d_a * d_b, rank=rank, seed=40 + rank).mat, d_a, d_b)
+             for d_a, d_b, rank in [(2, 2, 1), (3, 2, 6), (2, 4, 3), (4, 3, 12)]]
+    cases += [(random_cq((4, 2), seed=12).mat, 4, 2), (random_cq((3, 2), seed=2).mat, 3, 2)]
+    for rho, d_a, d_b in cases:
+        tr_z, z, y = entropy._sdp_conditional(rho, d_a, d_b)
+        assert np.array_equal(y, y.conj().T)
+        assert np.linalg.eigvalsh(y)[0] >= -1e-12
+        tr_a_y = np.trace(y.reshape(d_a, d_b, d_a, d_b), axis1=0, axis2=2)
+        assert np.linalg.eigvalsh(tr_a_y)[-1] <= 1 + 1e-12
+        res = h_min_cond(rho, (d_a, d_b))
+        assert res.meta["status"] == "converged"
+        assert res.value == -np.log2(tr_z)
+        assert abs(-np.log2(np.trace(rho @ y).real) - res.meta["hmin_upper"]) <= 1e-12
+        assert np.trace(rho @ y).real <= tr_z
 
 
 def test_h_min_cond_subnormalized():
@@ -86,6 +113,16 @@ def test_h2_cond_support_violation():
     rho = random_density(4, seed=5, dims=(2, 2))
     with pytest.raises(ValueError):
         h2_cond(rho.mat, rho.dims, sigma=np.diag([1.0, 0.0]))
+
+
+def test_h2_cond_fixed_sigma_scale_invariant():
+    # H2 at a fixed sigma depends on sigma / tr sigma only
+    rho = random_density(6, seed=3, dims=(3, 2))
+    rho_b = rho.marginal([1])
+    ref = h2_cond(rho.mat, rho.dims, sigma=rho_b).value
+    for c in (2.0, 0.5):
+        assert abs(h2_cond(rho.mat, rho.dims, sigma=c * rho_b).value - ref) <= 1e-12
+    assert ref <= h2_cond(rho.mat, rho.dims, optimize=True).meta["h2_upper"]
 
 
 def test_h2_monotone_and_min_entropy_bound():
@@ -197,12 +234,13 @@ def test_sdp_conditional_lift_matches_kron(monkeypatch, d_a, d_b):
     assert np.array_equal(entropy._lift(z, d_a), np.kron(np.eye(d_a), z))
     for rank in (1, d_a * d_b):
         rho = random_density(d_a * d_b, rank=rank, seed=d_a * d_b + rank).mat
-        val, z_opt = entropy._sdp_conditional(rho, d_a, d_b)
+        val, z_opt, y = entropy._sdp_conditional(rho, d_a, d_b)
         with monkeypatch.context() as m:
             m.setattr(entropy, "_lift", lambda z, d: np.kron(np.eye(d), z))
-            ref_val, ref_z = entropy._sdp_conditional(rho, d_a, d_b)
+            ref_val, ref_z, ref_y = entropy._sdp_conditional(rho, d_a, d_b)
         assert val == ref_val
         assert np.array_equal(z_opt, ref_z)
+        assert np.array_equal(y, ref_y)
 
 
 def test_trace_distances():
@@ -266,9 +304,14 @@ def test_fuchs_van_de_graaf_small_batch():
         assert p <= np.sqrt(dist) + 1e-9
 
 
-def test_h_min_cond_cq_state_via_solver():
-    rho = random_cq((4, 2), seed=12)
-    res = h_min_cond(rho.mat, rho.dims)
-    blocks = [rho.mat.reshape(4, 2, 4, 2)[i, :, i, :] for i in range(4)]
-    tr, _ = min_trace_dominating(blocks)
-    assert abs(res.value + np.log2(tr)) < 1e-7
+def test_entropy_checks_fail_on_unconverged_hmin(monkeypatch):
+    # a bracket wider than the tolerance marks the solve "wide", which must
+    # fail every record built on it rather than pass on a quiet number
+    cfg = suites.SuiteConfig(seed=0)
+    for check in (suites.check_hmin_le_h2, suites.check_sdp_feasibility):
+        (rep,) = check(cfg, n_states=3)
+        assert rep.passed and rep.meta["hmin_bracket"] <= entropy.HMIN_BRACKET_TOL
+    monkeypatch.setattr(entropy, "HMIN_BRACKET_TOL", 0.0)
+    for check in (suites.check_hmin_le_h2, suites.check_sdp_feasibility):
+        (rep,) = check(cfg, n_states=3)
+        assert not rep.passed
