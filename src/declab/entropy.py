@@ -91,10 +91,11 @@ def _sdp_conditional(rho: np.ndarray, d_a: int, d_b: int):
     t = max(1.0, nu / max(lam * d_b, 1e-2))
     eye = np.eye(d_b)
     y, y_val = None, -np.inf
+    s_mat = _lift(z, d_a) - rho
     while True:
         for _ in range(60):
             try:
-                si = np.linalg.inv(_lift(z, d_a) - rho)
+                si = np.linalg.inv(s_mat)
                 zi = np.linalg.inv(z)
                 blk = si.reshape(d_a, d_b, d_a, d_b).transpose(0, 2, 1, 3)
                 grad = t * eye - np.einsum('aaij->ij', blk) - zi
@@ -110,16 +111,17 @@ def _sdp_conditional(rho: np.ndarray, d_a: int, d_b: int):
             step, ok = 1.0, False
             for _ in range(60):
                 z_new = z + step * dz
-                if _is_pd(z_new) and _is_pd(_lift(z_new, d_a) - rho):
+                s_new = _lift(z_new, d_a) - rho
+                if _is_pd(s_new) and _is_pd(z_new):
                     ok = True
                     break
                 step *= 0.5
             if not ok:
                 break
-            z = z_new
+            z, s_mat = z_new, s_new
             if dec < 1e-11:
                 break
-        si = np.linalg.inv(_lift(z, d_a) - rho)
+        si = np.linalg.inv(s_mat)
         cand = (si + si.conj().T) / 2
         cand /= np.linalg.eigvalsh(np.einsum('aiaj->ij', cand.reshape(d_a, d_b, d_a, d_b)))[-1]
         cand_val = float(np.vdot(cand, rho).real)

@@ -43,7 +43,7 @@ from .symgroup import (
     partitions,
     perm_operator,
 )
-from .verify import VerificationReport, bound_report, equality_report
+from .verify import VerificationReport, _certified, bound_report, equality_report
 
 
 @dataclass(frozen=True)
@@ -514,14 +514,6 @@ def check_hook_dimensions(cfg: SuiteConfig, dims=(4, 5, 6, 7)):
 # ---------------------------------------------------------------------------
 # entropy and metric properties
 # ---------------------------------------------------------------------------
-
-def _certified(rep: VerificationReport, hmin_results) -> VerificationReport:
-    """Fail `rep` unless every H_min solve behind it converged, and record
-    the widest certified bracket hmin_upper - value in its meta."""
-    rep.meta["hmin_bracket"] = max(r.meta["hmin_upper"] - r.value for r in hmin_results)
-    rep.passed = rep.passed and all(r.meta["status"] == "converged" for r in hmin_results)
-    return rep
-
 
 def check_hmin_le_h2(cfg: SuiteConfig, n_states: int = 100):
     worst = -np.inf

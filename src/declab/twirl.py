@@ -7,6 +7,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import permutations, product
 from math import factorial
 
 import numpy as np
@@ -219,6 +220,11 @@ def _lifted_universal(n_qubits: int, q1: int, q2: int, pick: int) -> np.ndarray:
     return lifted
 
 
+def _draw_pair(rng, n_qubits: int) -> tuple:
+    """One uniformly random ordered pair of distinct qubits."""
+    return tuple(int(q) for q in rng.choice(n_qubits, size=2, replace=False))
+
+
 def random_circuit(n_qubits: int, t: int, seed=0, gates: str = "universal") -> np.ndarray:
     """Product of t random two-qubit gates on uniformly random ordered pairs.
 
@@ -235,7 +241,7 @@ def random_circuit(n_qubits: int, t: int, seed=0, gates: str = "universal") -> n
     rng = np.random.default_rng(seed)
     u = np.eye(2 ** n_qubits, dtype=complex)
     for _ in range(t):
-        q1, q2 = (int(q) for q in rng.choice(n_qubits, size=2, replace=False))
+        q1, q2 = _draw_pair(rng, n_qubits)
         if gates == "haar":
             lifted = _lift_gate(haar_sample(4, rng), n_qubits, q1, q2)
         else:
@@ -244,12 +250,72 @@ def random_circuit(n_qubits: int, t: int, seed=0, gates: str = "universal") -> n
     return u
 
 
-def circuit_ensemble(n_qubits: int, t: int, n_circuits: int, seed=0,
-                     gates: str = "universal") -> UnitaryEnsemble:
-    """Uniform ensemble of independent random circuits of fixed depth."""
+@lru_cache(maxsize=None)
+def _universal_steps(n_qubits: int):
+    """Every lifted {H, T, CNOT} gate as one read-only stack, and how a universal
+    random_circuit step picks from it.
+
+    A step is rng.choice(n_qubits, 2, replace=False) and then rng.integers(3),
+    and each bounded draw takes one 32-bit word w as (w * range) >> 32 (Lemire).
+    choice runs Floyd's sampler, one draw in [0, j] for j = n - 2, n - 1 (none
+    for j = 0), then shuffles the two picks with one draw in [0, 1]. Returns
+    (stack, pairs, ranges, index): stack[3 * pairs.index((q1, q2)) + pick] is
+    the gate, ranges the draw ranges of one step, and index the stack index of
+    every tuple of draw values, flattened in C order.
+    """
+    pairs = list(permutations(range(n_qubits), 2))
+    stack = np.stack([_lifted_universal(n_qubits, q1, q2, pick)
+                      for q1, q2 in pairs for pick in range(3)])
+    stack.flags.writeable = False
+    ranges = [j + 1 for j in range(n_qubits - 2, n_qubits) if j > 0] + [2, 3]
+    index = []
+    for draws in product(*(range(r) for r in ranges)):
+        vals = iter(draws)
+        picks = []
+        for j in range(n_qubits - 2, n_qubits):
+            val = next(vals) if j > 0 else 0
+            picks.append(j if val in picks else val)
+        if next(vals) == 0:
+            picks.reverse()
+        index.append(3 * pairs.index(tuple(picks)) + next(vals))
+    return stack, pairs, np.array(ranges), np.array(index)
+
+
+def _step_indices(n_qubits: int, t: int, rng) -> np.ndarray:
+    """Stack indices (see _universal_steps) of the t universal steps that
+    random_circuit draws from `rng`; `rng` ends where those draws leave it.
+
+    All words come from one call. A range-3 draw rejects exactly the word 0
+    (2^32 mod 3 = 1) and redraws, which shifts every later draw; then the steps
+    are drawn again one by one from the saved state.
+    """
+    _, pairs, ranges, index = _universal_steps(n_qubits)
+    state = rng.bit_generator.state
+    words = rng.integers(0, 2 ** 32, size=(t, len(ranges)), dtype=np.uint32)
+    if not np.any(words[:, ranges == 3] == 0):
+        draws = (words.astype(np.int64) * ranges) >> 32
+        return index[np.ravel_multi_index(tuple(draws.T), ranges)]
+    rng.bit_generator.state = state
+    return np.array([3 * pairs.index(_draw_pair(rng, n_qubits)) + int(rng.integers(3))
+                     for _ in range(t)], dtype=int)
+
+
+def circuit_ensemble(n_qubits: int, t: int, n_circuits: int, seed=0) -> UnitaryEnsemble:
+    """Uniform ensemble of independent universal random circuits of fixed depth.
+
+    Member k equals random_circuit(n_qubits, t, seeds[k]) bit for bit, with
+    the seeds drawn from `seed`; all members are multiplied as one stack.
+    """
+    if not 2 <= n_qubits <= 4:
+        raise ValueError("supported qubit counts: 2..4")
     seeds = np.random.default_rng(seed).integers(0, 2 ** 63 - 1, size=n_circuits)
-    members = tuple(random_circuit(n_qubits, t, s, gates=gates) for s in seeds)
-    return UnitaryEnsemble(np.full(n_circuits, 1 / n_circuits), members)
+    stack = _universal_steps(n_qubits)[0]
+    idx = np.array([_step_indices(n_qubits, t, np.random.default_rng(s)) for s in seeds],
+                   dtype=int).reshape(n_circuits, t)
+    u = np.broadcast_to(np.eye(2 ** n_qubits, dtype=complex), (n_circuits,) + stack.shape[1:])
+    for k in range(t):
+        u = stack[idx[:, k]] @ u
+    return UnitaryEnsemble(np.full(n_circuits, 1 / n_circuits), u)
 
 
 # ---------------------------------------------------------------------------
@@ -341,10 +407,15 @@ def gram_inverse_closed_form(d: int) -> np.ndarray:
     return inv
 
 
+@lru_cache(maxsize=None)
 def commutant_basis(d: int) -> CommutantBasis:
+    """The 11 commutant operators with their Gramian and its inverse; cached read-only."""
     if d < 4:
         raise ValueError(f"Gramian is singular for d = {d} (needs d >= 4)")
-    return CommutantBasis(d, commutant_ops(d), gram_closed_form(d), gram_inverse_closed_form(d))
+    basis = CommutantBasis(d, commutant_ops(d), gram_closed_form(d), gram_inverse_closed_form(d))
+    for arr in basis.ops + (basis.gram, basis.gram_inv):
+        arr.flags.writeable = False
+    return basis
 
 
 def commutant_dim_brute(d: int) -> int:

@@ -57,6 +57,14 @@ def bound_report(name, lhs, rhs, tol=BOUND_TOL, se: float = 0.0, **meta) -> Veri
     return VerificationReport(name, "upper_bound", float(lhs), float(rhs), tol, bool(ok), meta)
 
 
+def _certified(rep: VerificationReport, hmin_results) -> VerificationReport:
+    """Fail `rep` unless every H_min solve behind it converged, and record
+    the widest certified bracket hmin_upper - value in its meta."""
+    rep.meta["hmin_bracket"] = max(r.meta["hmin_upper"] - r.value for r in hmin_results)
+    rep.passed = rep.passed and all(r.meta["status"] == "converged" for r in hmin_results)
+    return rep
+
+
 # ---------------------------------------------------------------------------
 # building blocks
 # ---------------------------------------------------------------------------
@@ -159,8 +167,8 @@ def verify_improved_decoupling(rho: DensityOp, ch: ChoiChannel, n_samples: int =
     terms 2^(-Hmin) - tr/d_A and the 1-norm deviation factors."""
     d_a, d_r = rho.dims
     vals = _haar_deviation_norms(rho, ch, n_samples, seed)
-    hmin_rho = h_min_cond(rho.mat, rho.dims).value
-    hmin_om = h_min_cond(ch.choi, (ch.d_in, ch.d_out)).value
+    solves = (h_min_cond(rho.mat, rho.dims), h_min_cond(ch.choi, (ch.d_in, ch.d_out)))
+    hmin_rho, hmin_om = (res.value for res in solves)
     tr_rho_r = float(np.trace(rho.mat).real)
     tr_om_e = float(np.trace(ch.choi).real)
     bracket_rho = 2.0 ** (-hmin_rho) - tr_rho_r / d_a
@@ -170,10 +178,10 @@ def verify_improved_decoupling(rho: DensityOp, ch: ChoiChannel, n_samples: int =
     rhs = float(np.sqrt(max(0.0, bracket_om * bracket_rho) / (1 - 1 / d_a ** 2))
                 * np.sqrt(norm_om * norm_rho))
     se = float(vals.std(ddof=1) / np.sqrt(n_samples)) if n_samples > 1 else 0.0
-    return bound_report("improved_decoupling", float(vals.mean()), rhs, se=se,
-                        n_samples=n_samples, seed=seed,
-                        brackets_positive=bool(bracket_rho >= -1e-12 and bracket_om >= -1e-12),
-                        dims={"d_A": d_a, "d_R": d_r, "d_E": ch.d_out})
+    return _certified(bound_report(
+        "improved_decoupling", float(vals.mean()), rhs, se=se, n_samples=n_samples, seed=seed,
+        brackets_positive=bool(bracket_rho >= -1e-12 and bracket_om >= -1e-12),
+        dims={"d_A": d_a, "d_R": d_r, "d_E": ch.d_out}), solves)
 
 
 def verify_design_decoupling(ens: UnitaryEnsemble, rho: DensityOp, ch: ChoiChannel,
@@ -246,12 +254,12 @@ def verify_cq_hash(rho: DensityOp, d_a1: int, d_a2: int, tol=BOUND_TOL) -> Verif
     if not is_cq(rho, 0):
         raise ValueError("state must be classical on A")
     lhs = _hash_lhs(rho.mat, d_a1, d_a2, d_r)
-    hmin = h_min_cond(rho.mat, rho.dims).value
-    rhs = float(np.sqrt(d_a1 * (d_a - d_a2) / (d_a - 1) * 2.0 ** (-hmin)))
-    weak = float(np.sqrt(d_a1 * 2.0 ** (-hmin)))
-    return bound_report("cq_hash", lhs, rhs, tol,
-                        weak_rhs=weak, weak_pass=bool(lhs <= weak + tol),
-                        dims={"d_A1": d_a1, "d_A2": d_a2, "d_R": d_r})
+    res = h_min_cond(rho.mat, rho.dims)
+    rhs = float(np.sqrt(d_a1 * (d_a - d_a2) / (d_a - 1) * 2.0 ** (-res.value)))
+    weak = float(np.sqrt(d_a1 * 2.0 ** (-res.value)))
+    return _certified(bound_report("cq_hash", lhs, rhs, tol,
+                                   weak_rhs=weak, weak_pass=bool(lhs <= weak + tol),
+                                   dims={"d_A1": d_a1, "d_A2": d_a2, "d_R": d_r}), [res])
 
 
 def verify_cq_tpcp(rho: DensityOp, ch: ChoiChannel, tol=BOUND_TOL,
@@ -405,8 +413,8 @@ def verify_quantum_hash(rho: DensityOp, d_a1: int, d_a2: int,
     res = h_min_cond(rho.mat, rho.dims)
     hmin = res.value
     rhs = float(np.sqrt(2 * d_a1 * 2.0 ** (-hmin)))
-    report = bound_report("quantum_hash", lhs, rhs, tol,
-                          dims={"d_A1": d_a1, "d_A2": d_a2, "d_R": d_r})
+    report = _certified(bound_report("quantum_hash", lhs, rhs, tol,
+                                     dims={"d_A1": d_a1, "d_A2": d_a2, "d_R": d_r}), [res])
 
     # intermediate 2-norm inequality for the min-entropy-optimally sandwiched state
     zeta = res.optimizer

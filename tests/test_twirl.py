@@ -202,6 +202,53 @@ def test_cached_gate_lift_is_read_only():
         lifted[0, 0] = 0.0
 
 
+@pytest.mark.parametrize("n_qubits", [2, 3, 4])
+@pytest.mark.parametrize("t", [0, 1, 7, 30])
+@pytest.mark.parametrize("seed", [4, [8, 1]])
+def test_circuit_ensemble_matches_random_circuit(n_qubits, t, seed):
+    ens = circuit_ensemble(n_qubits, t, 12, seed=seed)
+    seeds = np.random.default_rng(seed).integers(0, 2 ** 63 - 1, size=12)
+    for member, s in zip(ens.unitaries, seeds):
+        assert np.array_equal(member, random_circuit(n_qubits, t, seed=s))
+
+
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645    # PCG64's 128-bit LCG multiplier
+
+
+def pcg64_state_with_zero_output(inc, k):
+    """A PCG64 state whose output k (0-based) is 0, so 32-bit words 2k and
+    2k + 1 are 0: the LCG state stepped to that output has equal halves,
+    which XSL-RR maps to 0. Found by undoing k + 1 LCG steps."""
+    state = 0x0123456789ABCDEF * (2 ** 64 + 1)
+    inv = pow(_PCG64_MULT, -1, 2 ** 128)
+    for _ in range(k + 1):
+        state = (state - inc) * inv % 2 ** 128
+    return {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+            "has_uint32": 0, "uinteger": 0}
+
+
+@pytest.mark.parametrize("n_qubits, k", [(2, 1), (3, 0), (4, 0)])
+def test_step_indices_follow_a_rejected_draw(n_qubits, k):
+    # words 2k, 2k + 1 are 0 and word 2k or 2k + 1 is a range-3 draw, which
+    # Lemire's method rejects; every later draw shifts by one word or two
+    rng = np.random.default_rng(1)
+    state = pcg64_state_with_zero_output(rng.bit_generator.state["state"]["inc"], k)
+    rng.bit_generator.state = state
+    assert rng.integers(0, 2 ** 32, size=2 * k + 2, dtype=np.uint32)[2 * k:].tolist() == [0, 0]
+
+    rng.bit_generator.state = state
+    _, pairs, _, _ = twirl._universal_steps(n_qubits)
+    expected = []
+    for _ in range(6):
+        pair = tuple(int(q) for q in rng.choice(n_qubits, size=2, replace=False))
+        expected.append(3 * pairs.index(pair) + int(rng.integers(3)))
+    after = rng.bit_generator.state
+
+    rng.bit_generator.state = state
+    assert twirl._step_indices(n_qubits, 6, rng).tolist() == expected
+    assert rng.bit_generator.state == after
+
+
 def test_circuit_ensemble_trend():
     shallow = circuit_ensemble(2, 2, 60, seed=0)
     deep = circuit_ensemble(2, 25, 60, seed=0)
@@ -228,6 +275,14 @@ def test_gramian_closed_form(d):
     assert np.isclose(basis.gram[0, 0], d * d)
     assert np.isclose(basis.gram[5, 5], d)
     assert np.isclose(basis.gram[9, 9], 4 * d * d - 4 * d)
+
+
+def test_commutant_basis_cached_read_only():
+    basis = commutant_basis(5)
+    assert basis is commutant_basis(5)
+    for arr in basis.ops + (basis.gram, basis.gram_inv):
+        with pytest.raises(ValueError):
+            arr[0, 0] = 1.0
 
 
 def test_gramian_singular_below_four():

@@ -3,6 +3,7 @@ from math import factorial
 import numpy as np
 import pytest
 
+from declab import entropy
 from declab.linalg import partial_trace, schatten_norm, swap_operator, tensor
 from declab.states import (
     ChoiChannel,
@@ -286,3 +287,20 @@ def test_product_difference():
     dev = product_difference(rho.mat, rho.dims)
     assert abs(np.trace(dev)) < 1e-12
     assert np.abs(partial_trace(dev, (3, 2), [1])).max() < 1e-12
+
+
+def test_hmin_verifiers_fail_on_unconverged_hmin(monkeypatch):
+    # every H_min solve behind a right side must converge, or the record fails
+    rho = random_density(8, seed=11, dims=(4, 2))
+    cq = random_cq((4, 2), seed=120)
+    ch = random_channel(4, 2, tp=True, seed=12)
+
+    def reports():
+        return (verify_improved_decoupling(rho, ch, n_samples=20, seed=13),
+                verify_cq_hash(cq, 2, 2), verify_quantum_hash(rho, 2, 2))
+
+    for rep in reports():
+        assert rep.passed and rep.meta["hmin_bracket"] <= entropy.HMIN_BRACKET_TOL
+    monkeypatch.setattr(entropy, "HMIN_BRACKET_TOL", 0.0)
+    for rep in reports():
+        assert not rep.passed
