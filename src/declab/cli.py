@@ -179,11 +179,11 @@ def cmd_twirl(args) -> int:
 
         f = swap_operator(d)
         sym = (h + f @ h @ f) / 2
-        coeffs = twirl.perm_twirl2_exact(sym, d).coeffs
+        exact = twirl.perm_twirl2_exact(sym, d)
         brute = twirl.perm_twirl2_brute(sym, d)
-        resid = float(np.abs(twirl.perm_twirl2_exact(sym, d).reconstructed - brute).max())
+        resid = float(np.abs(exact.reconstructed - brute).max())
         print("permutation twirl coefficients (swap-symmetrized M):")
-        print("  " + " ".join(_fmt(c.real) for c in coeffs))
+        print("  " + " ".join(_fmt(c.real) for c in exact.coeffs))
         print(f"  vs brute force: max deviation {_fmt(resid)}")
     return 0
 

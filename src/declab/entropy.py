@@ -84,7 +84,13 @@ def _sdp_conditional(rho: np.ndarray, d_a: int, d_b: int):
     (on the central path S^-1 / t is already feasible). Returns (tr z, z, Y)
     with the Y of largest tr(rho Y) over the path; near the end of the path S
     is close to singular and the last Y alone can be a poor witness.
+
+    The tolerances are absolute, so the path runs on rho / tr rho and z is
+    scaled back; Y is feasible for every scale. The bracket is then as tight
+    at any trace as at trace 1.
     """
+    scale = float(np.trace(rho).real)
+    rho = rho / scale
     lam = float(np.linalg.eigvalsh(rho)[-1])
     z = (max(lam, 0.0) + max(1.0, abs(lam))) * np.eye(d_b, dtype=complex)
     nu = d_a * d_b + d_b
@@ -130,6 +136,7 @@ def _sdp_conditional(rho: np.ndarray, d_a: int, d_b: int):
         if nu / t < HMIN_PATH_TOL:
             break
         t *= 20.0
+    z = scale * z
     return float(np.trace(z).real), z, y
 
 

@@ -75,14 +75,6 @@ def permute_systems(mat: np.ndarray, dims, order) -> np.ndarray:
     return t.reshape(n, n)
 
 
-def embed(op: np.ndarray, dims, subsystem: int) -> np.ndarray:
-    """op acting on one subsystem, identity on the rest."""
-    dims = tuple(int(d) for d in dims)
-    factors = [np.eye(d, dtype=complex) for d in dims]
-    factors[subsystem] = np.asarray(op, dtype=complex)
-    return tensor(*factors)
-
-
 def schatten_norm(mat: np.ndarray, p) -> float:
     """Schatten p-norm for p in {1, 2, 'inf'}."""
     mat = np.asarray(mat)

@@ -124,10 +124,7 @@ def mc_cross_check(seed, d_a: int = 2, n_mc: int = 100_000) -> VerificationRepor
     target = tensor(ch.env_marginal, rho.marginal([1]))
     vals = group_values(rho.mat, rho.dims, us, lambda stack: schatten_stack(
         apply_channel_stack(ch, stack, d_r) - target, 2) ** 2)
-    dev_rho = verify.product_difference(rho.mat, rho.dims)
-    dev_om = verify.product_difference(ch.choi, (ch.d_in, ch.d_out))
-    rhs = (d_a**2 / (d_a**2 - 1)
-           * schatten_norm(dev_rho, 2) ** 2 * schatten_norm(dev_om, 2) ** 2)
+    rhs = verify.haar_lemma_rhs(rho.mat, rho.dims, ch)
     se = float(vals.std(ddof=1) / np.sqrt(n_mc))
     lhs = float(vals.mean())
     ok = abs(lhs - rhs) <= 3 * se + 1e-12
@@ -418,10 +415,7 @@ def check_perm_vs_haar_rhs(cfg: SuiteConfig, instances: int = 5):
         tr_we2 = schatten_norm(ch.env_marginal, 2) ** 2
         rhs_perm = tr_w2 - tr_we2 / d_a   # the d_R = d_A specialization
         phi = max_entangled(d_a)
-        dev_rho = verify.product_difference(phi.mat, phi.dims)
-        dev_om = verify.product_difference(ch.choi, (ch.d_in, ch.d_out))
-        rhs_haar = (d_a ** 2 / (d_a ** 2 - 1)
-                    * schatten_norm(dev_rho, 2) ** 2 * schatten_norm(dev_om, 2) ** 2)
+        rhs_haar = verify.haar_lemma_rhs(phi.mat, phi.dims, ch)
         reports.append(equality_report("perm_vs_haar_rhs", rhs_perm, rhs_haar, 1e-10))
     return reports
 

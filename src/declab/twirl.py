@@ -116,15 +116,10 @@ def haar_twirl2_mc(mat: np.ndarray, d: int, n: int, seed=0) -> np.ndarray:
     return group_mean(np.asarray(mat, dtype=complex), (d, d), _adjoints(us), sites=(0, 1))
 
 
-def design_twirl2(ens: UnitaryEnsemble, mat: np.ndarray, adjoint_side: bool = False) -> np.ndarray:
-    """Weighted two-fold conjugation sum over the ensemble.
-
-    adjoint_side=True conjugates by U-dagger on the left, the variant used when
-    pulling operators back through channels.
-    """
-    us = _adjoints(ens.unitaries) if adjoint_side else ens.unitaries
-    return group_mean(np.asarray(mat, dtype=complex), (ens.dim, ens.dim), us, ens.weights,
-                      sites=(0, 1))
+def design_twirl2(ens: UnitaryEnsemble, mat: np.ndarray) -> np.ndarray:
+    """Weighted two-fold conjugation sum over the ensemble."""
+    return group_mean(np.asarray(mat, dtype=complex), (ens.dim, ens.dim), ens.unitaries,
+                      ens.weights, sites=(0, 1))
 
 
 def clifford_1q() -> UnitaryEnsemble:
@@ -159,42 +154,35 @@ def clifford_1q() -> UnitaryEnsemble:
     return UnitaryEnsemble(np.full(24, 1 / 24), members)
 
 
-def moment_superop_choi(ens: UnitaryEnsemble | None, d: int) -> np.ndarray:
-    """Normalized Choi matrix of the 2-fold moment map; ens=None means Haar."""
-    n = d * d
-    if ens is None:
-        return _haar_choi(d)
-    acc = np.zeros((n * n, n * n), dtype=complex)
-    for sl in chunks(len(ens), 16 * n * n):
-        us = ens.unitaries[sl]
-        vecs = (us[:, :, None, :, None] * us[:, None, :, None, :]).reshape(len(us), -1)
-        vecs /= np.sqrt(n)
-        acc += (ens.weights[sl, None] * vecs).T @ vecs.conj()
-    return acc
-
-
-def _haar_choi(d: int) -> np.ndarray:
-    """Choi of the exact Haar 2-fold twirl, from G_H(E_ij) = a_ij I + b_ij F."""
-    n = d * d
-    f = swap_operator(d)
-    denom = d * d * (d * d - 1)
-    a_coef = (d * d * np.eye(n) - d * f.T) / denom
-    b_coef = (d * d * f.T - d * np.eye(n)) / denom
-    out = np.zeros((n, n, n, n), dtype=complex)
-    for i in range(n):
-        for j in range(n):
-            out[:, i, :, j] = a_coef[i, j] * np.eye(n) + b_coef[i, j] * f
-    return out.reshape(n * n, n * n) / n
-
-
 def design_epsilon_bound(ens: UnitaryEnsemble, d: int) -> float:
     """Upper bound d^2 * ||Choi(G_W) - Choi(G_H)||_1 on the diamond-norm
-    deviation of the ensemble's 2-fold moment map from Haar."""
+    deviation of the ensemble's 2-fold moment map from Haar.
+
+    U (x) U is block diagonal, Lambda^2 U + Sym^2 U, in the eigenbasis of the
+    swap F, so both Choi matrices live on Anti (x) Anti + Sym (x) Sym, of
+    dimension a^2 + s^2 with a = d(d-1)/2 and s = d(d+1)/2. In the block
+    coordinates z of the members the Haar Choi is 1/(n a) on the a^2 Anti
+    entries and 1/(n s) on the s^2 Sym entries (Schur orthogonality), n = d^2,
+    and one eigvalsh of that size gives the trace norm.
+    """
     if d * d > 64:
         raise ValueError("moment-map Choi too large (needs d^2 <= 64)")
-    diff = moment_superop_choi(ens, d) - _haar_choi(d)
-    eigs = np.linalg.eigvalsh((diff + diff.conj().T) / 2)
-    return float(d * d * np.abs(eigs).sum())
+    if d != ens.dim:
+        raise ValueError(f"ensemble acts on dimension {ens.dim}, not d = {d}")
+    n = d * d
+    a = d * (d - 1) // 2
+    b = np.linalg.eigh(swap_operator(d))[1]        # eigenvalue -1 (Anti) first
+    blocks = (b[:, :a], b[:, a:])
+    acc = np.zeros((a * a + (n - a) ** 2,) * 2, dtype=complex)
+    for sl in chunks(len(ens), 16 * n * n):
+        us = ens.unitaries[sl]
+        uu = (us[:, :, None, :, None] * us[:, None, :, None, :]).reshape(len(us), n, n)
+        z = np.concatenate([(p.T @ uu @ p).reshape(len(us), -1) for p in blocks], axis=1)
+        acc += (ens.weights[sl, None] / n * z).T @ z.conj()
+    acc[np.diag_indices(len(acc))] -= np.concatenate(
+        [np.full(p.shape[1] ** 2, 1 / (n * p.shape[1])) for p in blocks])
+    # acc is Hermitian up to round-off; eigvalsh reads its lower triangle
+    return float(n * np.abs(np.linalg.eigvalsh(acc)).sum())
 
 
 _HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)

@@ -90,6 +90,16 @@ def product_difference(mat: np.ndarray, dims) -> np.ndarray:
     return mat - tensor(np.eye(d_a) / d_a, marg)
 
 
+def haar_lemma_rhs(rho_mat, dims, ch: ChoiChannel) -> float:
+    """Right side of the Haar decoupling lemma,
+    d_A^2 / (d_A^2 - 1) ||rho - pi_A (x) rho_R||_2^2 ||omega - pi_A (x) omega_E||_2^2."""
+    d_a = dims[0]
+    dev_rho = product_difference(rho_mat, dims)
+    dev_om = product_difference(ch.choi, (ch.d_in, ch.d_out))
+    return (d_a ** 2 / (d_a ** 2 - 1)
+            * schatten_norm(dev_rho, 2) ** 2 * schatten_norm(dev_om, 2) ** 2)
+
+
 def channel_deviation(mat, dims, ch: ChoiChannel):
     """T(rho) - omega_E (x) rho_R for a bipartite rho with the channel on A."""
     out, out_dims = apply_channel_mat(ch, mat, dims, 0)
@@ -139,11 +149,7 @@ def verify_decoupling_lemma(rho_mat, dims, ch: ChoiChannel, tol=EQ_TOL) -> Verif
     xi = max_entangled(d_a).mat - np.eye(d_a * d_a) / d_a ** 2
     big = pair_tensor(twirled, m_e, d_a, d_a)
     lhs = float(np.trace(tensor(xi, xi) @ big).real)
-    dev_rho = product_difference(rho_mat, dims)
-    dev_om = product_difference(ch.choi, (ch.d_in, ch.d_out))
-    rhs = (d_a ** 2 / (d_a ** 2 - 1)
-           * schatten_norm(dev_rho, 2) ** 2 * schatten_norm(dev_om, 2) ** 2)
-    return equality_report("decoupling_lemma", lhs, rhs, tol,
+    return equality_report("decoupling_lemma", lhs, haar_lemma_rhs(rho_mat, dims, ch), tol,
                            dims={"d_A": d_a, "d_R": d_r, "d_E": ch.d_out})
 
 

@@ -95,6 +95,17 @@ def test_h_min_cond_subnormalized():
     assert abs(half - full - 1.0) < 1e-7   # scaling by 1/2 adds one bit
 
 
+@pytest.mark.parametrize("c", [1e-3, 1e-9, 1e-14])
+def test_h_min_cond_scale_free(c):
+    # H_min(c rho) = H_min(rho) - log2 c; the 1e-13 slack is the round-off of
+    # rescaling and of the log2 c shift, far below the bracket width
+    rho = random_density(6, seed=3, dims=(3, 2))
+    ref = h_min_cond(rho.mat, rho.dims)
+    res = h_min_cond(c * rho.mat, rho.dims)
+    assert res.meta["status"] == "converged"
+    assert ref.value - 1e-13 <= res.value + np.log2(c) <= ref.meta["hmin_upper"] + 1e-13
+
+
 def test_h2_cond_product_uniform():
     rho_b = random_density(3, seed=4).mat
     rho = tensor(np.eye(4) / 4, rho_b)

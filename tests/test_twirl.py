@@ -148,6 +148,51 @@ def test_design_epsilon_bound():
     assert design_epsilon_bound(singleton, 2) > 0.1
     with pytest.raises(ValueError):
         design_epsilon_bound(singleton, 9)
+    with pytest.raises(ValueError):
+        design_epsilon_bound(singleton, 3)
+
+
+def dense_design_epsilon(ens, d):
+    """d^2 ||Choi(G_W) - Choi(G_H)||_1 from the two d^4 x d^4 Choi matrices,
+    the Haar one entry by entry from G_H(E_ij) = a_ij I + b_ij F."""
+    n = d * d
+    vecs = np.stack([np.kron(u, u).ravel() for u in ens.unitaries]) / np.sqrt(n)
+    choi_w = (ens.weights[:, None] * vecs).T @ vecs.conj()
+    f = swap_operator(d)
+    denom = d * d * (d * d - 1)
+    a_coef = (d * d * np.eye(n) - d * f.T) / denom
+    b_coef = (d * d * f.T - d * np.eye(n)) / denom
+    choi_h = np.zeros((n, n, n, n), dtype=complex)
+    for i in range(n):
+        for j in range(n):
+            choi_h[:, i, :, j] = a_coef[i, j] * np.eye(n) + b_coef[i, j] * f
+    diff = choi_w - choi_h.reshape(n * n, n * n) / n
+    return n * np.abs(np.linalg.eigvalsh((diff + diff.conj().T) / 2)).sum()
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_design_epsilon_matches_dense_choi(d):
+    rng = np.random.default_rng(d)
+    weights = rng.random(12)
+    ensembles = [UnitaryEnsemble(np.full(12, 1 / 12), haar_samples(d, 12, seed))
+                 for seed in (0, 1)]
+    ensembles.append(UnitaryEnsemble(weights / weights.sum(), haar_samples(d, 12, 2)))
+    if d == 4:
+        ensembles.append(circuit_ensemble(2, 30, 50, seed=0))
+    for ens in ensembles:
+        ref = dense_design_epsilon(ens, d)
+        assert abs(design_epsilon_bound(ens, d) - ref) <= 1e-12 * ref
+
+
+@pytest.mark.parametrize("d", [5, 6])
+def test_design_epsilon_rank_floor(d):
+    # J_W has rank <= N, so pinching onto the Sym and Anti blocks leaves at
+    # least s^2 - N (a^2 - N) Haar eigenvalues 1/(n s) (1/(n a)) uncovered
+    n_members = 10
+    s, a = d * (d + 1) // 2, d * (d - 1) // 2
+    ens = UnitaryEnsemble(np.full(n_members, 1 / n_members), haar_samples(d, n_members, d))
+    floor = max(0, s * s - n_members) / s + max(0, a * a - n_members) / a
+    assert design_epsilon_bound(ens, d) >= floor
 
 
 def test_random_circuit_basics():
