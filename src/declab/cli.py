@@ -16,10 +16,11 @@ import time
 import numpy as np
 
 from . import suites, symgroup, twirl
+from .linalg import swap_operator
 from .suites import SuiteConfig, build_checks, flatten_reports
 from .verify import VerificationReport
 
-SUITES = ("all", "ch2", "ch3", "ch5", "ch6", "ch7", "groups", "entropy")
+SUITES = ("all",) + tuple(dict.fromkeys(c.suite for c in build_checks(SuiteConfig())))
 
 
 def _fmt(x: float) -> str:
@@ -168,19 +169,22 @@ def cmd_twirl(args) -> int:
     rng = np.random.default_rng(args.seed)
     h = rng.normal(size=(d * d, d * d)) + 1j * rng.normal(size=(d * d, d * d))
     h = (h + h.conj().T) / 2
-    res = twirl.haar_twirl2_exact(h, d)
+    try:    # everything is computed before the first line is printed
+        res = twirl.haar_twirl2_exact(h, d)
+        mc = twirl.haar_twirl2_mc(h, d, args.samples, seed=args.seed)
+        if d >= 4:
+            f = swap_operator(d)
+            sym = (h + f @ h @ f) / 2
+            exact = twirl.perm_twirl2_exact(sym, d)
+            brute = twirl.perm_twirl2_brute(sym, d)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     print(f"random Hermitian M on two copies of dimension {d} (seed {args.seed})")
     print(f"Haar twirl: alpha = {_fmt(res.alpha.real)}, beta = {_fmt(res.beta.real)}")
-    mc = twirl.haar_twirl2_mc(h, d, args.samples, seed=args.seed)
     dev = float(np.abs(mc - res.reconstructed).max())
     print(f"Monte Carlo twirl ({args.samples} samples): max deviation {_fmt(dev)}")
     if d >= 4:
-        from .linalg import swap_operator
-
-        f = swap_operator(d)
-        sym = (h + f @ h @ f) / 2
-        exact = twirl.perm_twirl2_exact(sym, d)
-        brute = twirl.perm_twirl2_brute(sym, d)
         resid = float(np.abs(exact.reconstructed - brute).max())
         print("permutation twirl coefficients (swap-symmetrized M):")
         print("  " + " ".join(_fmt(c.real) for c in exact.coeffs))
@@ -234,10 +238,19 @@ def main(argv=None) -> int:
 
     p_verify = sub.add_parser("verify", help="run verification suites")
     p_verify.add_argument("--suite", choices=SUITES, default="all")
-    p_verify.add_argument("--dims", default=None, help="comma separated, e.g. 4,5")
+    p_verify.add_argument(
+        "--dims", default=None,
+        help="comma separated, e.g. 4,5; reaches decoupling_lemma, decoupling_theorem, "
+             "improved_decoupling, pair_state_twirl, doubled_classical_twirl, cq_lemma")
     p_verify.add_argument("--seed", type=int, default=0)
-    p_verify.add_argument("--samples", type=int, default=200)
-    p_verify.add_argument("--tol", type=float, default=1e-9)
+    p_verify.add_argument(
+        "--samples", type=int, default=200,
+        help="Haar samples; reaches decoupling_lemma, decoupling_theorem, "
+             "improved_decoupling")
+    p_verify.add_argument(
+        "--tol", type=float, default=1e-9,
+        help="tolerance of the exact identities; reaches decoupling_lemma, cq_lemma, "
+             "distance_from_classicality, perm_decoupling")
     p_verify.add_argument("--optimize-sigma", action="store_true")
     p_verify.add_argument("--output", choices=("text", "json", "csv"), default="text")
     p_verify.add_argument("--out", default=None)

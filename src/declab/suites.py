@@ -90,11 +90,11 @@ def _dims_or(cfg: SuiteConfig, default, lo, hi):
 # Haar decoupling (suite ch2)
 # ---------------------------------------------------------------------------
 
-def check_decoupling_lemma(cfg: SuiteConfig, per_combo: int = 2, mc_cross: bool = True):
+def check_decoupling_lemma(cfg: SuiteConfig):
     reports = []
     for d_a in _dims_or(cfg, (2, 3, 4), 2, 6):
         for d_r, d_e in ((2, 2), (2, 3), (3, 2)):
-            for k in range(per_combo):
+            for k in range(2):
                 s = _instance_seed(cfg.seed, "declem", 1000 * d_a + 100 * d_r + 10 * d_e + k)
                 rng = np.random.default_rng(s)
                 herm = rng.normal(size=(d_a * d_r, d_a * d_r)) \
@@ -104,12 +104,11 @@ def check_decoupling_lemma(cfg: SuiteConfig, per_combo: int = 2, mc_cross: bool 
                 rep = verify.verify_decoupling_lemma(herm, (d_a, d_r), ch, tol=cfg.tolerance)
                 rep.meta["seed"] = s
                 reports.append(rep)
-    if mc_cross:
-        reports.append(mc_cross_check(cfg.seed, n_mc=min(cfg.samples * 50, 100_000)))
+    reports.append(mc_cross_check(cfg.seed, n_mc=min(cfg.samples * 50, 100_000)))
     return reports
 
 
-def mc_cross_check(seed, d_a: int = 2, n_mc: int = 100_000) -> VerificationReport:
+def mc_cross_check(seed, n_mc: int = 100_000) -> VerificationReport:
     """Monte Carlo Haar average of the squared 2-norm deviation at d_A = 2,
     compared with the closed right side within three standard errors.
 
@@ -117,7 +116,7 @@ def mc_cross_check(seed, d_a: int = 2, n_mc: int = 100_000) -> VerificationRepor
     the group-average kernel, so 10^5 unitaries are cheap.
     """
     rng = np.random.default_rng([seed, 77])
-    d_r = d_e = 2
+    d_a = d_r = d_e = 2
     rho = random_density(d_a * d_r, seed=int(rng.integers(2**31)), dims=(d_a, d_r))
     ch = random_channel(d_a, d_e, tp=False, seed=int(rng.integers(2**31)))
     us = twirl.haar_samples(d_a, n_mc, rng)
@@ -132,13 +131,13 @@ def mc_cross_check(seed, d_a: int = 2, n_mc: int = 100_000) -> VerificationRepor
                               {"se": se, "n_samples": n_mc, "seed": seed})
 
 
-def check_decoupling_theorem(cfg: SuiteConfig, instances: int = 3):
+def check_decoupling_theorem(cfg: SuiteConfig):
     reports = []
     dims = _dims_or(cfg, (4,), 2, 6)
     if not dims:
         return reports
     d_a = max(dims)
-    for k in range(instances):
+    for k in range(3):
         s = _instance_seed(cfg.seed, "dectheo", k)
         rho = random_density(d_a * 2, seed=s, dims=(d_a, 2))
         ch = random_channel(d_a, 2, tp=True, seed=s + 1)
@@ -147,13 +146,13 @@ def check_decoupling_theorem(cfg: SuiteConfig, instances: int = 3):
     return reports
 
 
-def check_improved_decoupling(cfg: SuiteConfig, instances: int = 3):
+def check_improved_decoupling(cfg: SuiteConfig):
     reports = []
     dims = _dims_or(cfg, (4,), 2, 6)
     if not dims:
         return reports
     d_a = max(dims)
-    for k in range(instances):
+    for k in range(3):
         s = _instance_seed(cfg.seed, "improved", k)
         rho = random_density(d_a * 2, seed=s, dims=(d_a, 2))
         ch = random_channel(d_a, 2, tp=True, seed=s + 1)
@@ -165,11 +164,11 @@ def check_improved_decoupling(cfg: SuiteConfig, instances: int = 3):
 # designs and random circuits (suite ch3)
 # ---------------------------------------------------------------------------
 
-def check_design_clifford(cfg: SuiteConfig, instances: int = 3):
+def check_design_clifford(cfg: SuiteConfig):
     ens = twirl.clifford_1q()
     eps = twirl.design_epsilon_bound(ens, 2)
     reports = [equality_report("clifford_epsilon_zero", eps, 0.0, 1e-10)]
-    for k in range(instances):
+    for k in range(3):
         s = _instance_seed(cfg.seed, "cliffdec", k)
         rho = random_density(4, seed=s, dims=(2, 2))
         ch = random_channel(2, 2, tp=True, seed=s + 1)
@@ -178,9 +177,9 @@ def check_design_clifford(cfg: SuiteConfig, instances: int = 3):
     return reports
 
 
-def check_design_circuits(cfg: SuiteConfig, n_circuits: int = 200, depth: int = 30):
+def check_design_circuits(cfg: SuiteConfig):
     s = _instance_seed(cfg.seed, "circdec", 0)
-    ens = twirl.circuit_ensemble(2, depth, n_circuits, seed=s)
+    ens = twirl.circuit_ensemble(2, 30, 200, seed=s)
     rho = random_density(8, seed=s + 1, dims=(4, 2))
     ch = random_channel(4, 2, tp=True, seed=s + 2)
     return [verify.verify_design_decoupling(ens, rho, ch, optimize_sigma=cfg.optimize_sigma)]
@@ -199,26 +198,22 @@ def run_circuit_study(n_qubits: int, depths, trials: int, seed=0):
     return out
 
 
-def check_circuit_trend(cfg: SuiteConfig, trials: int = 50, n_seeds: int = 5,
-                        depths=(2, 30)):
-    lo, hi = depths
-    eps_lo = np.mean([run_circuit_study(2, [lo], trials, seed=[cfg.seed, k])[0][1]
-                      for k in range(n_seeds)])
-    eps_hi = np.mean([run_circuit_study(2, [hi], trials, seed=[cfg.seed, k])[0][1]
-                      for k in range(n_seeds)])
+def check_circuit_trend(cfg: SuiteConfig):
+    """Mean epsilon of five 50-circuit ensembles falls from depth 2 to 30."""
+    eps_lo, eps_hi = (np.mean([run_circuit_study(2, [t], 50, seed=[cfg.seed, k])[0][1]
+                               for k in range(5)]) for t in (2, 30))
     return [bound_report("circuit_trend", float(eps_hi), float(eps_lo), tol=0.0,
-                         depths={"shallow": lo, "deep": hi}, trials=trials,
-                         n_seeds=n_seeds)]
+                         depths={"shallow": 2, "deep": 30}, trials=50, n_seeds=5)]
 
 
 # ---------------------------------------------------------------------------
 # CQ states under the full permutation group (suite ch5)
 # ---------------------------------------------------------------------------
 
-def check_pair_state_twirl(cfg: SuiteConfig, dims=None):
+def check_pair_state_twirl(cfg: SuiteConfig):
     """Exhaustive P (x) P averages of classical pair states match the closed form."""
     reports = []
-    for d in (dims or _dims_or(cfg, (2, 3, 4), 2, 5)):
+    for d in _dims_or(cfg, (2, 3, 4), 2, 5):
         tee = classical_correlated(d).mat * d
         worst = 0.0
         group = perm_stack(all_perms(d))
@@ -235,13 +230,13 @@ def check_pair_state_twirl(cfg: SuiteConfig, dims=None):
     return reports
 
 
-def check_doubled_classical_twirl(cfg: SuiteConfig, dims=None):
+def check_doubled_classical_twirl(cfg: SuiteConfig):
     """Exhaustive (P (x) 1)^t2 average of the doubled classical decoupling state."""
     from .linalg import permute_systems
     from .states import cq_decoupling_state
 
     reports = []
-    for d in (dims or _dims_or(cfg, (2, 3, 4), 2, 5)):
+    for d in _dims_or(cfg, (2, 3, 4), 2, 5):
         lam = cq_decoupling_state(d)
         acc = group_mean(tensor(lam, lam), (d, d, d, d), perm_stack(all_perms(d)), sites=(0, 2))
         closed = permute_systems(tensor(lam, lam), (d, d, d, d), [0, 2, 1, 3]) / (d - 1)
@@ -250,10 +245,10 @@ def check_doubled_classical_twirl(cfg: SuiteConfig, dims=None):
     return reports
 
 
-def check_cq_lemma(cfg: SuiteConfig, instances: int = 5, dims=None):
+def check_cq_lemma(cfg: SuiteConfig):
     reports = []
-    for d_a in (dims or _dims_or(cfg, (3, 4), 2, 6)):
-        for k in range(instances):
+    for d_a in _dims_or(cfg, (3, 4), 2, 6):
+        for k in range(5):
             s = _instance_seed(cfg.seed, "cqlem", 100 * d_a + k)
             rho = random_cq((d_a, 2), seed=s)
             ch = random_channel(d_a, 2, tp=bool(k % 2), seed=s + 1)
@@ -263,18 +258,18 @@ def check_cq_lemma(cfg: SuiteConfig, instances: int = 5, dims=None):
     return reports
 
 
-def check_cq_hash(cfg: SuiteConfig, instances: int = 10):
+def check_cq_hash(cfg: SuiteConfig):
     reports = []
-    for k in range(instances):
+    for k in range(10):
         s = _instance_seed(cfg.seed, "cqhash", k)
         rho = random_cq((4, 2), seed=s)
         reports.append(verify.verify_cq_hash(rho, 2, 2))
     return reports
 
 
-def check_cq_tpcp(cfg: SuiteConfig, instances: int = 10):
+def check_cq_tpcp(cfg: SuiteConfig):
     reports = []
-    for k in range(instances):
+    for k in range(10):
         s = _instance_seed(cfg.seed, "cqtpcp", k)
         rho = random_cq((4, 2), seed=s)
         ch = random_channel(4, 2, tp=True, seed=s + 1)
@@ -282,9 +277,9 @@ def check_cq_tpcp(cfg: SuiteConfig, instances: int = 10):
     return reports
 
 
-def check_cq_general(cfg: SuiteConfig, instances: int = 10):
+def check_cq_general(cfg: SuiteConfig):
     reports = []
-    for k in range(instances):
+    for k in range(10):
         s = _instance_seed(cfg.seed, "cqgen", k)
         rho = random_cq((4, 2), seed=s)
         ch = random_channel(4, 2, tp=bool(k % 2), seed=s + 1)
@@ -296,9 +291,9 @@ def check_cq_general(cfg: SuiteConfig, instances: int = 10):
 # almost independent permutation families (suite ch6)
 # ---------------------------------------------------------------------------
 
-def check_affine_family(cfg: SuiteConfig, widths=(1, 2, 3)):
+def check_affine_family(cfg: SuiteConfig):
     reports = []
-    for n in widths:
+    for n in (1, 2, 3):
         fam = affine_family(n)
         d = 2 ** n
         reports.append(equality_report(f"affine_size[n={n}]",
@@ -311,7 +306,7 @@ def check_affine_family(cfg: SuiteConfig, widths=(1, 2, 3)):
     return reports
 
 
-def check_family_hash(cfg: SuiteConfig, instances: int = 10):
+def check_family_hash(cfg: SuiteConfig):
     reports = []
     fams = {
         "affine": affine_family(2),
@@ -319,7 +314,7 @@ def check_family_hash(cfg: SuiteConfig, instances: int = 10):
         "singleton": symgroup.PermFamily((tuple(range(4)),)),
     }
     for label, fam in fams.items():
-        for k in range(instances):
+        for k in range(10):
             s = _instance_seed(cfg.seed, "famhash" + label, k)
             rho = random_cq((4, 2), seed=s)
             rep = verify.verify_family_hash(fam, rho, 2, 2,
@@ -333,9 +328,9 @@ def check_family_hash(cfg: SuiteConfig, instances: int = 10):
 # fully quantum permutation decoupling (suite ch7)
 # ---------------------------------------------------------------------------
 
-def check_gramian(cfg: SuiteConfig, dims=(4, 5, 6, 7, 8)):
+def check_gramian(cfg: SuiteConfig):
     reports = []
-    for d in dims:
+    for d in (4, 5, 6, 7, 8):
         basis = twirl.commutant_basis(d)
         numeric = np.array([[np.trace(a @ b).real for b in basis.ops] for a in basis.ops])
         reports.append(equality_report(
@@ -352,9 +347,9 @@ def check_gramian(cfg: SuiteConfig, dims=(4, 5, 6, 7, 8)):
     return reports
 
 
-def check_commutant_dim(cfg: SuiteConfig, dims=(4, 5)):
+def check_commutant_dim(cfg: SuiteConfig):
     reports = []
-    for d in dims:
+    for d in (4, 5):
         dim = twirl.commutant_dim_brute(d)
         reports.append(equality_report(f"commutant_dim[d={d}]", float(dim), 11.0, 1e-12))
     dim3 = twirl.commutant_dim_brute(3)
@@ -362,12 +357,12 @@ def check_commutant_dim(cfg: SuiteConfig, dims=(4, 5)):
     return reports
 
 
-def check_perm_twirl_projection(cfg: SuiteConfig, dims=(4, 5), instances: int = 5):
+def check_perm_twirl_projection(cfg: SuiteConfig):
     reports = []
-    for d in dims:
+    for d in (4, 5):
         f = swap_operator(d)
         worst = 0.0
-        for k in range(instances):
+        for k in range(5):
             rng = np.random.default_rng(_instance_seed(cfg.seed, "permtw", 10 * d + k))
             h = rng.normal(size=(d * d, d * d)) + 1j * rng.normal(size=(d * d, d * d))
             h = (h + h.conj().T) / 2
@@ -379,36 +374,35 @@ def check_perm_twirl_projection(cfg: SuiteConfig, dims=(4, 5), instances: int = 
     return reports
 
 
-def check_distance_from_classicality(cfg: SuiteConfig, instances: int = 5, dims=(4,)):
+def check_distance_from_classicality(cfg: SuiteConfig):
     reports = []
-    for d_a in dims:
-        for k in range(instances):
-            s = _instance_seed(cfg.seed, "distcl", 10 * d_a + k)
-            d_r = 2 + (k % d_a) % (d_a - 1)
-            ch = random_channel(d_a, 2, tp=bool(k % 2), seed=s)
-            rep = verify.verify_distance_from_classicality(
-                ch, d_r, tol=cfg.tolerance, optimize_sigma=cfg.optimize_sigma)
-            reports.append(rep)
+    d_a = 4
+    for k in range(5):
+        s = _instance_seed(cfg.seed, "distcl", 10 * d_a + k)
+        d_r = 2 + (k % d_a) % (d_a - 1)
+        ch = random_channel(d_a, 2, tp=bool(k % 2), seed=s)
+        reports.append(verify.verify_distance_from_classicality(
+            ch, d_r, tol=cfg.tolerance, optimize_sigma=cfg.optimize_sigma))
     return reports
 
 
-def check_perm_decoupling(cfg: SuiteConfig, instances: int = 5, dims=(4,)):
+def check_perm_decoupling(cfg: SuiteConfig):
     reports = []
-    for d_a in dims:
-        for k in range(instances):
-            s = _instance_seed(cfg.seed, "permdec", 10 * d_a + k)
-            d_r = 2 + k % (d_a - 1)
-            ch = random_channel(d_a, 2, tp=bool(k % 2), seed=s)
-            reports.append(verify.verify_perm_decoupling_lemma(ch, d_r, tol=cfg.tolerance))
+    d_a = 4
+    for k in range(5):
+        s = _instance_seed(cfg.seed, "permdec", 10 * d_a + k)
+        d_r = 2 + k % (d_a - 1)
+        ch = random_channel(d_a, 2, tp=bool(k % 2), seed=s)
+        reports.append(verify.verify_perm_decoupling_lemma(ch, d_r, tol=cfg.tolerance))
     return reports
 
 
-def check_perm_vs_haar_rhs(cfg: SuiteConfig, instances: int = 5):
+def check_perm_vs_haar_rhs(cfg: SuiteConfig):
     """At d_R = d_A the permutation lemma right side equals the Haar lemma
     right side on the embedded entangled input."""
     reports = []
     d_a = 4
-    for k in range(instances):
+    for k in range(5):
         s = _instance_seed(cfg.seed, "permhaar", k)
         ch = random_channel(d_a, 2, tp=False, seed=s)
         tr_w2 = schatten_norm(ch.choi, 2) ** 2
@@ -420,9 +414,9 @@ def check_perm_vs_haar_rhs(cfg: SuiteConfig, instances: int = 5):
     return reports
 
 
-def check_quantum_hash(cfg: SuiteConfig, instances: int = 10):
+def check_quantum_hash(cfg: SuiteConfig):
     reports = []
-    for k in range(instances):
+    for k in range(10):
         s = _instance_seed(cfg.seed, "qhash", k)
         rho = random_density(8, seed=s, dims=(4, 2))
         reports.append(verify.verify_quantum_hash(rho, 2, 2))
@@ -433,9 +427,9 @@ def check_quantum_hash(cfg: SuiteConfig, instances: int = 10):
 # group theory
 # ---------------------------------------------------------------------------
 
-def check_characters_closed_forms(cfg: SuiteConfig, dims=(4, 5, 6, 7)):
+def check_characters_closed_forms(cfg: SuiteConfig):
     reports = []
-    for d in dims:
+    for d in (4, 5, 6, 7):
         parts = [(d,), (d - 1, 1), (d - 2, 1, 1), (d - 2, 2)]
         worst = 0
         for lam in partitions(d):
@@ -457,9 +451,9 @@ def class_representative(lam):
     return tuple(p)
 
 
-def check_chi_r_decomposition(cfg: SuiteConfig, dims=(4, 5, 6)):
+def check_chi_r_decomposition(cfg: SuiteConfig):
     reports = []
-    for d in dims:
+    for d in (4, 5, 6):
         worst = 0.0
         for lam in partitions(d):
             counts = partition_to_counts(lam)
@@ -478,9 +472,9 @@ def check_chi_r_decomposition(cfg: SuiteConfig, dims=(4, 5, 6)):
     return reports
 
 
-def check_character_orthogonality(cfg: SuiteConfig, dims=(4, 5)):
+def check_character_orthogonality(cfg: SuiteConfig):
     reports = []
-    for d in dims:
+    for d in (4, 5):
         parts = partitions(d)
         worst = 0.0
         for lam in parts:
@@ -495,9 +489,9 @@ def check_character_orthogonality(cfg: SuiteConfig, dims=(4, 5)):
     return reports
 
 
-def check_hook_dimensions(cfg: SuiteConfig, dims=(4, 5, 6, 7)):
+def check_hook_dimensions(cfg: SuiteConfig):
     worst = 0
-    for d in dims:
+    for d in (4, 5, 6, 7):
         identity = partition_to_counts((1,) * d)
         for lam in partitions(d):
             worst = max(worst, abs(symgroup.hook_dimension(lam)
@@ -509,10 +503,10 @@ def check_hook_dimensions(cfg: SuiteConfig, dims=(4, 5, 6, 7)):
 # entropy and metric properties
 # ---------------------------------------------------------------------------
 
-def check_hmin_le_h2(cfg: SuiteConfig, n_states: int = 100):
+def check_hmin_le_h2(cfg: SuiteConfig):
     worst = -np.inf
     solves = []
-    for k in range(n_states):
+    for k in range(100):
         rng = np.random.default_rng(_instance_seed(cfg.seed, "hminh2", k))
         d_a = int(rng.integers(2, 5))
         d_b = int(rng.integers(2, 5))
@@ -527,36 +521,36 @@ def check_hmin_le_h2(cfg: SuiteConfig, n_states: int = 100):
                      zeta_start=res.optimizer).value
         worst = max(worst, res.value - h2)
     return [_certified(bound_report("hmin_le_h2", float(worst), 0.0, tol=1e-6,
-                                    n_states=n_states), solves)]
+                                    n_states=100), solves)]
 
 
-def check_h2_monotone(cfg: SuiteConfig, n_states: int = 40):
+def check_h2_monotone(cfg: SuiteConfig):
     worst = -np.inf
-    for k in range(n_states):
+    for k in range(40):
         s = _instance_seed(cfg.seed, "h2mono", k)
         rho = random_density(6, seed=s, dims=(3, 2))
         fixed = h2_cond(rho.mat, rho.dims).value
         opt = h2_cond(rho.mat, rho.dims, optimize=True).value
         worst = max(worst, fixed - opt)
     return [bound_report("h2_optimized_ge_fixed", float(worst), 0.0, tol=1e-9,
-                         n_states=n_states)]
+                         n_states=40)]
 
 
-def check_sdp_feasibility(cfg: SuiteConfig, n_states: int = 40):
+def check_sdp_feasibility(cfg: SuiteConfig):
     solves = []
-    for k in range(n_states):
+    for k in range(40):
         s = _instance_seed(cfg.seed, "sdpfeas", k)
         rho = random_density(8, seed=s, dims=(4, 2))
         solves.append(h_min_cond(rho.mat, rho.dims))
     worst = min(res.meta["primal_slack"] for res in solves)
     return [_certified(bound_report("sdp_primal_feasibility", float(-worst), 1e-8, tol=0.0,
-                                    n_states=n_states), solves)]
+                                    n_states=40), solves)]
 
 
-def check_fuchs_van_de_graaf(cfg: SuiteConfig, n_pairs: int = 1000):
+def check_fuchs_van_de_graaf(cfg: SuiteConfig):
     worst_lo = -np.inf
     worst_hi = -np.inf
-    for k in range(n_pairs):
+    for k in range(1000):
         rng = np.random.default_rng(_instance_seed(cfg.seed, "fvdg", k))
         d = int(rng.integers(2, 5))
         normalized = bool(rng.integers(2))
@@ -569,15 +563,15 @@ def check_fuchs_van_de_graaf(cfg: SuiteConfig, n_pairs: int = 1000):
         worst_lo = max(worst_lo, 0.5 * dist - pur)
         worst_hi = max(worst_hi, pur - np.sqrt(dist))
     return [
-        bound_report("fvdg_lower", float(worst_lo), 0.0, tol=1e-8, n_pairs=n_pairs),
-        bound_report("fvdg_upper", float(worst_hi), 0.0, tol=1e-8, n_pairs=n_pairs),
+        bound_report("fvdg_lower", float(worst_lo), 0.0, tol=1e-8, n_pairs=1000),
+        bound_report("fvdg_upper", float(worst_hi), 0.0, tol=1e-8, n_pairs=1000),
     ]
 
 
-def check_norm_inequalities(cfg: SuiteConfig, n_triples: int = 500):
+def check_norm_inequalities(cfg: SuiteConfig):
     worst = {"triple_norm_inf": -np.inf, "triple_norm_one": -np.inf,
              "triple_norm_two": -np.inf, "hoelder": -np.inf}
-    for k in range(n_triples):
+    for k in range(500):
         rng = np.random.default_rng(_instance_seed(cfg.seed, "norms", k))
         d = int(rng.integers(2, 6))
         mats = [rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)) for _ in range(3)]
@@ -598,7 +592,7 @@ def check_norm_inequalities(cfg: SuiteConfig, n_triples: int = 500):
         hoelder_rhs = ((sv[0] ** 4).sum() ** 0.25 * (sv[1] ** 2).sum() ** 0.5
                        * (sv[2] ** 4).sum() ** 0.25)
         worst["hoelder"] = max(worst["hoelder"], schatten_norm(abc, 1) - hoelder_rhs)
-    return [bound_report(name, float(v), 0.0, tol=1e-8, n_triples=n_triples)
+    return [bound_report(name, float(v), 0.0, tol=1e-8, n_triples=500)
             for name, v in worst.items()]
 
 
@@ -607,8 +601,13 @@ def check_norm_inequalities(cfg: SuiteConfig, n_triples: int = 500):
 # ---------------------------------------------------------------------------
 
 def build_checks(cfg: SuiteConfig) -> list[Check]:
-    def c(name, suite, fn, *args, **kw):
-        return Check(name, suite, lambda: fn(cfg, *args, **kw))
+    """The registered checks of cfg.suite ("all": every check), in table order.
+
+    The table is the one place suite names are written; the CLI's --suite
+    choices are read from it.
+    """
+    def c(name, suite, fn):
+        return Check(name, suite, lambda: fn(cfg))
 
     table = [
         c("decoupling_lemma", "ch2", check_decoupling_lemma),

@@ -200,47 +200,25 @@ def _lift_gate(gate: np.ndarray, n_qubits: int, q1: int, q2: int) -> np.ndarray:
     return permute_systems(big, (2,) * n_qubits, inv_order)
 
 
-@lru_cache(maxsize=None)
-def _lifted_universal(n_qubits: int, q1: int, q2: int, pick: int) -> np.ndarray:
-    """Gate `pick` of the {H, T, CNOT} set lifted to (q1, q2); cached read-only."""
-    lifted = _lift_gate(_UNIVERSAL[pick], n_qubits, q1, q2)
-    lifted.flags.writeable = False
-    return lifted
-
-
 def _draw_pair(rng, n_qubits: int) -> tuple:
     """One uniformly random ordered pair of distinct qubits."""
     return tuple(int(q) for q in rng.choice(n_qubits, size=2, replace=False))
 
 
-def random_circuit(n_qubits: int, t: int, seed=0, gates: str = "universal") -> np.ndarray:
-    """Product of t random two-qubit gates on uniformly random ordered pairs.
+def random_circuit(n_qubits: int, t: int, seed=0) -> np.ndarray:
+    """Product of t random two-qubit gates from the {H, T, CNOT} set, each on a
+    uniformly random ordered pair of qubits.
 
-    gates="universal" draws each step from the {H, T, CNOT} set (lifted to the
-    chosen pair); gates="haar" draws Haar elements of the 4-dimensional unitary
-    group. The discrete set keeps the depth dependence meaningful even when a
+    The discrete gate set keeps the depth dependence meaningful even when a
     single gate already spans the whole register (n_qubits = 2), where Haar
-    steps of any depth are exactly Haar distributed.
+    steps of any depth would be exactly Haar distributed.
     """
-    if not 2 <= n_qubits <= 4:
-        raise ValueError("supported qubit counts: 2..4")
-    if gates not in ("universal", "haar"):
-        raise ValueError("gates must be 'universal' or 'haar'")
-    rng = np.random.default_rng(seed)
-    u = np.eye(2 ** n_qubits, dtype=complex)
-    for _ in range(t):
-        q1, q2 = _draw_pair(rng, n_qubits)
-        if gates == "haar":
-            lifted = _lift_gate(haar_sample(4, rng), n_qubits, q1, q2)
-        else:
-            lifted = _lifted_universal(n_qubits, q1, q2, int(rng.integers(3)))
-        u = lifted @ u
-    return u
+    return _circuit_stack(n_qubits, t, [seed])[0]
 
 
 @lru_cache(maxsize=None)
 def _universal_steps(n_qubits: int):
-    """Every lifted {H, T, CNOT} gate as one read-only stack, and how a universal
+    """Every lifted {H, T, CNOT} gate as one read-only stack, and how a
     random_circuit step picks from it.
 
     A step is rng.choice(n_qubits, 2, replace=False) and then rng.integers(3),
@@ -252,8 +230,8 @@ def _universal_steps(n_qubits: int):
     every tuple of draw values, flattened in C order.
     """
     pairs = list(permutations(range(n_qubits), 2))
-    stack = np.stack([_lifted_universal(n_qubits, q1, q2, pick)
-                      for q1, q2 in pairs for pick in range(3)])
+    stack = np.stack([_lift_gate(gate, n_qubits, q1, q2)
+                      for q1, q2 in pairs for gate in _UNIVERSAL])
     stack.flags.writeable = False
     ranges = [j + 1 for j in range(n_qubits - 2, n_qubits) if j > 0] + [2, 3]
     index = []
@@ -270,7 +248,7 @@ def _universal_steps(n_qubits: int):
 
 
 def _step_indices(n_qubits: int, t: int, rng) -> np.ndarray:
-    """Stack indices (see _universal_steps) of the t universal steps that
+    """Stack indices (see _universal_steps) of the t steps that
     random_circuit draws from `rng`; `rng` ends where those draws leave it.
 
     All words come from one call. A range-3 draw rejects exactly the word 0
@@ -288,22 +266,28 @@ def _step_indices(n_qubits: int, t: int, rng) -> np.ndarray:
                      for _ in range(t)], dtype=int)
 
 
+def _circuit_stack(n_qubits: int, t: int, seeds) -> np.ndarray:
+    """The random circuits of depth t drawn from each seed, multiplied as one stack."""
+    if not 2 <= n_qubits <= 4:
+        raise ValueError("supported qubit counts: 2..4")
+    stack = _universal_steps(n_qubits)[0]
+    idx = np.array([_step_indices(n_qubits, t, np.random.default_rng(s)) for s in seeds],
+                   dtype=int).reshape(len(seeds), t)
+    u = np.tile(np.eye(2 ** n_qubits, dtype=complex), (len(seeds), 1, 1))
+    for k in range(t):
+        u = stack[idx[:, k]] @ u
+    return u
+
+
 def circuit_ensemble(n_qubits: int, t: int, n_circuits: int, seed=0) -> UnitaryEnsemble:
     """Uniform ensemble of independent universal random circuits of fixed depth.
 
     Member k equals random_circuit(n_qubits, t, seeds[k]) bit for bit, with
-    the seeds drawn from `seed`; all members are multiplied as one stack.
+    the seeds drawn from `seed`.
     """
-    if not 2 <= n_qubits <= 4:
-        raise ValueError("supported qubit counts: 2..4")
     seeds = np.random.default_rng(seed).integers(0, 2 ** 63 - 1, size=n_circuits)
-    stack = _universal_steps(n_qubits)[0]
-    idx = np.array([_step_indices(n_qubits, t, np.random.default_rng(s)) for s in seeds],
-                   dtype=int).reshape(n_circuits, t)
-    u = np.broadcast_to(np.eye(2 ** n_qubits, dtype=complex), (n_circuits,) + stack.shape[1:])
-    for k in range(t):
-        u = stack[idx[:, k]] @ u
-    return UnitaryEnsemble(np.full(n_circuits, 1 / n_circuits), u)
+    return UnitaryEnsemble(np.full(n_circuits, 1 / n_circuits),
+                           _circuit_stack(n_qubits, t, seeds))
 
 
 # ---------------------------------------------------------------------------

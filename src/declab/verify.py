@@ -251,7 +251,7 @@ def _hash_lhs(rho_mat, d_a1, d_a2, d_r, fam: PermFamily | None = None) -> float:
     return float(np.mean(vals) if fam is None else fam.weights @ vals)
 
 
-def verify_cq_hash(rho: DensityOp, d_a1: int, d_a2: int, tol=BOUND_TOL) -> VerificationReport:
+def verify_cq_hash(rho: DensityOp, d_a1: int, d_a2: int) -> VerificationReport:
     """Leftover-hash style bound for tracing out A2 of a CQ state under the
     full permutation group, with the min-entropy right side."""
     d_a, d_r = rho.dims
@@ -263,13 +263,12 @@ def verify_cq_hash(rho: DensityOp, d_a1: int, d_a2: int, tol=BOUND_TOL) -> Verif
     res = h_min_cond(rho.mat, rho.dims)
     rhs = float(np.sqrt(d_a1 * (d_a - d_a2) / (d_a - 1) * 2.0 ** (-res.value)))
     weak = float(np.sqrt(d_a1 * 2.0 ** (-res.value)))
-    return _certified(bound_report("cq_hash", lhs, rhs, tol,
-                                   weak_rhs=weak, weak_pass=bool(lhs <= weak + tol),
+    return _certified(bound_report("cq_hash", lhs, rhs,
+                                   weak_rhs=weak, weak_pass=bool(lhs <= weak + BOUND_TOL),
                                    dims={"d_A1": d_a1, "d_A2": d_a2, "d_R": d_r}), [res])
 
 
-def verify_cq_tpcp(rho: DensityOp, ch: ChoiChannel, tol=BOUND_TOL,
-                   optimize_sigma=False) -> VerificationReport:
+def verify_cq_tpcp(rho: DensityOp, ch: ChoiChannel, optimize_sigma=False) -> VerificationReport:
     """Permutation decoupling of a CQ state through a trace-preserving map."""
     d_a, d_r = rho.dims
     if not ch.tp:
@@ -280,12 +279,10 @@ def verify_cq_tpcp(rho: DensityOp, ch: ChoiChannel, tol=BOUND_TOL,
     lhs = float(np.mean(_deviation_norms(ch, rho.mat, rho.dims, _full_group(d_a), 1)))
     h2 = h2_cond(rho.mat, rho.dims, optimize=optimize_sigma).value
     rhs = float(np.sqrt(d_e * (d_a - d_a / d_e) / (d_a - 1) * 2.0 ** (-h2)))
-    return bound_report("cq_tpcp", lhs, rhs, tol,
-                        dims={"d_A": d_a, "d_R": d_r, "d_E": d_e})
+    return bound_report("cq_tpcp", lhs, rhs, dims={"d_A": d_a, "d_R": d_r, "d_E": d_e})
 
 
-def verify_cq_general(rho: DensityOp, ch: ChoiChannel, tol=BOUND_TOL,
-                      optimize_sigma=False) -> VerificationReport:
+def verify_cq_general(rho: DensityOp, ch: ChoiChannel, optimize_sigma=False) -> VerificationReport:
     """General CQ decoupling bound sqrt((d_A + 1) 2^(-H2 - H2)) with the
     collision entropy of the classicalized Choi operator."""
     d_a, d_r = rho.dims
@@ -296,8 +293,7 @@ def verify_cq_general(rho: DensityOp, ch: ChoiChannel, tol=BOUND_TOL,
     h2_rho = h2_cond(rho.mat, rho.dims, optimize=optimize_sigma).value
     h2_om = h2_cond(w_cl.choi, (d_a, ch.d_out), optimize=optimize_sigma).value
     rhs = float(np.sqrt((d_a + 1) * 2.0 ** (-h2_rho - h2_om)))
-    return bound_report("cq_general", lhs, rhs, tol,
-                        dims={"d_A": d_a, "d_R": d_r, "d_E": ch.d_out})
+    return bound_report("cq_general", lhs, rhs, dims={"d_A": d_a, "d_R": d_r, "d_E": ch.d_out})
 
 
 # ---------------------------------------------------------------------------
@@ -305,7 +301,7 @@ def verify_cq_general(rho: DensityOp, ch: ChoiChannel, tol=BOUND_TOL,
 # ---------------------------------------------------------------------------
 
 def verify_family_hash(fam: PermFamily, rho: DensityOp, d_a1: int, d_a2: int,
-                       tol=BOUND_TOL, optimize_sigma=False) -> VerificationReport:
+                       optimize_sigma=False) -> VerificationReport:
     """Hash bound when averaging over a pairwise almost independent family,
     with the epsilon penalty 4 eps d_A inside the square root."""
     d_a, d_r = rho.dims
@@ -317,7 +313,7 @@ def verify_family_hash(fam: PermFamily, rho: DensityOp, d_a1: int, d_a2: int,
     eps = classical_diamond_distance(fam, d_a)
     h2 = h2_cond(rho.mat, rho.dims, optimize=optimize_sigma).value
     rhs = float(np.sqrt(d_a1 * ((d_a - d_a2) / (d_a - 1) + 4 * eps * d_a) * 2.0 ** (-h2)))
-    return bound_report("family_hash", lhs, rhs, tol, epsilon=eps, family_size=len(fam),
+    return bound_report("family_hash", lhs, rhs, epsilon=eps, family_size=len(fam),
                         dims={"d_A1": d_a1, "d_A2": d_a2, "d_R": d_r})
 
 
@@ -403,8 +399,7 @@ def verify_perm_decoupling_lemma(ch: ChoiChannel, d_r: int, tol=EQ_TOL) -> Verif
                            dims={"d_A": d_a, "d_R": d_r, "d_E": ch.d_out})
 
 
-def verify_quantum_hash(rho: DensityOp, d_a1: int, d_a2: int,
-                        tol=BOUND_TOL) -> VerificationReport:
+def verify_quantum_hash(rho: DensityOp, d_a1: int, d_a2: int) -> VerificationReport:
     """Fully quantum hash bound sqrt(2 d_A1 2^(-Hmin)) under the permutation
     group; meta['two_norm_check'] carries the intermediate squared-2-norm bound.
     """
@@ -419,7 +414,7 @@ def verify_quantum_hash(rho: DensityOp, d_a1: int, d_a2: int,
     res = h_min_cond(rho.mat, rho.dims)
     hmin = res.value
     rhs = float(np.sqrt(2 * d_a1 * 2.0 ** (-hmin)))
-    report = _certified(bound_report("quantum_hash", lhs, rhs, tol,
+    report = _certified(bound_report("quantum_hash", lhs, rhs,
                                      dims={"d_A1": d_a1, "d_A2": d_a2, "d_R": d_r}), [res])
 
     # intermediate 2-norm inequality for the min-entropy-optimally sandwiched state

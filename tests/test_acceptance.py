@@ -88,9 +88,8 @@ def test_criterion_02_cq_decoupling_lemma():
 
 
 def test_criterion_03_pair_state_averages():
-    cfg = SuiteConfig(seed=0)
-    reps = (check_pair_state_twirl(cfg, dims=(2, 3, 4, 5))
-            + check_doubled_classical_twirl(cfg, dims=(2, 3, 4, 5)))
+    cfg = SuiteConfig(seed=0, dims=(2, 3, 4, 5))
+    reps = check_pair_state_twirl(cfg) + check_doubled_classical_twirl(cfg)
     worst = max(r.lhs for r in reps)
     ok = all(r.passed for r in reps) and worst <= 1e-12
     report(3, ok, f"permutation pair averages d=2..5, worst entrywise dev {worst:.2e}")
@@ -151,7 +150,7 @@ def test_criterion_07_character_suite():
             worst_closed = max(worst_closed,
                                max(abs(a - b) for a, b in zip(closed, mn)))
     cfg = SuiteConfig(seed=0)
-    chi_reports = suites.check_chi_r_decomposition(cfg, dims=(4, 5, 6))
+    chi_reports = suites.check_chi_r_decomposition(cfg)
     ortho_ok = True
     for d in (4, 5):
         parts = partitions(d)
@@ -161,7 +160,10 @@ def test_criterion_07_character_suite():
                             * mn_character(lam, partition_to_counts(c))
                             * mn_character(mu, partition_to_counts(c)) for c in parts)
                 ortho_ok &= total == (factorial(d) if lam == mu else 0)
-    ok = worst_closed == 0 and all(r.passed for r in chi_reports) and ortho_ok
+    chi_dims_ok = [r.name for r in chi_reports] == [f"chi_R_decomposition[d={d}]"
+                                                   for d in (4, 5, 6)]
+    ok = (worst_closed == 0 and chi_dims_ok and all(r.passed for r in chi_reports)
+          and ortho_ok)
     report(7, ok, f"MN vs closed S4..S7 dev {worst_closed}; "
                   f"chi_R decomposition d=4..6; orthogonality S4, S5")
 

@@ -1,10 +1,12 @@
+import inspect
 import json
 import subprocess
 import sys
 
 import pytest
 
-from declab.cli import main
+from declab import suites
+from declab.cli import SUITES, main
 from declab.suites import SuiteConfig, build_checks
 
 
@@ -48,6 +50,10 @@ def test_invalid_flags_exit_two():
     r = run_cli("gram", "--d", "3")
     assert r.returncode == 2
     assert "d >= 4" in r.stderr
+    for flags in (("--d", "1"), ("--samples", "0"), ("--d", "9")):
+        r = run_cli("twirl", *flags)
+        assert r.returncode == 2, flags
+        assert r.stdout == "" and r.stderr.startswith("error: "), flags
 
 
 def test_gram_table():
@@ -109,3 +115,18 @@ def test_build_checks_suite_selection():
         SuiteConfig(samples=0)
     with pytest.raises(ValueError):
         SuiteConfig(tolerance=0.0)
+
+
+def test_suite_registry():
+    everything = [c.name for c in build_checks(SuiteConfig())]
+    union = []
+    for suite in SUITES[1:]:
+        names = [c.name for c in build_checks(SuiteConfig(suite=suite))]
+        assert names, suite
+        union += names
+    assert SUITES[0] == "all" and union == everything
+    checks = [fn for name, fn in vars(suites).items()
+              if name.startswith("check_") and inspect.isfunction(fn)]
+    assert len(checks) == len(everything)
+    for fn in checks:
+        assert list(inspect.signature(fn).parameters) == ["cfg"], fn.__name__

@@ -320,9 +320,9 @@ def test_entropy_checks_fail_on_unconverged_hmin(monkeypatch):
     # fail every record built on it rather than pass on a quiet number
     cfg = suites.SuiteConfig(seed=0)
     for check in (suites.check_hmin_le_h2, suites.check_sdp_feasibility):
-        (rep,) = check(cfg, n_states=3)
+        (rep,) = check(cfg)
         assert rep.passed and rep.meta["hmin_bracket"] <= entropy.HMIN_BRACKET_TOL
     monkeypatch.setattr(entropy, "HMIN_BRACKET_TOL", 0.0)
     for check in (suites.check_hmin_le_h2, suites.check_sdp_feasibility):
-        (rep,) = check(cfg, n_states=3)
+        (rep,) = check(cfg)
         assert not rep.passed

@@ -200,15 +200,13 @@ def test_random_circuit_basics():
     u = random_circuit(3, 12, seed=1)
     assert np.abs(u.conj().T @ u - np.eye(8)).max() < 1e-9
     assert np.allclose(random_circuit(2, 7, seed=5), random_circuit(2, 7, seed=5))
-    u_haar = random_circuit(2, 3, seed=2, gates="haar")
-    assert np.abs(u_haar.conj().T @ u_haar - np.eye(4)).max() < 1e-9
     with pytest.raises(ValueError):
         random_circuit(5, 1)
 
 
-def step_by_step_circuit(n_qubits, t, seed, gates):
-    """random_circuit built without the gate cache: every step draws its pair
-    and gate, then lifts the gate with tensor and permute_systems."""
+def step_by_step_circuit(n_qubits, t, seed):
+    """random_circuit built without the cached gate stack: every step draws its
+    pair and gate, then lifts the gate with tensor and permute_systems."""
     h = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
     tg = np.diag([1.0, np.exp(1j * np.pi / 4)])
     cnot = np.array([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex)
@@ -217,13 +215,7 @@ def step_by_step_circuit(n_qubits, t, seed, gates):
     u = np.eye(2 ** n_qubits, dtype=complex)
     for _ in range(t):
         q1, q2 = (int(q) for q in rng.choice(n_qubits, size=2, replace=False))
-        if gates == "haar":
-            z = (rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))) / np.sqrt(2)
-            q, r = np.linalg.qr(z)
-            gate = q * (np.diag(r) / np.abs(np.diag(r)))
-        else:
-            pick = rng.integers(3)
-            gate = (tensor(h, np.eye(2)), tensor(tg, np.eye(2)), cnot)[pick]
+        gate = (tensor(h, np.eye(2)), tensor(tg, np.eye(2)), cnot)[rng.integers(3)]
         rest = [q for q in range(n_qubits) if q not in (q1, q2)]
         big = tensor(gate, np.eye(2 ** (n_qubits - 2)))
         order = [q1, q2] + rest
@@ -231,20 +223,19 @@ def step_by_step_circuit(n_qubits, t, seed, gates):
     return u
 
 
-@pytest.mark.parametrize("n_qubits", [2, 3, 4])
-@pytest.mark.parametrize("gates", ["universal", "haar"])
-def test_random_circuit_matches_step_by_step(n_qubits, gates):
-    for seed in range(3):
-        assert np.array_equal(random_circuit(n_qubits, 20, seed=seed, gates=gates),
-                              step_by_step_circuit(n_qubits, 20, seed, gates))
+@pytest.mark.parametrize("n_qubits", [2, 3, 4], ids=lambda n: f"universal-{n}")
+def test_random_circuit_matches_step_by_step(n_qubits):
+    for t in (0, 1, 7, 20, 30):
+        for seed in range(4):
+            assert np.array_equal(random_circuit(n_qubits, t, seed=seed),
+                                  step_by_step_circuit(n_qubits, t, seed))
 
 
 def test_cached_gate_lift_is_read_only():
-    random_circuit(3, 10, seed=0)
-    lifted = twirl._lifted_universal(3, 2, 0, 2)
-    assert lifted is twirl._lifted_universal(3, 2, 0, 2)
+    stack = twirl._universal_steps(3)[0]
+    assert stack is twirl._universal_steps(3)[0]
     with pytest.raises(ValueError):
-        lifted[0, 0] = 0.0
+        stack[0, 0, 0] = 0.0
 
 
 @pytest.mark.parametrize("n_qubits", [2, 3, 4])
@@ -254,7 +245,7 @@ def test_circuit_ensemble_matches_random_circuit(n_qubits, t, seed):
     ens = circuit_ensemble(n_qubits, t, 12, seed=seed)
     seeds = np.random.default_rng(seed).integers(0, 2 ** 63 - 1, size=12)
     for member, s in zip(ens.unitaries, seeds):
-        assert np.array_equal(member, random_circuit(n_qubits, t, seed=s))
+        assert np.array_equal(member, step_by_step_circuit(n_qubits, t, s))
 
 
 _PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645    # PCG64's 128-bit LCG multiplier
