@@ -103,6 +103,11 @@ def run_suite(cfg: SuiteConfig) -> int:
                 f"[{status}] {rep.name:42s} {rep.kind:11s} "
                 f"lhs={_fmt(rep.lhs):>18s} rhs={_fmt(rep.rhs):>18s} "
                 f"({ms / len(reports):.1f} ms)")
+    if cfg.dims:
+        missed = [d for d in dict.fromkeys(cfg.dims) if d not in cfg.dims_run]
+        if missed:
+            print(f"note: requested dimension(s) {', '.join(map(str, missed))} "
+                  f"ignored by every check of suite {cfg.suite}", file=sys.stderr)
     if not records:
         print("error: no check supports the requested dimensions", file=sys.stderr)
         return 2

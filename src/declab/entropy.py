@@ -76,14 +76,24 @@ def _sdp_conditional(rho: np.ndarray, d_a: int, d_b: int):
     with t growing 20-fold per centering until nu / t < HMIN_PATH_TOL. The
     Newton step is solved in matrix form: with S_ac the d_B x d_B blocks of
     S^-1, the gradient is t I - tr_A S^-1 - z^-1 and the Hessian maps X to
-    sum_ac S_ac X S_ca + z^-1 X z^-1. A centering stops early when a step
-    cannot be computed or no step keeps S and z positive definite.
+    sum_ac S_ac X S_ca + z^-1 X z^-1.
+
+    The barrier is self-concordant, so damped Newton needs no line search:
+    with lambda^2 = -<grad, dz> the squared Newton decrement, the step is 1
+    when lambda <= 1/4 and 1 / (1 + lambda) otherwise, which stays inside the
+    Dikin ellipsoid and so keeps S and z positive definite in exact
+    arithmetic. The Cholesky check that S and z are positive definite, halving
+    the step until they are, stays only as a floating-point guard; it keeps
+    the returned z strictly feasible and so `value` sound. A centering ends
+    at lambda^2 < 1e-6, or early when a step cannot be computed or the guard
+    finds no positive definite step.
 
     After each centering, Y = S^-1 / lambda_max(tr_A S^-1) is feasible for the
-    dual max{tr(rho Y) : tr_A Y <= I, Y >= 0}, so tr(rho Y) <= min tr z <= tr z
-    (on the central path S^-1 / t is already feasible). Returns (tr z, z, Y)
-    with the Y of largest tr(rho Y) over the path; near the end of the path S
-    is close to singular and the last Y alone can be a poor witness.
+    dual max{tr(rho Y) : tr_A Y <= I, Y >= 0} at any z, centered or not, so
+    tr(rho Y) <= min tr z <= tr z and the certificate does not depend on exact
+    centering. Returns (tr z, z, Y, steps) with the Y of largest tr(rho Y)
+    over the path, and the number of Newton steps taken; near the end of the
+    path S is close to singular and the last Y alone can be a poor witness.
 
     The tolerances are absolute, so the path runs on rho / tr rho and z is
     scaled back; Y is feasible for every scale. The bracket is then as tight
@@ -97,6 +107,7 @@ def _sdp_conditional(rho: np.ndarray, d_a: int, d_b: int):
     t = max(1.0, nu / max(lam * d_b, 1e-2))
     eye = np.eye(d_b)
     y, y_val = None, -np.inf
+    steps = 0
     s_mat = _lift(z, d_a) - rho
     while True:
         for _ in range(60):
@@ -114,7 +125,8 @@ def _sdp_conditional(rho: np.ndarray, d_a: int, d_b: int):
             dec = -float(np.vdot(grad, dz).real)
             if not np.isfinite(dec) or dec <= 0:
                 break
-            step, ok = 1.0, False
+            step = 1.0 if dec <= 1 / 16 else 1.0 / (1.0 + np.sqrt(dec))
+            ok = False
             for _ in range(60):
                 z_new = z + step * dz
                 s_new = _lift(z_new, d_a) - rho
@@ -125,7 +137,8 @@ def _sdp_conditional(rho: np.ndarray, d_a: int, d_b: int):
             if not ok:
                 break
             z, s_mat = z_new, s_new
-            if dec < 1e-11:
+            steps += 1
+            if dec < 1e-6:
                 break
         si = np.linalg.inv(s_mat)
         cand = (si + si.conj().T) / 2
@@ -137,7 +150,7 @@ def _sdp_conditional(rho: np.ndarray, d_a: int, d_b: int):
             break
         t *= 20.0
     z = scale * z
-    return float(np.trace(z).real), z, y
+    return float(np.trace(z).real), z, y, steps
 
 
 def h_min_cond(state, dims=None) -> EntropyResult:
@@ -149,7 +162,8 @@ def h_min_cond(state, dims=None) -> EntropyResult:
     `meta` holds `hmin_upper` = -log2 tr(rho Y) for the dual witness Y, the
     certified upper end; `status`, which is "converged" when the bracket
     [value, hmin_upper] is at most HMIN_BRACKET_TOL bits wide and "wide"
-    otherwise; and `primal_slack`, the smallest eigenvalue of I (x) z - rho.
+    otherwise; `iterations`, the Newton steps over the whole path; and
+    `primal_slack`, the smallest eigenvalue of I (x) z - rho.
     """
     mat, dims = _matdims(state, dims)
     if len(dims) != 2:
@@ -157,12 +171,13 @@ def h_min_cond(state, dims=None) -> EntropyResult:
     d_a, d_b = dims
     if np.trace(mat).real <= 0:
         raise ValueError("h_min_cond of a zero operator is undefined")
-    val, z, y = _sdp_conditional(mat, d_a, d_b)
+    val, z, y, steps = _sdp_conditional(mat, d_a, d_b)
     value = float(-np.log2(val))
     upper = float(-np.log2(np.vdot(y, mat).real))
     meta = {
         "primal_slack": float(np.linalg.eigvalsh(_lift(z, d_a) - mat)[0]),
         "hmin_upper": upper,
+        "iterations": steps,
         "status": "converged" if upper - value <= HMIN_BRACKET_TOL else "wide",
     }
     return EntropyResult(value=value, optimizer=z / np.trace(z).real,

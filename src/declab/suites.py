@@ -7,7 +7,7 @@ index), so a full run is deterministic for a fixed configuration.
 from __future__ import annotations
 
 import zlib
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import factorial
 from typing import Callable
 
@@ -63,6 +63,8 @@ class SuiteConfig:
     optimize_sigma: bool = False
     output: str = "text"
     out_path: str | None = None
+    # dimensions some check has taken, filled in by _dims_or as the checks run
+    dims_run: set = field(default_factory=set, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.samples < 1:
@@ -77,13 +79,17 @@ def _instance_seed(seed, tag, k) -> int:
 
 
 def _dims_or(cfg: SuiteConfig, default, lo, hi):
-    """Requested dimensions clipped to a check's supported range.
+    """Requested dimensions clipped to a check's supported range, also added
+    to cfg.dims_run.
 
     An empty result means the check is skipped for this configuration; the
-    runner treats a fully empty suite as a configuration error.
+    runner treats a fully empty suite as a configuration error and names the
+    requested dimensions that no check took.
     """
     src = cfg.dims if cfg.dims else default
-    return [d for d in src if lo <= d <= hi]
+    dims = [d for d in src if lo <= d <= hi]
+    cfg.dims_run.update(dims)
+    return dims
 
 
 # ---------------------------------------------------------------------------

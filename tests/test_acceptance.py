@@ -247,10 +247,11 @@ def test_criterion_11_circuit_convergence():
     report(11, ok, f"mean eps(depth 2) = {eps2:.3f} vs eps(depth 30) = {eps30:.3f}")
 
 
-def test_criterion_12_entropy_metric_properties():
+@pytest.fixture(scope="module")
+def criterion_12_hmin():
+    """Criterion 12's 500 random states of any rank, with their H_min solves."""
     rng_master = np.random.default_rng(12)
-    worst_l5 = -np.inf
-    widest, unconverged = 0.0, 0
+    solved = []
     for k in range(500):
         d_a = int(rng_master.integers(2, 5))
         d_b = int(rng_master.integers(2, 5))
@@ -259,10 +260,17 @@ def test_criterion_12_entropy_metric_properties():
         rho = random_density(d_a * d_b, rank=rank,
                              seed=int(rng_master.integers(2**31)), dims=(d_a, d_b))
         mat = rho.mat * scale
-        res = h_min_cond(mat, rho.dims)
+        solved.append((mat, rho.dims, h_min_cond(mat, rho.dims)))
+    return solved
+
+
+def test_criterion_12_entropy_metric_properties(criterion_12_hmin):
+    worst_l5 = -np.inf
+    widest, unconverged = 0.0, 0
+    for mat, dims, res in criterion_12_hmin:
         unconverged += res.meta["status"] != "converged"
         widest = max(widest, res.meta["hmin_upper"] - res.value)
-        h2 = h2_cond(mat, rho.dims, optimize=True,
+        h2 = h2_cond(mat, dims, optimize=True,
                      zeta_start=res.optimizer).value
         worst_l5 = max(worst_l5, res.value - h2)
 
@@ -301,6 +309,12 @@ def test_criterion_12_entropy_metric_properties():
                    f"widest hmin bracket {widest:.2e} bits, {unconverged} unconverged; "
                    f"FvdG margin {worst_fvdg:.2e} (1000); "
                    f"norm margins {worst_norm:.2e} (500)")
+
+
+def test_h_min_cond_newton_steps(criterion_12_hmin):
+    # the damped step needs no line search: about 47 Newton steps a solve here
+    steps = [res.meta["iterations"] for _, _, res in criterion_12_hmin]
+    assert np.mean(steps) <= 55
 
 
 def test_criterion_13_full_cli_suite():

@@ -130,3 +130,15 @@ def test_suite_registry():
     assert len(checks) == len(everything)
     for fn in checks:
         assert list(inspect.signature(fn).parameters) == ["cfg"], fn.__name__
+
+
+def test_verify_notes_ignored_dims(capsys):
+    # ch5's checks clip d_A to at most 6; a 7 among the requested dimensions is
+    # named on stderr, and stdout and the exit code are those without it
+    assert main(["verify", "--suite", "ch5", "--dims", "3,7", "--output", "csv"]) == 0
+    out, err = capsys.readouterr()
+    assert err.splitlines() == [
+        "note: requested dimension(s) 7 ignored by every check of suite ch5"]
+    assert "d_A=3" in out and "d_A=7" not in out
+    assert main(["verify", "--suite", "ch5", "--dims", "3", "--output", "csv"]) == 0
+    assert capsys.readouterr() == (out, "")

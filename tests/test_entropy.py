@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from declab import entropy, suites
 from declab.entropy import (
@@ -75,7 +77,7 @@ def test_sdp_conditional_dual_witness():
              for d_a, d_b, rank in [(2, 2, 1), (3, 2, 6), (2, 4, 3), (4, 3, 12)]]
     cases += [(random_cq((4, 2), seed=12).mat, 4, 2), (random_cq((3, 2), seed=2).mat, 3, 2)]
     for rho, d_a, d_b in cases:
-        tr_z, z, y = entropy._sdp_conditional(rho, d_a, d_b)
+        tr_z, z, y, _ = entropy._sdp_conditional(rho, d_a, d_b)
         assert np.array_equal(y, y.conj().T)
         assert np.linalg.eigvalsh(y)[0] >= -1e-12
         tr_a_y = np.trace(y.reshape(d_a, d_b, d_a, d_b), axis1=0, axis2=2)
@@ -103,6 +105,44 @@ def test_h_min_cond_scale_free(c):
     ref = h_min_cond(rho.mat, rho.dims)
     res = h_min_cond(c * rho.mat, rho.dims)
     assert res.meta["status"] == "converged"
+    assert ref.value - 1e-13 <= res.value + np.log2(c) <= ref.meta["hmin_upper"] + 1e-13
+
+
+def _closed_form_state(kind, d_a, d_b, rank, seed):
+    """A trace-1 state with a closed-form 2^-H_min; rank <= d_B leaves rho_B singular."""
+    rng = np.random.default_rng(seed)
+    if kind == "pure":
+        # Schmidt rank k: 2^-H_min = (sum_i sqrt(p_i))^2 over the Schmidt spectrum
+        k = min(rank, d_a, d_b)
+        m = ((rng.normal(size=(d_a, k)) + 1j * rng.normal(size=(d_a, k)))
+             @ (rng.normal(size=(k, d_b)) + 1j * rng.normal(size=(k, d_b))))
+        psi = (m / np.linalg.norm(m)).reshape(-1)
+        s = np.linalg.svd(psi.reshape(d_a, d_b), compute_uv=False)
+        return np.outer(psi, psi.conj()), s.sum() ** 2
+    if kind == "product":
+        # rho_A (x) sigma_B: 2^-H_min = lambda_max(rho_A)
+        rho_a = random_density(d_a, rank=min(rank, d_a), seed=seed).mat
+        sig_b = random_density(d_b, rank=min(rank, d_b), seed=seed + 1).mat
+        return tensor(rho_a, sig_b), np.linalg.eigvalsh(rho_a)[-1]
+    # diagonal, on the first `rank` values of B: 2^-H_min = sum_b max_a p_ab
+    p = np.zeros((d_a, d_b))
+    p[:, :min(rank, d_b)] = rng.dirichlet(np.ones(d_a * min(rank, d_b))).reshape(d_a, -1)
+    return np.diag(p.reshape(-1)).astype(complex), p.max(axis=0).sum()
+
+
+@given(kind=st.sampled_from(["pure", "product", "diagonal"]),
+       d_a=st.integers(2, 4), d_b=st.integers(2, 4), rank=st.integers(1, 4),
+       log_c=st.floats(-12, 0), seed=st.integers(0, 2**31 - 1))
+@settings(max_examples=60, deadline=None, derandomize=True)
+def test_h_min_cond_edge_inputs(kind, d_a, d_b, rank, log_c, seed):
+    rho, p_guess = _closed_form_state(kind, d_a, d_b, rank, seed)
+    c = 10.0 ** log_c
+    ref = h_min_cond(rho, (d_a, d_b))
+    res = h_min_cond(c * rho, (d_a, d_b))
+    assert ref.meta["status"] == res.meta["status"] == "converged"
+    exact = -np.log2(p_guess)
+    assert ref.value - 1e-12 <= exact <= ref.meta["hmin_upper"] + 1e-12
+    assert res.value - 1e-12 <= exact - np.log2(c) <= res.meta["hmin_upper"] + 1e-12
     assert ref.value - 1e-13 <= res.value + np.log2(c) <= ref.meta["hmin_upper"] + 1e-13
 
 
@@ -245,10 +285,10 @@ def test_sdp_conditional_lift_matches_kron(monkeypatch, d_a, d_b):
     assert np.array_equal(entropy._lift(z, d_a), np.kron(np.eye(d_a), z))
     for rank in (1, d_a * d_b):
         rho = random_density(d_a * d_b, rank=rank, seed=d_a * d_b + rank).mat
-        val, z_opt, y = entropy._sdp_conditional(rho, d_a, d_b)
+        val, z_opt, y, _ = entropy._sdp_conditional(rho, d_a, d_b)
         with monkeypatch.context() as m:
             m.setattr(entropy, "_lift", lambda z, d: np.kron(np.eye(d), z))
-            ref_val, ref_z, ref_y = entropy._sdp_conditional(rho, d_a, d_b)
+            ref_val, ref_z, ref_y, _ = entropy._sdp_conditional(rho, d_a, d_b)
         assert val == ref_val
         assert np.array_equal(z_opt, ref_z)
         assert np.array_equal(y, ref_y)
