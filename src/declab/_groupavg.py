@@ -9,8 +9,9 @@ acts as an index gather on the factors it moves, a unitary as a batched
 product with its lift to the whole space. Channels, partial traces and norms
 are then applied to the whole stack at once.
 
-Stacks are built and consumed in chunks of at most CHUNK_BYTES of operator
-data, so the working set does not grow with the number of elements.
+Stacks are built and consumed in chunks sized so that every stack live while
+a chunk is conjugated fits in CHUNK_BYTES, so the working set does not grow
+with the number of elements.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from math import prod
 
 import numpy as np
 
-CHUNK_BYTES = 1 << 21       # bytes of stacked operators held per chunk
+CHUNK_BYTES = 1 << 21       # bytes of stacked operators live per chunk
 
 
 def chunks(n: int, item_bytes: int) -> list[slice]:
@@ -27,6 +28,19 @@ def chunks(n: int, item_bytes: int) -> list[slice]:
     and at most CHUNK_BYTES // item_bytes."""
     step = max(1, CHUNK_BYTES // max(1, item_bytes))
     return [slice(i, min(i + step, n)) for i in range(0, n, step)]
+
+
+def element_chunks(n_elems: int, dims, unitary: bool) -> list[slice]:
+    """Chunks of n_elems group elements acting on the factors dims, sized so
+    that everything live while a chunk's conjugate stack is built fits in
+    CHUNK_BYTES: an index gather holds one (k, D, D) complex stack, a unitary
+    lift four (the lift, its adjoint and the two products)."""
+    n = prod(dims)
+    return chunks(n_elems, (4 if unitary else 1) * 16 * n * n)
+
+
+def _chunks_of(elems: np.ndarray, dims) -> list[slice]:
+    return element_chunks(len(elems), dims, not np.issubdtype(elems.dtype, np.integer))
 
 
 def perm_stack(perms) -> np.ndarray:
@@ -56,17 +70,16 @@ def conjugates(mat: np.ndarray, dims, elems: np.ndarray, sites=(0,)) -> np.ndarr
 
 def group_values(mat: np.ndarray, dims, elems: np.ndarray, fn, sites=(0,)) -> np.ndarray:
     """fn applied chunk by chunk to the conjugate stack of mat; fn maps a
-    stack to one value per operator, and the values come back in element order."""
-    n = prod(dims)
+    stack to one value (or one row of values) per operator, and the rows come
+    back in element order."""
     return np.concatenate([fn(conjugates(mat, dims, elems[sl], sites))
-                           for sl in chunks(len(elems), 16 * n * n)])
+                           for sl in _chunks_of(elems, dims)])
 
 
 def group_mean(mat: np.ndarray, dims, elems: np.ndarray, weights=None, sites=(0,)) -> np.ndarray:
     """Average of g mat g^dagger over the elements: uniform, or with the given weights."""
-    n = prod(dims)
     total = 0.0
-    for sl in chunks(len(elems), 16 * n * n):
+    for sl in _chunks_of(elems, dims):
         stack = conjugates(mat, dims, elems[sl], sites)
         total = total + (stack.sum(axis=0) if weights is None
                          else np.tensordot(weights[sl], stack, axes=1))

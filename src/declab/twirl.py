@@ -7,12 +7,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import permutations, product
+from itertools import islice, permutations, product
 from math import factorial
 
 import numpy as np
 
-from ._groupavg import chunks, group_mean
+from ._groupavg import chunks, element_chunks, group_mean
 from .linalg import permute_systems, require_hermitian, swap_operator, tensor
 from .symgroup import all_perms, perm_operator
 
@@ -415,13 +415,16 @@ def commutant_dim_brute(d: int) -> int:
 
 def perm_twirl2_brute(mat: np.ndarray, d: int) -> np.ndarray:
     """Exhaustive uniform average of P^t2 M P^t2-dagger over all d! permutations
-    (d <= symgroup.MAX_ENUM_D), one permutation matrix at a time: the reference
-    that the commutant expansion is checked against."""
-    acc = np.zeros_like(np.asarray(mat, dtype=complex))
-    for p in all_perms(d):
-        pp = np.kron(perm_operator(p), perm_operator(p))
-        acc += pp @ mat @ pp.T
-    return acc / factorial(d)
+    (d <= symgroup.MAX_ENUM_D), conjugating by explicit permutation matrices in
+    the group-average kernel: the reference that the commutant expansion is
+    checked against. The matrices are stacked one kernel chunk at a time."""
+    mat = np.asarray(mat, dtype=complex)
+    perms = all_perms(d)
+    total = 0.0
+    for sl in element_chunks(factorial(d), (d, d), True):
+        ops = np.array([perm_operator(p) for p in islice(perms, sl.stop - sl.start)], complex)
+        total = total + len(ops) * group_mean(mat, (d, d), ops, sites=(0, 1))
+    return total / factorial(d)
 
 
 def perm_twirl2_exact(mat: np.ndarray, d: int) -> PermTwirlResult:

@@ -142,3 +142,13 @@ def test_verify_notes_ignored_dims(capsys):
     assert "d_A=3" in out and "d_A=7" not in out
     assert main(["verify", "--suite", "ch5", "--dims", "3", "--output", "csv"]) == 0
     assert capsys.readouterr() == (out, "")
+
+
+def test_verify_counts_record_dims_as_taken(capsys):
+    # ch3's checks have fixed sizes and ignore --dims, but design_circuits
+    # emits a d_A = 4 record, so a requested 4 is not named as ignored
+    assert main(["verify", "--suite", "ch3", "--output", "csv"]) == 0
+    out, _ = capsys.readouterr()
+    assert "d_A=4" in out
+    assert main(["verify", "--suite", "ch3", "--dims", "4", "--output", "csv"]) == 0
+    assert capsys.readouterr() == (out, "")

@@ -224,6 +224,31 @@ def test_h2_optimized_product_closed_form(dims):
     _assert_h2_bracket(tensor(rho_a, rho_b), dims, -np.log2(q))
 
 
+def _h2_closed_form(kind, rho, d_a, d_b):
+    """H2(A|B) of a trace-1 state from _closed_form_state."""
+    if kind == "diagonal":
+        p = np.diag(rho).real.reshape(d_a, d_b)
+        return -2 * np.log2(np.sqrt((p ** 2).sum(axis=0)).sum())
+    rho_a = np.trace(rho.reshape(d_a, d_b, d_a, d_b), axis1=1, axis2=3)
+    if kind == "pure":
+        p = np.clip(np.linalg.eigvalsh(rho_a), 0.0, None)
+        return -3 * np.log2(np.sum(p ** (2 / 3)))
+    return -np.log2(np.trace(rho_a @ rho_a).real)
+
+
+@given(kind=st.sampled_from(["pure", "product", "diagonal"]),
+       d_a=st.integers(2, 4), d_b=st.integers(2, 4), rank=st.integers(1, 4),
+       log_c=st.floats(-12, 0), seed=st.integers(0, 2**31 - 1))
+@settings(max_examples=60, deadline=None, derandomize=True)
+def test_h2_optimized_edge_inputs(kind, d_a, d_b, rank, log_c, seed):
+    rho, _ = _closed_form_state(kind, d_a, d_b, rank, seed)
+    c = 10.0 ** log_c
+    res = h2_cond(c * rho, (d_a, d_b), optimize=True)
+    assert res.meta["status"] == "converged"
+    exact = _h2_closed_form(kind, rho, d_a, d_b) - np.log2(c)
+    assert res.value - 1e-9 <= exact <= res.meta["h2_upper"] + 1e-9
+
+
 def test_h2_optimized_never_below_starts_and_deterministic():
     for k in range(6):
         rng = np.random.default_rng(300 + k)

@@ -4,6 +4,9 @@ Every test runs the kernel with a chunk budget small enough that at least
 three chunks run, the last one shorter than the others.
 """
 
+import tracemalloc
+from math import factorial
+
 import numpy as np
 import pytest
 
@@ -18,11 +21,12 @@ from declab._groupavg import (
 from declab.linalg import partial_trace, schatten_norm, tensor
 from declab.states import apply_channel_mat, random_channel, random_cq, random_density
 from declab.symgroup import PermFamily, all_perms, perm_operator
-from declab.twirl import circuit_ensemble, design_twirl2, haar_samples
+from declab.twirl import circuit_ensemble, design_twirl2, haar_samples, perm_twirl2_brute
 from declab.verify import (
     verify_cq_tpcp,
     verify_decoupling_theorem,
     verify_design_decoupling,
+    verify_distance_from_classicality,
     verify_family_hash,
     verify_perm_decoupling_lemma,
 )
@@ -37,8 +41,10 @@ def close(kernel, reference):
 
 @pytest.fixture
 def chunked(monkeypatch):
-    """use(n_ops, dim) sets the budget to n_ops operators of dimension dim and
-    returns the list that collects the size of every chunk the kernel builds."""
+    """use(n_ops, dim, unitary) sets the budget to chunks of n_ops elements
+    whose conjugates have dimension dim, and returns the list that collects
+    the size of every chunk the kernel builds. A permutation gather keeps one
+    operator per element live, a unitary lift four."""
     sizes = []
     conjugates = _groupavg.conjugates
 
@@ -48,8 +54,9 @@ def chunked(monkeypatch):
 
     monkeypatch.setattr(_groupavg, "conjugates", spy)
 
-    def use(n_ops, dim):
-        monkeypatch.setattr(_groupavg, "CHUNK_BYTES", 16 * dim * dim * n_ops)
+    def use(n_ops, dim, unitary=False):
+        live = 4 if unitary else 1
+        monkeypatch.setattr(_groupavg, "CHUNK_BYTES", live * 16 * dim * dim * n_ops)
         return sizes
 
     return use
@@ -128,6 +135,43 @@ def test_perm_decoupling_lhs(chunked):
     assert close(rep.lhs, np.mean(ref ** 2))
 
 
+@pytest.mark.parametrize("d_r", [2, 3])
+def test_distance_from_classicality_lhs(chunked, d_r):
+    # both norms come from one channel stack; each must match its own loop
+    d_a = 5
+    sizes = chunked(50, d_a * d_r)
+    ch = random_channel(d_a, 2, tp=False, seed=30 + d_r)
+    rep = verify_distance_from_classicality(ch, d_r)
+    assert_ragged(sizes)
+    st = np.zeros((d_a * d_r, d_a * d_r))
+    for i in range(d_r):
+        for j in range(d_r):
+            st[i * d_r + i, j * d_r + j] += 1.0 / d_r
+        st[i * d_r + i, i * d_r + i] -= 1.0 / d_r
+    ops = [perm_operator(q) for q in all_perms(d_a)]
+    assert close(rep.lhs, np.mean(reference_norms(ch, st, (d_a, d_r), ops, 2) ** 2))
+    assert close(rep.meta["bound_check"].lhs,
+                 np.mean(reference_norms(ch, st, (d_a, d_r), ops, 1)))
+
+
+def test_brute_twirl_stacks_one_chunk_at_a_time(monkeypatch):
+    # the permutation matrices are stacked chunk by chunk, never all d! at once
+    d = 6
+    monkeypatch.setattr(_groupavg, "CHUNK_BYTES", 4 * 16 * d ** 4 * 2)   # two elements a chunk
+    rng = np.random.default_rng(13)
+    m = rng.normal(size=(d * d, d * d)) + 1j * rng.normal(size=(d * d, d * d))
+    tracemalloc.start()
+    try:
+        avg = perm_twirl2_brute(m, d)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < factorial(d) * d * d * 16     # the whole stack of d x d matrices
+    ref = sum(np.kron(perm_operator(q), perm_operator(q)) @ m
+              @ np.kron(perm_operator(q), perm_operator(q)).T for q in all_perms(d)) / factorial(d)
+    assert close(avg, ref)
+
+
 def test_weighted_family(chunked):
     d_a1, d_a2, d_r = 3, 2, 2
     d_a = d_a1 * d_a2
@@ -155,7 +199,7 @@ def test_weighted_family(chunked):
 
 def test_haar_stack(chunked):
     d_a, d_r, n = 4, 2, 45
-    sizes = chunked(10, d_a * d_r)
+    sizes = chunked(10, d_a * d_r, unitary=True)
     rho = random_density(d_a * d_r, seed=6, dims=(d_a, d_r))
     ch = random_channel(d_a, 2, tp=True, seed=7)
     rep = verify_decoupling_theorem(rho, ch, n_samples=n, seed=8)
@@ -175,13 +219,13 @@ def test_circuit_ensemble(chunked):
     ens = circuit_ensemble(2, 12, 40, seed=9)
     rho = random_density(8, seed=10, dims=(d, 2))
     ch = random_channel(d, 2, tp=True, seed=11)
-    sizes = chunked(9, 2 * d)
+    sizes = chunked(9, 2 * d, unitary=True)
     rep = verify_design_decoupling(ens, rho, ch, epsilon=0.0)
     assert_ragged(sizes)
     target = tensor(ch.env_marginal, partial_trace(rho.mat, rho.dims, [1]))
     ref = reference_norms(ch, rho.mat, rho.dims, ens.unitaries, 1, target)
     assert close(rep.lhs, ens.weights @ ref)
-    sizes = chunked(9, d * d)
+    sizes = chunked(9, d * d, unitary=True)
     sizes.clear()
     rng = np.random.default_rng(12)
     m = rng.normal(size=(d * d, d * d)) + 1j * rng.normal(size=(d * d, d * d))
