@@ -11,9 +11,7 @@ from .entropy import (
     generalized_fidelity,
     generalized_trace_distance,
     h2_cond,
-    h_min,
     h_min_cond,
-    in_epsilon_ball,
     purified_distance,
     trace_distance,
 )
@@ -29,17 +27,12 @@ from .linalg import (
 from .states import (
     ChoiChannel,
     DensityOp,
-    apply_channel,
     apply_channel_mat,
-    choi_of_state,
     classical_correlated,
     classicalize_channel,
-    classicalize_state,
     cq_decoupling_state,
-    decoupling_state,
     is_cq,
     max_entangled,
-    partial_trace_channel,
     random_channel,
     random_cq,
     random_density,
@@ -51,7 +44,6 @@ from .symgroup import (
     char_closed_forms,
     chi_r,
     classical_diamond_distance,
-    cycle_type,
     hook_dimension,
     mn_character,
     pairwise_dependence,
@@ -64,8 +56,6 @@ from .twirl import (
     commutant_basis,
     commutant_dim_brute,
     design_epsilon_bound,
-    design_twirl2,
-    haar_sample,
     haar_samples,
     haar_twirl2_exact,
     haar_twirl2_mc,

@@ -94,13 +94,3 @@ def apply_channel_stack(ch, stack: np.ndarray, d_r: int) -> np.ndarray:
     out = np.tensordot(t, kernel, axes=([1, 3], [2, 3]))  # [k, r, s, e, f]
     n = ch.d_out * d_r
     return out.transpose(0, 3, 1, 4, 2).reshape(-1, n, n)
-
-
-def schatten_stack(stack: np.ndarray, p) -> np.ndarray:
-    """Schatten p-norm of every operator in a stack, p in {1, 2}; the
-    1-norm assumes Hermitian operators and sums absolute eigenvalues."""
-    if p == 1:
-        return np.abs(np.linalg.eigvalsh(stack)).sum(axis=-1)
-    if p == 2:
-        return np.sqrt((stack.real ** 2 + stack.imag ** 2).sum(axis=(-2, -1)))
-    raise ValueError(f"unsupported Schatten index {p!r}")

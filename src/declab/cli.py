@@ -104,7 +104,7 @@ def run_suite(cfg: SuiteConfig) -> int:
                 f"lhs={_fmt(rep.lhs):>18s} rhs={_fmt(rep.rhs):>18s} "
                 f"({ms / len(reports):.1f} ms)")
     if cfg.dims:
-        taken = cfg.dims_run | {r["dims"].get("d_A") for r in records}
+        taken = {r["dims"].get("d_A") for r in records}
         missed = [d for d in dict.fromkeys(cfg.dims) if d not in taken]
         if missed:
             print(f"note: requested dimension(s) {', '.join(map(str, missed))} "

@@ -35,15 +35,6 @@ def _matdims(state, dims=None):
     return mat, check_dims(mat, dims)
 
 
-def h_min(state, dims=None) -> float:
-    """Unconditional min-entropy, -log2 of the largest eigenvalue."""
-    mat, _ = _matdims(state, dims if dims is not None else (np.asarray(state).shape[0],))
-    w, _ = eig_hermitian(mat)
-    if w[-1] <= 0:
-        raise ValueError("min-entropy of the zero operator is undefined")
-    return float(-np.log2(w[-1]))
-
-
 # ---------------------------------------------------------------------------
 # barrier solver for min tr z  s.t.  I_A (x) z - rho >= 0,  z >= 0
 # ---------------------------------------------------------------------------
@@ -360,15 +351,3 @@ def generalized_fidelity(rho, sigma) -> float:
 def purified_distance(rho, sigma) -> float:
     f = min(generalized_fidelity(rho, sigma), 1.0)
     return float(np.sqrt(max(0.0, 1.0 - f * f)))
-
-
-def in_epsilon_ball(rho, sigma, eps: float, atol: float = 1e-7) -> bool:
-    """Membership of sigma in the purified-distance eps-ball around rho.
-
-    atol absorbs the sqrt(1 - F^2) amplification of fidelity round-off near
-    F = 1, so that the ball always contains its own center.
-    """
-    rho = np.asarray(rho)
-    if np.sqrt(np.trace(rho).real) <= eps:
-        raise ValueError("ball undefined: sqrt(tr rho) must exceed eps")
-    return purified_distance(sigma, rho) <= eps + atol

@@ -13,11 +13,6 @@ HERM_RTOL = 1e-10      # relative Hermiticity tolerance
 PINV_RCOND = 1e-12     # eigenvalue cutoff for pseudo-inverse powers, relative to lambda_max
 
 
-def close(a: float, b: float, rtol: float = 1e-10, atol: float = 1e-12) -> bool:
-    """Scalar comparison with tolerance max(atol, rtol*scale)."""
-    return abs(a - b) <= max(atol, rtol * max(1.0, abs(a), abs(b)))
-
-
 def tensor(*ops: np.ndarray) -> np.ndarray:
     """Kronecker product of one or more matrices, left factor slowest."""
     out = np.asarray(ops[0], dtype=complex)
@@ -37,8 +32,10 @@ def check_dims(mat: np.ndarray, dims) -> tuple[int, ...]:
 
 
 def is_hermitian(mat: np.ndarray, rtol: float = HERM_RTOL) -> bool:
+    """True iff the matrix, or every matrix of a stack, is Hermitian within
+    rtol times the largest entry of the whole input."""
     scale = max(1.0, np.abs(mat).max()) if mat.size else 1.0
-    return bool(np.abs(mat - mat.conj().T).max() <= rtol * scale)
+    return bool(np.abs(mat - mat.conj().swapaxes(-1, -2)).max() <= rtol * scale)
 
 
 def require_hermitian(mat: np.ndarray, what: str = "operator") -> np.ndarray:
@@ -75,19 +72,26 @@ def permute_systems(mat: np.ndarray, dims, order) -> np.ndarray:
     return t.reshape(n, n)
 
 
-def schatten_norm(mat: np.ndarray, p) -> float:
-    """Schatten p-norm for p in {1, 2, 'inf'}."""
+def schatten_norm(mat: np.ndarray, p):
+    """Schatten p-norm, p in {1, 2, 'inf'}, of a square matrix (a float) or of
+    every matrix of a stack over leading axes (an array of those axes).
+
+    The 2-norm is the root sum of squared entries. The 1- and inf-norms take
+    the singular values from eigvalsh when the whole input is Hermitian
+    within HERM_RTOL, and from the SVD otherwise.
+    """
     mat = np.asarray(mat)
-    if mat.shape[0] != mat.shape[1]:
-        raise ValueError("schatten_norm expects a square matrix")
+    if mat.ndim < 2 or mat.shape[-1] != mat.shape[-2]:
+        raise ValueError("schatten_norm expects square matrices")
     if p == 2:
-        return float(np.sqrt(np.trace(mat.conj().T @ mat).real))
-    s = np.linalg.svd(mat, compute_uv=False)
-    if p == 1:
-        return float(s.sum())
-    if p in (np.inf, "inf"):
-        return float(s[0]) if s.size else 0.0
-    raise ValueError(f"unsupported Schatten index {p!r}")
+        out = np.sqrt((mat.real ** 2 + mat.imag ** 2).sum(axis=(-2, -1)))
+    elif p in (1, np.inf, "inf"):
+        s = (np.abs(np.linalg.eigvalsh(mat)) if is_hermitian(mat)
+             else np.linalg.svd(mat, compute_uv=False))
+        out = s.sum(axis=-1) if p == 1 else s.max(axis=-1, initial=0.0)
+    else:
+        raise ValueError(f"unsupported Schatten index {p!r}")
+    return float(out) if mat.ndim == 2 else out
 
 
 def swap_operator(d: int) -> np.ndarray:

@@ -91,13 +91,6 @@ def classical_correlated(d: int) -> DensityOp:
     return DensityOp(m, (d, d))
 
 
-def decoupling_state(d: int) -> np.ndarray:
-    """Traceless difference between maximal entanglement and the product of marginals."""
-    if d < 2:
-        raise ValueError("needs dimension >= 2")
-    return max_entangled(d).mat - np.eye(d * d, dtype=complex) / d**2
-
-
 def cq_decoupling_state(d: int) -> np.ndarray:
     """Classical analogue: correlated classical state minus the fully mixed one."""
     if d < 2:
@@ -136,28 +129,6 @@ def apply_channel_mat(ch: ChoiChannel, mat: np.ndarray, dims, subsystem: int = 0
     new_dims[subsystem] = ch.d_out
     n = int(np.prod(new_dims))
     return t.reshape(n, n), tuple(new_dims)
-
-
-def apply_channel(ch: ChoiChannel, rho: DensityOp, subsystem: int = 0) -> DensityOp:
-    out, new_dims = apply_channel_mat(ch, rho.mat, rho.dims, subsystem)
-    return DensityOp(out, new_dims)
-
-
-def choi_of_state(rho: DensityOp) -> ChoiChannel:
-    """The map sending the maximally entangled state to the given bipartite state.
-
-    The state, read on (input copy, output), IS the Choi operator of that map;
-    it is generally not trace preserving.
-    """
-    if len(rho.dims) != 2:
-        raise ValueError("choi_of_state expects a bipartite state")
-    d_a, d_r = rho.dims
-    return ChoiChannel(rho.mat, d_a, d_r, tp=False)
-
-
-def classicalize_state(rho: DensityOp, subsystem: int = 0) -> DensityOp:
-    """Pinch one subsystem in the computational basis (zero off-diagonal blocks)."""
-    return DensityOp(pinch_mat(rho.mat, rho.dims, subsystem), rho.dims)
 
 
 def pinch_mat(mat: np.ndarray, dims, subsystem: int = 0) -> np.ndarray:
@@ -219,11 +190,3 @@ def random_channel(d_in: int, d_out: int, tp: bool = True, seed=0) -> ChoiChanne
         s = tensor(m_isqrt, np.eye(d_out))
         return ChoiChannel(s @ w @ s / d_in, d_in, d_out, tp=True)
     return ChoiChannel(w / np.trace(w).real, d_in, d_out, tp=False)
-
-
-def partial_trace_channel(d_keep: int, d_drop: int) -> ChoiChannel:
-    """The channel tr_2 : (d_keep * d_drop) -> d_keep as a Choi operator."""
-    d_in = d_keep * d_drop
-    phi = max_entangled(d_in)
-    choi = partial_trace(phi.mat, (d_in, d_keep, d_drop), [0, 1])
-    return ChoiChannel(choi, d_in, d_keep, tp=True)

@@ -7,14 +7,14 @@ index), so a full run is deterministic for a fixed configuration.
 from __future__ import annotations
 
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import factorial
 from typing import Callable
 
 import numpy as np
 
 from . import symgroup, twirl, verify
-from ._groupavg import apply_channel_stack, group_mean, group_values, perm_stack, schatten_stack
+from ._groupavg import apply_channel_stack, group_mean, group_values, perm_stack
 from .entropy import (
     generalized_trace_distance,
     h2_cond,
@@ -63,8 +63,6 @@ class SuiteConfig:
     optimize_sigma: bool = False
     output: str = "text"
     out_path: str | None = None
-    # dimensions some check has taken, filled in by _dims_or as the checks run
-    dims_run: set = field(default_factory=set, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.samples < 1:
@@ -79,17 +77,14 @@ def _instance_seed(seed, tag, k) -> int:
 
 
 def _dims_or(cfg: SuiteConfig, default, lo, hi):
-    """Requested dimensions clipped to a check's supported range, also added
-    to cfg.dims_run.
+    """Requested dimensions clipped to a check's supported range.
 
     An empty result means the check is skipped for this configuration; the
     runner treats a fully empty suite as a configuration error and names the
-    requested dimensions that no check took.
+    requested dimensions that no record has as its d_A.
     """
     src = cfg.dims if cfg.dims else default
-    dims = [d for d in src if lo <= d <= hi]
-    cfg.dims_run.update(dims)
-    return dims
+    return [d for d in src if lo <= d <= hi]
 
 
 # ---------------------------------------------------------------------------
@@ -127,7 +122,7 @@ def mc_cross_check(seed, n_mc: int = 100_000) -> VerificationReport:
     ch = random_channel(d_a, d_e, tp=False, seed=int(rng.integers(2**31)))
     us = twirl.haar_samples(d_a, n_mc, rng)
     target = tensor(ch.env_marginal, rho.marginal([1]))
-    vals = group_values(rho.mat, rho.dims, us, lambda stack: schatten_stack(
+    vals = group_values(rho.mat, rho.dims, us, lambda stack: schatten_norm(
         apply_channel_stack(ch, stack, d_r) - target, 2) ** 2)
     rhs = verify.haar_lemma_rhs(rho.mat, rho.dims, ch)
     se = float(vals.std(ddof=1) / np.sqrt(n_mc))

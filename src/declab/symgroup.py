@@ -39,42 +39,11 @@ def perm_operator(p) -> np.ndarray:
     return m
 
 
-def compose(p, q):
-    """(p o q)(x) = p(q(x))."""
-    return tuple(p[q[x]] for x in range(len(p)))
-
-
-def inverse(p):
-    inv = [0] * len(p)
-    for j, i in enumerate(p):
-        inv[i] = j
-    return tuple(inv)
-
-
 def all_perms(d: int):
     """All d! permutations in lexicographic order."""
     if d > MAX_ENUM_D:
         raise ValueError(f"enumeration of S_{d} refused (d > {MAX_ENUM_D})")
     return (tuple(p) for p in itertools.permutations(range(d)))
-
-
-def cycle_type(p) -> tuple[int, ...]:
-    """Multiplicities (k_1, ..., k_d) of cycle lengths."""
-    p = check_permutation(p)
-    d = len(p)
-    seen = [False] * d
-    counts = [0] * d
-    for start in range(d):
-        if seen[start]:
-            continue
-        length = 0
-        x = start
-        while not seen[x]:
-            seen[x] = True
-            x = p[x]
-            length += 1
-        counts[length - 1] += 1
-    return tuple(counts)
 
 
 def cycle_lengths(counts) -> tuple[int, ...]:

@@ -12,7 +12,7 @@ from math import factorial
 
 import numpy as np
 
-from ._groupavg import chunks, element_chunks, group_mean
+from ._groupavg import element_chunks, group_mean
 from .linalg import permute_systems, require_hermitian, swap_operator, tensor
 from .symgroup import all_perms, perm_operator
 
@@ -90,18 +90,14 @@ def haar_twirl2_exact(mat: np.ndarray, d: int) -> HaarTwirlResult:
 
 def haar_samples(d: int, n: int, rng) -> np.ndarray:
     """n Haar unitaries as a stack (n, d, d), via QR of complex Ginibre
-    matrices with phase correction. The generator is consumed exactly as by
-    n successive haar_sample calls, so both give the same unitaries."""
+    matrices with phase correction. The generator is consumed sample by
+    sample, so one call for n unitaries gives the same stack as n successive
+    calls for one each."""
     rng = np.random.default_rng(rng)
     g = rng.normal(size=(n, 2, d, d))
     q, r = np.linalg.qr((g[:, 0] + 1j * g[:, 1]) / np.sqrt(2))
     diag = np.einsum('kii->ki', r)
     return q * (diag / np.abs(diag))[:, None, :]
-
-
-def haar_sample(d: int, rng) -> np.ndarray:
-    """One Haar unitary (see haar_samples)."""
-    return haar_samples(d, 1, rng)[0]
 
 
 def _adjoints(us: np.ndarray) -> np.ndarray:
@@ -114,12 +110,6 @@ def haar_twirl2_mc(mat: np.ndarray, d: int, n: int, seed=0) -> np.ndarray:
         raise ValueError("need at least one sample")
     us = haar_samples(d, n, np.random.default_rng(seed))
     return group_mean(np.asarray(mat, dtype=complex), (d, d), _adjoints(us), sites=(0, 1))
-
-
-def design_twirl2(ens: UnitaryEnsemble, mat: np.ndarray) -> np.ndarray:
-    """Weighted two-fold conjugation sum over the ensemble."""
-    return group_mean(np.asarray(mat, dtype=complex), (ens.dim, ens.dim), ens.unitaries,
-                      ens.weights, sites=(0, 1))
 
 
 def clifford_1q() -> UnitaryEnsemble:
@@ -174,7 +164,7 @@ def design_epsilon_bound(ens: UnitaryEnsemble, d: int) -> float:
     b = np.linalg.eigh(swap_operator(d))[1]        # eigenvalue -1 (Anti) first
     blocks = (b[:, :a], b[:, a:])
     acc = np.zeros((a * a + (n - a) ** 2,) * 2, dtype=complex)
-    for sl in chunks(len(ens), 16 * n * n):
+    for sl in element_chunks(len(ens), (d, d), True):
         us = ens.unitaries[sl]
         uu = (us[:, :, None, :, None] * us[:, None, :, None, :]).reshape(len(us), n, n)
         z = np.concatenate([(p.T @ uu @ p).reshape(len(us), -1) for p in blocks], axis=1)

@@ -9,19 +9,18 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._groupavg import apply_channel_stack, group_values, perm_stack, schatten_stack
+from ._groupavg import apply_channel_stack, group_values, perm_stack
 from .entropy import h2_cond, h_min_cond
 from .linalg import partial_trace, permute_systems, schatten_norm, tensor
 from .states import (
     ChoiChannel,
     DensityOp,
-    apply_channel_mat,
     classicalize_channel,
     is_cq,
     max_entangled,
     pinch_mat,
 )
-from .symgroup import PermFamily, all_perms, classical_diamond_distance
+from .symgroup import PermFamily, all_perms, pairwise_dependence
 from .twirl import UnitaryEnsemble, design_epsilon_bound, haar_samples, haar_twirl2_exact
 
 EQ_TOL = 1e-9
@@ -100,13 +99,6 @@ def haar_lemma_rhs(rho_mat, dims, ch: ChoiChannel) -> float:
             * schatten_norm(dev_rho, 2) ** 2 * schatten_norm(dev_om, 2) ** 2)
 
 
-def channel_deviation(mat, dims, ch: ChoiChannel):
-    """T(rho) - omega_E (x) rho_R for a bipartite rho with the channel on A."""
-    out, out_dims = apply_channel_mat(ch, mat, dims, 0)
-    marg = partial_trace(mat, dims, [1])
-    return out - tensor(ch.env_marginal, marg), out_dims
-
-
 def _channel_norms(ch: ChoiChannel, mat, dims, elems, ps, target=None) -> np.ndarray:
     """Schatten p-norms of T(g X g^dagger) - target, one column per p in ps, for
     every group element g acting on A of the operator X on A x R (no target: of
@@ -114,7 +106,7 @@ def _channel_norms(ch: ChoiChannel, mat, dims, elems, ps, target=None) -> np.nda
     def norms(stack):
         out = apply_channel_stack(ch, stack, dims[1])
         out = out if target is None else out - target
-        return np.stack([schatten_stack(out, p) for p in ps], axis=-1)
+        return np.stack([schatten_norm(out, p) for p in ps], axis=-1)
 
     return group_values(mat, dims, elems, norms)
 
@@ -237,7 +229,7 @@ def _hash_norms(mat, d_a1, d_a2, d_r, elems, p, target) -> np.ndarray:
     def norms(stack):
         t = stack.reshape(-1, d_a1, d_a2, d_r, d_a1, d_a2, d_r)
         reduced = np.einsum('kabrcbs->karcs', t).reshape(-1, d_a1 * d_r, d_a1 * d_r)
-        return schatten_stack(reduced - target, p)
+        return schatten_norm(reduced - target, p)
 
     return group_values(mat, (d_a1 * d_a2, d_r), elems, norms)
 
@@ -305,14 +297,15 @@ def verify_cq_general(rho: DensityOp, ch: ChoiChannel, optimize_sigma=False) -> 
 def verify_family_hash(fam: PermFamily, rho: DensityOp, d_a1: int, d_a2: int,
                        optimize_sigma=False) -> VerificationReport:
     """Hash bound when averaging over a pairwise almost independent family,
-    with the epsilon penalty 4 eps d_A inside the square root."""
+    with the epsilon penalty 4 eps d_A inside the square root; eps is the
+    family's pairwise dependence."""
     d_a, d_r = rho.dims
     if d_a != d_a1 * d_a2:
         raise ValueError("split does not match d_A")
     if not is_cq(rho, 0):
         raise ValueError("state must be classical on A")
     lhs = _hash_lhs(rho.mat, d_a1, d_a2, d_r, fam)
-    eps = classical_diamond_distance(fam, d_a)
+    eps = pairwise_dependence(fam, d_a)
     h2 = h2_cond(rho.mat, rho.dims, optimize=optimize_sigma).value
     rhs = float(np.sqrt(d_a1 * ((d_a - d_a2) / (d_a - 1) + 4 * eps * d_a) * 2.0 ** (-h2)))
     return bound_report("family_hash", lhs, rhs, epsilon=eps, family_size=len(fam),

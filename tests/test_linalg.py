@@ -103,6 +103,21 @@ def test_schatten_decoupling_state(d):
     assert schatten_norm(xi, 1) ** 2 <= 4.0
 
 
+@pytest.mark.parametrize("p", [1, 2, "inf"])
+def test_schatten_norm_stacks(p):
+    # every matrix of a stack over two leading axes, Hermitian or not, gets
+    # its own SVD norm
+    rng = np.random.default_rng(4)
+    gen = rand_complex(rng, 5 * 3 * 4, 4).reshape(5, 3, 4, 4)
+    for stack in (gen, (gen + gen.conj().swapaxes(-1, -2)) / 2):
+        s = np.linalg.svd(stack, compute_uv=False)
+        ref = {1: s.sum(axis=-1), 2: np.sqrt((s ** 2).sum(axis=-1)), "inf": s[..., 0]}[p]
+        out = schatten_norm(stack, p)
+        assert out.shape == (5, 3)
+        assert np.abs(out - ref).max() <= 1e-12 * ref.max()
+        assert schatten_norm(stack[2, 1], p) == pytest.approx(ref[2, 1], rel=1e-12)
+
+
 def test_swap_operator_small():
     assert np.array_equal(swap_operator(1), np.eye(1))
     f = swap_operator(2)

@@ -7,17 +7,12 @@ from declab.linalg import partial_trace, schatten_norm, tensor
 from declab.states import (
     ChoiChannel,
     DensityOp,
-    apply_channel,
     apply_channel_mat,
-    choi_of_state,
     classical_correlated,
     classicalize_channel,
-    classicalize_state,
     cq_decoupling_state,
-    decoupling_state,
     is_cq,
     max_entangled,
-    partial_trace_channel,
     pinch_mat,
     random_channel,
     random_cq,
@@ -44,7 +39,7 @@ def test_classical_correlated():
     assert np.allclose(t, np.diag([0.5, 0, 0, 0.5]))
     # pinching the entangled state gives the classically correlated one
     phi = max_entangled(3)
-    assert np.allclose(classicalize_state(phi, 0).mat, classical_correlated(3).mat)
+    assert np.allclose(pinch_mat(phi.mat, phi.dims, 0), classical_correlated(3).mat)
     for d in (2, 4):
         rho = classical_correlated(d)
         assert np.allclose(rho.marginal([0]), np.eye(d) / d)
@@ -53,7 +48,7 @@ def test_classical_correlated():
 
 @pytest.mark.parametrize("d", [2, 3, 4])
 def test_decoupling_state(d):
-    xi = decoupling_state(d)
+    xi = max_entangled(d).mat - np.eye(d * d) / d**2
     assert abs(np.trace(xi)) < 1e-14
     assert np.isclose(schatten_norm(xi, 2) ** 2, 1 - 1 / d**2)
     assert np.abs(partial_trace(xi, (d, d), [0])).max() < 1e-14
@@ -73,57 +68,57 @@ def test_cq_decoupling_state(d):
 def test_apply_channel_identity_and_trace():
     rho = random_density(6, seed=0, dims=(3, 2))
     ident = ChoiChannel(max_entangled(3).mat, 3, 3, tp=True)
-    assert np.allclose(apply_channel(ident, rho, 0).mat, rho.mat)
+    assert np.allclose(apply_channel_mat(ident, rho.mat, rho.dims, 0)[0], rho.mat)
     # full trace: Choi = pi_in (output dimension 1)
     tracer = ChoiChannel(np.eye(3) / 3, 3, 1, tp=True)
-    out = apply_channel(tracer, rho, 0)
-    assert out.dims == (1, 2)
-    assert np.allclose(out.mat, rho.marginal([1]))
+    out, dims = apply_channel_mat(tracer, rho.mat, rho.dims, 0)
+    assert dims == (1, 2)
+    assert np.allclose(out, rho.marginal([1]))
 
 
 def test_apply_channel_partial_trace_channel():
-    ch = partial_trace_channel(2, 3)
-    rng = np.random.default_rng(1)
+    # tr_2 : 6 = 2 x 3 -> 2, whose Choi operator is the partial trace of Phi_6
+    choi = partial_trace(max_entangled(6).mat, (6, 2, 3), [0, 1])
+    ch = ChoiChannel(choi, 6, 2, tp=True)
     rho = random_density(12, seed=2, dims=(6, 2))
-    out = apply_channel(ch, rho, 0)
+    out, _ = apply_channel_mat(ch, rho.mat, rho.dims, 0)
     oracle = partial_trace(rho.mat, (2, 3, 2), [0, 2])
-    assert np.allclose(out.mat, oracle)
-    del rng
+    assert np.allclose(out, oracle)
 
 
 def test_apply_channel_second_subsystem():
     rho = random_density(6, seed=3, dims=(2, 3))
     ch = random_channel(3, 2, tp=True, seed=4)
-    out = apply_channel(ch, rho, 1)
-    assert out.dims == (2, 2)
+    out, dims = apply_channel_mat(ch, rho.mat, rho.dims, 1)
+    assert dims == (2, 2)
     # oracle: apply on a reordered copy and reorder back
     from declab.linalg import permute_systems
 
     flipped = permute_systems(rho.mat, (2, 3), [1, 0])
     out2, _ = apply_channel_mat(ch, flipped, (3, 2), 0)
-    assert np.allclose(out.mat, permute_systems(out2, (2, 2), [1, 0]))
+    assert np.allclose(out, permute_systems(out2, (2, 2), [1, 0]))
 
 
 def test_choi_of_state_round_trip():
+    # a bipartite state read on (input copy, output) is the Choi operator of a map
     phi = max_entangled(3)
     for seed, (d_a, d_r) in enumerate([(2, 2), (2, 3), (3, 2), (3, 3), (4, 2), (4, 4)]):
         rho = random_density(d_a * d_r, seed=10 + seed, dims=(d_a, d_r))
-        ch = choi_of_state(rho)
+        ch = ChoiChannel(rho.mat, d_a, d_r)
         back = apply_channel_mat(ch, max_entangled(d_a).mat, (d_a, d_a), 1)[0]
         assert np.abs(back - rho.mat).max() < 1e-10
         # the map sends the maximally mixed input to the R marginal
         pi_out, _ = apply_channel_mat(ch, np.eye(d_a) / d_a, (d_a,), 0)
         assert np.allclose(pi_out, rho.marginal([1]))
     # identity case
-    ch = choi_of_state(phi)
+    ch = ChoiChannel(phi.mat, 3, 3)
     rho2 = random_density(3, seed=40)
     assert np.allclose(apply_channel_mat(ch, rho2.mat, (3,), 0)[0], rho2.mat)
 
 
 def test_choi_of_state_product_is_constant_map():
     sigma = random_density(2, seed=5)
-    rho = DensityOp(tensor(np.eye(3) / 3, sigma.mat), (3, 2))
-    ch = choi_of_state(rho)
+    ch = ChoiChannel(tensor(np.eye(3) / 3, sigma.mat), 3, 2)
     x = random_density(3, seed=6).mat
     out, _ = apply_channel_mat(ch, x, (3,), 0)
     assert np.allclose(out, np.trace(x) * sigma.mat)
@@ -151,13 +146,13 @@ def test_classicalize_channel():
 
 
 def test_classicalize_state():
-    diag = DensityOp(np.diag([0.5, 0.2, 0.3]), (3,))
-    assert np.allclose(classicalize_state(diag, 0).mat, diag.mat)
-    assert np.allclose(classicalize_state(max_entangled(2), 0).mat,
+    diag = np.diag([0.5, 0.2, 0.3])
+    assert np.allclose(pinch_mat(diag, (3,), 0), diag)
+    assert np.allclose(pinch_mat(max_entangled(2).mat, (2, 2), 0),
                        classical_correlated(2).mat)
     for seed in range(20):
         rho = random_density(6, seed=100 + seed, dims=(3, 2))
-        pinched = classicalize_state(rho, 0)
+        pinched = DensityOp(pinch_mat(rho.mat, rho.dims, 0), rho.dims)
         # pinching cannot increase purity
         assert (np.trace(pinched.mat @ pinched.mat).real
                 <= np.trace(rho.mat @ rho.mat).real + 1e-12)

@@ -14,11 +14,8 @@ from declab.symgroup import (
     chi_r,
     class_size,
     classical_diamond_distance,
-    compose,
-    cycle_type,
     gf2_mul,
     hook_dimension,
-    inverse,
     mn_character,
     pairwise_dependence,
     partition_to_counts,
@@ -36,12 +33,12 @@ def test_perm_operator_basics():
 @settings(max_examples=40, deadline=None)
 def test_perm_operator_homomorphism(p, q):
     p, q = tuple(p), tuple(q)
-    lhs = perm_operator(compose(p, q))
+    lhs = perm_operator(tuple(p[q[x]] for x in range(5)))      # p after q
     rhs = perm_operator(p) @ perm_operator(q)
     assert np.array_equal(lhs, rhs)
     u = perm_operator(p)
     assert np.array_equal(u @ u.T, np.eye(5))
-    assert np.array_equal(perm_operator(inverse(p)), u.T)
+    assert np.array_equal(perm_operator(np.argsort(p)), u.T)
 
 
 def test_all_perms():
@@ -55,17 +52,17 @@ def test_all_perms():
         all_perms(9)
 
 
-def test_cycle_type_examples():
-    assert cycle_type((0, 1, 2, 3)) == (4, 0, 0, 0)
-    assert cycle_type((1, 0, 2, 3)) == (2, 1, 0, 0)
-
-
-@given(st.permutations(list(range(6))), st.permutations(list(range(6))))
-@settings(max_examples=40, deadline=None)
-def test_cycle_type_conjugation_invariant(p, q):
-    p, q = tuple(p), tuple(q)
-    conj = compose(compose(q, p), inverse(q))
-    assert cycle_type(conj) == cycle_type(p)
+def cycle_type(p):
+    """Multiplicities (k_1, ..., k_d) of the cycle lengths of p."""
+    counts, seen = [0] * len(p), set()
+    for start in range(len(p)):
+        length, x = 0, start
+        while x not in seen:
+            seen.add(x)
+            x, length = p[x], length + 1
+        if length:
+            counts[length - 1] += 1
+    return tuple(counts)
 
 
 def test_mn_character_examples():
@@ -238,6 +235,18 @@ def test_diamond_dominates_pairwise_and_mixtures():
         mix = rng.dirichlet(np.ones(d * d))
         dev = np.abs(mix @ (dist_w - dist_h)).sum()
         assert dev <= eps_vertex + 1e-10
+
+
+def test_diamond_equals_pairwise_on_permutation_families():
+    # the row of an input (x, x) is the first marginal of the row of any (x, x2),
+    # so it is never larger, and only distinct inputs set the diamond maximum
+    rng = np.random.default_rng(2)
+    for d in range(2, 8):
+        for k in range(3):
+            members = tuple(dict.fromkeys(tuple(int(x) for x in rng.permutation(d))
+                                          for _ in range(1 + 4 * k)))
+            fam = PermFamily(members, rng.dirichlet(np.ones(len(members))))
+            assert abs(classical_diamond_distance(fam, d) - pairwise_dependence(fam, d)) <= 1e-14
 
 
 def test_perm_family_validation():

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from declab import twirl
+from declab._groupavg import group_mean
 from declab.linalg import permute_systems, schatten_norm, swap_operator, tensor
 from declab.states import random_channel
 from declab.symgroup import all_perms, perm_operator
@@ -15,9 +16,7 @@ from declab.twirl import (
     commutant_dim_brute,
     commutant_ops,
     design_epsilon_bound,
-    design_twirl2,
     gram_closed_form,
-    haar_sample,
     haar_samples,
     haar_twirl2_exact,
     haar_twirl2_mc,
@@ -31,6 +30,11 @@ from declab.verify import swap_pullback
 def rand_herm(rng, n):
     m = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
     return (m + m.conj().T) / 2
+
+
+def design_twirl2(ens, mat):
+    """Weighted two-fold conjugation sum over the ensemble."""
+    return group_mean(mat, (ens.dim, ens.dim), ens.unitaries, ens.weights, sites=(0, 1))
 
 
 def sym_herm(rng, d):
@@ -71,7 +75,7 @@ def test_haar_twirl_projection_properties():
     twice = haar_twirl2_exact(out, d).reconstructed
     assert np.allclose(twice, out)                                     # idempotent
     for k in range(20):
-        u = haar_sample(d, np.random.default_rng(100 + k))
+        u = haar_samples(d, 1, np.random.default_rng(100 + k))[0]
         uu = tensor(u, u)
         assert np.abs(uu @ out - out @ uu).max() < 1e-10               # in the commutant
 
@@ -79,18 +83,18 @@ def test_haar_twirl_projection_properties():
 def test_haar_sample_properties():
     rng = np.random.default_rng(3)
     for d in (2, 3, 5):
-        u = haar_sample(d, rng)
+        u = haar_samples(d, 1, rng)[0]
         assert np.abs(u.conj().T @ u - np.eye(d)).max() < 1e-10
     n = 10_000
     acc = np.zeros((2, 2), dtype=complex)
     for _ in range(n):
-        acc += haar_sample(2, rng)
+        acc += haar_samples(2, 1, rng)[0]
     assert np.abs(acc / n).max() <= 5 / np.sqrt(n)                     # first moment vanishes
 
 
 def test_haar_samples_match_successive_draws():
     rng = np.random.default_rng(11)
-    one_by_one = np.array([haar_sample(3, rng) for _ in range(7)])
+    one_by_one = np.array([haar_samples(3, 1, rng)[0] for _ in range(7)])
     assert np.array_equal(haar_samples(3, 7, np.random.default_rng(11)), one_by_one)
 
 

@@ -11,7 +11,6 @@ from declab.states import (
     apply_channel_mat,
     classicalize_channel,
     max_entangled,
-    partial_trace_channel,
     random_channel,
     random_cq,
     random_density,
@@ -19,7 +18,6 @@ from declab.states import (
 from declab.symgroup import PermFamily, affine_family, all_perms, perm_operator
 from declab.twirl import clifford_1q
 from declab.verify import (
-    channel_deviation,
     product_difference,
     swap_pullback,
     verify_cq_decoupling_lemma,
@@ -138,7 +136,9 @@ def test_cq_lemma_two_permutation_oracle():
     by_hand = 0.0
     for p in ((0, 1), (1, 0)):
         conj = tensor(perm_operator(p), np.eye(2))
-        dev, _ = channel_deviation(conj @ rho.mat @ conj.T, rho.dims, ch)
+        moved = conj @ rho.mat @ conj.T
+        out, _ = apply_channel_mat(ch, moved, rho.dims, 0)
+        dev = out - tensor(ch.env_marginal, partial_trace(moved, rho.dims, [1]))
         by_hand += 0.5 * schatten_norm(dev, 2) ** 2
     assert rep.passed
     assert abs(rep.lhs - by_hand) < 1e-12
@@ -185,7 +185,8 @@ def test_cq_tpcp():
 
 
 def test_cq_general_and_consistency_with_hash():
-    ch_pt = partial_trace_channel(2, 2)
+    # tr_A2 : 4 = 2 x 2 -> 2, whose Choi operator is the partial trace of Phi_4
+    ch_pt = ChoiChannel(partial_trace(max_entangled(4).mat, (4, 2, 2), [0, 1]), 4, 2, tp=True)
     for k in range(5):
         rho = random_cq((4, 2), seed=160 + k)
         rep_gen = verify_cq_general(rho, ch_pt)
@@ -211,6 +212,13 @@ def test_family_hash_three_families():
             assert rep.passed
         assert verify_family_hash(affine, rho, 2, 2).meta["epsilon"] < 1e-12
         assert verify_family_hash(singleton, rho, 2, 2).meta["epsilon"] > 1.0
+
+
+def test_family_hash_affine_family_at_d8():
+    # epsilon is the family's pairwise dependence, which needs no exhaustive
+    # reference over S_8
+    rep = verify_family_hash(affine_family(3), random_cq((8, 2), seed=0), 2, 4)
+    assert rep.passed and rep.meta["epsilon"] < 1e-12 and rep.meta["family_size"] == 56
 
 
 def test_distance_from_classicality():
