@@ -1,15 +1,18 @@
 """Single-shot entropies and distance measures for sub-normalized states.
 
-All entropies are in bits. The conditional min-entropy is computed by a small
-barrier solver written for the one SDP shape needed here,
-min{tr z : rho <= I (x) z, z >= 0}, which is plenty at total dimension <= 16;
-a dual witness from its central path brackets the optimum. The optimized
-conditional collision entropy comes from exponentiated-gradient (mirror)
-descent over density matrices, which carries a Frank-Wolfe bracket.
+All entropies are in bits. The conditional min-entropy comes from a small
+barrier solver for the one SDP shape needed here, min{tr z : rho <= I (x) z,
+z >= 0}, with one log-det barrier on the block-diagonal I_{A+1} (x) z - (rho (+) 0):
+a Newton step takes one inverse, one Hessian matmul and one Cholesky guard.
+It is tested up to d_A = d_B = 8 (total dimension 64); a dual witness from its
+central path brackets the optimum. The optimized conditional collision entropy
+comes from exponentiated-gradient (mirror) descent over density matrices,
+which carries a Frank-Wolfe bracket.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,96 +46,93 @@ HMIN_PATH_TOL = 1e-10       # follow the central path until nu / t is below this
 HMIN_BRACKET_TOL = 1e-6     # widest certified bracket, in bits, that counts as converged
 
 
-def _is_pd(m: np.ndarray) -> bool:
-    try:
-        np.linalg.cholesky(m)
-        return True
-    except np.linalg.LinAlgError:
-        return False
-
-
-def _lift(z: np.ndarray, d_a: int) -> np.ndarray:
-    """I_A (x) z, scattered onto the block diagonal (equal to np.kron bit for bit)."""
+def _barrier_mat(z: np.ndarray, rho: np.ndarray, d_a: int) -> np.ndarray:
+    """I_{A+1} (x) z - (rho (+) 0): blocks S = I_A (x) z - rho and z, equal to np.kron's."""
     d_b = z.shape[0]
-    out = np.zeros((d_a, d_b, d_a, d_b), dtype=complex)
-    idx = np.arange(d_a)
-    out[idx, :, idx, :] = z
-    return out.reshape(d_a * d_b, d_a * d_b)
+    out = np.zeros(((d_a + 1) * d_b, (d_a + 1) * d_b), dtype=complex)
+    for k in range(0, (d_a + 1) * d_b, d_b):
+        out[k:k + d_b, k:k + d_b] = z
+    out[:d_a * d_b, :d_a * d_b] -= rho
+    return out
+
+
+def _newton_system(m_inv: np.ndarray, t: float, d_a: int, d_b: int):
+    """Gradient t I - sum_a W_aa and d_B^2 x d_B^2 Hessian X -> sum_ac W_ac X W_ca of
+    t tr z - log det M, with W_ac the d_B x d_B blocks of M^-1 (a, c = 0..d_A)."""
+    w = m_inv.reshape(d_a + 1, d_b, d_a + 1, d_b).transpose(0, 2, 1, 3)
+    p = w.reshape(-1, d_b * d_b)
+    grad = -p[::d_a + 2].sum(axis=0)          # rows (a, a) of p
+    grad[::d_b + 1] += t
+    hess = (p.T @ w.transpose(1, 0, 3, 2).reshape(-1, d_b * d_b)).reshape((d_b,) * 4)
+    return grad.reshape(d_b, d_b), hess.transpose(0, 2, 1, 3).reshape(d_b * d_b, -1)
 
 
 def _sdp_conditional(rho: np.ndarray, d_a: int, d_b: int):
     """Solve min{tr z : I_A (x) z >= rho, z >= 0} and certify the optimum from below.
 
-    Path-following barrier on t tr z - log det S - log det z, S = I (x) z - rho,
-    with t growing 20-fold per centering until nu / t < HMIN_PATH_TOL. The
-    Newton step is solved in matrix form: with S_ac the d_B x d_B blocks of
-    S^-1, the gradient is t I - tr_A S^-1 - z^-1 and the Hessian maps X to
-    sum_ac S_ac X S_ca + z^-1 X z^-1.
+    Path-following barrier on t tr z - log det M, M = `_barrier_mat`, whose
+    log det is the two barrier terms log det S + log det z in one; t grows
+    20-fold per centering until nu / t < HMIN_PATH_TOL.
 
     The barrier is self-concordant, so damped Newton needs no line search:
     with lambda^2 = -<grad, dz> the squared Newton decrement, the step is 1
-    when lambda <= 1/4 and 1 / (1 + lambda) otherwise, which stays inside the
-    Dikin ellipsoid and so keeps S and z positive definite in exact
-    arithmetic. The Cholesky check that S and z are positive definite, halving
-    the step until they are, stays only as a floating-point guard; it keeps
-    the returned z strictly feasible and so `value` sound. A centering ends
-    at lambda^2 < 1e-6, or early when a step cannot be computed or the guard
-    finds no positive definite step.
+    when lambda <= 1/4 and 1 / (1 + lambda) otherwise, which keeps M positive
+    definite in exact arithmetic. One Cholesky of M per trial step, halving the
+    step until it and the inverse of M succeed, is a floating-point guard: M is
+    positive definite exactly when S and z are, so the returned z is strictly
+    feasible and `value` sound. That inverse serves the next step's
+    `_newton_system` and the witness. A centering ends at lambda^2 < 1e-6, or
+    early when a step cannot be computed or no trial step passes the guard.
 
-    After each centering, Y = S^-1 / lambda_max(tr_A S^-1) is feasible for the
-    dual max{tr(rho Y) : tr_A Y <= I, Y >= 0} at any z, centered or not, so
-    tr(rho Y) <= min tr z <= tr z and the certificate does not depend on exact
-    centering. Returns (tr z, z, Y, steps) with the Y of largest tr(rho Y)
-    over the path, and the number of Newton steps taken; near the end of the
-    path S is close to singular and the last Y alone can be a poor witness.
+    After each centering, Y = S^-1 / lambda_max(tr_A S^-1), from the S block of
+    M^-1, is feasible for the dual max{tr(rho Y) : tr_A Y <= I, Y >= 0} at any
+    z, so tr(rho Y) <= min tr z <= tr z. Returns (tr z, z, Y, steps) with the Y
+    of largest tr(rho Y) over the path (None if M^-1 was never formed; near the
+    end S is close to singular and the last Y alone can be a poor witness).
 
     The tolerances are absolute, so the path runs on rho / tr rho and z is
-    scaled back; Y is feasible for every scale. The bracket is then as tight
-    at any trace as at trace 1.
+    scaled back; Y is feasible for every scale, so the bracket is as tight at
+    any trace as at trace 1.
     """
     scale = float(np.trace(rho).real)
     rho = rho / scale
     lam = float(np.linalg.eigvalsh(rho)[-1])
     z = (max(lam, 0.0) + max(1.0, abs(lam))) * np.eye(d_b, dtype=complex)
-    nu = d_a * d_b + d_b
+    n, nu = d_a * d_b, (d_a + 1) * d_b
     t = max(1.0, nu / max(lam * d_b, 1e-2))
-    eye = np.eye(d_b)
-    y, y_val = None, -np.inf
-    steps = 0
-    s_mat = _lift(z, d_a) - rho
-    while True:
+    y, y_val, steps = None, -np.inf, 0
+    try:
+        m_inv = np.linalg.inv(_barrier_mat(z, rho, d_a))
+    except np.linalg.LinAlgError:
+        m_inv = None
+    while m_inv is not None:
         for _ in range(60):
+            grad, hess = _newton_system(m_inv, t, d_a, d_b)
             try:
-                si = np.linalg.inv(s_mat)
-                zi = np.linalg.inv(z)
-                blk = si.reshape(d_a, d_b, d_a, d_b).transpose(0, 2, 1, 3)
-                grad = t * eye - np.einsum('aaij->ij', blk) - zi
-                hess = (np.einsum('acij,calk->ikjl', blk, blk)
-                        + np.einsum('ij,lk->ikjl', zi, zi)).reshape(d_b * d_b, d_b * d_b)
                 dz = np.linalg.solve(hess, -grad.reshape(-1)).reshape(d_b, d_b)
             except np.linalg.LinAlgError:
                 break
             dz = (dz + dz.conj().T) / 2
             dec = -float(np.vdot(grad, dz).real)
-            if not np.isfinite(dec) or dec <= 0:
+            if not math.isfinite(dec) or dec <= 0:
                 break
-            step = 1.0 if dec <= 1 / 16 else 1.0 / (1.0 + np.sqrt(dec))
-            ok = False
+            step = 1.0 if dec <= 1 / 16 else 1.0 / (1.0 + math.sqrt(dec))
             for _ in range(60):
                 z_new = z + step * dz
-                s_new = _lift(z_new, d_a) - rho
-                if _is_pd(s_new) and _is_pd(z_new):
-                    ok = True
+                m_new = _barrier_mat(z_new, rho, d_a)
+                try:
+                    np.linalg.cholesky(m_new)
+                    inv_new = np.linalg.inv(m_new)
                     break
-                step *= 0.5
-            if not ok:
+                except np.linalg.LinAlgError:
+                    step *= 0.5
+            else:
                 break
-            z, s_mat = z_new, s_new
+            z, m_inv = z_new, inv_new
             steps += 1
             if dec < 1e-6:
                 break
-        si = np.linalg.inv(s_mat)
-        cand = (si + si.conj().T) / 2
+        cand = (m_inv[:n, :n] + m_inv[:n, :n].conj().T) / 2
         cand /= np.linalg.eigvalsh(np.einsum('aiaj->ij', cand.reshape(d_a, d_b, d_a, d_b)))[-1]
         cand_val = float(np.vdot(cand, rho).real)
         if cand_val > y_val:
@@ -151,9 +151,9 @@ def h_min_cond(state, dims=None) -> EntropyResult:
     2^-H_min. `value` = -log2 tr z at the strictly feasible z returned, the
     lower end of the bracket, so every bound built from 2^-H_min stays sound.
     `meta` holds `hmin_upper` = -log2 tr(rho Y) for the dual witness Y, the
-    certified upper end; `status`, which is "converged" when the bracket
-    [value, hmin_upper] is at most HMIN_BRACKET_TOL bits wide and "wide"
-    otherwise; `iterations`, the Newton steps over the whole path; and
+    certified upper end (inf if no Y was formed); `status`, "converged" when
+    the bracket [value, hmin_upper] is at most HMIN_BRACKET_TOL bits wide and
+    "wide" otherwise; `iterations`, the Newton steps over the whole path; and
     `primal_slack`, the smallest eigenvalue of I (x) z - rho.
     """
     mat, dims = _matdims(state, dims)
@@ -164,9 +164,9 @@ def h_min_cond(state, dims=None) -> EntropyResult:
         raise ValueError("h_min_cond of a zero operator is undefined")
     val, z, y, steps = _sdp_conditional(mat, d_a, d_b)
     value = float(-np.log2(val))
-    upper = float(-np.log2(np.vdot(y, mat).real))
+    upper = float(-np.log2(np.vdot(y, mat).real)) if y is not None else np.inf
     meta = {
-        "primal_slack": float(np.linalg.eigvalsh(_lift(z, d_a) - mat)[0]),
+        "primal_slack": float(np.linalg.eigvalsh(_barrier_mat(z, mat, d_a)[:-d_b, :-d_b])[0]),
         "hmin_upper": upper,
         "iterations": steps,
         "status": "converged" if upper - value <= HMIN_BRACKET_TOL else "wide",

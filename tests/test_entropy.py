@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from declab import entropy, suites
+from declab import entropy, suites, verify
 from declab.entropy import (
     fidelity,
     generalized_fidelity,
@@ -133,6 +133,33 @@ def test_h_min_cond_edge_inputs(kind, d_a, d_b, rank, log_c, seed):
     assert ref.value - 1e-12 <= exact <= ref.meta["hmin_upper"] + 1e-12
     assert res.value - 1e-12 <= exact - np.log2(c) <= res.meta["hmin_upper"] + 1e-12
     assert ref.value - 1e-13 <= res.value + np.log2(c) <= ref.meta["hmin_upper"] + 1e-13
+
+
+@pytest.mark.parametrize("kind", ["pure", "product", "diagonal"])
+@pytest.mark.parametrize("d_a, d_b", [(8, 2), (2, 8), (5, 3), (8, 8)])
+def test_h_min_cond_edge_inputs_up_to_8(kind, d_a, d_b):
+    rho, p_guess = _closed_form_state(kind, d_a, d_b, 2, 10 * d_a + d_b)
+    _assert_hmin_bracket(rho, (d_a, d_b), -np.log2(p_guess))
+
+
+def _failing(*args, **kwargs):
+    raise np.linalg.LinAlgError("forced failure")
+
+
+@pytest.mark.parametrize("routine", ["cholesky", "inv"])
+def test_failed_hmin_solve_is_never_converged(monkeypatch, routine):
+    # every guard or every inverse fails: the solve must end "wide" with a
+    # bracket that still holds the closed form, and the record built on it fails
+    rho, p_guess = _closed_form_state("diagonal", 4, 2, 2, 7)
+    state = DensityOp(rho, (4, 2))
+    assert verify.verify_cq_hash(state, 2, 2).passed
+    with monkeypatch.context() as m:
+        m.setattr(np.linalg, routine, _failing)
+        res = h_min_cond(rho, (4, 2))
+        rep = verify.verify_cq_hash(state, 2, 2)
+    assert res.meta["status"] == "wide"
+    assert res.value <= -np.log2(p_guess) <= res.meta["hmin_upper"]
+    assert not rep.passed
 
 
 def test_h2_cond_product_uniform():
@@ -292,20 +319,54 @@ def test_h2_gradient_matches_finite_differences():
             assert abs(np.trace(g @ h).real - fd) <= 1e-6 * abs(fd)
 
 
+def _kron_barrier_mat(z, rho, d_a):
+    pad = np.zeros(((d_a + 1) * z.shape[0],) * 2, dtype=complex)
+    pad[:rho.shape[0], :rho.shape[0]] = rho
+    return np.kron(np.eye(d_a + 1), z) - pad
+
+
 @pytest.mark.parametrize("d_a", [2, 3, 4])
 @pytest.mark.parametrize("d_b", [2, 3, 4])
 def test_sdp_conditional_lift_matches_kron(monkeypatch, d_a, d_b):
+    # the barrier matrix lifts z to I_{A+1} (x) z; building it by np.kron
+    # instead must change nothing the solver returns
     z = random_density(d_b, seed=d_b).mat
-    assert np.array_equal(entropy._lift(z, d_a), np.kron(np.eye(d_a), z))
     for rank in (1, d_a * d_b):
         rho = random_density(d_a * d_b, rank=rank, seed=d_a * d_b + rank).mat
-        val, z_opt, y, _ = entropy._sdp_conditional(rho, d_a, d_b)
+        assert np.array_equal(entropy._barrier_mat(z, rho, d_a), _kron_barrier_mat(z, rho, d_a))
+        val, z_opt, y, steps = entropy._sdp_conditional(rho, d_a, d_b)
         with monkeypatch.context() as m:
-            m.setattr(entropy, "_lift", lambda z, d: np.kron(np.eye(d), z))
-            ref_val, ref_z, ref_y, _ = entropy._sdp_conditional(rho, d_a, d_b)
+            m.setattr(entropy, "_barrier_mat", _kron_barrier_mat)
+            ref_val, ref_z, ref_y, ref_steps = entropy._sdp_conditional(rho, d_a, d_b)
         assert val == ref_val
         assert np.array_equal(z_opt, ref_z)
         assert np.array_equal(y, ref_y)
+        assert steps == ref_steps
+
+
+@pytest.mark.parametrize("d_a, d_b", [(a, b) for a in (2, 3, 4) for b in (2, 3, 4)]
+                         + [(8, 2), (2, 8)])
+def test_newton_system_matches_definition(d_a, d_b):
+    # gradient t I - tr_A S^-1 - z^-1 and Hessian X -> sum_ac S_ac X S_ca + z^-1 X z^-1,
+    # with S_ac the blocks of S^-1 for S = I (x) z - rho, from np.kron and two inverses
+    rng = np.random.default_rng(10 * d_a + d_b)
+    rho = random_density(d_a * d_b, seed=d_a * d_b).mat
+    g = rng.normal(size=(d_b, d_b)) + 1j * rng.normal(size=(d_b, d_b))
+    z = g @ g.conj().T + 2 * np.eye(d_b)
+    t = 3.7
+    m_inv = np.linalg.inv(entropy._barrier_mat(z, rho, d_a))
+    grad, hess = entropy._newton_system(m_inv, t, d_a, d_b)
+    si = np.linalg.inv(np.kron(np.eye(d_a), z) - rho).reshape(d_a, d_b, d_a, d_b)
+    zi = np.linalg.inv(z)
+    ref = t * np.eye(d_b) - np.trace(si, axis1=0, axis2=2) - zi
+    assert np.abs(grad - ref).max() <= 1e-12 * np.abs(ref).max()
+    for _ in range(3):
+        x = rng.normal(size=(d_b, d_b)) + 1j * rng.normal(size=(d_b, d_b))
+        x = x + x.conj().T
+        ref = zi @ x @ zi + sum(si[a, :, c] @ x @ si[c, :, a]
+                                for a in range(d_a) for c in range(d_a))
+        got = (hess @ x.reshape(-1)).reshape(d_b, d_b)
+        assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
 def test_trace_distances():
