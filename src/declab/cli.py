@@ -3,6 +3,9 @@ reference tables (Gramian, characters, twirl coefficients, circuit study,
 permutation families).
 
 Exit codes: 0 all checks pass, 1 any check failed, 2 configuration error.
+Every subcommand reports a configuration error as one `error: ...` line on
+stderr and exits 2; a flag that argparse rejects (an unknown --suite, a
+non-integer --d) gets argparse's usage text instead, also with exit 2.
 JSON and CSV output is byte-deterministic for a fixed configuration; wall
 times appear only in the text format.
 """
@@ -30,42 +33,32 @@ def _fmt(x: float) -> str:
     return f"{float(x):.12g}"
 
 
-def _record(rep: VerificationReport, seed: int) -> dict:
-    dims = rep.meta.get("dims", {})
-    return {
-        "name": rep.name,
-        "kind": rep.kind,
-        "lhs": rep.lhs,
-        "rhs": rep.rhs,
-        "gap": rep.rhs - rep.lhs,
-        "pass": rep.passed,
-        "dims": dims,
-        "seed": seed,
-    }
+def _dims(rep: VerificationReport) -> dict:
+    return rep.meta.get("dims", {})
 
 
-def _to_json(records) -> str:
+def _to_json(reports, seed: int) -> str:
     lines = []
-    for r in records:
-        dims = ", ".join(f'"{k}": {v}' for k, v in r["dims"].items())
+    for rep in reports:
+        dims = ", ".join(f'"{k}": {v}' for k, v in _dims(rep).items())
         lines.append(
             "  {"
-            + f'"name": "{r["name"]}", "kind": "{r["kind"]}", '
-            + f'"lhs": {_fmt(r["lhs"])}, "rhs": {_fmt(r["rhs"])}, '
-            + f'"gap": {_fmt(r["gap"])}, "pass": {str(r["pass"]).lower()}, '
+            + f'"name": "{rep.name}", "kind": "{rep.kind}", '
+            + f'"lhs": {_fmt(rep.lhs)}, "rhs": {_fmt(rep.rhs)}, '
+            + f'"gap": {_fmt(rep.gap)}, "pass": {str(rep.passed).lower()}, '
             + "\"dims\": {" + dims + "}, "
-            + f'"seed": {r["seed"]}'
+            + f'"seed": {seed}'
             + "}"
         )
     return "[\n" + ",\n".join(lines) + "\n]\n"
 
 
-def _to_csv(records) -> str:
+def _to_csv(reports, seed: int) -> str:
     rows = ["name,kind,lhs,rhs,gap,pass,dims,seed"]
-    for r in records:
-        dims = ";".join(f"{k}={v}" for k, v in r["dims"].items())
-        rows.append(f'{r["name"]},{r["kind"]},{_fmt(r["lhs"])},{_fmt(r["rhs"])},'
-                    f'{_fmt(r["gap"])},{str(r["pass"]).lower()},{dims},{r["seed"]}')
+    for rep in reports:
+        dims = ";".join(f"{k}={v}" for k, v in _dims(rep).items())
+        rows.append(f"{rep.name},{rep.kind},{_fmt(rep.lhs)},{_fmt(rep.rhs)},"
+                    f"{_fmt(rep.gap)},{str(rep.passed).lower()},{dims},{seed}")
     return "\n".join(rows) + "\n"
 
 
@@ -78,70 +71,52 @@ def _emit(text: str, out_path):
 
 
 def run_suite(cfg: SuiteConfig) -> int:
-    """Run the configured checks; returns the exit code."""
-    try:
-        checks = build_checks(cfg)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    records = []
+    """Run the configured checks and write their records; returns 0 if every
+    record passes and 1 otherwise. Raises ValueError on a configuration error:
+    an unknown suite, a check that rejects its inputs, or no record at all."""
+    reports = []
     text_lines = []
-    all_pass = True
-    for check in checks:
+    for check in build_checks(cfg):
         t0 = time.perf_counter()
-        try:
-            reports = flatten_reports(check.run())
-        except ValueError as exc:
-            print(f"error in {check.name}: {exc}", file=sys.stderr)
-            return 2
+        flat = flatten_reports(check.run())
         ms = (time.perf_counter() - t0) * 1000
-        for rep in reports:
-            all_pass &= rep.passed
-            records.append(_record(rep, cfg.seed))
+        for rep in flat:
             status = "PASS" if rep.passed else "FAIL"
             text_lines.append(
                 f"[{status}] {rep.name:42s} {rep.kind:11s} "
                 f"lhs={_fmt(rep.lhs):>18s} rhs={_fmt(rep.rhs):>18s} "
-                f"({ms / len(reports):.1f} ms)")
+                f"({ms / len(flat):.1f} ms)")
+        reports += flat
     if cfg.dims:
-        taken = {r["dims"].get("d_A") for r in records}
+        taken = {_dims(rep).get("d_A") for rep in reports}
         missed = [d for d in dict.fromkeys(cfg.dims) if d not in taken]
         if missed:
             print(f"note: requested dimension(s) {', '.join(map(str, missed))} "
                   f"ignored by every check of suite {cfg.suite}", file=sys.stderr)
-    if not records:
-        print("error: no check supports the requested dimensions", file=sys.stderr)
-        return 2
+    if not reports:
+        raise ValueError("no check supports the requested dimensions")
+    n_pass = sum(rep.passed for rep in reports)
     if cfg.output == "json":
-        _emit(_to_json(records), cfg.out_path)
+        _emit(_to_json(reports, cfg.seed), cfg.out_path)
     elif cfg.output == "csv":
-        _emit(_to_csv(records), cfg.out_path)
+        _emit(_to_csv(reports, cfg.seed), cfg.out_path)
     else:
-        summary = f"{sum(r['pass'] for r in records)}/{len(records)} checks passed"
-        _emit("\n".join(text_lines) + f"\n{summary}\n", cfg.out_path)
-    return 0 if all_pass else 1
+        _emit("\n".join(text_lines) + f"\n{n_pass}/{len(reports)} checks passed\n",
+              cfg.out_path)
+    return 0 if n_pass == len(reports) else 1
 
 
 def cmd_verify(args) -> int:
-    try:
-        dims = tuple(int(x) for x in args.dims.split(",")) if args.dims else None
-        cfg = SuiteConfig(
-            suite=args.suite, dims=dims, seed=args.seed, samples=args.samples,
-            tolerance=args.tol, optimize_sigma=args.optimize_sigma,
-            output=args.output, out_path=args.out,
-        )
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    return run_suite(cfg)
+    dims = tuple(int(x) for x in args.dims.split(",")) if args.dims else None
+    return run_suite(SuiteConfig(
+        suite=args.suite, dims=dims, seed=args.seed, samples=args.samples,
+        tolerance=args.tol, optimize_sigma=args.optimize_sigma,
+        output=args.output, out_path=args.out,
+    ))
 
 
 def cmd_gram(args) -> int:
-    try:
-        basis = twirl.commutant_basis(args.d)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    basis = twirl.commutant_basis(args.d)
     width = len(str(int(basis.gram.max())))
     for row in basis.gram:
         print(" ".join(f"{int(v):>{width}d}" for v in row))
@@ -151,8 +126,7 @@ def cmd_gram(args) -> int:
 def cmd_characters(args) -> int:
     d = args.d
     if d < 4:
-        print("error: closed-form characters need d >= 4", file=sys.stderr)
-        return 2
+        raise ValueError("closed-form characters need d >= 4")
     parts = [(d,), (d - 1, 1), (d - 2, 1, 1), (d - 2, 2)]
     header = ("class".ljust(22)
               + "".join(str(p).rjust(14) for p in parts) + "   MN agrees")
@@ -175,17 +149,14 @@ def cmd_twirl(args) -> int:
     rng = np.random.default_rng(args.seed)
     h = rng.normal(size=(d * d, d * d)) + 1j * rng.normal(size=(d * d, d * d))
     h = (h + h.conj().T) / 2
-    try:    # everything is computed before the first line is printed
-        res = twirl.haar_twirl2_exact(h, d)
-        mc = twirl.haar_twirl2_mc(h, d, args.samples, seed=args.seed)
-        if d >= 4:
-            f = swap_operator(d)
-            sym = (h + f @ h @ f) / 2
-            exact = twirl.perm_twirl2_exact(sym, d)
-            brute = twirl.perm_twirl2_brute(sym, d)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    # everything is computed before the first line is printed
+    res = twirl.haar_twirl2_exact(h, d)
+    mc = twirl.haar_twirl2_mc(h, d, args.samples, seed=args.seed)
+    if d >= 4:
+        f = swap_operator(d)
+        sym = (h + f @ h @ f) / 2
+        exact = twirl.perm_twirl2_exact(sym, d)
+        brute = twirl.perm_twirl2_brute(sym, d)
     print(f"random Hermitian M on two copies of dimension {d} (seed {args.seed})")
     print(f"Haar twirl: alpha = {_fmt(res.alpha.real)}, beta = {_fmt(res.beta.real)}")
     dev = float(np.abs(mc - res.reconstructed).max())
@@ -199,12 +170,8 @@ def cmd_twirl(args) -> int:
 
 
 def cmd_circuit_study(args) -> int:
-    try:
-        depths = [int(x) for x in args.depths.split(",")]
-        pairs = suites.run_circuit_study(args.qubits, depths, args.trials, seed=args.seed)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    depths = [int(x) for x in args.depths.split(",")]
+    pairs = suites.run_circuit_study(args.qubits, depths, args.trials, seed=args.seed)
     if args.output == "json":
         body = ",\n".join(f'  {{"depth": {t}, "epsilon_bound": {_fmt(e)}}}' for t, e in pairs)
         _emit("[\n" + body + "\n]\n", args.out)
@@ -218,11 +185,7 @@ def cmd_circuit_study(args) -> int:
 
 
 def cmd_family(args) -> int:
-    try:
-        fam = symgroup.affine_family(args.n)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    fam = symgroup.affine_family(args.n)
     d = 2 ** args.n
     print(f"affine family over GF(2^{args.n}): {len(fam)} permutations of {d} points")
     print(f"pairwise dependence: {_fmt(symgroup.pairwise_dependence(fam, d))}")
@@ -290,7 +253,11 @@ def main(argv=None) -> int:
     p_fam.set_defaults(fn=cmd_family)
 
     args = parser.parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -31,11 +31,11 @@ def check_dims(mat: np.ndarray, dims) -> tuple[int, ...]:
     return dims
 
 
-def is_hermitian(mat: np.ndarray, rtol: float = HERM_RTOL) -> bool:
+def is_hermitian(mat: np.ndarray) -> bool:
     """True iff the matrix, or every matrix of a stack, is Hermitian within
-    rtol times the largest entry of the whole input."""
+    HERM_RTOL times the largest entry of the whole input."""
     scale = max(1.0, np.abs(mat).max()) if mat.size else 1.0
-    return bool(np.abs(mat - mat.conj().swapaxes(-1, -2)).max() <= rtol * scale)
+    return bool(np.abs(mat - mat.conj().swapaxes(-1, -2)).max() <= HERM_RTOL * scale)
 
 
 def require_hermitian(mat: np.ndarray, what: str = "operator") -> np.ndarray:
@@ -94,15 +94,18 @@ def schatten_norm(mat: np.ndarray, p):
     return float(out) if mat.ndim == 2 else out
 
 
+def pair_indices(d: int) -> np.ndarray:
+    """The grids i1, i2, j1, j2, each (d*d, d*d), of an operator on two d-level
+    copies: entry [(i1, i2), (j1, j2)] sits at row i1*d + i2, column j1*d + j2."""
+    return np.indices((d,) * 4).reshape(4, d * d, d * d)
+
+
 def swap_operator(d: int) -> np.ndarray:
     """F = sum_ij |i><j| x |j><i| on a d*d space; F^2 = I and F = F^dagger."""
     if d < 1:
         raise ValueError("dimension must be >= 1")
-    F = np.zeros((d * d, d * d))
-    for i in range(d):
-        for j in range(d):
-            F[i * d + j, j * d + i] = 1.0
-    return F
+    i1, i2, j1, j2 = pair_indices(d)
+    return ((i1 == j2) & (i2 == j1)).astype(float)
 
 
 def eig_hermitian(mat: np.ndarray):

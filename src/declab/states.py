@@ -15,6 +15,7 @@ import numpy as np
 from .linalg import (
     check_dims,
     eig_hermitian,
+    pair_indices,
     partial_trace,
     require_hermitian,
     tensor,
@@ -33,8 +34,7 @@ class DensityOp:
 
     def __post_init__(self):
         object.__setattr__(self, "dims", check_dims(self.mat, self.dims))
-        require_hermitian(self.mat, "density operator")
-        w, _ = eig_hermitian(self.mat)
+        w = np.linalg.eigvalsh(require_hermitian(self.mat, "density operator"))
         if w[0] < -PSD_TOL:
             raise ValueError(f"not PSD: min eigenvalue {w[0]:.3e}")
         if w.sum() > 1 + TRACE_TOL:
@@ -59,8 +59,7 @@ class ChoiChannel:
 
     def __post_init__(self):
         check_dims(self.choi, (self.d_in, self.d_out))
-        require_hermitian(self.choi, "Choi operator")
-        w, _ = eig_hermitian(self.choi)
+        w = np.linalg.eigvalsh(require_hermitian(self.choi, "Choi operator"))
         if w[0] < -PSD_TOL:
             raise ValueError(f"Choi not PSD: min eigenvalue {w[0]:.3e}")
         if self.tp:
@@ -76,19 +75,15 @@ class ChoiChannel:
 
 def max_entangled(d: int) -> DensityOp:
     """Rank-1 projector onto (1/sqrt d) sum_i |ii>."""
-    v = np.zeros(d * d, dtype=complex)
-    for i in range(d):
-        v[i * d + i] = 1.0
-    v /= np.sqrt(d)
+    v = np.eye(d, dtype=complex).reshape(-1) / np.sqrt(d)
     return DensityOp(np.outer(v, v.conj()), (d, d))
 
 
 def classical_correlated(d: int) -> DensityOp:
     """Perfectly correlated classical state (1/d) sum_i |ii><ii|."""
-    m = np.zeros((d * d, d * d), dtype=complex)
-    for i in range(d):
-        m[i * d + i, i * d + i] = 1.0 / d
-    return DensityOp(m, (d, d))
+    i1, i2, j1, j2 = pair_indices(d)
+    m = ((i1 == i2) & (i1 == j1) & (j1 == j2)) / d
+    return DensityOp(m.astype(complex), (d, d))
 
 
 def cq_decoupling_state(d: int) -> np.ndarray:
@@ -151,10 +146,9 @@ def classicalize_channel(ch: ChoiChannel) -> ChoiChannel:
     return ChoiChannel(pinch_mat(ch.choi, (ch.d_in, ch.d_out), 0), ch.d_in, ch.d_out, tp=ch.tp)
 
 
-def is_cq(rho: DensityOp, subsystem: int = 0, tol: float = 1e-10) -> bool:
-    """True iff all off-diagonal blocks on the given subsystem vanish."""
-    diff = rho.mat - pinch_mat(rho.mat, rho.dims, subsystem)
-    return bool(np.abs(diff).max() <= tol)
+def is_cq(rho: DensityOp) -> bool:
+    """True iff all off-diagonal blocks on the first subsystem vanish (to 1e-10)."""
+    return bool(np.abs(rho.mat - pinch_mat(rho.mat, rho.dims, 0)).max() <= 1e-10)
 
 
 def random_density(d: int, rank: int | None = None, seed=0, dims=None) -> DensityOp:
@@ -169,11 +163,11 @@ def random_density(d: int, rank: int | None = None, seed=0, dims=None) -> Densit
     return DensityOp(m, dims if dims is not None else (d,))
 
 
-def random_cq(dims, seed=0, subsystem: int = 0, trace: float = 1.0) -> DensityOp:
-    """Random state that is classical on one subsystem."""
+def random_cq(dims, seed=0, trace: float = 1.0) -> DensityOp:
+    """Random state that is classical on the first subsystem."""
     d = int(np.prod(dims))
     rho = random_density(d, seed=seed, dims=dims)
-    m = pinch_mat(rho.mat, rho.dims, subsystem) * trace
+    m = pinch_mat(rho.mat, rho.dims, 0) * trace
     return DensityOp(m, tuple(dims))
 
 

@@ -651,11 +651,6 @@ def build_checks(cfg: SuiteConfig) -> list[Check]:
 
 
 def flatten_reports(reports) -> list[VerificationReport]:
-    flat = []
-    for rep in reports:
-        flat.append(rep)
-        for key in ("bound_check", "two_norm_check"):
-            nested = rep.meta.get(key)
-            if isinstance(nested, VerificationReport):
-                flat.append(nested)
-    return flat
+    """Each report followed by every report nested in its meta, in meta order."""
+    return [r for rep in reports for r in
+            [rep] + [v for v in rep.meta.values() if isinstance(v, VerificationReport)]]

@@ -13,7 +13,7 @@ from math import factorial
 import numpy as np
 
 from ._groupavg import element_chunks, group_mean
-from .linalg import permute_systems, require_hermitian, swap_operator, tensor
+from .linalg import pair_indices, permute_systems, require_hermitian, swap_operator, tensor
 from .symgroup import all_perms, perm_operator
 
 UNITARY_TOL = 1e-10
@@ -285,44 +285,23 @@ def circuit_ensemble(n_qubits: int, t: int, n_circuits: int, seed=0) -> UnitaryE
 # ---------------------------------------------------------------------------
 
 def commutant_ops(d: int) -> tuple:
-    """The 11 spanning operators of the Hermitian swap-and-permutation commutant."""
-    eye = np.eye(d)
-    ones = np.ones((d, d))
-    f = swap_operator(d)
-    phi_sum = np.zeros((d * d, d * d))     # sum_ij |ii><jj| = d * Phi
-    t_sum = np.zeros((d * d, d * d))       # sum_i |ii><ii| = d * T
-    for i in range(d):
-        for j in range(d):
-            phi_sum[i * d + i, j * d + j] = 1.0
-    for i in range(d):
-        t_sum[i * d + i, i * d + i] = 1.0
-    a7 = np.zeros((d * d, d * d))
-    a10 = np.zeros((d * d, d * d), dtype=complex)
-    for i in range(d):
-        for j in range(d):
-            e_ii = np.zeros((d, d)); e_ii[i, i] = 1
-            e_ij = np.zeros((d, d)); e_ij[i, j] = 1
-            e_ji = np.zeros((d, d)); e_ji[j, i] = 1
-            a7 += (np.kron(e_ii, e_ij) + np.kron(e_ii, e_ji)
-                   + np.kron(e_ij, e_ii) + np.kron(e_ji, e_ii))
-            a10 += 1j * (np.kron(e_ii, e_ij) - np.kron(e_ii, e_ji)
-                         + np.kron(e_ij, e_ii) - np.kron(e_ji, e_ii))
-    a8 = np.zeros((d * d, d * d))
-    a9 = np.zeros((d * d, d * d))
-    a11 = np.zeros((d * d, d * d), dtype=complex)
-    e_vec = np.ones(d)
-    for i in range(d):
-        v = np.zeros(d); v[i] = 1
-        ie = np.outer(v, e_vec)      # |i><e|
-        ei = np.outer(e_vec, v)      # |e><i|
-        a8 += np.kron(ie, ie) + np.kron(ei, ei)
-        a9 += np.kron(ei, ie) + np.kron(ie, ei)
-        a11 += 1j * (np.kron(ie, ie) - np.kron(ei, ei))
+    """The 11 spanning operators of the Hermitian swap-and-permutation commutant,
+    written as functions of the entry indices [(i1, i2), (j1, j2)]."""
+    i1, i2, j1, j2 = pair_indices(d)
+
+    def delta(a, b):        # as floats: on bools, + would be a logical or
+        return (a == b).astype(float)
+
+    a3 = delta(i1, j1) + delta(i2, j2)
+    a4 = delta(i1, i2) * delta(j1, j2)
+    a8 = delta(i1, i2) + delta(j1, j2)
+    # 1j * x - 1j * y with x, y >= 0 keeps every real part at +0.0
     return (
-        np.kron(eye, eye), np.kron(ones, ones),
-        np.kron(eye, ones) + np.kron(ones, eye),
-        phi_sum, f, t_sum, a7, a8, a9,
-        a10, a11,
+        delta(i1, j1) * delta(i2, j2), np.ones((d * d, d * d)), a3,
+        a4, swap_operator(d), a4 * delta(i1, j1), a8 * a3, a8,
+        delta(i2, j1) + delta(i1, j2),
+        1j * (delta(i1, i2) * a3) - 1j * (delta(j1, j2) * a3),
+        1j * delta(i1, i2) - 1j * delta(j1, j2),
     )
 
 

@@ -11,7 +11,7 @@ import numpy as np
 
 from ._groupavg import apply_channel_stack, group_values, perm_stack
 from .entropy import h2_cond, h_min_cond
-from .linalg import partial_trace, permute_systems, schatten_norm, tensor
+from .linalg import pair_indices, partial_trace, permute_systems, schatten_norm, tensor
 from .states import (
     ChoiChannel,
     DensityOp,
@@ -212,7 +212,7 @@ def verify_cq_decoupling_lemma(rho: DensityOp, ch: ChoiChannel, tol=EQ_TOL) -> V
     """Exhaustive permutation average of the squared 2-norm deviation equals
     d^2/(d-1) times the product of classicalized deviation norms."""
     d_a, d_r = rho.dims
-    if not is_cq(rho, 0):
+    if not is_cq(rho):
         raise ValueError("state must be classical on A")
     lhs = float(np.mean(_deviation_norms(ch, rho.mat, rho.dims, _full_group(d_a), 2) ** 2))
     w_cl = classicalize_channel(ch)
@@ -251,7 +251,7 @@ def verify_cq_hash(rho: DensityOp, d_a1: int, d_a2: int) -> VerificationReport:
     d_a, d_r = rho.dims
     if d_a != d_a1 * d_a2:
         raise ValueError("split does not match d_A")
-    if not is_cq(rho, 0):
+    if not is_cq(rho):
         raise ValueError("state must be classical on A")
     lhs = _hash_lhs(rho.mat, d_a1, d_a2, d_r)
     res = h_min_cond(rho.mat, rho.dims)
@@ -267,7 +267,7 @@ def verify_cq_tpcp(rho: DensityOp, ch: ChoiChannel, optimize_sigma=False) -> Ver
     d_a, d_r = rho.dims
     if not ch.tp:
         raise ValueError("channel must be trace preserving")
-    if not is_cq(rho, 0):
+    if not is_cq(rho):
         raise ValueError("state must be classical on A")
     d_e = ch.d_out
     lhs = float(np.mean(_deviation_norms(ch, rho.mat, rho.dims, _full_group(d_a), 1)))
@@ -280,7 +280,7 @@ def verify_cq_general(rho: DensityOp, ch: ChoiChannel, optimize_sigma=False) -> 
     """General CQ decoupling bound sqrt((d_A + 1) 2^(-H2 - H2)) with the
     collision entropy of the classicalized Choi operator."""
     d_a, d_r = rho.dims
-    if not is_cq(rho, 0):
+    if not is_cq(rho):
         raise ValueError("state must be classical on A")
     lhs = float(np.mean(_deviation_norms(ch, rho.mat, rho.dims, _full_group(d_a), 1)))
     w_cl = classicalize_channel(ch)
@@ -302,7 +302,7 @@ def verify_family_hash(fam: PermFamily, rho: DensityOp, d_a1: int, d_a2: int,
     d_a, d_r = rho.dims
     if d_a != d_a1 * d_a2:
         raise ValueError("split does not match d_A")
-    if not is_cq(rho, 0):
+    if not is_cq(rho):
         raise ValueError("state must be classical on A")
     lhs = _hash_lhs(rho.mat, d_a1, d_a2, d_r, fam)
     eps = pairwise_dependence(fam, d_a)
@@ -316,27 +316,14 @@ def verify_family_hash(fam: PermFamily, rho: DensityOp, d_a1: int, d_a2: int,
 # fully quantum permutation decoupling
 # ---------------------------------------------------------------------------
 
-def _embedded_pair_state(d_a: int, d_r: int, kind: str) -> np.ndarray:
-    """Operators on A x R supported on the first d_r levels of A.
-
-    kind: 'phi' entangled, 'tee' classically correlated, 'pi' product of
-    embedded maximally mixed states.
-    """
-    m = np.zeros((d_a * d_r, d_a * d_r), dtype=complex)
-    if kind == "phi":
-        for i in range(d_r):
-            for j in range(d_r):
-                m[i * d_r + i, j * d_r + j] = 1.0 / d_r
-    elif kind == "tee":
-        for i in range(d_r):
-            m[i * d_r + i, i * d_r + i] = 1.0 / d_r
-    elif kind == "pi":
-        for i in range(d_r):
-            for j in range(d_r):
-                m[i * d_r + j, i * d_r + j] = 1.0 / d_r ** 2
-    else:
-        raise ValueError(kind)
-    return m
+def _embedded_pair_states(d_a: int, d_r: int) -> np.ndarray:
+    """Phi, T and pi_R (x) pi_R, each on A x R and supported on the first d_R
+    levels of A, where row a * d_R + r (a < d_R) is that row of R x R."""
+    i1, i2, j1, j2 = pair_indices(d_r)
+    phi = ((i1 == i2) & (j1 == j2)) / d_r
+    out = np.zeros((3, d_a * d_r, d_a * d_r), dtype=complex)
+    out[:, :d_r * d_r, :d_r * d_r] = (phi, phi * (i1 == j1), np.eye(d_r * d_r) / d_r ** 2)
+    return out
 
 
 def verify_distance_from_classicality(ch: ChoiChannel, d_r: int,
@@ -352,7 +339,8 @@ def verify_distance_from_classicality(ch: ChoiChannel, d_r: int,
         raise ValueError("needs d_A >= 4")
     if not 1 <= d_r <= d_a:
         raise ValueError("needs d_R <= d_A")
-    st = _embedded_pair_state(d_a, d_r, "phi") - _embedded_pair_state(d_a, d_r, "tee")
+    phi, tee, _ = _embedded_pair_states(d_a, d_r)
+    st = phi - tee
     norms2, norms1 = _channel_norms(ch, st, (d_a, d_r), _full_group(d_a), (2, 1)).T
     lhs = float(np.mean(norms2 ** 2))
     w_cl = pinch_mat(ch.choi, (d_a, ch.d_out), 0)
@@ -382,7 +370,8 @@ def verify_perm_decoupling_lemma(ch: ChoiChannel, d_r: int, tol=EQ_TOL) -> Verif
         raise ValueError("needs d_A >= 4")
     if not 1 <= d_r <= d_a:
         raise ValueError("needs d_R <= d_A")
-    st = _embedded_pair_state(d_a, d_r, "phi") - _embedded_pair_state(d_a, d_r, "pi")
+    phi, _, pi = _embedded_pair_states(d_a, d_r)
+    st = phi - pi
     lhs = float(np.mean(_channel_norms(ch, st, (d_a, d_r), _full_group(d_a), (2,))[:, 0] ** 2))
     w_cl = pinch_mat(ch.choi, (d_a, ch.d_out), 0)
     tr_w2 = schatten_norm(ch.choi, 2) ** 2

@@ -8,6 +8,7 @@ import pytest
 from declab import suites
 from declab.cli import SUITES, main
 from declab.suites import SuiteConfig, build_checks
+from declab.verify import bound_report, equality_report
 
 
 def run_cli(*args):
@@ -50,10 +51,41 @@ def test_invalid_flags_exit_two():
     r = run_cli("gram", "--d", "3")
     assert r.returncode == 2
     assert "d >= 4" in r.stderr
-    for flags in (("--d", "1"), ("--samples", "0"), ("--d", "9")):
-        r = run_cli("twirl", *flags)
-        assert r.returncode == 2, flags
-        assert r.stdout == "" and r.stderr.startswith("error: "), flags
+    for args in (("twirl", "--d", "1"), ("twirl", "--samples", "0"), ("twirl", "--d", "9"),
+                 ("characters", "--d", "3"), ("family", "--n", "0"),
+                 ("circuit-study", "--qubits", "5"), ("verify", "--dims", "x")):
+        r = run_cli(*args)
+        assert r.returncode == 2, args
+        assert r.stdout == "" and r.stderr.startswith("error: "), args
+
+
+def test_json_and_csv_hold_the_same_records(tmp_path):
+    paths = {fmt: tmp_path / f"r.{fmt}" for fmt in ("json", "csv")}
+    for fmt, path in paths.items():
+        assert main(["verify", "--suite", "ch7", "--seed", "3",
+                     "--output", fmt, "--out", str(path)]) == 0
+    header, *rows = paths["csv"].read_text().splitlines()
+    from_csv = [dict(zip(header.split(","), row.split(","))) for row in rows]
+    from_json = json.loads(paths["json"].read_text())
+    assert len(from_json) == len(from_csv) > 20
+    for j, c in zip(from_json, from_csv):
+        assert (j["name"], j["kind"], j["pass"], j["seed"]) == (
+            c["name"], c["kind"], c["pass"] == "true", int(c["seed"]))
+        assert [j[k] for k in ("lhs", "rhs", "gap")] == [float(c[k]) for k in ("lhs", "rhs", "gap")]
+        assert ";".join(f"{k}={v}" for k, v in j["dims"].items()) == c["dims"]
+
+
+def test_flatten_reports_takes_every_nested_report():
+    # a child under any meta key follows its parent; other meta values are skipped
+    parent = equality_report("parent", 1.0, 1.0, note=3,
+                             new_key=bound_report("child", 0.0, 1.0))
+    flat = suites.flatten_reports([equality_report("first", 1.0, 1.0), parent])
+    assert [r.name for r in flat] == ["first", "parent", "child"]
+    cfg = SuiteConfig()
+    assert [r.name for r in suites.flatten_reports(suites.check_distance_from_classicality(cfg))] \
+        == ["distance_from_classicality", "distance_from_classicality_1norm"] * 5
+    assert [r.name for r in suites.flatten_reports(suites.check_quantum_hash(cfg))] \
+        == ["quantum_hash", "quantum_hash_2norm"] * 10
 
 
 def test_gram_table():

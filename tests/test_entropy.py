@@ -265,6 +265,16 @@ def test_h2_optimized_edge_inputs(kind, d_a, d_b, rank, log_c, seed):
     assert res.value - 1e-9 <= exact <= res.meta["h2_upper"] + 1e-9
 
 
+@pytest.mark.parametrize("kind", ["pure", "product", "diagonal"])
+@pytest.mark.parametrize("d_a, d_b", [(8, 2), (2, 8), (5, 3), (8, 8)])
+def test_h2_optimized_edge_inputs_up_to_8(kind, d_a, d_b):
+    rho, _ = _closed_form_state(kind, d_a, d_b, 2, 10 * d_a + d_b)
+    res = h2_cond(rho, (d_a, d_b), optimize=True)
+    assert res.meta["status"] == "converged"
+    exact = _h2_closed_form(kind, rho, d_a, d_b)
+    assert res.value - 1e-9 <= exact <= res.meta["h2_upper"] + 1e-9
+
+
 def test_h2_optimized_never_below_starts_and_deterministic():
     for k in range(6):
         rng = np.random.default_rng(300 + k)

@@ -156,13 +156,13 @@ def test_classicalize_state():
         # pinching cannot increase purity
         assert (np.trace(pinched.mat @ pinched.mat).real
                 <= np.trace(rho.mat @ rho.mat).real + 1e-12)
-        assert is_cq(pinched, 0)
+        assert is_cq(pinched)
         assert np.isclose(np.trace(pinched.mat).real, np.trace(rho.mat).real)
 
 
 def test_is_cq():
-    assert is_cq(classical_correlated(3), 0)
-    assert not is_cq(max_entangled(2), 0)
+    assert is_cq(classical_correlated(3))
+    assert not is_cq(max_entangled(2))
 
 
 @given(st.permutations(list(range(4))))
@@ -171,7 +171,7 @@ def test_cq_preserved_by_classical_permutations(p):
     rho = random_cq((4, 2), seed=11)
     conj = tensor(perm_operator(p), np.eye(2))
     moved = DensityOp(conj @ rho.mat @ conj.T, rho.dims)
-    assert is_cq(moved, 0)
+    assert is_cq(moved)
 
 
 def test_random_density_determinism_and_rank():

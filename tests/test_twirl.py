@@ -317,6 +317,40 @@ def test_gramian_closed_form(d):
     assert np.isclose(basis.gram[9, 9], 4 * d * d - 4 * d)
 
 
+def _commutant_ops_by_kron(d):
+    """The 11 operators as sums of Kronecker products of |i><j| and |i><e|,
+    with e the all-ones vector."""
+    e = np.eye(d)
+
+    def unit(i, j):
+        return np.outer(e[i], e[j])
+
+    pairs = [(i, j) for i in range(d) for j in range(d)]
+    ie = [np.outer(e[i], np.ones(d)) for i in range(d)]
+    return (
+        np.kron(np.eye(d), np.eye(d)), np.kron(np.ones((d, d)), np.ones((d, d))),
+        np.kron(np.eye(d), np.ones((d, d))) + np.kron(np.ones((d, d)), np.eye(d)),
+        sum(np.kron(unit(i, j), unit(i, j)) for i, j in pairs),
+        sum(np.kron(unit(i, j), unit(j, i)) for i, j in pairs),
+        sum(np.kron(unit(i, i), unit(i, i)) for i in range(d)),
+        sum(np.kron(unit(i, i), unit(i, j)) + np.kron(unit(i, i), unit(j, i))
+            + np.kron(unit(i, j), unit(i, i)) + np.kron(unit(j, i), unit(i, i)) for i, j in pairs),
+        sum(np.kron(x, x) + np.kron(x.T, x.T) for x in ie),
+        sum(np.kron(x.T, x) + np.kron(x, x.T) for x in ie),
+        sum(1j * (np.kron(unit(i, i), unit(i, j)) - np.kron(unit(i, i), unit(j, i))
+                  + np.kron(unit(i, j), unit(i, i)) - np.kron(unit(j, i), unit(i, i)))
+            for i, j in pairs),
+        sum(1j * (np.kron(x, x) - np.kron(x.T, x.T)) for x in ie),
+    )
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_commutant_ops_match_kron_sums(d):
+    # same dtype and the same bits, signed zeros included
+    for k, (op, ref) in enumerate(zip(commutant_ops(d), _commutant_ops_by_kron(d))):
+        assert op.dtype == ref.dtype and op.tobytes() == ref.tobytes(), k
+
+
 def test_commutant_basis_cached_read_only():
     basis = commutant_basis(5)
     assert basis is commutant_basis(5)
