@@ -5,7 +5,9 @@ permutation families).
 Exit codes: 0 all checks pass, 1 any check failed, 2 configuration error.
 Every subcommand reports a configuration error as one `error: ...` line on
 stderr and exits 2; a flag that argparse rejects (an unknown --suite, a
-non-integer --d) gets argparse's usage text instead, also with exit 2.
+non-integer --d, a --dims or --depths that is not a comma-separated list of
+integers) gets argparse's usage text and a message naming the flag instead,
+also with exit 2.
 JSON and CSV output is byte-deterministic for a fixed configuration; wall
 times appear only in the text format.
 """
@@ -24,6 +26,15 @@ from .suites import SuiteConfig, build_checks, flatten_reports
 from .verify import VerificationReport
 
 SUITES = ("all",) + tuple(dict.fromkeys(c.suite for c in build_checks(SuiteConfig())))
+
+
+def _int_list(text: str) -> tuple:
+    """argparse type of a comma-separated list of integers, such as 4,5."""
+    try:
+        return tuple(int(x) for x in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"not a comma-separated list of integers: {text!r}") from None
 
 
 def _fmt(x: float) -> str:
@@ -107,12 +118,8 @@ def run_suite(cfg: SuiteConfig) -> int:
 
 
 def cmd_verify(args) -> int:
-    dims = tuple(int(x) for x in args.dims.split(",")) if args.dims else None
-    return run_suite(SuiteConfig(
-        suite=args.suite, dims=dims, seed=args.seed, samples=args.samples,
-        tolerance=args.tol, optimize_sigma=args.optimize_sigma,
-        output=args.output, out_path=args.out,
-    ))
+    return run_suite(SuiteConfig(suite=args.suite, dims=args.dims, seed=args.seed,
+                                 output=args.output, out_path=args.out))
 
 
 def cmd_gram(args) -> int:
@@ -170,8 +177,7 @@ def cmd_twirl(args) -> int:
 
 
 def cmd_circuit_study(args) -> int:
-    depths = [int(x) for x in args.depths.split(",")]
-    pairs = suites.run_circuit_study(args.qubits, depths, args.trials, seed=args.seed)
+    pairs = suites.run_circuit_study(args.qubits, args.depths, args.trials, seed=args.seed)
     if args.output == "json":
         body = ",\n".join(f'  {{"depth": {t}, "epsilon_bound": {_fmt(e)}}}' for t, e in pairs)
         _emit("[\n" + body + "\n]\n", args.out)
@@ -208,19 +214,11 @@ def main(argv=None) -> int:
     p_verify = sub.add_parser("verify", help="run verification suites")
     p_verify.add_argument("--suite", choices=SUITES, default="all")
     p_verify.add_argument(
-        "--dims", default=None,
-        help="comma separated, e.g. 4,5; reaches decoupling_lemma, decoupling_theorem, "
-             "improved_decoupling, pair_state_twirl, doubled_classical_twirl, cq_lemma")
+        "--dims", type=_int_list, default=None,
+        help="comma-separated integers, e.g. 4,5, clipped to each check's range; reaches "
+             "decoupling_lemma, decoupling_theorem, improved_decoupling, pair_state_twirl, "
+             "doubled_classical_twirl, cq_lemma")
     p_verify.add_argument("--seed", type=int, default=0)
-    p_verify.add_argument(
-        "--samples", type=int, default=200,
-        help="Haar samples; reaches decoupling_lemma, decoupling_theorem, "
-             "improved_decoupling")
-    p_verify.add_argument(
-        "--tol", type=float, default=1e-9,
-        help="tolerance of the exact identities; reaches decoupling_lemma, cq_lemma, "
-             "distance_from_classicality, perm_decoupling")
-    p_verify.add_argument("--optimize-sigma", action="store_true")
     p_verify.add_argument("--output", choices=("text", "json", "csv"), default="text")
     p_verify.add_argument("--out", default=None)
     p_verify.set_defaults(fn=cmd_verify)
@@ -241,7 +239,7 @@ def main(argv=None) -> int:
 
     p_circ = sub.add_parser("circuit-study", help="epsilon bound vs circuit depth")
     p_circ.add_argument("--qubits", type=int, default=2)
-    p_circ.add_argument("--depths", default="2,30")
+    p_circ.add_argument("--depths", type=_int_list, default="2,30")
     p_circ.add_argument("--trials", type=int, default=200)
     p_circ.add_argument("--seed", type=int, default=0)
     p_circ.add_argument("--output", choices=("text", "json", "csv"), default="text")

@@ -265,12 +265,15 @@ def h2_cond(state, dims=None, sigma=None, optimize: bool = False, *,
     """Conditional collision entropy of the first subsystem given the second.
 
     With `sigma` fixed, scored as sigma / tr sigma, the returned value
-    lower-bounds the optimum, which keeps every decoupling upper bound valid. The default sigma is the conditioning
-    marginal. `optimize=True` maximizes over sigma by mirror descent, started
-    at the marginal and confined to its support. The value is the best of the
-    marginal, `zeta_start` (the min-entropy optimizer, when the caller has
-    solved that SDP) and the final iterate, each scored exactly, so it is never
-    below the fixed-sigma value nor, given zeta_start, below H_min. `meta`
+    lower-bounds the optimum, which keeps every decoupling upper bound valid.
+    The default sigma is the conditioning marginal. `optimize=True` maximizes
+    over sigma by mirror descent, started at the marginal and confined to its
+    support. The value is the best of the marginal, `zeta_start` (the
+    min-entropy optimizer, when the caller has solved that SDP) and the final
+    iterate, each scored exactly, so it is never below the fixed-sigma value
+    nor, given zeta_start, below H_min. It is the exact score at a feasible
+    sigma, off only by the relative round-off of `_h2_value`, which is far
+    inside `verify.BOUND_TOL`, so it needs no certificate of its own. `meta`
     holds the Frank-Wolfe gap `fw_gap`, the certified upper end `h2_upper` of
     the optimum, the iteration count and the solver `status` (converged,
     max_iter or stalled). `seed` is unused; it is accepted because

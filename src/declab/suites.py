@@ -1,7 +1,10 @@
 """Randomized check suites grouped by theme, shared by the CLI and the tests.
 
-Every check owns its seed (derived from the suite seed and the instance
-index), so a full run is deterministic for a fixed configuration.
+Every random instance is drawn from its own seed, which `_instances` derives
+from the suite seed, the check's tag and the instance index, so a full run is
+deterministic for a fixed configuration and one instance can be drawn again
+alone. A check that reports the worst of many instances reduces them with
+`_worst_of`, which names the worst instance in the record's meta.
 """
 
 from __future__ import annotations
@@ -58,22 +61,33 @@ class SuiteConfig:
     suite: str = "all"
     dims: tuple | None = None
     seed: int = 0
-    samples: int = 200
-    tolerance: float = 1e-9
-    optimize_sigma: bool = False
     output: str = "text"
     out_path: str | None = None
-
-    def __post_init__(self):
-        if self.samples < 1:
-            raise ValueError("samples must be >= 1")
-        if self.tolerance <= 0:
-            raise ValueError("tolerance must be positive")
 
 
 def _instance_seed(seed, tag, k) -> int:
     tag_num = zlib.crc32(tag.encode())
     return int(np.random.default_rng([seed, tag_num, k]).integers(2**31))
+
+
+def _instances(cfg: SuiteConfig, tag: str, n: int, base: int = 0):
+    """(k, seed) of the instances k = 0 .. n-1 of a check; the seed depends
+    only on the suite seed, the check's tag and base + k."""
+    for k in range(n):
+        yield k, _instance_seed(cfg.seed, tag, base + k)
+
+
+def _worst_of(cfg: SuiteConfig, tag: str, n: int, measure, base: int = 0) -> list:
+    """(name, value, where) for each value that measure(seed) names: its first
+    largest over the n instances of `_instances`, and in `where` the worst_k
+    and worst_seed of that instance, for the record's meta."""
+    worst = {}
+    for k, seed in _instances(cfg, tag, n, base):
+        for name, v in measure(seed).items():
+            if v > worst.setdefault(name, (-np.inf, None, None))[0]:
+                worst[name] = (v, k, seed)
+    return [(name, v, {"worst_k": k, "worst_seed": seed})
+            for name, (v, k, seed) in worst.items()]
 
 
 def _dims_or(cfg: SuiteConfig, default, lo, hi):
@@ -95,17 +109,16 @@ def check_decoupling_lemma(cfg: SuiteConfig):
     reports = []
     for d_a in _dims_or(cfg, (2, 3, 4), 2, 6):
         for d_r, d_e in ((2, 2), (2, 3), (3, 2)):
-            for k in range(2):
-                s = _instance_seed(cfg.seed, "declem", 1000 * d_a + 100 * d_r + 10 * d_e + k)
+            for k, s in _instances(cfg, "declem", 2, base=1000 * d_a + 100 * d_r + 10 * d_e):
                 rng = np.random.default_rng(s)
                 herm = rng.normal(size=(d_a * d_r, d_a * d_r)) \
                     + 1j * rng.normal(size=(d_a * d_r, d_a * d_r))
                 herm = (herm + herm.conj().T) / 2
                 ch = random_channel(d_a, d_e, tp=bool(k % 2), seed=s + 1)
-                rep = verify.verify_decoupling_lemma(herm, (d_a, d_r), ch, tol=cfg.tolerance)
+                rep = verify.verify_decoupling_lemma(herm, (d_a, d_r), ch)
                 rep.meta["seed"] = s
                 reports.append(rep)
-    reports.append(mc_cross_check(cfg.seed, n_mc=min(cfg.samples * 50, 100_000)))
+    reports.append(mc_cross_check(cfg.seed, n_mc=10_000))
     return reports
 
 
@@ -125,40 +138,30 @@ def mc_cross_check(seed, n_mc: int = 100_000) -> VerificationReport:
     vals = group_values(rho.mat, rho.dims, us, lambda stack: schatten_norm(
         apply_channel_stack(ch, stack, d_r) - target, 2) ** 2)
     rhs = verify.haar_lemma_rhs(rho.mat, rho.dims, ch)
-    se = float(vals.std(ddof=1) / np.sqrt(n_mc))
-    lhs = float(vals.mean())
+    lhs, se = verify.mean_se(vals)
     ok = abs(lhs - rhs) <= 3 * se + 1e-12
     return VerificationReport("decoupling_lemma_mc", "equality", lhs, rhs, 3 * se, ok,
                               {"se": se, "n_samples": n_mc, "seed": seed})
 
 
-def check_decoupling_theorem(cfg: SuiteConfig):
-    reports = []
+def _haar_sampled(cfg: SuiteConfig, tag: str, verifier):
+    """Three instances of a Haar-sampled decoupling bound, each averaged over the
+    verifier's default 200 samples, at the largest requested d_A."""
     dims = _dims_or(cfg, (4,), 2, 6)
     if not dims:
-        return reports
+        return []
     d_a = max(dims)
-    for k in range(3):
-        s = _instance_seed(cfg.seed, "dectheo", k)
-        rho = random_density(d_a * 2, seed=s, dims=(d_a, 2))
-        ch = random_channel(d_a, 2, tp=True, seed=s + 1)
-        reports.append(verify.verify_decoupling_theorem(
-            rho, ch, n_samples=cfg.samples, seed=s + 2, optimize_sigma=cfg.optimize_sigma))
-    return reports
+    return [verifier(random_density(d_a * 2, seed=s, dims=(d_a, 2)),
+                     random_channel(d_a, 2, tp=True, seed=s + 1), seed=s + 2)
+            for _, s in _instances(cfg, tag, 3)]
+
+
+def check_decoupling_theorem(cfg: SuiteConfig):
+    return _haar_sampled(cfg, "dectheo", verify.verify_decoupling_theorem)
 
 
 def check_improved_decoupling(cfg: SuiteConfig):
-    reports = []
-    dims = _dims_or(cfg, (4,), 2, 6)
-    if not dims:
-        return reports
-    d_a = max(dims)
-    for k in range(3):
-        s = _instance_seed(cfg.seed, "improved", k)
-        rho = random_density(d_a * 2, seed=s, dims=(d_a, 2))
-        ch = random_channel(d_a, 2, tp=True, seed=s + 1)
-        reports.append(verify.verify_improved_decoupling(rho, ch, n_samples=cfg.samples, seed=s + 2))
-    return reports
+    return _haar_sampled(cfg, "improved", verify.verify_improved_decoupling)
 
 
 # ---------------------------------------------------------------------------
@@ -169,21 +172,19 @@ def check_design_clifford(cfg: SuiteConfig):
     ens = twirl.clifford_1q()
     eps = twirl.design_epsilon_bound(ens, 2)
     reports = [equality_report("clifford_epsilon_zero", eps, 0.0, 1e-10)]
-    for k in range(3):
-        s = _instance_seed(cfg.seed, "cliffdec", k)
+    for _, s in _instances(cfg, "cliffdec", 3):
         rho = random_density(4, seed=s, dims=(2, 2))
         ch = random_channel(2, 2, tp=True, seed=s + 1)
-        reports.append(verify.verify_design_decoupling(
-            ens, rho, ch, optimize_sigma=cfg.optimize_sigma))
+        reports.append(verify.verify_design_decoupling(ens, rho, ch))
     return reports
 
 
 def check_design_circuits(cfg: SuiteConfig):
-    s = _instance_seed(cfg.seed, "circdec", 0)
+    [(_, s)] = _instances(cfg, "circdec", 1)
     ens = twirl.circuit_ensemble(2, 30, 200, seed=s)
     rho = random_density(8, seed=s + 1, dims=(4, 2))
     ch = random_channel(4, 2, tp=True, seed=s + 2)
-    return [verify.verify_design_decoupling(ens, rho, ch, optimize_sigma=cfg.optimize_sigma)]
+    return [verify.verify_design_decoupling(ens, rho, ch)]
 
 
 def run_circuit_study(n_qubits: int, depths, trials: int, seed=0):
@@ -211,24 +212,26 @@ def check_circuit_trend(cfg: SuiteConfig):
 # CQ states under the full permutation group (suite ch5)
 # ---------------------------------------------------------------------------
 
+def _pair_state_residuals(d: int):
+    """Largest entry of the exhaustive P (x) P average of each classical pair
+    state |ij><ij| minus its closed form."""
+    tee = classical_correlated(d).mat * d
+    group = perm_stack(all_perms(d))
+    for i in range(d):
+        for j in range(d):
+            e = np.zeros((d * d, d * d))
+            e[i * d + j, i * d + j] = 1.0
+            avg = group_mean(e, (d, d), group, sites=(0, 1))
+            delta = 1.0 if i == j else 0.0
+            closed = ((1 - delta) / (d * d - d) * np.eye(d * d)
+                      - (1 - delta) / (d - 1) * tee / d + delta * tee / d)
+            yield float(np.abs(avg - closed).max())
+
+
 def check_pair_state_twirl(cfg: SuiteConfig):
     """Exhaustive P (x) P averages of classical pair states match the closed form."""
-    reports = []
-    for d in _dims_or(cfg, (2, 3, 4), 2, 5):
-        tee = classical_correlated(d).mat * d
-        worst = 0.0
-        group = perm_stack(all_perms(d))
-        for i in range(d):
-            for j in range(d):
-                e = np.zeros((d * d, d * d))
-                e[i * d + j, i * d + j] = 1.0
-                avg = group_mean(e, (d, d), group, sites=(0, 1))
-                delta = 1.0 if i == j else 0.0
-                closed = ((1 - delta) / (d * d - d) * np.eye(d * d)
-                          - (1 - delta) / (d - 1) * tee / d + delta * tee / d)
-                worst = max(worst, float(np.abs(avg - closed).max()))
-        reports.append(equality_report(f"pair_state_twirl[d={d}]", worst, 0.0, 1e-12))
-    return reports
+    return [equality_report(f"pair_state_twirl[d={d}]", max(_pair_state_residuals(d)), 0.0, 1e-12)
+            for d in _dims_or(cfg, (2, 3, 4), 2, 5)]
 
 
 def check_doubled_classical_twirl(cfg: SuiteConfig):
@@ -249,43 +252,30 @@ def check_doubled_classical_twirl(cfg: SuiteConfig):
 def check_cq_lemma(cfg: SuiteConfig):
     reports = []
     for d_a in _dims_or(cfg, (3, 4), 2, 6):
-        for k in range(5):
-            s = _instance_seed(cfg.seed, "cqlem", 100 * d_a + k)
+        for k, s in _instances(cfg, "cqlem", 5, base=100 * d_a):
             rho = random_cq((d_a, 2), seed=s)
             ch = random_channel(d_a, 2, tp=bool(k % 2), seed=s + 1)
-            rep = verify.verify_cq_decoupling_lemma(rho, ch, tol=cfg.tolerance)
+            rep = verify.verify_cq_decoupling_lemma(rho, ch)
             rep.meta["seed"] = s
             reports.append(rep)
     return reports
 
 
 def check_cq_hash(cfg: SuiteConfig):
-    reports = []
-    for k in range(10):
-        s = _instance_seed(cfg.seed, "cqhash", k)
-        rho = random_cq((4, 2), seed=s)
-        reports.append(verify.verify_cq_hash(rho, 2, 2))
-    return reports
+    return [verify.verify_cq_hash(random_cq((4, 2), seed=s), 2, 2)
+            for _, s in _instances(cfg, "cqhash", 10)]
 
 
 def check_cq_tpcp(cfg: SuiteConfig):
-    reports = []
-    for k in range(10):
-        s = _instance_seed(cfg.seed, "cqtpcp", k)
-        rho = random_cq((4, 2), seed=s)
-        ch = random_channel(4, 2, tp=True, seed=s + 1)
-        reports.append(verify.verify_cq_tpcp(rho, ch, optimize_sigma=cfg.optimize_sigma))
-    return reports
+    return [verify.verify_cq_tpcp(random_cq((4, 2), seed=s),
+                                  random_channel(4, 2, tp=True, seed=s + 1))
+            for _, s in _instances(cfg, "cqtpcp", 10)]
 
 
 def check_cq_general(cfg: SuiteConfig):
-    reports = []
-    for k in range(10):
-        s = _instance_seed(cfg.seed, "cqgen", k)
-        rho = random_cq((4, 2), seed=s)
-        ch = random_channel(4, 2, tp=bool(k % 2), seed=s + 1)
-        reports.append(verify.verify_cq_general(rho, ch, optimize_sigma=cfg.optimize_sigma))
-    return reports
+    return [verify.verify_cq_general(random_cq((4, 2), seed=s),
+                                     random_channel(4, 2, tp=bool(k % 2), seed=s + 1))
+            for k, s in _instances(cfg, "cqgen", 10)]
 
 
 # ---------------------------------------------------------------------------
@@ -315,11 +305,8 @@ def check_family_hash(cfg: SuiteConfig):
         "singleton": symgroup.PermFamily((tuple(range(4)),)),
     }
     for label, fam in fams.items():
-        for k in range(10):
-            s = _instance_seed(cfg.seed, "famhash" + label, k)
-            rho = random_cq((4, 2), seed=s)
-            rep = verify.verify_family_hash(fam, rho, 2, 2,
-                                            optimize_sigma=cfg.optimize_sigma)
+        for _, s in _instances(cfg, "famhash" + label, 10):
+            rep = verify.verify_family_hash(fam, random_cq((4, 2), seed=s), 2, 2)
             rep.name = f"family_hash[{label}]"
             reports.append(rep)
     return reports
@@ -358,43 +345,44 @@ def check_commutant_dim(cfg: SuiteConfig):
     return reports
 
 
+def _perm_twirl_residual(d: int, seed) -> float:
+    """Relative 2-norm distance between the commutant-formula and the
+    brute-force permutation twirl of one random swap-symmetric Hermitian operator."""
+    f = swap_operator(d)
+    rng = np.random.default_rng(seed)
+    h = rng.normal(size=(d * d, d * d)) + 1j * rng.normal(size=(d * d, d * d))
+    h = (h + h.conj().T) / 2
+    h = (h + f @ h @ f) / 2
+    exact = twirl.perm_twirl2_exact(h, d).reconstructed
+    brute = twirl.perm_twirl2_brute(h, d)
+    return schatten_norm(exact - brute, 2) / schatten_norm(h, 2)
+
+
 def check_perm_twirl_projection(cfg: SuiteConfig):
-    reports = []
-    for d in (4, 5):
-        f = swap_operator(d)
-        worst = 0.0
-        for k in range(5):
-            rng = np.random.default_rng(_instance_seed(cfg.seed, "permtw", 10 * d + k))
-            h = rng.normal(size=(d * d, d * d)) + 1j * rng.normal(size=(d * d, d * d))
-            h = (h + h.conj().T) / 2
-            h = (h + f @ h @ f) / 2
-            exact = twirl.perm_twirl2_exact(h, d).reconstructed
-            brute = twirl.perm_twirl2_brute(h, d)
-            worst = max(worst, schatten_norm(exact - brute, 2) / schatten_norm(h, 2))
-        reports.append(equality_report(f"perm_twirl_projection[d={d}]", worst, 0.0, 1e-9))
-    return reports
+    return [equality_report(name, v, 0.0, 1e-9, **where) for d in (4, 5)
+            for name, v, where in _worst_of(
+                cfg, "permtw", 5,
+                lambda s: {f"perm_twirl_projection[d={d}]": _perm_twirl_residual(d, s)},
+                base=10 * d)]
 
 
 def check_distance_from_classicality(cfg: SuiteConfig):
     reports = []
     d_a = 4
-    for k in range(5):
-        s = _instance_seed(cfg.seed, "distcl", 10 * d_a + k)
+    for k, s in _instances(cfg, "distcl", 5, base=10 * d_a):
         d_r = 2 + (k % d_a) % (d_a - 1)
         ch = random_channel(d_a, 2, tp=bool(k % 2), seed=s)
-        reports.append(verify.verify_distance_from_classicality(
-            ch, d_r, tol=cfg.tolerance, optimize_sigma=cfg.optimize_sigma))
+        reports.append(verify.verify_distance_from_classicality(ch, d_r))
     return reports
 
 
 def check_perm_decoupling(cfg: SuiteConfig):
     reports = []
     d_a = 4
-    for k in range(5):
-        s = _instance_seed(cfg.seed, "permdec", 10 * d_a + k)
+    for k, s in _instances(cfg, "permdec", 5, base=10 * d_a):
         d_r = 2 + k % (d_a - 1)
         ch = random_channel(d_a, 2, tp=bool(k % 2), seed=s)
-        reports.append(verify.verify_perm_decoupling_lemma(ch, d_r, tol=cfg.tolerance))
+        reports.append(verify.verify_perm_decoupling_lemma(ch, d_r))
     return reports
 
 
@@ -403,8 +391,7 @@ def check_perm_vs_haar_rhs(cfg: SuiteConfig):
     right side on the embedded entangled input."""
     reports = []
     d_a = 4
-    for k in range(5):
-        s = _instance_seed(cfg.seed, "permhaar", k)
+    for _, s in _instances(cfg, "permhaar", 5):
         ch = random_channel(d_a, 2, tp=False, seed=s)
         tr_w2 = schatten_norm(ch.choi, 2) ** 2
         tr_we2 = schatten_norm(ch.env_marginal, 2) ** 2
@@ -416,12 +403,8 @@ def check_perm_vs_haar_rhs(cfg: SuiteConfig):
 
 
 def check_quantum_hash(cfg: SuiteConfig):
-    reports = []
-    for k in range(10):
-        s = _instance_seed(cfg.seed, "qhash", k)
-        rho = random_density(8, seed=s, dims=(4, 2))
-        reports.append(verify.verify_quantum_hash(rho, 2, 2))
-    return reports
+    return [verify.verify_quantum_hash(random_density(8, seed=s, dims=(4, 2)), 2, 2)
+            for _, s in _instances(cfg, "qhash", 10)]
 
 
 # ---------------------------------------------------------------------------
@@ -432,12 +415,9 @@ def check_characters_closed_forms(cfg: SuiteConfig):
     reports = []
     for d in (4, 5, 6, 7):
         parts = [(d,), (d - 1, 1), (d - 2, 1, 1), (d - 2, 2)]
-        worst = 0
-        for lam in partitions(d):
-            counts = partition_to_counts(lam)
-            closed = char_closed_forms(d, counts)
-            for part, c in zip(parts, closed):
-                worst = max(worst, abs(mn_character(part, counts) - c))
+        worst = max(abs(mn_character(part, counts) - c)
+                    for counts in map(partition_to_counts, partitions(d))
+                    for part, c in zip(parts, char_closed_forms(d, counts)))
         reports.append(equality_report(f"characters_closed[d={d}]", float(worst), 0.0, 1e-12))
     return reports
 
@@ -452,51 +432,45 @@ def class_representative(lam):
     return tuple(p)
 
 
+def _chi_r_residuals(d: int):
+    """For each class and S2 irrep, chi_R minus its decomposition into the
+    closed-form characters, then minus the numeric trace."""
+    for lam in partitions(d):
+        counts = partition_to_counts(lam)
+        c_triv, c_std, c_col, c_row = char_closed_forms(d, counts)
+        pm = perm_operator(class_representative(lam))
+        for s2, sign in (((2, 0), 1), ((0, 1), -1)):
+            direct = chi_r(d, counts, s2)
+            # chi of S2 irreps: symmetric always 1, antisymmetric is the sign
+            combo = (2 * c_triv * 1 + 2 * c_std * 1 + c_std * sign
+                     + c_col * sign + c_row * 1)
+            yield abs(direct - combo)
+            # numeric trace of the doubled permutation representation
+            op = tensor(pm, pm) @ (np.eye(d * d) if s2 == (2, 0) else swap_operator(d))
+            yield abs(np.trace(op).real - direct)
+
+
 def check_chi_r_decomposition(cfg: SuiteConfig):
-    reports = []
-    for d in (4, 5, 6):
-        worst = 0.0
-        for lam in partitions(d):
-            counts = partition_to_counts(lam)
-            c_triv, c_std, c_col, c_row = char_closed_forms(d, counts)
-            pm = perm_operator(class_representative(lam))
-            for s2, sign in (((2, 0), 1), ((0, 1), -1)):
-                direct = chi_r(d, counts, s2)
-                # chi of S2 irreps: symmetric always 1, antisymmetric is the sign
-                combo = (2 * c_triv * 1 + 2 * c_std * 1 + c_std * sign
-                         + c_col * sign + c_row * 1)
-                worst = max(worst, abs(direct - combo))
-                # numeric trace of the doubled permutation representation
-                op = tensor(pm, pm) @ (np.eye(d * d) if s2 == (2, 0) else swap_operator(d))
-                worst = max(worst, abs(np.trace(op).real - direct))
-        reports.append(equality_report(f"chi_R_decomposition[d={d}]", float(worst), 0.0, 1e-9))
-    return reports
+    return [equality_report(f"chi_R_decomposition[d={d}]", float(max(_chi_r_residuals(d))),
+                            0.0, 1e-9)
+            for d in (4, 5, 6)]
 
 
 def check_character_orthogonality(cfg: SuiteConfig):
     reports = []
     for d in (4, 5):
         parts = partitions(d)
-        worst = 0.0
-        for lam in parts:
-            for mu in parts:
-                total = sum(class_size(partition_to_counts(c))
-                            * mn_character(lam, partition_to_counts(c))
-                            * mn_character(mu, partition_to_counts(c))
-                            for c in parts)
-                expect = factorial(d) if lam == mu else 0
-                worst = max(worst, abs(total - expect))
+        classes = [partition_to_counts(c) for c in parts]
+        worst = max(abs(sum(class_size(c) * mn_character(lam, c) * mn_character(mu, c)
+                            for c in classes) - (factorial(d) if lam == mu else 0))
+                    for lam in parts for mu in parts)
         reports.append(equality_report(f"character_orthogonality[d={d}]", worst, 0.0, 1e-12))
     return reports
 
 
 def check_hook_dimensions(cfg: SuiteConfig):
-    worst = 0
-    for d in (4, 5, 6, 7):
-        identity = partition_to_counts((1,) * d)
-        for lam in partitions(d):
-            worst = max(worst, abs(symgroup.hook_dimension(lam)
-                                   - mn_character(lam, identity)))
+    worst = max(abs(symgroup.hook_dimension(lam) - mn_character(lam, partition_to_counts((1,) * d)))
+                for d in (4, 5, 6, 7) for lam in partitions(d))
     return [equality_report("hook_vs_identity_character", float(worst), 0.0, 1e-12)]
 
 
@@ -504,97 +478,104 @@ def check_hook_dimensions(cfg: SuiteConfig):
 # entropy and metric properties
 # ---------------------------------------------------------------------------
 
+def _hmin_minus_h2(seed, solves: list) -> dict:
+    """H_min minus the optimized H2 of one random state of any rank and of
+    trace 0.3 to 1; the H_min solve is appended to `solves`."""
+    rng = np.random.default_rng(seed)
+    d_a = int(rng.integers(2, 5))
+    d_b = int(rng.integers(2, 5))
+    rank = int(rng.integers(1, d_a * d_b + 1))
+    scale = float(rng.uniform(0.3, 1.0))
+    rho = random_density(d_a * d_b, rank=rank, seed=int(rng.integers(2**31)),
+                         dims=(d_a, d_b))
+    rho = DensityOp(rho.mat * scale, rho.dims)
+    res = h_min_cond(rho.mat, rho.dims)
+    solves.append(res)
+    h2 = h2_cond(rho.mat, rho.dims, optimize=True,
+                 zeta_start=res.optimizer).value
+    return {"hmin_le_h2": res.value - h2}
+
+
 def check_hmin_le_h2(cfg: SuiteConfig):
-    worst = -np.inf
     solves = []
-    for k in range(100):
-        rng = np.random.default_rng(_instance_seed(cfg.seed, "hminh2", k))
-        d_a = int(rng.integers(2, 5))
-        d_b = int(rng.integers(2, 5))
-        rank = int(rng.integers(1, d_a * d_b + 1))
-        scale = float(rng.uniform(0.3, 1.0))
-        rho = random_density(d_a * d_b, rank=rank, seed=int(rng.integers(2**31)),
-                             dims=(d_a, d_b))
-        rho = DensityOp(rho.mat * scale, rho.dims)
-        res = h_min_cond(rho.mat, rho.dims)
-        solves.append(res)
-        h2 = h2_cond(rho.mat, rho.dims, optimize=True,
-                     zeta_start=res.optimizer).value
-        worst = max(worst, res.value - h2)
-    return [_certified(bound_report("hmin_le_h2", float(worst), 0.0, tol=1e-6,
-                                    n_states=100), solves)]
+    return [_certified(bound_report(name, float(v), 0.0, tol=1e-6, n_states=100, **where),
+                       solves)
+            for name, v, where in _worst_of(cfg, "hminh2", 100,
+                                            lambda s: _hmin_minus_h2(s, solves))]
+
+
+def _h2_fixed_minus_optimized(seed) -> dict:
+    rho = random_density(6, seed=seed, dims=(3, 2))
+    fixed = h2_cond(rho.mat, rho.dims).value
+    opt = h2_cond(rho.mat, rho.dims, optimize=True).value
+    return {"h2_optimized_ge_fixed": fixed - opt}
 
 
 def check_h2_monotone(cfg: SuiteConfig):
-    worst = -np.inf
-    for k in range(40):
-        s = _instance_seed(cfg.seed, "h2mono", k)
-        rho = random_density(6, seed=s, dims=(3, 2))
-        fixed = h2_cond(rho.mat, rho.dims).value
-        opt = h2_cond(rho.mat, rho.dims, optimize=True).value
-        worst = max(worst, fixed - opt)
-    return [bound_report("h2_optimized_ge_fixed", float(worst), 0.0, tol=1e-9,
-                         n_states=40)]
+    return [bound_report(name, float(v), 0.0, tol=1e-9, n_states=40, **where)
+            for name, v, where in _worst_of(cfg, "h2mono", 40, _h2_fixed_minus_optimized)]
+
+
+def _hmin_infeasibility(seed, solves: list) -> dict:
+    """Minus the primal slack of the H_min solve of one random 4 x 2 state,
+    which is appended to `solves`."""
+    rho = random_density(8, seed=seed, dims=(4, 2))
+    solves.append(h_min_cond(rho.mat, rho.dims))
+    return {"sdp_primal_feasibility": -solves[-1].meta["primal_slack"]}
 
 
 def check_sdp_feasibility(cfg: SuiteConfig):
     solves = []
-    for k in range(40):
-        s = _instance_seed(cfg.seed, "sdpfeas", k)
-        rho = random_density(8, seed=s, dims=(4, 2))
-        solves.append(h_min_cond(rho.mat, rho.dims))
-    worst = min(res.meta["primal_slack"] for res in solves)
-    return [_certified(bound_report("sdp_primal_feasibility", float(-worst), 1e-8, tol=0.0,
-                                    n_states=40), solves)]
+    return [_certified(bound_report(name, float(v), 1e-8, tol=0.0, n_states=40, **where),
+                       solves)
+            for name, v, where in _worst_of(cfg, "sdpfeas", 40,
+                                            lambda s: _hmin_infeasibility(s, solves))]
+
+
+def _fvdg_excess(seed) -> dict:
+    """How far one random pair, sub-normalized half of the time, exceeds each
+    side of the Fuchs-van de Graaf inequalities."""
+    rng = np.random.default_rng(seed)
+    d = int(rng.integers(2, 5))
+    normalized = bool(rng.integers(2))
+    sc_r = 1.0 if normalized else float(rng.uniform(0.2, 1.0))
+    sc_s = 1.0 if normalized else float(rng.uniform(0.2, 1.0))
+    r = random_density(d, seed=int(rng.integers(2**31))).mat * sc_r
+    s = random_density(d, seed=int(rng.integers(2**31))).mat * sc_s
+    dist = generalized_trace_distance(r, s)
+    pur = purified_distance(r, s)
+    return {"fvdg_lower": 0.5 * dist - pur, "fvdg_upper": pur - np.sqrt(dist)}
 
 
 def check_fuchs_van_de_graaf(cfg: SuiteConfig):
-    worst_lo = -np.inf
-    worst_hi = -np.inf
-    for k in range(1000):
-        rng = np.random.default_rng(_instance_seed(cfg.seed, "fvdg", k))
-        d = int(rng.integers(2, 5))
-        normalized = bool(rng.integers(2))
-        sc_r = 1.0 if normalized else float(rng.uniform(0.2, 1.0))
-        sc_s = 1.0 if normalized else float(rng.uniform(0.2, 1.0))
-        r = random_density(d, seed=int(rng.integers(2**31))).mat * sc_r
-        s = random_density(d, seed=int(rng.integers(2**31))).mat * sc_s
-        dist = generalized_trace_distance(r, s)
-        pur = purified_distance(r, s)
-        worst_lo = max(worst_lo, 0.5 * dist - pur)
-        worst_hi = max(worst_hi, pur - np.sqrt(dist))
-    return [
-        bound_report("fvdg_lower", float(worst_lo), 0.0, tol=1e-8, n_pairs=1000),
-        bound_report("fvdg_upper", float(worst_hi), 0.0, tol=1e-8, n_pairs=1000),
-    ]
+    return [bound_report(name, float(v), 0.0, tol=1e-8, n_pairs=1000, **where)
+            for name, v, where in _worst_of(cfg, "fvdg", 1000, _fvdg_excess)]
+
+
+def _norm_excess(seed) -> dict:
+    """How far one random triple A, B, C exceeds each Schatten-norm
+    inequality: ||ABC||_p <= ||A||_inf ||B||_p ||C||_inf and Hoelder's."""
+    rng = np.random.default_rng(seed)
+    d = int(rng.integers(2, 6))
+    mats = [rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)) for _ in range(3)]
+    a, b, c = mats
+    abc = a @ b @ c
+    a_inf = schatten_norm(a, "inf")
+    c_inf = schatten_norm(c, "inf")
+    sv = [np.linalg.svd(m, compute_uv=False) for m in mats]
+    hoelder_rhs = ((sv[0] ** 4).sum() ** 0.25 * (sv[1] ** 2).sum() ** 0.5
+                   * (sv[2] ** 4).sum() ** 0.25)
+    return {
+        "triple_norm_inf": schatten_norm(abc, "inf") - a_inf * schatten_norm(b, "inf") * c_inf,
+        "triple_norm_one": schatten_norm(abc, 1) - a_inf * schatten_norm(b, 1) * c_inf,
+        "triple_norm_two": schatten_norm(abc, 2) - a_inf * schatten_norm(b, 2) * c_inf,
+        "hoelder": schatten_norm(abc, 1) - hoelder_rhs,
+    }
 
 
 def check_norm_inequalities(cfg: SuiteConfig):
-    worst = {"triple_norm_inf": -np.inf, "triple_norm_one": -np.inf,
-             "triple_norm_two": -np.inf, "hoelder": -np.inf}
-    for k in range(500):
-        rng = np.random.default_rng(_instance_seed(cfg.seed, "norms", k))
-        d = int(rng.integers(2, 6))
-        mats = [rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)) for _ in range(3)]
-        a, b, c = mats
-        abc = a @ b @ c
-        a_inf = schatten_norm(a, "inf")
-        c_inf = schatten_norm(c, "inf")
-        worst["triple_norm_inf"] = max(worst["triple_norm_inf"],
-                                       schatten_norm(abc, "inf")
-                                       - a_inf * schatten_norm(b, "inf") * c_inf)
-        worst["triple_norm_one"] = max(worst["triple_norm_one"],
-                                       schatten_norm(abc, 1)
-                                       - a_inf * schatten_norm(b, 1) * c_inf)
-        worst["triple_norm_two"] = max(worst["triple_norm_two"],
-                                       schatten_norm(abc, 2)
-                                       - a_inf * schatten_norm(b, 2) * c_inf)
-        sv = [np.linalg.svd(m, compute_uv=False) for m in mats]
-        hoelder_rhs = ((sv[0] ** 4).sum() ** 0.25 * (sv[1] ** 2).sum() ** 0.5
-                       * (sv[2] ** 4).sum() ** 0.25)
-        worst["hoelder"] = max(worst["hoelder"], schatten_norm(abc, 1) - hoelder_rhs)
-    return [bound_report(name, float(v), 0.0, tol=1e-8, n_triples=500)
-            for name, v in worst.items()]
+    return [bound_report(name, float(v), 0.0, tol=1e-8, n_triples=500, **where)
+            for name, v, where in _worst_of(cfg, "norms", 500, _norm_excess)]
 
 
 # ---------------------------------------------------------------------------

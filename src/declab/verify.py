@@ -56,6 +56,13 @@ def bound_report(name, lhs, rhs, tol=BOUND_TOL, se: float = 0.0, **meta) -> Veri
     return VerificationReport(name, "upper_bound", float(lhs), float(rhs), tol, bool(ok), meta)
 
 
+def mean_se(vals: np.ndarray) -> tuple[float, float]:
+    """Sample mean and its standard error std(ddof=1) / sqrt(n), 0 for one sample."""
+    n = len(vals)
+    se = float(vals.std(ddof=1) / np.sqrt(n)) if n > 1 else 0.0
+    return float(vals.mean()), se
+
+
 def _certified(rep: VerificationReport, hmin_results) -> VerificationReport:
     """Fail `rep` unless every H_min solve behind it converged, and record
     the widest certified bracket hmin_upper - value in its meta."""
@@ -122,9 +129,9 @@ def _haar_deviation_norms(rho: DensityOp, ch: ChoiChannel, n_samples: int, seed)
     return _deviation_norms(ch, rho.mat, rho.dims, us, 1)
 
 
-def _h2_pair(rho_mat, rho_dims, ch: ChoiChannel, optimize_sigma: bool):
-    h2_rho = h2_cond(rho_mat, rho_dims, optimize=optimize_sigma).value
-    h2_om = h2_cond(ch.choi, (ch.d_in, ch.d_out), optimize=optimize_sigma).value
+def _h2_pair(rho_mat, rho_dims, ch: ChoiChannel):
+    h2_rho = h2_cond(rho_mat, rho_dims).value
+    h2_om = h2_cond(ch.choi, (ch.d_in, ch.d_out)).value
     return h2_rho, h2_om
 
 
@@ -132,7 +139,7 @@ def _h2_pair(rho_mat, rho_dims, ch: ChoiChannel, optimize_sigma: bool):
 # Haar decoupling
 # ---------------------------------------------------------------------------
 
-def verify_decoupling_lemma(rho_mat, dims, ch: ChoiChannel, tol=EQ_TOL) -> VerificationReport:
+def verify_decoupling_lemma(rho_mat, dims, ch: ChoiChannel) -> VerificationReport:
     """Exact second-moment identity for the Haar average of the squared
     2-norm deviation from the product of marginals. Input need not be PSD."""
     d_a, d_r = dims
@@ -143,20 +150,20 @@ def verify_decoupling_lemma(rho_mat, dims, ch: ChoiChannel, tol=EQ_TOL) -> Verif
     xi = max_entangled(d_a).mat - np.eye(d_a * d_a) / d_a ** 2
     big = pair_tensor(twirled, m_e, d_a, d_a)
     lhs = float(np.trace(tensor(xi, xi) @ big).real)
-    return equality_report("decoupling_lemma", lhs, haar_lemma_rhs(rho_mat, dims, ch), tol,
+    return equality_report("decoupling_lemma", lhs, haar_lemma_rhs(rho_mat, dims, ch),
                            dims={"d_A": d_a, "d_R": d_r, "d_E": ch.d_out})
 
 
 def verify_decoupling_theorem(rho: DensityOp, ch: ChoiChannel, n_samples: int = 200,
-                              seed=0, optimize_sigma=False) -> VerificationReport:
+                              seed=0) -> VerificationReport:
     """Sampled Haar average of the 1-norm deviation against the collision-entropy
     bound 2^(-H2/2 - H2/2)."""
     d_a, d_r = rho.dims
     vals = _haar_deviation_norms(rho, ch, n_samples, seed)
-    h2_rho, h2_om = _h2_pair(rho.mat, rho.dims, ch, optimize_sigma)
+    h2_rho, h2_om = _h2_pair(rho.mat, rho.dims, ch)
     rhs = 2.0 ** (-0.5 * h2_om - 0.5 * h2_rho)
-    se = float(vals.std(ddof=1) / np.sqrt(n_samples)) if n_samples > 1 else 0.0
-    return bound_report("decoupling_theorem", float(vals.mean()), rhs, se=se,
+    lhs, se = mean_se(vals)
+    return bound_report("decoupling_theorem", lhs, rhs, se=se,
                         n_samples=n_samples, seed=seed,
                         dims={"d_A": d_a, "d_R": d_r, "d_E": ch.d_out})
 
@@ -177,15 +184,15 @@ def verify_improved_decoupling(rho: DensityOp, ch: ChoiChannel, n_samples: int =
     norm_om = schatten_norm(product_difference(ch.choi, (ch.d_in, ch.d_out)), 1)
     rhs = float(np.sqrt(max(0.0, bracket_om * bracket_rho) / (1 - 1 / d_a ** 2))
                 * np.sqrt(norm_om * norm_rho))
-    se = float(vals.std(ddof=1) / np.sqrt(n_samples)) if n_samples > 1 else 0.0
+    lhs, se = mean_se(vals)
     return _certified(bound_report(
-        "improved_decoupling", float(vals.mean()), rhs, se=se, n_samples=n_samples, seed=seed,
+        "improved_decoupling", lhs, rhs, se=se, n_samples=n_samples, seed=seed,
         brackets_positive=bool(bracket_rho >= -1e-12 and bracket_om >= -1e-12),
         dims={"d_A": d_a, "d_R": d_r, "d_E": ch.d_out}), solves)
 
 
 def verify_design_decoupling(ens: UnitaryEnsemble, rho: DensityOp, ch: ChoiChannel,
-                             optimize_sigma=False, epsilon=None) -> VerificationReport:
+                             epsilon=None) -> VerificationReport:
     """Exact ensemble average of the 1-norm deviation against the almost-2-design
     bound sqrt(1 + 4 eps d^4) 2^(-H2/2 - H2/2)."""
     d_a, d_r = rho.dims
@@ -193,7 +200,7 @@ def verify_design_decoupling(ens: UnitaryEnsemble, rho: DensityOp, ch: ChoiChann
         raise ValueError("ensemble dimension must match subsystem A")
     lhs = float(ens.weights @ _deviation_norms(ch, rho.mat, rho.dims, ens.unitaries, 1))
     eps = design_epsilon_bound(ens, d_a) if epsilon is None else float(epsilon)
-    h2_rho, h2_om = _h2_pair(rho.mat, rho.dims, ch, optimize_sigma)
+    h2_rho, h2_om = _h2_pair(rho.mat, rho.dims, ch)
     rhs = float(np.sqrt(1 + 4 * eps * d_a ** 4) * 2.0 ** (-0.5 * (h2_om + h2_rho)))
     return bound_report("design_decoupling", lhs, rhs, epsilon=eps,
                         dims={"d_A": d_a, "d_R": d_r, "d_E": ch.d_out})
@@ -208,7 +215,7 @@ def _full_group(d_a: int) -> np.ndarray:
     return perm_stack(all_perms(d_a))
 
 
-def verify_cq_decoupling_lemma(rho: DensityOp, ch: ChoiChannel, tol=EQ_TOL) -> VerificationReport:
+def verify_cq_decoupling_lemma(rho: DensityOp, ch: ChoiChannel) -> VerificationReport:
     """Exhaustive permutation average of the squared 2-norm deviation equals
     d^2/(d-1) times the product of classicalized deviation norms."""
     d_a, d_r = rho.dims
@@ -220,7 +227,7 @@ def verify_cq_decoupling_lemma(rho: DensityOp, ch: ChoiChannel, tol=EQ_TOL) -> V
     dev_om = product_difference(w_cl.choi, (d_a, ch.d_out))
     rhs = (d_a ** 2 / (d_a - 1)
            * schatten_norm(dev_rho, 2) ** 2 * schatten_norm(dev_om, 2) ** 2)
-    return equality_report("cq_decoupling_lemma", lhs, rhs, tol,
+    return equality_report("cq_decoupling_lemma", lhs, rhs,
                            dims={"d_A": d_a, "d_R": d_r, "d_E": ch.d_out})
 
 
@@ -262,7 +269,7 @@ def verify_cq_hash(rho: DensityOp, d_a1: int, d_a2: int) -> VerificationReport:
                                    dims={"d_A1": d_a1, "d_A2": d_a2, "d_R": d_r}), [res])
 
 
-def verify_cq_tpcp(rho: DensityOp, ch: ChoiChannel, optimize_sigma=False) -> VerificationReport:
+def verify_cq_tpcp(rho: DensityOp, ch: ChoiChannel) -> VerificationReport:
     """Permutation decoupling of a CQ state through a trace-preserving map."""
     d_a, d_r = rho.dims
     if not ch.tp:
@@ -271,12 +278,12 @@ def verify_cq_tpcp(rho: DensityOp, ch: ChoiChannel, optimize_sigma=False) -> Ver
         raise ValueError("state must be classical on A")
     d_e = ch.d_out
     lhs = float(np.mean(_deviation_norms(ch, rho.mat, rho.dims, _full_group(d_a), 1)))
-    h2 = h2_cond(rho.mat, rho.dims, optimize=optimize_sigma).value
+    h2 = h2_cond(rho.mat, rho.dims).value
     rhs = float(np.sqrt(d_e * (d_a - d_a / d_e) / (d_a - 1) * 2.0 ** (-h2)))
     return bound_report("cq_tpcp", lhs, rhs, dims={"d_A": d_a, "d_R": d_r, "d_E": d_e})
 
 
-def verify_cq_general(rho: DensityOp, ch: ChoiChannel, optimize_sigma=False) -> VerificationReport:
+def verify_cq_general(rho: DensityOp, ch: ChoiChannel) -> VerificationReport:
     """General CQ decoupling bound sqrt((d_A + 1) 2^(-H2 - H2)) with the
     collision entropy of the classicalized Choi operator."""
     d_a, d_r = rho.dims
@@ -284,8 +291,8 @@ def verify_cq_general(rho: DensityOp, ch: ChoiChannel, optimize_sigma=False) -> 
         raise ValueError("state must be classical on A")
     lhs = float(np.mean(_deviation_norms(ch, rho.mat, rho.dims, _full_group(d_a), 1)))
     w_cl = classicalize_channel(ch)
-    h2_rho = h2_cond(rho.mat, rho.dims, optimize=optimize_sigma).value
-    h2_om = h2_cond(w_cl.choi, (d_a, ch.d_out), optimize=optimize_sigma).value
+    h2_rho = h2_cond(rho.mat, rho.dims).value
+    h2_om = h2_cond(w_cl.choi, (d_a, ch.d_out)).value
     rhs = float(np.sqrt((d_a + 1) * 2.0 ** (-h2_rho - h2_om)))
     return bound_report("cq_general", lhs, rhs, dims={"d_A": d_a, "d_R": d_r, "d_E": ch.d_out})
 
@@ -294,8 +301,7 @@ def verify_cq_general(rho: DensityOp, ch: ChoiChannel, optimize_sigma=False) -> 
 # almost independent permutation families
 # ---------------------------------------------------------------------------
 
-def verify_family_hash(fam: PermFamily, rho: DensityOp, d_a1: int, d_a2: int,
-                       optimize_sigma=False) -> VerificationReport:
+def verify_family_hash(fam: PermFamily, rho: DensityOp, d_a1: int, d_a2: int) -> VerificationReport:
     """Hash bound when averaging over a pairwise almost independent family,
     with the epsilon penalty 4 eps d_A inside the square root; eps is the
     family's pairwise dependence."""
@@ -306,7 +312,7 @@ def verify_family_hash(fam: PermFamily, rho: DensityOp, d_a1: int, d_a2: int,
         raise ValueError("state must be classical on A")
     lhs = _hash_lhs(rho.mat, d_a1, d_a2, d_r, fam)
     eps = pairwise_dependence(fam, d_a)
-    h2 = h2_cond(rho.mat, rho.dims, optimize=optimize_sigma).value
+    h2 = h2_cond(rho.mat, rho.dims).value
     rhs = float(np.sqrt(d_a1 * ((d_a - d_a2) / (d_a - 1) + 4 * eps * d_a) * 2.0 ** (-h2)))
     return bound_report("family_hash", lhs, rhs, epsilon=eps, family_size=len(fam),
                         dims={"d_A1": d_a1, "d_A2": d_a2, "d_R": d_r})
@@ -326,8 +332,7 @@ def _embedded_pair_states(d_a: int, d_r: int) -> np.ndarray:
     return out
 
 
-def verify_distance_from_classicality(ch: ChoiChannel, d_r: int,
-                                      tol=EQ_TOL, optimize_sigma=False) -> VerificationReport:
+def verify_distance_from_classicality(ch: ChoiChannel, d_r: int) -> VerificationReport:
     """Permutation average of the squared 2-norm of the channel applied to the
     entangled-minus-classical difference; exactly (d_A/d_R)(d_R-1)/(d_A-1)
     times the distance of the Choi operator from its pinched version.
@@ -345,11 +350,11 @@ def verify_distance_from_classicality(ch: ChoiChannel, d_r: int,
     lhs = float(np.mean(norms2 ** 2))
     w_cl = pinch_mat(ch.choi, (d_a, ch.d_out), 0)
     rhs = ((d_a / d_r) * (d_r - 1) / (d_a - 1) * schatten_norm(ch.choi - w_cl, 2) ** 2)
-    report = equality_report("distance_from_classicality", lhs, rhs, tol,
+    report = equality_report("distance_from_classicality", lhs, rhs,
                              dims={"d_A": d_a, "d_R": d_r, "d_E": ch.d_out})
 
     lhs1 = float(np.mean(norms1))
-    h2_om = h2_cond(ch.choi, (d_a, ch.d_out), optimize=optimize_sigma).value
+    h2_om = h2_cond(ch.choi, (d_a, ch.d_out)).value
     rhs1 = float(np.sqrt(d_a * (d_r - 1) / (d_a - 1)) * 2.0 ** (-0.5 * h2_om))
     report.meta["bound_check"] = bound_report(
         "distance_from_classicality_1norm", lhs1, rhs1, BOUND_TOL,
@@ -357,7 +362,7 @@ def verify_distance_from_classicality(ch: ChoiChannel, d_r: int,
     return report
 
 
-def verify_perm_decoupling_lemma(ch: ChoiChannel, d_r: int, tol=EQ_TOL) -> VerificationReport:
+def verify_perm_decoupling_lemma(ch: ChoiChannel, d_r: int) -> VerificationReport:
     """Exact permutation-decoupling identity on the embedded entangled state.
 
     The average is of the squared 2-norm of the channel applied to the
@@ -379,7 +384,7 @@ def verify_perm_decoupling_lemma(ch: ChoiChannel, d_r: int, tol=EQ_TOL) -> Verif
     tr_wcl2 = schatten_norm(w_cl, 2) ** 2
     rhs = ((d_a ** 2 / d_r ** 2) * (d_r - 1) / (d_a - 1)
            * ((d_r / d_a) * tr_w2 - tr_we2 / d_a + (1 - d_r / d_a) * tr_wcl2))
-    return equality_report("perm_decoupling_lemma", lhs, rhs, tol,
+    return equality_report("perm_decoupling_lemma", lhs, rhs,
                            dims={"d_A": d_a, "d_R": d_r, "d_E": ch.d_out})
 
 
