@@ -29,13 +29,20 @@ class EntropyResult:
     meta: dict | None = None
 
 
-def _matdims(state, dims=None):
+def _matdims(state, dims, what: str):
+    """The matrix and the two dimensions of a bipartite state of positive trace."""
     if isinstance(state, DensityOp):
-        return state.mat, state.dims
-    mat = np.asarray(state, dtype=complex)
-    if dims is None:
-        raise ValueError("dims required when passing a bare matrix")
-    return mat, check_dims(mat, dims)
+        mat, dims = state.mat, state.dims
+    else:
+        mat = np.asarray(state, dtype=complex)
+        if dims is None:
+            raise ValueError("dims required when passing a bare matrix")
+        dims = check_dims(mat, dims)
+    if len(dims) != 2:
+        raise ValueError(f"{what} expects a bipartite state")
+    if np.trace(mat).real <= 0:
+        raise ValueError(f"{what} of a zero operator is undefined")
+    return mat, dims
 
 
 # ---------------------------------------------------------------------------
@@ -156,12 +163,7 @@ def h_min_cond(state, dims=None) -> EntropyResult:
     "wide" otherwise; `iterations`, the Newton steps over the whole path; and
     `primal_slack`, the smallest eigenvalue of I (x) z - rho.
     """
-    mat, dims = _matdims(state, dims)
-    if len(dims) != 2:
-        raise ValueError("h_min_cond expects a bipartite state")
-    d_a, d_b = dims
-    if np.trace(mat).real <= 0:
-        raise ValueError("h_min_cond of a zero operator is undefined")
+    mat, (d_a, d_b) = _matdims(state, dims, "h_min_cond")
     val, z, y, steps = _sdp_conditional(mat, d_a, d_b)
     value = float(-np.log2(val))
     upper = float(-np.log2(np.vdot(y, mat).real)) if y is not None else np.inf
@@ -279,9 +281,7 @@ def h2_cond(state, dims=None, sigma=None, optimize: bool = False, *,
     max_iter or stalled). `seed` is unused; it is accepted because
     benchmark/workloads.py still passes it.
     """
-    mat, dims = _matdims(state, dims)
-    if len(dims) != 2:
-        raise ValueError("h2_cond expects a bipartite state")
+    mat, dims = _matdims(state, dims, "h2_cond")
     d_a, d_b = dims
     rho_b = np.trace(mat.reshape(d_a, d_b, d_a, d_b), axis1=0, axis2=2)
     if sigma is not None:

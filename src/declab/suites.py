@@ -98,7 +98,7 @@ def _dims_or(cfg: SuiteConfig, default, lo, hi):
     requested dimensions that no record has as its d_A.
     """
     src = cfg.dims if cfg.dims else default
-    return [d for d in src if lo <= d <= hi]
+    return [d for d in dict.fromkeys(src) if lo <= d <= hi]
 
 
 # ---------------------------------------------------------------------------

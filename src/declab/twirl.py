@@ -1,20 +1,21 @@
 """Second-moment averages: exact and Monte Carlo Haar twirls, unitary
 2-designs, random circuits, and the permutation twirl via the 11-element
-commutant basis with its closed-form Gramian.
+commutant basis with its closed-form Gramian. The commutant's dimension is
+checked by an exact count of index orbits, with no eigensolve.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import islice, permutations, product
+from itertools import combinations, islice, permutations, product
 from math import factorial
 
 import numpy as np
 
 from ._groupavg import element_chunks, group_mean
 from .linalg import pair_indices, permute_systems, require_hermitian, swap_operator, tensor
-from .symgroup import all_perms, perm_operator
+from .symgroup import MAX_ENUM_D, all_perms, perm_operator
 
 UNITARY_TOL = 1e-10
 
@@ -275,6 +276,8 @@ def circuit_ensemble(n_qubits: int, t: int, n_circuits: int, seed=0) -> UnitaryE
     Member k equals random_circuit(n_qubits, t, seeds[k]) bit for bit, with
     the seeds drawn from `seed`.
     """
+    if n_circuits < 1:
+        raise ValueError("need at least one circuit")
     seeds = np.random.default_rng(seed).integers(0, 2 ** 63 - 1, size=n_circuits)
     return UnitaryEnsemble(np.full(n_circuits, 1 / n_circuits),
                            _circuit_stack(n_qubits, t, seeds))
@@ -351,35 +354,32 @@ def gram_inverse_closed_form(d: int) -> np.ndarray:
 @lru_cache(maxsize=None)
 def commutant_basis(d: int) -> CommutantBasis:
     """The 11 commutant operators with their Gramian and its inverse; cached read-only."""
-    if d < 4:
-        raise ValueError(f"Gramian is singular for d = {d} (needs d >= 4)")
-    basis = CommutantBasis(d, commutant_ops(d), gram_closed_form(d), gram_inverse_closed_form(d))
+    gram_inv = gram_inverse_closed_form(d)       # first, so every d < 4 gets its message
+    basis = CommutantBasis(d, commutant_ops(d), gram_closed_form(d), gram_inv)
     for arr in basis.ops + (basis.gram, basis.gram_inv):
         arr.flags.writeable = False
     return basis
 
 
 def commutant_dim_brute(d: int) -> int:
-    """Dimension of {X : [X, P (x) P] = 0 for all P, [X, F] = 0} by nullspace
-    counting over a generating set (all transpositions and the swap)."""
-    if d > 6:
-        raise ValueError("brute-force commutant limited to d <= 6")
-    gens = []
-    for i in range(d):
-        for j in range(i + 1, d):
-            p = list(range(d))
-            p[i], p[j] = p[j], p[i]
-            pm = perm_operator(p)
-            gens.append(np.kron(pm, pm))
-    gens.append(swap_operator(d))
-    n = d * d
-    m = np.zeros((n * n, n * n))
-    eye = np.eye(n)
-    for b in gens:
-        k = np.kron(eye, b.T) - np.kron(b, eye)   # row-major vec of XB - BX
-        m += k.T @ k
-    w = np.linalg.eigvalsh(m)
-    return int(np.sum(w < 1e-8 * max(w[-1], 1.0)))
+    """Dimension of {X : [X, P (x) P] = 0 for all P, [X, F] = 0} for 1 <= d <= MAX_ENUM_D, counted
+    exactly over a generating set: every transposition P (x) P, and the swap F. These permute the
+    basis |i1 i2>, and X commutes with a permutation matrix Q iff X[Qa, Qb] = X[a, b], so the
+    dimension is the number of orbits of entry positions (i1, i2, j1, j2). Each generator is a
+    gather on the flat position, along which every orbit's least position spreads until fixed."""
+    if not 1 <= d <= MAX_ENUM_D:
+        raise ValueError(f"commutant count needs 1 <= d <= {MAX_ENUM_D}")
+    digits = pair_indices(d).reshape(4, -1)       # (i1, i2, j1, j2) of each flat position
+    place = d ** np.arange(3, -1, -1)
+    swaps = [np.array([b if x == a else a if x == b else x for x in range(d)])
+             for a, b in combinations(range(d), 2)]
+    gathers = [place @ digits[[1, 0, 3, 2]]] + [place @ p[digits] for p in swaps]
+    label, before = np.arange(d ** 4), None
+    while not np.array_equal(label, before):
+        before = label.copy()
+        for g in gathers:
+            np.minimum(label, label[g], out=label)
+    return len(np.unique(label))
 
 
 def perm_twirl2_brute(mat: np.ndarray, d: int) -> np.ndarray:

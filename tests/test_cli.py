@@ -55,7 +55,7 @@ def test_invalid_flags_exit_two():
     assert "d >= 4" in r.stderr
     for args in (("twirl", "--d", "1"), ("twirl", "--samples", "0"), ("twirl", "--d", "9"),
                  ("characters", "--d", "3"), ("family", "--n", "0"),
-                 ("circuit-study", "--qubits", "5")):
+                 ("circuit-study", "--qubits", "5"), ("circuit-study", "--trials", "0")):
         r = run_cli(*args)
         assert r.returncode == 2, args
         assert r.stdout == "" and r.stderr.startswith("error: "), args
@@ -213,6 +213,9 @@ def test_verify_notes_ignored_dims(capsys):
         "note: requested dimension(s) 7 ignored by every check of suite ch5"]
     assert "d_A=3" in out and "d_A=7" not in out
     assert main(["verify", "--suite", "ch5", "--dims", "3", "--output", "csv"]) == 0
+    assert capsys.readouterr() == (out, "")
+    # a repeated dimension runs once
+    assert main(["verify", "--suite", "ch5", "--dims", "3,3", "--output", "csv"]) == 0
     assert capsys.readouterr() == (out, "")
 
 

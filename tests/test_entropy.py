@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -180,6 +182,15 @@ def test_h2_cond_support_violation():
     rho = random_density(4, seed=5, dims=(2, 2))
     with pytest.raises(ValueError):
         h2_cond(rho.mat, rho.dims, sigma=np.diag([1.0, 0.0]))
+
+
+@pytest.mark.parametrize("entropy_of", [h_min_cond, h2_cond])
+def test_zero_operator_is_refused(entropy_of):
+    # refused up front, before any nan from normalizing by a zero trace
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="of a zero operator is undefined"):
+            entropy_of(np.zeros((4, 4)), (2, 2))
 
 
 def test_h2_cond_fixed_sigma_scale_invariant():

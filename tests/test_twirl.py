@@ -375,11 +375,50 @@ def test_commutant_ops_invariance():
             assert np.abs(pp @ op @ pp.T - op).max() < 1e-12
 
 
+def _commutant_dim_nullspace(d: int) -> int:
+    """Dimension of {X : [X, P (x) P] = 0 for all P, [X, F] = 0} by nullspace
+    counting over a generating set (all transpositions and the swap)."""
+    if d > 6:
+        raise ValueError("brute-force commutant limited to d <= 6")
+    gens = []
+    for i in range(d):
+        for j in range(i + 1, d):
+            p = list(range(d))
+            p[i], p[j] = p[j], p[i]
+            pm = perm_operator(p)
+            gens.append(np.kron(pm, pm))
+    gens.append(swap_operator(d))
+    n = d * d
+    m = np.zeros((n * n, n * n))
+    eye = np.eye(n)
+    for b in gens:
+        k = np.kron(eye, b.T) - np.kron(b, eye)   # row-major vec of XB - BX
+        m += k.T @ k
+    w = np.linalg.eigvalsh(m)
+    return int(np.sum(w < 1e-8 * max(w[-1], 1.0)))
+
+
+def _burnside_orbits(d: int) -> int:
+    """Orbits of S_d x {1, F} on index 4-tuples by Burnside's lemma: P fixes
+    fix(P)^4 tuples, and P with F fixes fix(P^2)^2 of them."""
+    perms = np.array(list(all_perms(d)))
+    fix = (perms == np.arange(d)).sum(axis=1)
+    fix_sq = (np.take_along_axis(perms, perms, axis=1) == np.arange(d)).sum(axis=1)
+    return int((fix ** 4 + fix_sq ** 2).sum()) // (2 * len(perms))
+
+
 def test_commutant_dim_brute():
-    assert commutant_dim_brute(4) == 11
-    assert commutant_dim_brute(3) < 11
-    with pytest.raises(ValueError):
-        commutant_dim_brute(7)
+    dims = [commutant_dim_brute(d) for d in range(1, 9)]
+    assert dims == [1, 6, 10, 11, 11, 11, 11, 11]
+    assert dims == [_burnside_orbits(d) for d in range(1, 9)]
+    for d in (0, 9):
+        with pytest.raises(ValueError):
+            commutant_dim_brute(d)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_commutant_dim_brute_matches_nullspace(d):
+    assert commutant_dim_brute(d) == _commutant_dim_nullspace(d)
 
 
 def test_perm_twirl_fixed_points():
