@@ -3,11 +3,12 @@ reference tables (Gramian, characters, twirl coefficients, circuit study,
 permutation families).
 
 Exit codes: 0 all checks pass, 1 any check failed, 2 configuration error.
-Every subcommand reports a configuration error as one `error: ...` line on
-stderr and exits 2; a flag that argparse rejects (an unknown --suite, a
-non-integer --d, a --dims or --depths that is not a comma-separated list of
-integers) gets argparse's usage text and a message naming the flag instead,
-also with exit 2.
+Every subcommand reports a configuration error, or an --out that cannot be
+written, as one `error: ...` line on stderr and exits 2; a flag that argparse
+rejects (an unknown --suite, a non-integer --d, a --dims or --depths that is
+not a comma-separated list of integers, a --seed below 0, a --trials or
+--samples below 1, a --depths entry below 0) gets argparse's usage text and a
+message naming the flag instead, also with exit 2.
 JSON and CSV output is byte-deterministic for a fixed configuration; wall
 times appear only in the text format.
 """
@@ -35,6 +36,27 @@ def _int_list(text: str) -> tuple:
     except ValueError:
         raise argparse.ArgumentTypeError(
             f"not a comma-separated list of integers: {text!r}") from None
+
+
+def _int_at_least(low: int):
+    """argparse type of one integer >= low."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, not {value}")
+        return value
+    return parse
+
+
+def _depths(text: str) -> tuple:
+    """argparse type of --depths: a comma-separated list of integers >= 0."""
+    depths = _int_list(text)
+    if min(depths) < 0:
+        raise argparse.ArgumentTypeError(f"every depth must be >= 0: {text!r}")
+    return depths
 
 
 def _fmt(x: float) -> str:
@@ -185,8 +207,7 @@ def cmd_circuit_study(args) -> int:
         _emit("depth,epsilon_bound\n"
               + "\n".join(f"{t},{_fmt(e)}" for t, e in pairs) + "\n", args.out)
     else:
-        for t, e in pairs:
-            print(f"depth {t:4d}: epsilon bound {_fmt(e)}")
+        _emit("".join(f"depth {t:4d}: epsilon bound {_fmt(e)}\n" for t, e in pairs), args.out)
     return 0
 
 
@@ -218,7 +239,7 @@ def main(argv=None) -> int:
         help="comma-separated integers, e.g. 4,5, clipped to each check's range; reaches "
              "decoupling_lemma, decoupling_theorem, improved_decoupling, pair_state_twirl, "
              "doubled_classical_twirl, cq_lemma")
-    p_verify.add_argument("--seed", type=int, default=0)
+    p_verify.add_argument("--seed", type=_int_at_least(0), default=0)
     p_verify.add_argument("--output", choices=("text", "json", "csv"), default="text")
     p_verify.add_argument("--out", default=None)
     p_verify.set_defaults(fn=cmd_verify)
@@ -233,15 +254,15 @@ def main(argv=None) -> int:
 
     p_twirl = sub.add_parser("twirl", help="twirl a random Hermitian operator")
     p_twirl.add_argument("--d", type=int, default=3)
-    p_twirl.add_argument("--seed", type=int, default=0)
-    p_twirl.add_argument("--samples", type=int, default=2000)
+    p_twirl.add_argument("--seed", type=_int_at_least(0), default=0)
+    p_twirl.add_argument("--samples", type=_int_at_least(1), default=2000)
     p_twirl.set_defaults(fn=cmd_twirl)
 
     p_circ = sub.add_parser("circuit-study", help="epsilon bound vs circuit depth")
     p_circ.add_argument("--qubits", type=int, default=2)
-    p_circ.add_argument("--depths", type=_int_list, default="2,30")
-    p_circ.add_argument("--trials", type=int, default=200)
-    p_circ.add_argument("--seed", type=int, default=0)
+    p_circ.add_argument("--depths", type=_depths, default="2,30")
+    p_circ.add_argument("--trials", type=_int_at_least(1), default=200)
+    p_circ.add_argument("--seed", type=_int_at_least(0), default=0)
     p_circ.add_argument("--output", choices=("text", "json", "csv"), default="text")
     p_circ.add_argument("--out", default=None)
     p_circ.set_defaults(fn=cmd_circuit_study)
@@ -253,7 +274,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -336,13 +336,8 @@ def check_gramian(cfg: SuiteConfig):
 
 
 def check_commutant_dim(cfg: SuiteConfig):
-    reports = []
-    for d in (4, 5):
-        dim = twirl.commutant_dim_brute(d)
-        reports.append(equality_report(f"commutant_dim[d={d}]", float(dim), 11.0, 1e-12))
-    dim3 = twirl.commutant_dim_brute(3)
-    reports.append(bound_report("commutant_dim[d=3]", float(dim3), 10.0, tol=0.0))
-    return reports
+    return [equality_report(f"commutant_dim[d={d}]", float(twirl.commutant_dim_brute(d)), dim,
+                            1e-12) for d, dim in ((4, 11.0), (5, 11.0), (3, 10.0))]
 
 
 def _perm_twirl_residual(d: int, seed) -> float:

@@ -168,6 +168,8 @@ class PermFamily:
 
     def __post_init__(self):
         perms = tuple(check_permutation(p) for p in self.perms)
+        if not perms or len({len(p) for p in perms}) != 1:
+            raise ValueError("a family needs at least one member, all on the same points")
         object.__setattr__(self, "perms", perms)
         if self.weights is None:
             w = np.full(len(perms), 1.0 / len(perms))
@@ -179,6 +181,11 @@ class PermFamily:
 
     def __len__(self):
         return len(self.perms)
+
+    def require_points(self, d: int):
+        """Raise ValueError unless the members permute d points."""
+        if len(self.perms[0]) != d:
+            raise ValueError(f"family permutes {len(self.perms[0])} points, not d = {d}")
 
 
 def gf2_mul(a: int, b: int, n: int) -> int:
@@ -222,6 +229,7 @@ def pairwise_dependence(fam: PermFamily, d: int) -> float:
     distribution from uniform over ordered distinct pairs."""
     if d < 2:
         raise ValueError("needs d >= 2")
+    fam.require_points(d)
     uniform = 1.0 / (d * (d - 1))
     distinct = ~np.eye(d, dtype=bool).ravel()                  # pair index x1*d + x2, x1 != x2
     rows = _pair_distributions(fam.perms, fam.weights, d)[distinct]
@@ -240,6 +248,7 @@ def classical_diamond_distance(fam: PermFamily, d: int) -> float:
         raise ValueError("needs d >= 2")
     if d > MAX_DIAMOND_D:
         raise ValueError(f"exhaustive reference refused for d > {MAX_DIAMOND_D}")
+    fam.require_points(d)
     dist_w = _pair_distributions(fam.perms, fam.weights, d)
     group = list(all_perms(d))
     dist_h = _pair_distributions(group, np.full(len(group), 1.0 / len(group)), d)

@@ -1,14 +1,16 @@
 """Second-moment averages: exact and Monte Carlo Haar twirls, unitary
-2-designs, random circuits, and the permutation twirl via the 11-element
-commutant basis with its closed-form Gramian. The commutant's dimension is
-checked by an exact count of index orbits, with no eigensolve.
+2-designs, random {H, T, CNOT} circuits (one uniform index into a cached gate
+stack per step, drawn for a whole ensemble by one integers call), and the
+permutation twirl via the 11-element commutant basis with its closed-form
+Gramian. The commutant's dimension is checked by an exact count of index
+orbits, with no eigensolve.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations, islice, permutations, product
+from itertools import combinations, islice, permutations
 from math import factorial
 
 import numpy as np
@@ -191,96 +193,49 @@ def _lift_gate(gate: np.ndarray, n_qubits: int, q1: int, q2: int) -> np.ndarray:
     return permute_systems(big, (2,) * n_qubits, inv_order)
 
 
-def _draw_pair(rng, n_qubits: int) -> tuple:
-    """One uniformly random ordered pair of distinct qubits."""
-    return tuple(int(q) for q in rng.choice(n_qubits, size=2, replace=False))
-
-
 def random_circuit(n_qubits: int, t: int, seed=0) -> np.ndarray:
     """Product of t random two-qubit gates from the {H, T, CNOT} set, each on a
-    uniformly random ordered pair of qubits.
+    uniformly random ordered pair of qubits: the one member of
+    circuit_ensemble(n_qubits, t, 1, seed).
 
     The discrete gate set keeps the depth dependence meaningful even when a
     single gate already spans the whole register (n_qubits = 2), where Haar
     steps of any depth would be exactly Haar distributed.
     """
-    return _circuit_stack(n_qubits, t, [seed])[0]
+    return circuit_ensemble(n_qubits, t, 1, seed).unitaries[0]
 
 
 @lru_cache(maxsize=None)
-def _universal_steps(n_qubits: int):
-    """Every lifted {H, T, CNOT} gate as one read-only stack, and how a
-    random_circuit step picks from it.
-
-    A step is rng.choice(n_qubits, 2, replace=False) and then rng.integers(3),
-    and each bounded draw takes one 32-bit word w as (w * range) >> 32 (Lemire).
-    choice runs Floyd's sampler, one draw in [0, j] for j = n - 2, n - 1 (none
-    for j = 0), then shuffles the two picks with one draw in [0, 1]. Returns
-    (stack, pairs, ranges, index): stack[3 * pairs.index((q1, q2)) + pick] is
-    the gate, ranges the draw ranges of one step, and index the stack index of
-    every tuple of draw values, flattened in C order.
-    """
-    pairs = list(permutations(range(n_qubits), 2))
+def _universal_steps(n_qubits: int) -> np.ndarray:
+    """Every lifted {H, T, CNOT} gate as one read-only stack: entry 3 * pair + gate is
+    _UNIVERSAL[gate] on ordered pair number `pair` of permutations(range(n_qubits), 2)."""
     stack = np.stack([_lift_gate(gate, n_qubits, q1, q2)
-                      for q1, q2 in pairs for gate in _UNIVERSAL])
+                      for q1, q2 in permutations(range(n_qubits), 2) for gate in _UNIVERSAL])
     stack.flags.writeable = False
-    ranges = [j + 1 for j in range(n_qubits - 2, n_qubits) if j > 0] + [2, 3]
-    index = []
-    for draws in product(*(range(r) for r in ranges)):
-        vals = iter(draws)
-        picks = []
-        for j in range(n_qubits - 2, n_qubits):
-            val = next(vals) if j > 0 else 0
-            picks.append(j if val in picks else val)
-        if next(vals) == 0:
-            picks.reverse()
-        index.append(3 * pairs.index(tuple(picks)) + next(vals))
-    return stack, pairs, np.array(ranges), np.array(index)
-
-
-def _step_indices(n_qubits: int, t: int, rng) -> np.ndarray:
-    """Stack indices (see _universal_steps) of the t steps that
-    random_circuit draws from `rng`; `rng` ends where those draws leave it.
-
-    All words come from one call. A range-3 draw rejects exactly the word 0
-    (2^32 mod 3 = 1) and redraws, which shifts every later draw; then the steps
-    are drawn again one by one from the saved state.
-    """
-    _, pairs, ranges, index = _universal_steps(n_qubits)
-    state = rng.bit_generator.state
-    words = rng.integers(0, 2 ** 32, size=(t, len(ranges)), dtype=np.uint32)
-    if not np.any(words[:, ranges == 3] == 0):
-        draws = (words.astype(np.int64) * ranges) >> 32
-        return index[np.ravel_multi_index(tuple(draws.T), ranges)]
-    rng.bit_generator.state = state
-    return np.array([3 * pairs.index(_draw_pair(rng, n_qubits)) + int(rng.integers(3))
-                     for _ in range(t)], dtype=int)
-
-
-def _circuit_stack(n_qubits: int, t: int, seeds) -> np.ndarray:
-    """The random circuits of depth t drawn from each seed, multiplied as one stack."""
-    if not 2 <= n_qubits <= 4:
-        raise ValueError("supported qubit counts: 2..4")
-    stack = _universal_steps(n_qubits)[0]
-    idx = np.array([_step_indices(n_qubits, t, np.random.default_rng(s)) for s in seeds],
-                   dtype=int).reshape(len(seeds), t)
-    u = np.tile(np.eye(2 ** n_qubits, dtype=complex), (len(seeds), 1, 1))
-    for k in range(t):
-        u = stack[idx[:, k]] @ u
-    return u
+    return stack
 
 
 def circuit_ensemble(n_qubits: int, t: int, n_circuits: int, seed=0) -> UnitaryEnsemble:
-    """Uniform ensemble of independent universal random circuits of fixed depth.
+    """Uniform ensemble of independent universal random circuits of depth t.
 
-    Member k equals random_circuit(n_qubits, t, seeds[k]) bit for bit, with
-    the seeds drawn from `seed`.
+    Every step of every circuit is one uniform index into the stack of lifted
+    gates (see _universal_steps), so its pair and gate are uniform and
+    independent; all of them come from one call,
+    default_rng(seed).integers(3 * n_qubits * (n_qubits - 1), size=(n_circuits, t)),
+    and the circuits are multiplied together one step at a time.
     """
     if n_circuits < 1:
         raise ValueError("need at least one circuit")
-    seeds = np.random.default_rng(seed).integers(0, 2 ** 63 - 1, size=n_circuits)
-    return UnitaryEnsemble(np.full(n_circuits, 1 / n_circuits),
-                           _circuit_stack(n_qubits, t, seeds))
+    if not 2 <= n_qubits <= 4:
+        raise ValueError("supported qubit counts: 2..4")
+    if t < 0:
+        raise ValueError("depth must be >= 0")
+    stack = _universal_steps(n_qubits)
+    idx = np.random.default_rng(seed).integers(len(stack), size=(n_circuits, t))
+    u = np.tile(np.eye(2 ** n_qubits, dtype=complex), (n_circuits, 1, 1))
+    for k in range(t):
+        u = stack[idx[:, k]] @ u
+    return UnitaryEnsemble(np.full(n_circuits, 1 / n_circuits), u)
 
 
 # ---------------------------------------------------------------------------

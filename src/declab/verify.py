@@ -310,6 +310,7 @@ def verify_family_hash(fam: PermFamily, rho: DensityOp, d_a1: int, d_a2: int) ->
         raise ValueError("split does not match d_A")
     if not is_cq(rho):
         raise ValueError("state must be classical on A")
+    fam.require_points(d_a)
     lhs = _hash_lhs(rho.mat, d_a1, d_a2, d_r, fam)
     eps = pairwise_dependence(fam, d_a)
     h2 = h2_cond(rho.mat, rho.dims).value

@@ -43,22 +43,42 @@ def test_csv_output(tmp_path):
     assert len(lines) > 3
 
 
-def test_invalid_flags_exit_two():
+def exit_code(args):
+    """cli.main's exit code, also when argparse ends the run with SystemExit."""
+    try:
+        return main(list(args))
+    except SystemExit as exc:
+        return exc.code
+
+
+def test_invalid_flags_exit_two(capsys):
     # argparse rejects these values itself, with a message that names the flag
     for args in (("verify", "--suite", "nonsense"), ("verify", "--dims", "x"),
-                 ("circuit-study", "--depths", "2,x")):
-        r = run_cli(*args)
-        assert r.returncode == 2, args
-        assert r.stdout == "" and f"argument {args[1]}:" in r.stderr, args
+                 ("verify", "--seed", "-1"), ("circuit-study", "--depths", "2,x"),
+                 ("circuit-study", "--depths", "-1"), ("circuit-study", "--trials", "0"),
+                 ("twirl", "--samples", "0")):
+        assert exit_code(args) == 2, args
+        out, err = capsys.readouterr()
+        assert out == "" and f"argument {args[1]}:" in err, args
+    for args in (("twirl", "--d", "1"), ("twirl", "--d", "9"), ("characters", "--d", "3"),
+                 ("family", "--n", "0"), ("circuit-study", "--qubits", "5")):
+        assert exit_code(args) == 2, args
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: "), args
+    # one case through the `python -m declab` entry point
     r = run_cli("gram", "--d", "3")
     assert r.returncode == 2
-    assert "d >= 4" in r.stderr
-    for args in (("twirl", "--d", "1"), ("twirl", "--samples", "0"), ("twirl", "--d", "9"),
-                 ("characters", "--d", "3"), ("family", "--n", "0"),
-                 ("circuit-study", "--qubits", "5"), ("circuit-study", "--trials", "0")):
-        r = run_cli(*args)
-        assert r.returncode == 2, args
-        assert r.stdout == "" and r.stderr.startswith("error: "), args
+    assert r.stdout == "" and r.stderr.startswith("error: ") and "d >= 4" in r.stderr
+
+
+def test_unwritable_out_exits_two(tmp_path, capsys):
+    missing = tmp_path / "missing"
+    for args in (("verify", "--suite", "groups", "--output", "json",
+                  "--out", str(missing / "x.json")),
+                 ("circuit-study", "--trials", "5", "--out", str(missing / "x.csv"))):
+        assert main(list(args)) == 2, args
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: "), args
 
 
 def test_json_and_csv_hold_the_same_records(tmp_path):

@@ -22,6 +22,8 @@ from declab.symgroup import (
     partitions,
     perm_operator,
 )
+from declab.states import random_cq
+from declab.verify import verify_family_hash
 
 
 def test_perm_operator_basics():
@@ -254,3 +256,15 @@ def test_perm_family_validation():
         PermFamily(((0, 1), (1, 0)), weights=np.array([0.7, 0.7]))
     with pytest.raises(ValueError):
         PermFamily(((0, 0, 1),))
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: PermFamily(((0, 1), (0, 1, 2))), "same points"),
+    (lambda: PermFamily(()), "at least one member"),
+    (lambda: verify_family_hash(affine_family(3), random_cq((4, 2), seed=1), 2, 2),
+     "permutes 8 points, not d = 4"),
+    (lambda: pairwise_dependence(affine_family(2), 2), "permutes 4 points, not d = 2"),
+], ids=["mixed-lengths", "empty", "family-hash-dims", "pairwise-dims"])
+def test_malformed_family_or_dimension_is_refused(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()

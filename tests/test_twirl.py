@@ -1,3 +1,4 @@
+from itertools import permutations
 from math import log2
 
 import numpy as np
@@ -206,20 +207,24 @@ def test_random_circuit_basics():
     assert np.allclose(random_circuit(2, 7, seed=5), random_circuit(2, 7, seed=5))
     with pytest.raises(ValueError):
         random_circuit(5, 1)
+    with pytest.raises(ValueError, match="depth must be >= 0"):
+        circuit_ensemble(2, -1, 3)
 
 
-def step_by_step_circuit(n_qubits, t, seed):
-    """random_circuit built without the cached gate stack: every step draws its
-    pair and gate, then lifts the gate with tensor and permute_systems."""
+def step_by_step_circuit(n_qubits, steps):
+    """The circuit of the given stack indices, built without the cached gate stack:
+    step 3 * pair + gate lifts gate `gate` of (H x I, T x I, CNOT) to ordered pair
+    number `pair` of permutations(range(n_qubits), 2) with tensor and permute_systems,
+    and applies it."""
     h = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
     tg = np.diag([1.0, np.exp(1j * np.pi / 4)])
     cnot = np.array([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex)
-    rng = np.random.default_rng(seed)
+    pairs = list(permutations(range(n_qubits), 2))
     dims = (2,) * n_qubits
     u = np.eye(2 ** n_qubits, dtype=complex)
-    for _ in range(t):
-        q1, q2 = (int(q) for q in rng.choice(n_qubits, size=2, replace=False))
-        gate = (tensor(h, np.eye(2)), tensor(tg, np.eye(2)), cnot)[rng.integers(3)]
+    for step in steps:
+        q1, q2 = pairs[step // 3]
+        gate = (tensor(h, np.eye(2)), tensor(tg, np.eye(2)), cnot)[step % 3]
         rest = [q for q in range(n_qubits) if q not in (q1, q2)]
         big = tensor(gate, np.eye(2 ** (n_qubits - 2)))
         order = [q1, q2] + rest
@@ -227,17 +232,9 @@ def step_by_step_circuit(n_qubits, t, seed):
     return u
 
 
-@pytest.mark.parametrize("n_qubits", [2, 3, 4], ids=lambda n: f"universal-{n}")
-def test_random_circuit_matches_step_by_step(n_qubits):
-    for t in (0, 1, 7, 20, 30):
-        for seed in range(4):
-            assert np.array_equal(random_circuit(n_qubits, t, seed=seed),
-                                  step_by_step_circuit(n_qubits, t, seed))
-
-
 def test_cached_gate_lift_is_read_only():
-    stack = twirl._universal_steps(3)[0]
-    assert stack is twirl._universal_steps(3)[0]
+    stack = twirl._universal_steps(3)
+    assert stack is twirl._universal_steps(3)
     with pytest.raises(ValueError):
         stack[0, 0, 0] = 0.0
 
@@ -246,47 +243,15 @@ def test_cached_gate_lift_is_read_only():
 @pytest.mark.parametrize("t", [0, 1, 7, 30])
 @pytest.mark.parametrize("seed", [4, [8, 1]])
 def test_circuit_ensemble_matches_random_circuit(n_qubits, t, seed):
+    # every step is one documented draw: a uniform index into the 3 n (n - 1) lifted gates
+    n_gates = 3 * n_qubits * (n_qubits - 1)
     ens = circuit_ensemble(n_qubits, t, 12, seed=seed)
-    seeds = np.random.default_rng(seed).integers(0, 2 ** 63 - 1, size=12)
-    for member, s in zip(ens.unitaries, seeds):
-        assert np.array_equal(member, step_by_step_circuit(n_qubits, t, s))
-
-
-_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645    # PCG64's 128-bit LCG multiplier
-
-
-def pcg64_state_with_zero_output(inc, k):
-    """A PCG64 state whose output k (0-based) is 0, so 32-bit words 2k and
-    2k + 1 are 0: the LCG state stepped to that output has equal halves,
-    which XSL-RR maps to 0. Found by undoing k + 1 LCG steps."""
-    state = 0x0123456789ABCDEF * (2 ** 64 + 1)
-    inv = pow(_PCG64_MULT, -1, 2 ** 128)
-    for _ in range(k + 1):
-        state = (state - inc) * inv % 2 ** 128
-    return {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
-            "has_uint32": 0, "uinteger": 0}
-
-
-@pytest.mark.parametrize("n_qubits, k", [(2, 1), (3, 0), (4, 0)])
-def test_step_indices_follow_a_rejected_draw(n_qubits, k):
-    # words 2k, 2k + 1 are 0 and word 2k or 2k + 1 is a range-3 draw, which
-    # Lemire's method rejects; every later draw shifts by one word or two
-    rng = np.random.default_rng(1)
-    state = pcg64_state_with_zero_output(rng.bit_generator.state["state"]["inc"], k)
-    rng.bit_generator.state = state
-    assert rng.integers(0, 2 ** 32, size=2 * k + 2, dtype=np.uint32)[2 * k:].tolist() == [0, 0]
-
-    rng.bit_generator.state = state
-    _, pairs, _, _ = twirl._universal_steps(n_qubits)
-    expected = []
-    for _ in range(6):
-        pair = tuple(int(q) for q in rng.choice(n_qubits, size=2, replace=False))
-        expected.append(3 * pairs.index(pair) + int(rng.integers(3)))
-    after = rng.bit_generator.state
-
-    rng.bit_generator.state = state
-    assert twirl._step_indices(n_qubits, 6, rng).tolist() == expected
-    assert rng.bit_generator.state == after
+    steps = np.random.default_rng(seed).integers(n_gates, size=(12, t))
+    for member, idx in zip(ens.unitaries, steps):
+        assert np.array_equal(member, step_by_step_circuit(n_qubits, idx))
+    idx = np.random.default_rng(seed).integers(n_gates, size=(1, t))[0]
+    assert np.array_equal(random_circuit(n_qubits, t, seed=seed),
+                          step_by_step_circuit(n_qubits, idx))
 
 
 def test_circuit_ensemble_trend():
