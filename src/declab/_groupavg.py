@@ -12,6 +12,10 @@ are then applied to the whole stack at once.
 Stacks are built and consumed in chunks sized so that every stack live while
 a chunk is conjugated fits in CHUNK_BYTES, so the working set does not grow
 with the number of elements.
+
+The mean of a fixed operator over the whole symmetric group needs no element
+at all: `orbit_mean` averages each entry over its orbit, which the equality
+pattern of its index tuple names.
 """
 
 from __future__ import annotations
@@ -84,6 +88,40 @@ def group_mean(mat: np.ndarray, dims, elems: np.ndarray, weights=None, sites=(0,
         total = total + (stack.sum(axis=0) if weights is None
                          else np.tensordot(weights[sl], stack, axes=1))
     return total / len(elems) if weights is None else total
+
+
+def pattern_labels(idx: np.ndarray) -> np.ndarray:
+    """One integer per column of the index tuples idx (k, n), equal for two
+    columns exactly when they have the same equality pattern, i.e. when one is
+    the other with its values relabelled by a permutation.
+
+    A tuple's pattern is, at each position, the first position holding the
+    same value; the labels number the distinct patterns 0, 1, ... in sorted
+    order of their codes.
+    """
+    k = len(idx)
+    first = [np.argmax(idx[:j + 1] == idx[j], axis=0) for j in range(k)]
+    code = sum(f * k ** j for j, f in enumerate(first))
+    return np.unique(code, return_inverse=True)[1].reshape(-1)
+
+
+def orbit_mean(x: np.ndarray, d: int, k: int) -> np.ndarray:
+    """Exact mean of x over S_d acting on its first k axes, each of length d,
+    by one relabelling of all of them; the trailing axes are spectators.
+
+    S_d maps an index k-tuple onto every tuple of the same equality pattern
+    and onto no other, so the group mean of an entry is the plain mean over
+    the entries of its pattern: one label per tuple and one average per label,
+    in memory linear in x and with no group element enumerated. Equals
+    group_mean over all_perms(d) to round-off, for example with k = 4 on the
+    (row, column) indices of an operator on two d-level factors.
+    """
+    x = np.asarray(x)
+    labels = pattern_labels(np.indices((d,) * k).reshape(k, -1))
+    flat = x.reshape(d ** k, -1)
+    sums = np.zeros((labels.max() + 1, flat.shape[1]), dtype=np.result_type(x, float))
+    np.add.at(sums, labels, flat)
+    return (sums / np.bincount(labels)[:, None])[labels].reshape(x.shape)
 
 
 def apply_channel_stack(ch, stack: np.ndarray, d_r: int) -> np.ndarray:

@@ -327,30 +327,45 @@ def h2_cond(state, dims=None, sigma=None, optimize: bool = False, *,
 # distances
 # ---------------------------------------------------------------------------
 
-def trace_distance(rho, sigma) -> float:
-    """Un-halved trace distance ||rho - sigma||_1."""
+def _trace(mat: np.ndarray):
+    return np.trace(mat, axis1=-2, axis2=-1).real
+
+
+def trace_distance(rho, sigma):
+    """Un-halved trace distance ||rho - sigma||_1, of two matrices (a float)
+    or matrix for matrix of two stacks over leading axes (an array)."""
     return schatten_norm(np.asarray(rho) - np.asarray(sigma), 1)
 
 
-def generalized_trace_distance(rho, sigma) -> float:
+def generalized_trace_distance(rho, sigma):
+    """||rho - sigma||_1 + |tr rho - tr sigma|, of two matrices or of two stacks."""
     rho, sigma = np.asarray(rho), np.asarray(sigma)
-    return trace_distance(rho, sigma) + abs(np.trace(rho).real - np.trace(sigma).real)
+    return trace_distance(rho, sigma) + abs(_trace(rho) - _trace(sigma))
 
 
-def fidelity(rho, sigma) -> float:
-    """||sqrt(rho) sqrt(sigma)||_1."""
+def fidelity(rho, sigma):
+    """||sqrt(rho) sqrt(sigma)||_1, of two PSD matrices or of two stacks.
+
+    schatten_norm takes one branch for a whole stack: the SVD unless every
+    product is Hermitian, as it is for no generic pair, so a stack of generic
+    pairs gives each pair's own value bit for bit."""
     r = mpow(np.asarray(rho, dtype=complex), 0.5)
     s = mpow(np.asarray(sigma, dtype=complex), 0.5)
     return schatten_norm(r @ s, 1)
 
 
-def generalized_fidelity(rho, sigma) -> float:
+def generalized_fidelity(rho, sigma):
+    """fidelity + sqrt((1 - tr rho)(1 - tr sigma)), each slack clipped at 0,
+    of two sub-normalized states or of two stacks."""
     rho, sigma = np.asarray(rho), np.asarray(sigma)
-    slack_r = max(0.0, 1.0 - np.trace(rho).real)
-    slack_s = max(0.0, 1.0 - np.trace(sigma).real)
+    slack_r = np.maximum(0.0, 1.0 - _trace(rho))
+    slack_s = np.maximum(0.0, 1.0 - _trace(sigma))
     return fidelity(rho, sigma) + np.sqrt(slack_r * slack_s)
 
 
-def purified_distance(rho, sigma) -> float:
-    f = min(generalized_fidelity(rho, sigma), 1.0)
-    return float(np.sqrt(max(0.0, 1.0 - f * f)))
+def purified_distance(rho, sigma):
+    """sqrt(1 - F^2) with F the generalized fidelity capped at 1, of two
+    sub-normalized states (a float) or of two stacks (an array)."""
+    f = np.minimum(generalized_fidelity(rho, sigma), 1.0)
+    out = np.sqrt(np.maximum(0.0, 1.0 - f * f))
+    return float(out) if np.ndim(out) == 0 else out

@@ -109,27 +109,33 @@ def swap_operator(d: int) -> np.ndarray:
 
 
 def eig_hermitian(mat: np.ndarray):
-    """Eigenvalues (ascending, real) and eigenvector columns of a Hermitian matrix."""
+    """Eigenvalues (ascending, real) and eigenvector columns of a Hermitian
+    matrix, or of every matrix of a stack over leading axes."""
     require_hermitian(mat)
-    w, v = np.linalg.eigh((mat + mat.conj().T) / 2)
+    w, v = np.linalg.eigh((mat + mat.conj().swapaxes(-1, -2)) / 2)
     return w, v
 
 
 def mpow(mat: np.ndarray, exponent: float) -> np.ndarray:
-    """PSD matrix power; negative exponents act as pseudo-inverse on the support.
+    """PSD matrix power of a matrix, or of every matrix of a stack over
+    leading axes; negative exponents act as pseudo-inverse on the support.
 
-    Eigenvalues below PINV_RCOND * lambda_max are treated as exact zeros.
+    Eigenvalues below PINV_RCOND times the largest eigenvalue of their own
+    matrix are treated as exact zeros. Raises ValueError if the input is not
+    Hermitian within HERM_RTOL or if any matrix has an eigenvalue below
+    -max(that cutoff, 1e-13). A stack gives, matrix for matrix, the same
+    bits as one call per matrix.
     """
     w, v = eig_hermitian(mat)
-    lam_max = w[-1] if w.size else 0.0
-    cutoff = PINV_RCOND * max(lam_max, 0.0)
-    if w.size and w[0] < -max(cutoff, 1e-13):
-        raise ValueError(f"mpow requires a PSD matrix (min eigenvalue {w[0]:.3e})")
-    w = np.where(w > cutoff, w, 0.0)
+    cutoff = PINV_RCOND * np.maximum(w[..., -1:], 0.0)
+    negative = w[..., :1] < -np.maximum(cutoff, 1e-13)
+    if np.count_nonzero(negative):
+        raise ValueError("mpow requires a PSD matrix "
+                         f"(min eigenvalue {w[..., :1][negative].min():.3e})")
+    support = w > cutoff
     powered = np.zeros_like(w)
-    support = w > 0
     powered[support] = w[support] ** exponent
-    return (v * powered) @ v.conj().T
+    return (v * powered[..., None, :]) @ v.conj().swapaxes(-1, -2)
 
 
 def support_projector(mat: np.ndarray) -> np.ndarray:

@@ -17,7 +17,7 @@ from typing import Callable
 import numpy as np
 
 from . import symgroup, twirl, verify
-from ._groupavg import apply_channel_stack, group_mean, group_values, perm_stack
+from ._groupavg import apply_channel_stack, element_chunks, group_values, orbit_mean
 from .entropy import (
     generalized_trace_distance,
     h2_cond,
@@ -78,16 +78,31 @@ def _instances(cfg: SuiteConfig, tag: str, n: int, base: int = 0):
 
 
 def _worst_of(cfg: SuiteConfig, tag: str, n: int, measure, base: int = 0) -> list:
-    """(name, value, where) for each value that measure(seed) names: its first
-    largest over the n instances of `_instances`, and in `where` the worst_k
-    and worst_seed of that instance, for the record's meta."""
-    worst = {}
-    for k, seed in _instances(cfg, tag, n, base):
-        for name, v in measure(seed).items():
-            if v > worst.setdefault(name, (-np.inf, None, None))[0]:
-                worst[name] = (v, k, seed)
-    return [(name, v, {"worst_k": k, "worst_seed": seed})
-            for name, (v, k, seed) in worst.items()]
+    """(name, value, where) for each array of values that measure(seeds)
+    names, one value per seed of the n instances of `_instances`: its first
+    largest, by np.argmax, and in `where` the worst_k and worst_seed of that
+    instance, for the record's meta. NaN counts as the largest, so a NaN
+    instance fails the record and is the one named."""
+    seeds = [s for _, s in _instances(cfg, tag, n, base)]
+    out = []
+    for name, vals in measure(seeds).items():
+        k = int(np.argmax(vals))
+        out.append((name, float(vals[k]), {"worst_k": k, "worst_seed": seeds[k]}))
+    return out
+
+
+def _per_shape(draws: list, measure) -> dict:
+    """measure evaluated on one stack per shape of the draws, in instance
+    order: draws[i] is a tuple of arrays drawn for instance i, and
+    measure(*stacks) maps the stacked tuples of one shape to {name: values}."""
+    shapes = [tuple(a.shape for a in draw) for draw in draws]
+    out = {}
+    for shape in dict.fromkeys(shapes):
+        idx = [i for i, sh in enumerate(shapes) if sh == shape]
+        stacks = (np.stack(col) for col in zip(*(draws[i] for i in idx)))
+        for name, vals in measure(*stacks).items():
+            out.setdefault(name, np.empty(len(draws)))[idx] = vals
+    return out
 
 
 def _dims_or(cfg: SuiteConfig, default, lo, hi):
@@ -126,17 +141,23 @@ def mc_cross_check(seed, n_mc: int = 100_000) -> VerificationReport:
     """Monte Carlo Haar average of the squared 2-norm deviation at d_A = 2,
     compared with the closed right side within three standard errors.
 
-    Samples are drawn in one batch by twirl.haar_samples and contracted by
-    the group-average kernel, so 10^5 unitaries are cheap.
+    The samples are drawn and scored one kernel chunk (`element_chunks`) at a
+    time, so no more than one chunk of unitaries is ever held. haar_samples
+    consumes its generator sample by sample, so the values are those of one
+    batch of n_mc samples from the same generator.
     """
     rng = np.random.default_rng([seed, 77])
     d_a = d_r = d_e = 2
     rho = random_density(d_a * d_r, seed=int(rng.integers(2**31)), dims=(d_a, d_r))
     ch = random_channel(d_a, d_e, tp=False, seed=int(rng.integers(2**31)))
-    us = twirl.haar_samples(d_a, n_mc, rng)
     target = tensor(ch.env_marginal, rho.marginal([1]))
-    vals = group_values(rho.mat, rho.dims, us, lambda stack: schatten_norm(
-        apply_channel_stack(ch, stack, d_r) - target, 2) ** 2)
+
+    def score(stack):
+        return schatten_norm(apply_channel_stack(ch, stack, d_r) - target, 2) ** 2
+
+    vals = np.concatenate([
+        group_values(rho.mat, rho.dims, twirl.haar_samples(d_a, sl.stop - sl.start, rng), score)
+        for sl in element_chunks(n_mc, rho.dims, unitary=True)])
     rhs = verify.haar_lemma_rhs(rho.mat, rho.dims, ch)
     lhs, se = verify.mean_se(vals)
     ok = abs(lhs - rhs) <= 3 * se + 1e-12
@@ -188,15 +209,16 @@ def check_design_circuits(cfg: SuiteConfig):
 
 
 def run_circuit_study(n_qubits: int, depths, trials: int, seed=0):
-    """(depth, epsilon-bound) pairs for ensembles of random circuits."""
+    """(depth, epsilon-bound) pairs for ensembles of random circuits, one
+    per distinct depth, in first-seen order."""
     if n_qubits not in (2, 3):
         raise ValueError("circuit study supports 2 or 3 qubits")
     d = 2 ** n_qubits
     base = list(seed) if isinstance(seed, (list, tuple)) else [seed]
     out = []
-    for t in depths:
-        ens = twirl.circuit_ensemble(n_qubits, int(t), trials, seed=base + [int(t)])
-        out.append((int(t), twirl.design_epsilon_bound(ens, d)))
+    for t in dict.fromkeys(int(t) for t in depths):
+        ens = twirl.circuit_ensemble(n_qubits, t, trials, seed=base + [t])
+        out.append((t, twirl.design_epsilon_bound(ens, d)))
     return out
 
 
@@ -213,15 +235,14 @@ def check_circuit_trend(cfg: SuiteConfig):
 # ---------------------------------------------------------------------------
 
 def _pair_state_residuals(d: int):
-    """Largest entry of the exhaustive P (x) P average of each classical pair
+    """Largest entry of the exact P (x) P average of each classical pair
     state |ij><ij| minus its closed form."""
     tee = classical_correlated(d).mat * d
-    group = perm_stack(all_perms(d))
     for i in range(d):
         for j in range(d):
-            e = np.zeros((d * d, d * d))
-            e[i * d + j, i * d + j] = 1.0
-            avg = group_mean(e, (d, d), group, sites=(0, 1))
+            e = np.zeros((d,) * 4)
+            e[i, j, i, j] = 1.0
+            avg = orbit_mean(e, d, 4).reshape(d * d, d * d)
             delta = 1.0 if i == j else 0.0
             closed = ((1 - delta) / (d * d - d) * np.eye(d * d)
                       - (1 - delta) / (d - 1) * tee / d + delta * tee / d)
@@ -229,23 +250,29 @@ def _pair_state_residuals(d: int):
 
 
 def check_pair_state_twirl(cfg: SuiteConfig):
-    """Exhaustive P (x) P averages of classical pair states match the closed form."""
+    """Exact P (x) P averages of classical pair states match the closed form."""
     return [equality_report(f"pair_state_twirl[d={d}]", max(_pair_state_residuals(d)), 0.0, 1e-12)
             for d in _dims_or(cfg, (2, 3, 4), 2, 5)]
 
 
 def check_doubled_classical_twirl(cfg: SuiteConfig):
-    """Exhaustive (P (x) 1)^t2 average of the doubled classical decoupling state."""
-    from .linalg import permute_systems
+    """Exact (P (x) 1)^t2 average of the doubled classical decoupling state.
+
+    With lam[a, a', r, r'] = <a r|lambda|a' r'>, the doubled state on
+    A1 R1 A2 R2 is laid out as the real tensor [a, a', b, b', r, r', s, s']
+    with the four permuted A indices first, so the average is one orbit mean
+    and its closed form, the doubled state with its factors ordered
+    A1 A2 R1 R2 over d - 1, is the outer product of lam with itself.
+    """
     from .states import cq_decoupling_state
 
     reports = []
     for d in _dims_or(cfg, (2, 3, 4), 2, 5):
-        lam = cq_decoupling_state(d)
-        acc = group_mean(tensor(lam, lam), (d, d, d, d), perm_stack(all_perms(d)), sites=(0, 2))
-        closed = permute_systems(tensor(lam, lam), (d, d, d, d), [0, 2, 1, 3]) / (d - 1)
+        lam = cq_decoupling_state(d).real.reshape(d, d, d, d).transpose(0, 2, 1, 3)
+        avg = orbit_mean(np.einsum('xyrs,zwtu->xyzwrstu', lam, lam), d, 4)
+        closed = np.multiply.outer(lam, lam) / (d - 1)
         reports.append(equality_report(
-            f"doubled_classical_twirl[d={d}]", float(np.abs(acc - closed).max()), 0.0, 1e-12))
+            f"doubled_classical_twirl[d={d}]", float(np.abs(avg - closed).max()), 0.0, 1e-12))
     return reports
 
 
@@ -357,7 +384,8 @@ def check_perm_twirl_projection(cfg: SuiteConfig):
     return [equality_report(name, v, 0.0, 1e-9, **where) for d in (4, 5)
             for name, v, where in _worst_of(
                 cfg, "permtw", 5,
-                lambda s: {f"perm_twirl_projection[d={d}]": _perm_twirl_residual(d, s)},
+                lambda seeds: {f"perm_twirl_projection[d={d}]":
+                               [_perm_twirl_residual(d, s) for s in seeds]},
                 base=10 * d)]
 
 
@@ -473,103 +501,126 @@ def check_hook_dimensions(cfg: SuiteConfig):
 # entropy and metric properties
 # ---------------------------------------------------------------------------
 
-def _hmin_minus_h2(seed, solves: list) -> dict:
-    """H_min minus the optimized H2 of one random state of any rank and of
-    trace 0.3 to 1; the H_min solve is appended to `solves`."""
-    rng = np.random.default_rng(seed)
-    d_a = int(rng.integers(2, 5))
-    d_b = int(rng.integers(2, 5))
-    rank = int(rng.integers(1, d_a * d_b + 1))
-    scale = float(rng.uniform(0.3, 1.0))
-    rho = random_density(d_a * d_b, rank=rank, seed=int(rng.integers(2**31)),
-                         dims=(d_a, d_b))
-    rho = DensityOp(rho.mat * scale, rho.dims)
-    res = h_min_cond(rho.mat, rho.dims)
-    solves.append(res)
-    h2 = h2_cond(rho.mat, rho.dims, optimize=True,
-                 zeta_start=res.optimizer).value
-    return {"hmin_le_h2": res.value - h2}
+def _hmin_minus_h2(seeds, solves: list) -> dict:
+    """H_min minus the optimized H2 of one random state per seed, of any rank
+    and of trace 0.3 to 1; each H_min solve is appended to `solves`."""
+    out = []
+    for seed in seeds:
+        rng = np.random.default_rng(seed)
+        d_a = int(rng.integers(2, 5))
+        d_b = int(rng.integers(2, 5))
+        rank = int(rng.integers(1, d_a * d_b + 1))
+        scale = float(rng.uniform(0.3, 1.0))
+        rho = random_density(d_a * d_b, rank=rank, seed=int(rng.integers(2**31)),
+                             dims=(d_a, d_b))
+        rho = DensityOp(rho.mat * scale, rho.dims)
+        res = h_min_cond(rho.mat, rho.dims)
+        solves.append(res)
+        h2 = h2_cond(rho.mat, rho.dims, optimize=True,
+                     zeta_start=res.optimizer).value
+        out.append(res.value - h2)
+    return {"hmin_le_h2": np.array(out)}
 
 
 def check_hmin_le_h2(cfg: SuiteConfig):
     solves = []
-    return [_certified(bound_report(name, float(v), 0.0, tol=1e-6, n_states=100, **where),
-                       solves)
+    return [_certified(bound_report(name, v, 0.0, tol=1e-6, n_states=100, **where), solves)
             for name, v, where in _worst_of(cfg, "hminh2", 100,
-                                            lambda s: _hmin_minus_h2(s, solves))]
+                                            lambda seeds: _hmin_minus_h2(seeds, solves))]
 
 
-def _h2_fixed_minus_optimized(seed) -> dict:
-    rho = random_density(6, seed=seed, dims=(3, 2))
-    fixed = h2_cond(rho.mat, rho.dims).value
-    opt = h2_cond(rho.mat, rho.dims, optimize=True).value
-    return {"h2_optimized_ge_fixed": fixed - opt}
+def _h2_fixed_minus_optimized(seeds) -> dict:
+    """Fixed-sigma minus optimized H2 of one random 3 x 2 state per seed."""
+    out = []
+    for seed in seeds:
+        rho = random_density(6, seed=seed, dims=(3, 2))
+        out.append(h2_cond(rho.mat, rho.dims).value
+                   - h2_cond(rho.mat, rho.dims, optimize=True).value)
+    return {"h2_optimized_ge_fixed": np.array(out)}
 
 
 def check_h2_monotone(cfg: SuiteConfig):
-    return [bound_report(name, float(v), 0.0, tol=1e-9, n_states=40, **where)
+    return [bound_report(name, v, 0.0, tol=1e-9, n_states=40, **where)
             for name, v, where in _worst_of(cfg, "h2mono", 40, _h2_fixed_minus_optimized)]
 
 
-def _hmin_infeasibility(seed, solves: list) -> dict:
-    """Minus the primal slack of the H_min solve of one random 4 x 2 state,
-    which is appended to `solves`."""
-    rho = random_density(8, seed=seed, dims=(4, 2))
-    solves.append(h_min_cond(rho.mat, rho.dims))
-    return {"sdp_primal_feasibility": -solves[-1].meta["primal_slack"]}
+def _hmin_infeasibility(seeds, solves: list) -> dict:
+    """Minus the primal slack of the H_min solve of one random 4 x 2 state
+    per seed; each solve is appended to `solves`."""
+    out = []
+    for seed in seeds:
+        rho = random_density(8, seed=seed, dims=(4, 2))
+        solves.append(h_min_cond(rho.mat, rho.dims))
+        out.append(-solves[-1].meta["primal_slack"])
+    return {"sdp_primal_feasibility": np.array(out)}
 
 
 def check_sdp_feasibility(cfg: SuiteConfig):
     solves = []
-    return [_certified(bound_report(name, float(v), 1e-8, tol=0.0, n_states=40, **where),
-                       solves)
+    return [_certified(bound_report(name, v, 1e-8, tol=0.0, n_states=40, **where), solves)
             for name, v, where in _worst_of(cfg, "sdpfeas", 40,
-                                            lambda s: _hmin_infeasibility(s, solves))]
+                                            lambda seeds: _hmin_infeasibility(seeds, solves))]
 
 
-def _fvdg_excess(seed) -> dict:
-    """How far one random pair, sub-normalized half of the time, exceeds each
-    side of the Fuchs-van de Graaf inequalities."""
-    rng = np.random.default_rng(seed)
-    d = int(rng.integers(2, 5))
-    normalized = bool(rng.integers(2))
-    sc_r = 1.0 if normalized else float(rng.uniform(0.2, 1.0))
-    sc_s = 1.0 if normalized else float(rng.uniform(0.2, 1.0))
-    r = random_density(d, seed=int(rng.integers(2**31))).mat * sc_r
-    s = random_density(d, seed=int(rng.integers(2**31))).mat * sc_s
-    dist = generalized_trace_distance(r, s)
-    pur = purified_distance(r, s)
-    return {"fvdg_lower": 0.5 * dist - pur, "fvdg_upper": pur - np.sqrt(dist)}
+def _fvdg_excess(seeds) -> dict:
+    """How far the random pair of each seed, sub-normalized half of the time,
+    exceeds each side of the Fuchs-van de Graaf inequalities. Each pair is
+    drawn alone; the distances run on one stack per dimension."""
+    draws = []
+    for seed in seeds:
+        rng = np.random.default_rng(seed)
+        d = int(rng.integers(2, 5))
+        normalized = bool(rng.integers(2))
+        sc_r = 1.0 if normalized else float(rng.uniform(0.2, 1.0))
+        sc_s = 1.0 if normalized else float(rng.uniform(0.2, 1.0))
+        r = random_density(d, seed=int(rng.integers(2**31))).mat * sc_r
+        s = random_density(d, seed=int(rng.integers(2**31))).mat * sc_s
+        draws.append((r, s))
+
+    def excess(r, s):
+        dist = generalized_trace_distance(r, s)
+        pur = purified_distance(r, s)
+        return {"fvdg_lower": 0.5 * dist - pur, "fvdg_upper": pur - np.sqrt(dist)}
+
+    return _per_shape(draws, excess)
 
 
 def check_fuchs_van_de_graaf(cfg: SuiteConfig):
-    return [bound_report(name, float(v), 0.0, tol=1e-8, n_pairs=1000, **where)
+    return [bound_report(name, v, 0.0, tol=1e-8, n_pairs=1000, **where)
             for name, v, where in _worst_of(cfg, "fvdg", 1000, _fvdg_excess)]
 
 
-def _norm_excess(seed) -> dict:
-    """How far one random triple A, B, C exceeds each Schatten-norm
-    inequality: ||ABC||_p <= ||A||_inf ||B||_p ||C||_inf and Hoelder's."""
-    rng = np.random.default_rng(seed)
-    d = int(rng.integers(2, 6))
-    mats = [rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)) for _ in range(3)]
-    a, b, c = mats
-    abc = a @ b @ c
-    a_inf = schatten_norm(a, "inf")
-    c_inf = schatten_norm(c, "inf")
-    sv = [np.linalg.svd(m, compute_uv=False) for m in mats]
-    hoelder_rhs = ((sv[0] ** 4).sum() ** 0.25 * (sv[1] ** 2).sum() ** 0.5
-                   * (sv[2] ** 4).sum() ** 0.25)
-    return {
-        "triple_norm_inf": schatten_norm(abc, "inf") - a_inf * schatten_norm(b, "inf") * c_inf,
-        "triple_norm_one": schatten_norm(abc, 1) - a_inf * schatten_norm(b, 1) * c_inf,
-        "triple_norm_two": schatten_norm(abc, 2) - a_inf * schatten_norm(b, 2) * c_inf,
-        "hoelder": schatten_norm(abc, 1) - hoelder_rhs,
-    }
+def _norm_excess(seeds) -> dict:
+    """How far the random triple A, B, C of each seed exceeds each
+    Schatten-norm inequality: ||ABC||_p <= ||A||_inf ||B||_p ||C||_inf and
+    Hoelder's. Each triple is drawn alone; the norms run on one stack per
+    dimension."""
+    draws = []
+    for seed in seeds:
+        rng = np.random.default_rng(seed)
+        d = int(rng.integers(2, 6))
+        draws.append(tuple(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+                           for _ in range(3)))
+
+    def excess(a, b, c):
+        abc = a @ b @ c
+        a_inf = schatten_norm(a, "inf")
+        c_inf = schatten_norm(c, "inf")
+        sv = [np.linalg.svd(m, compute_uv=False) for m in (a, b, c)]
+        hoelder_rhs = ((sv[0] ** 4).sum(axis=-1) ** 0.25 * (sv[1] ** 2).sum(axis=-1) ** 0.5
+                       * (sv[2] ** 4).sum(axis=-1) ** 0.25)
+        return {
+            "triple_norm_inf": schatten_norm(abc, "inf") - a_inf * schatten_norm(b, "inf") * c_inf,
+            "triple_norm_one": schatten_norm(abc, 1) - a_inf * schatten_norm(b, 1) * c_inf,
+            "triple_norm_two": schatten_norm(abc, 2) - a_inf * schatten_norm(b, 2) * c_inf,
+            "hoelder": schatten_norm(abc, 1) - hoelder_rhs,
+        }
+
+    return _per_shape(draws, excess)
 
 
 def check_norm_inequalities(cfg: SuiteConfig):
-    return [bound_report(name, float(v), 0.0, tol=1e-8, n_triples=500, **where)
+    return [bound_report(name, v, 0.0, tol=1e-8, n_triples=500, **where)
             for name, v, where in _worst_of(cfg, "norms", 500, _norm_excess)]
 
 

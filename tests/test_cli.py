@@ -3,6 +3,7 @@ import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from declab import suites
@@ -148,6 +149,14 @@ def test_circuit_study_deterministic():
     assert r1.stdout.splitlines()[0] == "depth,epsilon_bound"
 
 
+def test_circuit_study_scores_each_depth_once(capsys):
+    assert main(["circuit-study", "--depths", "8,2,8,2", "--trials", "5"]) == 0
+    out = capsys.readouterr().out
+    assert [line.split(":")[0] for line in out.splitlines()] == ["depth    8", "depth    2"]
+    assert main(["circuit-study", "--depths", "8,2", "--trials", "5"]) == 0
+    assert capsys.readouterr().out == out
+
+
 def test_circuit_study_guard():
     r = run_cli("circuit-study", "--qubits", "5")
     assert r.returncode == 2
@@ -186,32 +195,41 @@ def test_worst_of_keeps_the_first_of_tied_instances():
     cfg = SuiteConfig(seed=3)
     seeds = [s for _, s in suites._instances(cfg, "tie", 4)]
     values = dict(zip(seeds, (1.0, 2.0, 2.0, -1.0)))
-    assert suites._worst_of(cfg, "tie", 4, lambda s: {"m": values[s]}) == [
+    assert suites._worst_of(cfg, "tie", 4, lambda ss: {"m": [values[s] for s in ss]}) == [
         ("m", 2.0, {"worst_k": 1, "worst_seed": seeds[1]})]
 
 
+@pytest.mark.parametrize("values, worst_k", [((1.0, np.nan, 3.0, np.nan), 1),
+                                             ((np.nan,) * 4, 0)])
+def test_worst_of_fails_and_names_a_nan_instance(values, worst_k):
+    cfg = SuiteConfig(seed=3)
+    seeds = [s for _, s in suites._instances(cfg, "nan", 4)]
+    [(name, v, where)] = suites._worst_of(cfg, "nan", 4, lambda ss: {"m": np.array(values)})
+    assert np.isnan(v) and where == {"worst_k": worst_k, "worst_seed": seeds[worst_k]}
+    assert not bound_report(name, v, 0.0, **where).passed
+    assert not equality_report(name, v, 0.0, **where).passed
+
+
 def test_aggregate_records_replay_from_their_worst_seed():
-    # every worst-of-N record at seed 0 names the instance that gives its lhs:
-    # record name -> (check, tag, base, the record's measure at one instance seed)
-    norms = [(n, lambda s, n=n: suites._norm_excess(s)[n]) for n in
-             ("triple_norm_inf", "triple_norm_one", "triple_norm_two", "hoelder")]
+    # every worst-of-N record at seed 0 names the instance that gives its lhs,
+    # and the check's measure replays it exactly from a one-seed stack:
+    # record name -> (check, tag, base, the measure of the record's check)
     replay = {
         "hmin_le_h2": (suites.check_hmin_le_h2, "hminh2", 0,
-                       lambda s: suites._hmin_minus_h2(s, [])["hmin_le_h2"]),
+                       lambda seeds: suites._hmin_minus_h2(seeds, [])),
         "h2_optimized_ge_fixed": (suites.check_h2_monotone, "h2mono", 0,
-                                  lambda s: suites._h2_fixed_minus_optimized(s)[
-                                      "h2_optimized_ge_fixed"]),
+                                  suites._h2_fixed_minus_optimized),
         "sdp_primal_feasibility": (suites.check_sdp_feasibility, "sdpfeas", 0,
-                                   lambda s: suites._hmin_infeasibility(s, [])[
-                                       "sdp_primal_feasibility"]),
-        "fvdg_lower": (suites.check_fuchs_van_de_graaf, "fvdg", 0,
-                       lambda s: suites._fvdg_excess(s)["fvdg_lower"]),
-        "fvdg_upper": (suites.check_fuchs_van_de_graaf, "fvdg", 0,
-                       lambda s: suites._fvdg_excess(s)["fvdg_upper"]),
-        **{n: (suites.check_norm_inequalities, "norms", 0, fn) for n, fn in norms},
+                                   lambda seeds: suites._hmin_infeasibility(seeds, [])),
+        **{n: (suites.check_fuchs_van_de_graaf, "fvdg", 0, suites._fvdg_excess)
+           for n in ("fvdg_lower", "fvdg_upper")},
+        **{n: (suites.check_norm_inequalities, "norms", 0, suites._norm_excess) for n in
+           ("triple_norm_inf", "triple_norm_one", "triple_norm_two", "hoelder")},
         **{f"perm_twirl_projection[d={d}]": (
             suites.check_perm_twirl_projection, "permtw", 10 * d,
-            lambda s, d=d: suites._perm_twirl_residual(d, s)) for d in (4, 5)},
+            lambda seeds, d=d: {f"perm_twirl_projection[d={d}]":
+                                [suites._perm_twirl_residual(d, s) for s in seeds]})
+           for d in (4, 5)},
     }
     cfg = SuiteConfig(seed=0)
     records = {rep.name: rep for check in dict.fromkeys(c for c, *_ in replay.values())
@@ -221,7 +239,7 @@ def test_aggregate_records_replay_from_their_worst_seed():
         rep = records[name]
         k, seed = rep.meta["worst_k"], rep.meta["worst_seed"]
         assert seed == suites._instance_seed(0, tag, base + k), name
-        assert float(measure(seed)) == rep.lhs, name
+        assert float(measure([seed])[name][0]) == rep.lhs, name
 
 
 def test_verify_notes_ignored_dims(capsys):

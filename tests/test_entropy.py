@@ -15,7 +15,7 @@ from declab.entropy import (
     purified_distance,
     trace_distance,
 )
-from declab.linalg import tensor
+from declab.linalg import mpow, schatten_norm, tensor
 from declab.states import DensityOp, max_entangled, random_cq, random_density
 
 
@@ -424,6 +424,35 @@ def test_generalized_fidelity_subnormalized():
     sig = 0.8 * random_density(2, seed=10).mat
     expected = fidelity(rho, sig) + np.sqrt(0.4 * 0.2)
     assert np.isclose(generalized_fidelity(rho, sig), expected)
+
+
+def _distances_one(rho, sigma):
+    """The single-pair distances that the stack-aware ones replaced: the
+    references they must match bit for bit."""
+    trace_d = schatten_norm(rho - sigma, 1)
+    gtd = trace_d + abs(np.trace(rho).real - np.trace(sigma).real)
+    fid = schatten_norm(mpow(rho, 0.5) @ mpow(sigma, 0.5), 1)
+    gfid = fid + np.sqrt(max(0.0, 1.0 - np.trace(rho).real)
+                         * max(0.0, 1.0 - np.trace(sigma).real))
+    f = min(gfid, 1.0)
+    return trace_d, gtd, fid, gfid, float(np.sqrt(max(0.0, 1.0 - f * f)))
+
+
+def test_distances_of_stacks_match_single_pairs_bit_for_bit():
+    pairs = [(0.7 * random_density(3, seed=k).mat, random_density(3, seed=50 + k).mat)
+             for k in range(6)]
+    rho, sigma = (np.stack(m) for m in zip(*pairs))
+    refs = [_distances_one(r, s) for r, s in pairs]
+    for j, fn in enumerate((trace_distance, generalized_trace_distance, fidelity,
+                            generalized_fidelity, purified_distance)):
+        want = [ref[j] for ref in refs]
+        assert [fn(r, s) for r, s in pairs] == want, fn.__name__
+        assert fn(rho, sigma).tolist() == want, fn.__name__
+    # a pair whose fidelity product is Hermitian takes the eigvalsh 1-norm
+    same = (random_density(3, seed=9).mat,) * 2
+    assert (trace_distance(*same), generalized_trace_distance(*same), fidelity(*same),
+            generalized_fidelity(*same), purified_distance(*same)) == _distances_one(*same)
+    assert isinstance(purified_distance(*same), float)
 
 
 def test_fuchs_van_de_graaf_small_batch():

@@ -1,7 +1,9 @@
 """The batched group-average kernel against per-element reference loops.
 
-Every test runs the kernel with a chunk budget small enough that at least
-three chunks run, the last one shorter than the others.
+Every test of a chunked average runs the kernel with a chunk budget small
+enough that at least three chunks run, the last one shorter than the others.
+The orbit mean, which enumerates no element, is checked against the chunked
+mean over the whole symmetric group.
 """
 
 import tracemalloc
@@ -9,12 +11,17 @@ from math import factorial
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from declab import _groupavg
+from declab import _groupavg, suites, twirl
 from declab._groupavg import (
     apply_channel_stack,
+    element_chunks,
     group_mean,
     group_values,
+    orbit_mean,
+    pattern_labels,
     perm_stack,
 )
 from declab.linalg import partial_trace, schatten_norm, tensor
@@ -22,6 +29,7 @@ from declab.states import apply_channel_mat, random_channel, random_cq, random_d
 from declab.symgroup import PermFamily, all_perms, perm_operator
 from declab.twirl import circuit_ensemble, haar_samples, perm_twirl2_brute
 from declab.verify import (
+    mean_se,
     verify_cq_tpcp,
     verify_decoupling_theorem,
     verify_design_decoupling,
@@ -241,3 +249,66 @@ def test_circuit_ensemble(chunked):
     ref = sum(w * np.kron(u, u) @ m @ np.kron(u, u).conj().T
               for w, u in zip(ens.weights, ens.unitaries))
     assert close(tw, ref)
+
+
+@pytest.mark.parametrize("k", [2, 4])
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_orbit_mean_is_the_group_mean(d, k):
+    # k = 2: an operator on one d-level factor; k = 4: on two, both moved by
+    # the same permutation (d < k leaves some patterns empty). Two spectator
+    # axes ride along, and the group mean acts on each of their entries.
+    rng = np.random.default_rng(10 * d + k)
+    x = rng.normal(size=(d,) * k + (2, 3)) + 1j * rng.normal(size=(d,) * k + (2, 3))
+    n = d ** (k // 2)
+    sites = tuple(range(k // 2))
+    ops = x.reshape(n, n, 6).transpose(2, 0, 1)
+    ref = np.stack([group_mean(op, (d,) * (k // 2), perm_stack(all_perms(d)), sites=sites)
+                    for op in ops]).transpose(1, 2, 0).reshape(x.shape)
+    assert np.abs(orbit_mean(x, d, k) - ref).max() <= 1e-13
+
+
+def _assert_labels_are_patterns(rule, idx, perm):
+    """rule labels the index tuples idx (k, n) alike after relabelling every
+    value by perm, and gives two tuples one label exactly when their equality
+    patterns agree."""
+    labels = rule(idx)
+    assert np.array_equal(rule(perm[idx]), labels)
+    patterns = (idx[:, None, :] == idx[None, :, :]).reshape(-1, idx.shape[1]).T
+    pairs = {(lab, row.tobytes()) for lab, row in zip(labels.tolist(), patterns)}
+    assert len(pairs) == len({lab for lab, _ in pairs}) == len({row for _, row in pairs})
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 5), st.integers(1, 4), st.integers(0, 2**32 - 1))
+def test_pattern_labels_name_equality_patterns(d, k, seed):
+    perm = np.random.default_rng(seed).permutation(d)
+    grid = np.indices((d,) * k).reshape(k, -1)
+    _assert_labels_are_patterns(pattern_labels, grid, perm)
+    if d > 1 and k > 1:
+        # a rule blind to the last position merges tuples of different patterns
+        with pytest.raises(AssertionError):
+            _assert_labels_are_patterns(lambda i: pattern_labels(i[:-1]), grid, perm)
+
+
+@pytest.mark.parametrize("n_mc", [100_000, 5_000])
+def test_mc_cross_check_streams_one_chunk_at_a_time(monkeypatch, n_mc):
+    # the one-shot cross-check: every sample drawn at once, then scored
+    rng = np.random.default_rng([0, 77])
+    rho = random_density(4, seed=int(rng.integers(2**31)), dims=(2, 2))
+    ch = random_channel(2, 2, tp=False, seed=int(rng.integers(2**31)))
+    target = tensor(ch.env_marginal, rho.marginal([1]))
+    vals = group_values(rho.mat, rho.dims, haar_samples(2, n_mc, rng),
+                        lambda stack: schatten_norm(apply_channel_stack(ch, stack, 2) - target,
+                                                    2) ** 2)
+    drawn = []
+    samples = twirl.haar_samples
+
+    def spy(d, n, rng):
+        drawn.append(n)
+        return samples(d, n, rng)
+
+    monkeypatch.setattr(twirl, "haar_samples", spy)
+    rep = suites.mc_cross_check(0, n_mc)
+    step = element_chunks(n_mc, (2, 2), unitary=True)[0].stop
+    assert sum(drawn) == n_mc and max(drawn) == step and n_mc % step
+    assert (rep.lhs, rep.meta["se"]) == mean_se(vals)

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from declab.linalg import (
+    PINV_RCOND,
     eig_hermitian,
     mpow,
     partial_trace,
@@ -171,6 +172,36 @@ def test_mpow_pseudo_inverse_projector():
 def test_mpow_rejects_negative():
     with pytest.raises(ValueError):
         mpow(np.diag([1.0, -0.5]), 0.5)
+
+
+def mpow_one(mat, exponent):
+    """The single-matrix mpow that the stacked one replaced: the reference
+    it must match bit for bit."""
+    w, v = np.linalg.eigh((mat + mat.conj().T) / 2)
+    lam_max = w[-1] if w.size else 0.0
+    cutoff = PINV_RCOND * max(lam_max, 0.0)
+    w = np.where(w > cutoff, w, 0.0)
+    powered = np.zeros_like(w)
+    support = w > 0
+    powered[support] = w[support] ** exponent
+    return (v * powered) @ v.conj().T
+
+
+@pytest.mark.parametrize("exponent", [0.5, -0.5, -0.25, 2.0])
+def test_mpow_stacks_match_single_matrices_bit_for_bit(exponent):
+    rng = np.random.default_rng(9)
+    mats = []
+    for rank in (1, 2, 4, 4, 3):
+        g = rand_complex(rng, 4, rank)
+        mats.append(g @ g.conj().T)
+    stack = np.stack(mats)
+    for mat, got in zip(mats, mpow(stack, exponent)):
+        assert np.array_equal(mpow(mat, exponent), mpow_one(mat, exponent))
+        assert np.array_equal(got, mpow_one(mat, exponent))
+    assert np.array_equal(mpow(stack.reshape(5, 1, 4, 4), exponent),
+                          mpow(stack, exponent).reshape(5, 1, 4, 4))
+    with pytest.raises(ValueError, match="PSD"):
+        mpow(np.stack([mats[0], -mats[1]]), exponent)
 
 
 def test_permute_systems_roundtrip():
