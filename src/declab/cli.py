@@ -145,9 +145,10 @@ def cmd_verify(args) -> int:
 
 
 def cmd_gram(args) -> int:
-    basis = twirl.commutant_basis(args.d)
-    width = len(str(int(basis.gram.max())))
-    for row in basis.gram:
+    twirl.gram_inverse_closed_form(args.d)      # raises for d < 4, where it is singular
+    gram = twirl.gram_closed_form(args.d)
+    width = len(str(int(gram.max())))
+    for row in gram:
         print(" ".join(f"{int(v):>{width}d}" for v in row))
     return 0
 

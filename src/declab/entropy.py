@@ -278,9 +278,12 @@ def h2_cond(state, dims=None, sigma=None, optimize: bool = False, *,
     inside `verify.BOUND_TOL`, so it needs no certificate of its own. `meta`
     holds the Frank-Wolfe gap `fw_gap`, the certified upper end `h2_upper` of
     the optimum, the iteration count and the solver `status` (converged,
-    max_iter or stalled). `seed` is unused; it is accepted because
+    max_iter or stalled). Passing both `sigma` and `optimize=True` raises
+    ValueError. `seed` is unused; it is accepted because
     benchmark/workloads.py still passes it.
     """
+    if sigma is not None and optimize:
+        raise ValueError("h2_cond takes a fixed sigma or optimize=True, not both")
     mat, dims = _matdims(state, dims, "h2_cond")
     d_a, d_b = dims
     rho_b = np.trace(mat.reshape(d_a, d_b, d_a, d_b), axis1=0, axis2=2)
@@ -344,11 +347,8 @@ def generalized_trace_distance(rho, sigma):
 
 
 def fidelity(rho, sigma):
-    """||sqrt(rho) sqrt(sigma)||_1, of two PSD matrices or of two stacks.
-
-    schatten_norm takes one branch for a whole stack: the SVD unless every
-    product is Hermitian, as it is for no generic pair, so a stack of generic
-    pairs gives each pair's own value bit for bit."""
+    """||sqrt(rho) sqrt(sigma)||_1, of two PSD matrices or of two stacks; a
+    stack gives each pair's own value bit for bit."""
     r = mpow(np.asarray(rho, dtype=complex), 0.5)
     s = mpow(np.asarray(sigma, dtype=complex), 0.5)
     return schatten_norm(r @ s, 1)

@@ -17,7 +17,7 @@ from typing import Callable
 import numpy as np
 
 from . import symgroup, twirl, verify
-from ._groupavg import apply_channel_stack, element_chunks, group_values, orbit_mean
+from ._groupavg import element_chunks, orbit_mean
 from .entropy import (
     generalized_trace_distance,
     h2_cond,
@@ -28,6 +28,7 @@ from .linalg import schatten_norm, swap_operator, tensor
 from .states import (
     DensityOp,
     classical_correlated,
+    cq_decoupling_state,
     max_entangled,
     random_channel,
     random_cq,
@@ -150,13 +151,9 @@ def mc_cross_check(seed, n_mc: int = 100_000) -> VerificationReport:
     d_a = d_r = d_e = 2
     rho = random_density(d_a * d_r, seed=int(rng.integers(2**31)), dims=(d_a, d_r))
     ch = random_channel(d_a, d_e, tp=False, seed=int(rng.integers(2**31)))
-    target = tensor(ch.env_marginal, rho.marginal([1]))
-
-    def score(stack):
-        return schatten_norm(apply_channel_stack(ch, stack, d_r) - target, 2) ** 2
-
     vals = np.concatenate([
-        group_values(rho.mat, rho.dims, twirl.haar_samples(d_a, sl.stop - sl.start, rng), score)
+        verify._deviation_norms(ch, rho.mat, rho.dims,
+                                twirl.haar_samples(d_a, sl.stop - sl.start, rng), 2) ** 2
         for sl in element_chunks(n_mc, rho.dims, unitary=True)])
     rhs = verify.haar_lemma_rhs(rho.mat, rho.dims, ch)
     lhs, se = verify.mean_se(vals)
@@ -264,8 +261,6 @@ def check_doubled_classical_twirl(cfg: SuiteConfig):
     and its closed form, the doubled state with its factors ordered
     A1 A2 R1 R2 over d - 1, is the outer product of lam with itself.
     """
-    from .states import cq_decoupling_state
-
     reports = []
     for d in _dims_or(cfg, (2, 3, 4), 2, 5):
         lam = cq_decoupling_state(d).real.reshape(d, d, d, d).transpose(0, 2, 1, 3)

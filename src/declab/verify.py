@@ -1,6 +1,8 @@
 """One verifier per decoupling statement: each computes its left side exactly
 or by controlled sampling, its right side from entropies and dimensions, and
-reports pass/fail with the gap.
+reports pass/fail with the gap. Every averaged left side takes its
+per-element norms from `_channel_norms`; the hash bounds are decoupling
+averages through the channel tr_A2 (`_trace_out`).
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ import numpy as np
 
 from ._groupavg import apply_channel_stack, group_values, perm_stack
 from .entropy import h2_cond, h_min_cond
-from .linalg import pair_indices, partial_trace, permute_systems, schatten_norm, tensor
+from .linalg import mpow, pair_indices, partial_trace, schatten_norm, tensor
 from .states import (
     ChoiChannel,
     DensityOp,
@@ -84,11 +86,6 @@ def swap_pullback(choi_mat: np.ndarray, d_in: int, d_out: int) -> np.ndarray:
     return m.reshape(d_in ** 2, d_in ** 2)
 
 
-def pair_tensor(x: np.ndarray, y: np.ndarray, dx: int, dy: int) -> np.ndarray:
-    """Arrange X on copies (1,3) and Y on copies (2,4) of (dx, dy, dx, dy)."""
-    return permute_systems(tensor(x, y), (dx, dx, dy, dy), [0, 2, 1, 3])
-
-
 def product_difference(mat: np.ndarray, dims) -> np.ndarray:
     """rho_AB - pi_A (x) rho_B."""
     d_a = dims[0]
@@ -119,9 +116,18 @@ def _channel_norms(ch: ChoiChannel, mat, dims, elems, ps, target=None) -> np.nda
 
 
 def _deviation_norms(ch: ChoiChannel, mat, dims, elems, p) -> np.ndarray:
-    """Schatten p-norm of T(g rho g^dagger) - omega_E (x) rho_R for every element g on A."""
+    """Schatten p-norm of T(g rho g^dagger) - omega_E (x) rho_R for every element g
+    on A, with omega_E = T(pi_A) the channel's output marginal."""
     target = tensor(ch.env_marginal, partial_trace(mat, dims, [1]))
     return _channel_norms(ch, mat, dims, elems, (p,), target)[:, 0]
+
+
+def _trace_out(d_a1: int, d_a2: int) -> ChoiChannel:
+    """tr_A2 from A = A1 x A2 to A1 as a channel: its Choi operator is
+    (1/d_A) sum_a2 |w_a2><w_a2| with w_a2 = sum_a1 |a1 a2>|a1>, so its output
+    marginal T(pi_A) is pi_A1."""
+    w = np.einsum('ae,bc->abec', np.eye(d_a1), np.eye(d_a2)).reshape(-1, d_a2)
+    return ChoiChannel(w @ w.T / (d_a1 * d_a2), d_a1 * d_a2, d_a1, tp=True)
 
 
 def _haar_deviation_norms(rho: DensityOp, ch: ChoiChannel, n_samples: int, seed) -> np.ndarray:
@@ -141,15 +147,18 @@ def _h2_pair(rho_mat, rho_dims, ch: ChoiChannel):
 
 def verify_decoupling_lemma(rho_mat, dims, ch: ChoiChannel) -> VerificationReport:
     """Exact second-moment identity for the Haar average of the squared
-    2-norm deviation from the product of marginals. Input need not be PSD."""
+    2-norm deviation from the product of marginals. Input need not be PSD.
+    The exact left side is one contraction of four d_A^4 tensors."""
     d_a, d_r = dims
     if ch.d_in != d_a:
         raise ValueError("channel input dimension must match subsystem A")
     twirled = haar_twirl2_exact(swap_pullback(ch.choi, ch.d_in, ch.d_out), d_a).reconstructed
     m_e = swap_pullback(rho_mat, d_a, d_r)
     xi = max_entangled(d_a).mat - np.eye(d_a * d_a) / d_a ** 2
-    big = pair_tensor(twirled, m_e, d_a, d_a)
-    lhs = float(np.trace(tensor(xi, xi) @ big).real)
+    xi4, x4, y4 = (m.reshape((d_a,) * 4) for m in (xi, twirled, m_e))
+    # tr[(xi (x) xi) (X (x) Y)], xi = Phi - 1/d_A^2 on copies 1, 2 and 3, 4, the
+    # twirled channel pullback X on copies 1, 3 and the input's Y on 2, 4
+    lhs = float(np.einsum('abcd,efgh,cgae,dhbf->', xi4, xi4, x4, y4, optimize=True).real)
     return equality_report("decoupling_lemma", lhs, haar_lemma_rhs(rho_mat, dims, ch),
                            dims={"d_A": d_a, "d_R": d_r, "d_E": ch.d_out})
 
@@ -231,27 +240,6 @@ def verify_cq_decoupling_lemma(rho: DensityOp, ch: ChoiChannel) -> VerificationR
                            dims={"d_A": d_a, "d_R": d_r, "d_E": ch.d_out})
 
 
-def _hash_norms(mat, d_a1, d_a2, d_r, elems, p, target) -> np.ndarray:
-    """Schatten p-norm of tr_A2(g X g^dagger) - target for every permutation g of A = A1 x A2."""
-    def norms(stack):
-        t = stack.reshape(-1, d_a1, d_a2, d_r, d_a1, d_a2, d_r)
-        reduced = np.einsum('kabrcbs->karcs', t).reshape(-1, d_a1 * d_r, d_a1 * d_r)
-        return schatten_norm(reduced - target, p)
-
-    return group_values(mat, (d_a1 * d_a2, d_r), elems, norms)
-
-
-def _hash_lhs(rho_mat, d_a1, d_a2, d_r, fam: PermFamily | None = None) -> float:
-    """Average 1-norm distance of tr_A2 of the permuted state from pi_A1 (x) rho_R,
-    over the full group or the weighted family."""
-    d_a = d_a1 * d_a2
-    rho_r = partial_trace(rho_mat, (d_a, d_r), [1])
-    target = tensor(np.eye(d_a1) / d_a1, rho_r)
-    elems = _full_group(d_a) if fam is None else perm_stack(fam.perms)
-    vals = _hash_norms(rho_mat, d_a1, d_a2, d_r, elems, 1, target)
-    return float(np.mean(vals) if fam is None else fam.weights @ vals)
-
-
 def verify_cq_hash(rho: DensityOp, d_a1: int, d_a2: int) -> VerificationReport:
     """Leftover-hash style bound for tracing out A2 of a CQ state under the
     full permutation group, with the min-entropy right side."""
@@ -260,7 +248,8 @@ def verify_cq_hash(rho: DensityOp, d_a1: int, d_a2: int) -> VerificationReport:
         raise ValueError("split does not match d_A")
     if not is_cq(rho):
         raise ValueError("state must be classical on A")
-    lhs = _hash_lhs(rho.mat, d_a1, d_a2, d_r)
+    lhs = float(np.mean(_deviation_norms(_trace_out(d_a1, d_a2), rho.mat, rho.dims,
+                                         _full_group(d_a), 1)))
     res = h_min_cond(rho.mat, rho.dims)
     rhs = float(np.sqrt(d_a1 * (d_a - d_a2) / (d_a - 1) * 2.0 ** (-res.value)))
     weak = float(np.sqrt(d_a1 * 2.0 ** (-res.value)))
@@ -311,7 +300,8 @@ def verify_family_hash(fam: PermFamily, rho: DensityOp, d_a1: int, d_a2: int) ->
     if not is_cq(rho):
         raise ValueError("state must be classical on A")
     fam.require_points(d_a)
-    lhs = _hash_lhs(rho.mat, d_a1, d_a2, d_r, fam)
+    lhs = float(fam.weights @ _deviation_norms(_trace_out(d_a1, d_a2), rho.mat, rho.dims,
+                                               perm_stack(fam.perms), 1))
     eps = pairwise_dependence(fam, d_a)
     h2 = h2_cond(rho.mat, rho.dims).value
     rhs = float(np.sqrt(d_a1 * ((d_a - d_a2) / (d_a - 1) + 4 * eps * d_a) * 2.0 ** (-h2)))
@@ -326,6 +316,10 @@ def verify_family_hash(fam: PermFamily, rho: DensityOp, d_a1: int, d_a2: int) ->
 def _embedded_pair_states(d_a: int, d_r: int) -> np.ndarray:
     """Phi, T and pi_R (x) pi_R, each on A x R and supported on the first d_R
     levels of A, where row a * d_R + r (a < d_R) is that row of R x R."""
+    if d_a < 4:
+        raise ValueError("needs d_A >= 4")
+    if not 1 <= d_r <= d_a:
+        raise ValueError("needs d_R <= d_A")
     i1, i2, j1, j2 = pair_indices(d_r)
     phi = ((i1 == i2) & (j1 == j2)) / d_r
     out = np.zeros((3, d_a * d_r, d_a * d_r), dtype=complex)
@@ -341,10 +335,6 @@ def verify_distance_from_classicality(ch: ChoiChannel, d_r: int) -> Verification
     meta['bound_check'] carries the 1-norm corollary with the H2 right side.
     """
     d_a = ch.d_in
-    if d_a < 4:
-        raise ValueError("needs d_A >= 4")
-    if not 1 <= d_r <= d_a:
-        raise ValueError("needs d_R <= d_A")
     phi, tee, _ = _embedded_pair_states(d_a, d_r)
     st = phi - tee
     norms2, norms1 = _channel_norms(ch, st, (d_a, d_r), _full_group(d_a), (2, 1)).T
@@ -372,10 +362,6 @@ def verify_perm_decoupling_lemma(ch: ChoiChannel, d_r: int) -> VerificationRepor
     right side matches the Haar decoupling lemma on the entangled input.
     """
     d_a = ch.d_in
-    if d_a < 4:
-        raise ValueError("needs d_A >= 4")
-    if not 1 <= d_r <= d_a:
-        raise ValueError("needs d_R <= d_A")
     phi, _, pi = _embedded_pair_states(d_a, d_r)
     st = phi - pi
     lhs = float(np.mean(_channel_norms(ch, st, (d_a, d_r), _full_group(d_a), (2,))[:, 0] ** 2))
@@ -400,7 +386,8 @@ def verify_quantum_hash(rho: DensityOp, d_a1: int, d_a2: int) -> VerificationRep
         raise ValueError("split does not match d_A")
     if d_a < 4:
         raise ValueError("needs d_A >= 4")
-    lhs = _hash_lhs(rho.mat, d_a1, d_a2, d_r)
+    tr_a2 = _trace_out(d_a1, d_a2)
+    lhs = float(np.mean(_deviation_norms(tr_a2, rho.mat, rho.dims, _full_group(d_a), 1)))
     res = h_min_cond(rho.mat, rho.dims)
     hmin = res.value
     rhs = float(np.sqrt(2 * d_a1 * 2.0 ** (-hmin)))
@@ -409,15 +396,10 @@ def verify_quantum_hash(rho: DensityOp, d_a1: int, d_a2: int) -> VerificationRep
 
     # intermediate 2-norm inequality for the min-entropy-optimally sandwiched state
     zeta = res.optimizer
-    from .linalg import mpow
-
     sandwich = tensor(np.eye(d_a), mpow(zeta, -0.25))
     tilde = sandwich @ rho.mat @ sandwich
     tilde_cl = pinch_mat(tilde, rho.dims, 0)
-    tilde_r = partial_trace(tilde, rho.dims, [1])
-    target = tensor(np.eye(d_a1) / d_a1, tilde_r)
-
-    lhs2 = float(np.mean(_hash_norms(tilde, d_a1, d_a2, d_r, _full_group(d_a), 2, target) ** 2))
+    lhs2 = float(np.mean(_deviation_norms(tr_a2, tilde, rho.dims, _full_group(d_a), 2) ** 2))
     rhs2 = ((d_a1 - 1) / (d_a - 1) * schatten_norm(tilde, 2) ** 2
             + (d_a1 - 1) * (d_a2 - 1) / (d_a - 1) * schatten_norm(tilde_cl, 2) ** 2
             + schatten_norm(tilde, 2) ** 2)

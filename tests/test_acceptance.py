@@ -317,7 +317,7 @@ def test_h_min_cond_newton_steps(criterion_12_hmin):
     assert np.mean(steps) <= 55
 
 
-def test_criterion_13_full_cli_suite():
+def test_criterion_13_full_cli_suite(match_pinned):
     t0 = time.time()
     proc = subprocess.run(
         [sys.executable, "-m", "declab", "verify", "--suite", "all",
@@ -327,3 +327,4 @@ def test_criterion_13_full_cli_suite():
     records = json.loads(proc.stdout) if proc.returncode == 0 else []
     ok = proc.returncode == 0 and elapsed < 120.0 and len(records) > 100
     report(13, ok, f"exit {proc.returncode}, {len(records)} records, {elapsed:.1f}s")
+    match_pinned(records, 0)

@@ -6,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from declab import suites
+from declab import suites, twirl
 from declab.cli import SUITES, main
 from declab.suites import SuiteConfig, build_checks
 from declab.verify import bound_report, equality_report
@@ -118,6 +118,16 @@ def test_gram_table():
     assert len(rows) == 11
     assert rows[0][0] == "16"          # tr(A_1 A_1) = d^2
     assert rows[10][10] == "96"        # 2 d^3 - 2 d^2
+
+
+def test_gram_table_needs_no_commutant_operators(monkeypatch, capsys):
+    def refuse(d):
+        raise AssertionError("commutant operators built")
+
+    monkeypatch.setattr(twirl, "commutant_ops", refuse)
+    assert main(["gram", "--d", "40"]) == 0
+    rows = [[int(v) for v in line.split()] for line in capsys.readouterr().out.splitlines()]
+    assert np.array_equal(np.array(rows), twirl.gram_closed_form(40))
 
 
 def test_characters_table():

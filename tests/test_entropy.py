@@ -184,6 +184,12 @@ def test_h2_cond_support_violation():
         h2_cond(rho.mat, rho.dims, sigma=np.diag([1.0, 0.0]))
 
 
+def test_h2_cond_refuses_fixed_sigma_with_optimize():
+    rho = random_density(6, seed=3, dims=(3, 2))
+    with pytest.raises(ValueError, match="sigma.*optimize"):
+        h2_cond(rho.mat, rho.dims, sigma=rho.marginal([1]), optimize=True)
+
+
 @pytest.mark.parametrize("entropy_of", [h_min_cond, h2_cond])
 def test_zero_operator_is_refused(entropy_of):
     # refused up front, before any nan from normalizing by a zero trace
@@ -452,6 +458,9 @@ def test_distances_of_stacks_match_single_pairs_bit_for_bit():
     same = (random_density(3, seed=9).mat,) * 2
     assert (trace_distance(*same), generalized_trace_distance(*same), fidelity(*same),
             generalized_fidelity(*same), purified_distance(*same)) == _distances_one(*same)
+    # and keeps it when stacked beside a generic pair
+    mixed = (np.stack([same[0], rho[0]]), np.stack([same[1], sigma[0]]))
+    assert fidelity(*mixed).tolist() == [fidelity(*same), refs[0][2]]
     assert isinstance(purified_distance(*same), float)
 
 

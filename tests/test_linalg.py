@@ -119,6 +119,18 @@ def test_schatten_norm_stacks(p):
         assert schatten_norm(stack[2, 1], p) == pytest.approx(ref[2, 1], rel=1e-12)
 
 
+@pytest.mark.parametrize("p", [1, "inf"])
+def test_schatten_norm_mixed_stack_matches_single_calls_bit_for_bit(p):
+    # Hermitian members of very different scales beside generic ones: each
+    # matrix takes its own eigvalsh or SVD branch
+    rng = np.random.default_rng(8)
+    mats = [m for scale in (1e-3, 1.0, 40.0) for m in (scale * rand_herm(rng, 4),
+                                                       rand_complex(rng, 4))]
+    want = [schatten_norm(m, p) for m in mats]
+    assert schatten_norm(np.stack(mats), p).tolist() == want
+    assert schatten_norm(np.stack(mats).reshape(2, 3, 4, 4), p).tolist() == [want[:3], want[3:]]
+
+
 def test_swap_operator_small():
     assert np.array_equal(swap_operator(1), np.eye(1))
     f = swap_operator(2)

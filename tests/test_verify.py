@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from declab import entropy
-from declab.linalg import partial_trace, schatten_norm, swap_operator, tensor
+from declab._groupavg import apply_channel_stack
+from declab.entropy import h_min_cond
+from declab.linalg import mpow, partial_trace, permute_systems, schatten_norm, swap_operator, tensor
 from declab.states import (
     ChoiChannel,
     DensityOp,
@@ -16,8 +18,9 @@ from declab.states import (
     random_density,
 )
 from declab.symgroup import PermFamily, affine_family, all_perms, perm_operator
-from declab.twirl import clifford_1q
+from declab.twirl import clifford_1q, haar_twirl2_exact
 from declab.verify import (
+    _trace_out,
     product_difference,
     swap_pullback,
     verify_cq_decoupling_lemma,
@@ -78,6 +81,23 @@ def test_decoupling_lemma_random_instances():
             assert rep.passed, (d_a, d_r, d_e, rep.lhs, rep.rhs)
             assert abs(rep.lhs - rep.rhs) <= 1e-10 * max(1, rep.rhs)
             k += 1
+
+
+@pytest.mark.parametrize("d_a", [2, 3, 4])
+@pytest.mark.parametrize("d_r", [2, 3])
+def test_decoupling_lemma_contraction_matches_kronecker_route(d_a, d_r):
+    # tr[(xi (x) xi) big] with big the twirled channel pullback on copies 1, 3
+    # and the input's pullback on copies 2, 4, built as d_A^4 x d_A^4 operators
+    rng = np.random.default_rng(10 * d_a + d_r)
+    herm = rng.normal(size=(d_a * d_r,) * 2) + 1j * rng.normal(size=(d_a * d_r,) * 2)
+    herm = (herm + herm.conj().T) / 2
+    ch = random_channel(d_a, 2, tp=bool(d_r % 2), seed=d_a + d_r)
+    twirled = haar_twirl2_exact(swap_pullback(ch.choi, d_a, 2), d_a).reconstructed
+    big = permute_systems(tensor(twirled, swap_pullback(herm, d_a, d_r)), (d_a,) * 4,
+                          [0, 2, 1, 3])
+    xi = max_entangled(d_a).mat - np.eye(d_a * d_a) / d_a ** 2
+    ref = np.trace(tensor(xi, xi) @ big).real
+    assert abs(verify_decoupling_lemma(herm, (d_a, d_r), ch).lhs - ref) <= 1e-12 * abs(ref)
 
 
 def test_decoupling_lemma_scaling_homogeneity():
@@ -172,6 +192,58 @@ def test_cq_hash():
     assert rep.passed
 
 
+@pytest.mark.parametrize("d_a1, d_a2", [(2, 2), (3, 2), (2, 3), (2, 4)])
+def test_trace_out_channel_is_the_partial_trace(d_a1, d_a2):
+    d_r = 3
+    n = d_a1 * d_a2 * d_r
+    rng = np.random.default_rng(d_a1 * 10 + d_a2)
+    stack = rng.normal(size=(6, n, n)) + 1j * rng.normal(size=(6, n, n))
+    tr_a2 = _trace_out(d_a1, d_a2)
+    out = apply_channel_stack(tr_a2, stack, d_r)
+    for got, mat in zip(out, stack):
+        assert np.abs(got - partial_trace(mat, (d_a1, d_a2, d_r), [0, 2])).max() < 1e-13
+    assert np.abs(tr_a2.env_marginal - np.eye(d_a1) / d_a1).max() < 1e-15
+
+
+def _hash_norms_reference(mat, d_a1, d_a2, d_r, perms, p):
+    """Schatten p-norm of tr_A2(P X P^T) - pi_A1 (x) X_R for each permutation P
+    of A = A1 x A2, one permutation at a time."""
+    d_a = d_a1 * d_a2
+    target = tensor(np.eye(d_a1) / d_a1, partial_trace(mat, (d_a, d_r), [1]))
+    out = []
+    for perm in perms:
+        g = tensor(perm_operator(perm), np.eye(d_r))
+        reduced = partial_trace(g @ mat @ g.T, (d_a1, d_a2, d_r), [0, 2])
+        out.append(schatten_norm(reduced - target, p))
+    return np.array(out)
+
+
+@pytest.mark.parametrize("d_a1, d_a2", [(2, 2), (3, 2), (2, 3)])
+def test_hash_left_sides_match_per_permutation_reference(d_a1, d_a2):
+    d_a, d_r = d_a1 * d_a2, 2
+    full = list(all_perms(d_a))
+
+    def close(got, want):
+        return abs(got - want) <= 1e-12 * max(1.0, abs(want))
+
+    cq = random_cq((d_a, d_r), seed=300 + d_a1)
+    ref = np.mean(_hash_norms_reference(cq.mat, d_a1, d_a2, d_r, full, 1))
+    assert close(verify_cq_hash(cq, d_a1, d_a2).lhs, ref)
+    rng = np.random.default_rng(310 + d_a1)
+    members = [tuple(int(j) for j in rng.permutation(d_a)) for _ in range(7)]
+    fam = PermFamily(tuple(members), rng.dirichlet(np.ones(7)))
+    ref = fam.weights @ _hash_norms_reference(cq.mat, d_a1, d_a2, d_r, members, 1)
+    assert close(verify_family_hash(fam, cq, d_a1, d_a2).lhs, ref)
+
+    rho = random_density(d_a * d_r, seed=320 + d_a1, dims=(d_a, d_r))
+    rep = verify_quantum_hash(rho, d_a1, d_a2)
+    assert close(rep.lhs, np.mean(_hash_norms_reference(rho.mat, d_a1, d_a2, d_r, full, 1)))
+    sandwich = tensor(np.eye(d_a), mpow(h_min_cond(rho.mat, rho.dims).optimizer, -0.25))
+    tilde = sandwich @ rho.mat @ sandwich
+    ref = np.mean(_hash_norms_reference(tilde, d_a1, d_a2, d_r, full, 2) ** 2)
+    assert close(rep.meta["two_norm_check"].lhs, ref)
+
+
 def test_cq_tpcp():
     rho = random_cq((4, 2), seed=130)
     rep = verify_cq_tpcp(rho, constant_channel(4, 2, seed=1))
@@ -255,6 +327,11 @@ def test_exhaustive_averages_share_one_cap():
         verify_perm_decoupling_lemma(random_channel(9, 2, seed=2), 2)
     with pytest.raises(ValueError):
         verify_distance_from_classicality(random_channel(3, 2, seed=3), 2)
+    for verifier in (verify_perm_decoupling_lemma, verify_distance_from_classicality):
+        with pytest.raises(ValueError, match="needs d_A >= 4"):
+            verifier(random_channel(3, 2, seed=4), 2)
+        with pytest.raises(ValueError, match="needs d_R <= d_A"):
+            verifier(random_channel(4, 2, seed=5), 5)
 
 
 def test_perm_decoupling_outside_form_at_full_rank():
