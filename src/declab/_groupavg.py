@@ -3,15 +3,21 @@
 Every average over permutations, Haar samples or unitary ensembles in declab
 runs through this kernel. A set of group elements is one array: an integer
 array (n, d) of permutations (row k maps j to perms[k, j], as in symgroup)
-or a complex array (n, d, d) of unitaries. Conjugating an operator by every
-element on chosen tensor factors gives a stack of operators: a permutation
-acts as an index gather on the factors it moves, a unitary as a batched
-product with its lift to the whole space. Channels, partial traces and norms
-are then applied to the whole stack at once.
+or a complex array (n, d, d) of unitaries.
 
-Stacks are built and consumed in chunks sized so that every stack live while
-a chunk is conjugated fits in CHUNK_BYTES, so the working set does not grow
-with the number of elements.
+A channel average moves each element onto the channel: T(g X g^dagger) is
+T o Ad_g applied to the fixed operator X, and the kernel of T o Ad_g is the
+channel's kernel with its input indices transformed, a gather for a
+permutation and g^T K_ef conj(g) for a unitary. `channel_values` builds a
+chunk's kernels and applies them all to X in one matrix product, so no stack
+of conjugated inputs is ever formed. The twirls, which need the conjugates
+themselves, get them from `conjugates`: a permutation acts as an index gather
+on the factors it moves, a unitary as a batched product with its lift to the
+whole space.
+
+Elements are taken in chunks sized so that everything live while a chunk is
+processed fits in CHUNK_BYTES, so the working set does not grow with the
+number of elements.
 
 The mean of a fixed operator over the whole symmetric group needs no element
 at all: `orbit_mean` averages each entry over its orbit, which the equality
@@ -24,7 +30,7 @@ from math import prod
 
 import numpy as np
 
-CHUNK_BYTES = 1 << 21       # bytes of stacked operators live per chunk
+CHUNK_BYTES = 1 << 19       # bytes of arrays live per chunk
 
 
 def chunks(n: int, item_bytes: int) -> list[slice]:
@@ -34,17 +40,31 @@ def chunks(n: int, item_bytes: int) -> list[slice]:
     return [slice(i, min(i + step, n)) for i in range(0, n, step)]
 
 
-def element_chunks(n_elems: int, dims, unitary: bool) -> list[slice]:
+def element_chunks(n_elems: int, dims, unitary: bool, d_out=None) -> list[slice]:
     """Chunks of n_elems group elements acting on the factors dims, sized so
-    that everything live while a chunk's conjugate stack is built fits in
-    CHUNK_BYTES: an index gather holds one (k, D, D) complex stack, a unitary
-    lift four (the lift, its adjoint and the two products)."""
-    n = prod(dims)
-    return chunks(n_elems, (4 if unitary else 1) * 16 * n * n)
+    that everything live while a chunk is processed fits in CHUNK_BYTES.
+
+    Without d_out, for `conjugates`: an index gather holds one (k, D, D)
+    complex stack, a unitary lift four (the lift, its adjoint and the two
+    products). With d_out, for `channel_values` through a channel from the
+    first factor A to E of dimension d_out, R the second factor: per element
+    the kernel of d_E^2 d_A^2 entries (two while a unitary's is formed) and
+    five arrays of the output's d_E^2 d_R^2 entries (the product, the output
+    stack and three of the norms' temporaries).
+    """
+    if d_out is None:
+        n = prod(dims)
+        return chunks(n_elems, (4 if unitary else 1) * 16 * n * n)
+    d_a, d_r = dims
+    return chunks(n_elems, 16 * d_out ** 2 * ((2 if unitary else 1) * d_a ** 2 + 5 * d_r ** 2))
+
+
+def _is_perm(elems: np.ndarray) -> bool:
+    return np.issubdtype(elems.dtype, np.integer)
 
 
 def _chunks_of(elems: np.ndarray, dims) -> list[slice]:
-    return element_chunks(len(elems), dims, not np.issubdtype(elems.dtype, np.integer))
+    return element_chunks(len(elems), dims, not _is_perm(elems))
 
 
 def perm_stack(perms) -> np.ndarray:
@@ -57,7 +77,7 @@ def conjugates(mat: np.ndarray, dims, elems: np.ndarray, sites=(0,)) -> np.ndarr
     factor listed in `sites` and as the identity on the other factors."""
     dims = tuple(int(d) for d in dims)
     n = prod(dims)
-    if np.issubdtype(elems.dtype, np.integer):
+    if _is_perm(elems):
         inv = np.argsort(elems, axis=1)
         digits = np.indices(dims).reshape(len(dims), n)
         strides = [prod(dims[f + 1:]) for f in range(len(dims))]
@@ -70,14 +90,6 @@ def conjugates(mat: np.ndarray, dims, elems: np.ndarray, sites=(0,)) -> np.ndarr
         lift = (lift[:, :, None, :, None] * fac[:, None, :, None, :]).reshape(
             len(elems), lift.shape[1] * d, lift.shape[2] * d)
     return lift @ mat @ lift.conj().transpose(0, 2, 1)
-
-
-def group_values(mat: np.ndarray, dims, elems: np.ndarray, fn, sites=(0,)) -> np.ndarray:
-    """fn applied chunk by chunk to the conjugate stack of mat; fn maps a
-    stack to one value (or one row of values) per operator, and the rows come
-    back in element order."""
-    return np.concatenate([fn(conjugates(mat, dims, elems[sl], sites))
-                           for sl in _chunks_of(elems, dims)])
 
 
 def group_mean(mat: np.ndarray, dims, elems: np.ndarray, weights=None, sites=(0,)) -> np.ndarray:
@@ -124,11 +136,38 @@ def orbit_mean(x: np.ndarray, d: int, k: int) -> np.ndarray:
     return (sums / np.bincount(labels)[:, None])[labels].reshape(x.shape)
 
 
-def apply_channel_stack(ch, stack: np.ndarray, d_r: int) -> np.ndarray:
-    """The channel applied to the first factor of every operator in a stack on A x R."""
-    w4 = ch.choi.reshape(ch.d_in, ch.d_out, ch.d_in, ch.d_out)
-    kernel = ch.d_in * w4.transpose(1, 3, 0, 2)           # [e, f, b, a]
-    t = stack.reshape(-1, ch.d_in, d_r, ch.d_in, d_r)
-    out = np.tensordot(t, kernel, axes=([1, 3], [2, 3]))  # [k, r, s, e, f]
-    n = ch.d_out * d_r
-    return out.transpose(0, 3, 1, 4, 2).reshape(-1, n, n)
+def _channel_chunk(kernel: np.ndarray, x: np.ndarray, elems: np.ndarray, dims) -> np.ndarray:
+    """T o Ad_g applied to X for every element g of one chunk, as a stack on
+    E x R; kernel is K as [(e f), (a b)] and x is X as [(a b), (r s)]. The
+    chunk's kernels and product are freed on return, before the stack is
+    scored."""
+    d_a, d_r, d_e = dims
+    if _is_perm(elems):
+        kg = np.take(kernel, elems[:, :, None] * d_a + elems[:, None, :], axis=1)
+    else:
+        kg = (elems.transpose(0, 2, 1)[None] @ kernel.reshape(-1, 1, d_a, d_a)
+              @ elems.conj()[None])
+    out = (kg.reshape(-1, d_a * d_a) @ x).reshape(d_e, d_e, len(elems), d_r, d_r)
+    return out.transpose(2, 0, 3, 1, 4).reshape(len(elems), d_e * d_r, d_e * d_r)
+
+
+def channel_values(ch, mat: np.ndarray, dims, elems: np.ndarray, fn) -> np.ndarray:
+    """fn applied chunk by chunk to the stack T(g X g^dagger) over the
+    elements g, each acting on the first factor A of the operator X = mat on
+    A x R, for the channel T from A to E; fn maps a stack to one value (or one
+    row of values) per operator, and the rows come back in element order.
+
+    g moves onto the channel: with the kernel K[e, f, a, b] = d_A omega[(a e),
+    (b f)] of T, the kernel of T o Ad_g is K_g[e, f] = g^T K[e, f] conj(g),
+    which for a permutation is the gather K[e, f, g(a), g(b)]. A chunk is one
+    product of its (k d_E^2, d_A^2) kernels with X arranged as [(a b), (r s)],
+    and one transpose of that product into the output stack.
+    """
+    d_a, d_r = (int(d) for d in dims)
+    d_e = ch.d_out
+    kernel = d_a * ch.choi.reshape(d_a, d_e, d_a, d_e).transpose(1, 3, 0, 2).reshape(
+        d_e * d_e, d_a * d_a)
+    x = mat.reshape(d_a, d_r, d_a, d_r).transpose(0, 2, 1, 3).reshape(d_a * d_a, d_r * d_r)
+    return np.concatenate([
+        fn(_channel_chunk(kernel, x, elems[sl], (d_a, d_r, d_e)))
+        for sl in element_chunks(len(elems), (d_a, d_r), not _is_perm(elems), d_e)])

@@ -31,11 +31,18 @@ def check_dims(mat: np.ndarray, dims) -> tuple[int, ...]:
     return dims
 
 
+def _hermitian_mask(mat: np.ndarray) -> np.ndarray:
+    """Per matrix of a stack over leading axes: Hermitian within HERM_RTOL
+    times its own largest entry (at least 1)."""
+    scale = np.maximum(1.0, np.abs(mat).max(axis=(-2, -1), initial=0.0))
+    skew = np.abs(mat - mat.conj().swapaxes(-1, -2)).max(axis=(-2, -1), initial=0.0)
+    return skew <= HERM_RTOL * scale
+
+
 def is_hermitian(mat: np.ndarray) -> bool:
     """True iff the matrix, or every matrix of a stack, is Hermitian within
-    HERM_RTOL times the largest entry of the whole input."""
-    scale = max(1.0, np.abs(mat).max()) if mat.size else 1.0
-    return bool(np.abs(mat - mat.conj().swapaxes(-1, -2)).max() <= HERM_RTOL * scale)
+    HERM_RTOL times its own largest entry."""
+    return bool(_hermitian_mask(mat).all())
 
 
 def require_hermitian(mat: np.ndarray, what: str = "operator") -> np.ndarray:
@@ -87,9 +94,7 @@ def schatten_norm(mat: np.ndarray, p):
     if p == 2:
         out = np.sqrt((mat.real ** 2 + mat.imag ** 2).sum(axis=(-2, -1)))
     elif p in (1, np.inf, "inf"):
-        scale = np.maximum(1.0, np.abs(mat).max(axis=(-2, -1), initial=0.0))
-        skew = np.abs(mat - mat.conj().swapaxes(-1, -2)).max(axis=(-2, -1), initial=0.0)
-        herm = skew <= HERM_RTOL * scale
+        herm = _hermitian_mask(mat)
         if herm.all():
             s = np.abs(np.linalg.eigvalsh(mat))
         elif not herm.any():
@@ -131,8 +136,8 @@ def mpow(mat: np.ndarray, exponent: float) -> np.ndarray:
     leading axes; negative exponents act as pseudo-inverse on the support.
 
     Eigenvalues below PINV_RCOND times the largest eigenvalue of their own
-    matrix are treated as exact zeros. Raises ValueError if the input is not
-    Hermitian within HERM_RTOL or if any matrix has an eigenvalue below
+    matrix are treated as exact zeros. Raises ValueError if any matrix is not
+    Hermitian within HERM_RTOL of its own largest entry or has an eigenvalue below
     -max(that cutoff, 1e-13). A stack gives, matrix for matrix, the same
     bits as one call per matrix.
     """

@@ -154,7 +154,7 @@ def mc_cross_check(seed, n_mc: int = 100_000) -> VerificationReport:
     vals = np.concatenate([
         verify._deviation_norms(ch, rho.mat, rho.dims,
                                 twirl.haar_samples(d_a, sl.stop - sl.start, rng), 2) ** 2
-        for sl in element_chunks(n_mc, rho.dims, unitary=True)])
+        for sl in element_chunks(n_mc, rho.dims, unitary=True, d_out=d_e)])
     rhs = verify.haar_lemma_rhs(rho.mat, rho.dims, ch)
     lhs, se = verify.mean_se(vals)
     ok = abs(lhs - rhs) <= 3 * se + 1e-12

@@ -156,7 +156,10 @@ def design_epsilon_bound(ens: UnitaryEnsemble, d: int) -> float:
     dimension a^2 + s^2 with a = d(d-1)/2 and s = d(d+1)/2. In the block
     coordinates z of the members the Haar Choi is 1/(n a) on the a^2 Anti
     entries and 1/(n s) on the s^2 Sym entries (Schur orthogonality), n = d^2,
-    and one eigvalsh of that size gives the trace norm.
+    and one eigvalsh of that size gives the trace norm. The members'
+    coordinates are built one kernel chunk at a time into one (N, a^2 + s^2)
+    array, and the ensemble's Choi is a single product of it with its
+    conjugate.
     """
     if d * d > 64:
         raise ValueError("moment-map Choi too large (needs d^2 <= 64)")
@@ -166,12 +169,14 @@ def design_epsilon_bound(ens: UnitaryEnsemble, d: int) -> float:
     a = d * (d - 1) // 2
     b = np.linalg.eigh(swap_operator(d))[1]        # eigenvalue -1 (Anti) first
     blocks = (b[:, :a], b[:, a:])
-    acc = np.zeros((a * a + (n - a) ** 2,) * 2, dtype=complex)
+    z = np.empty((len(ens), a * a + (n - a) ** 2), dtype=complex)
     for sl in element_chunks(len(ens), (d, d), True):
         us = ens.unitaries[sl]
         uu = (us[:, :, None, :, None] * us[:, None, :, None, :]).reshape(len(us), n, n)
-        z = np.concatenate([(p.T @ uu @ p).reshape(len(us), -1) for p in blocks], axis=1)
-        acc += (ens.weights[sl, None] / n * z).T @ z.conj()
+        z[sl] = np.concatenate([(p.T @ uu @ p).reshape(len(us), -1) for p in blocks], axis=1)
+    zc = z.conj()
+    z *= ens.weights[:, None] / n
+    acc = z.T @ zc
     acc[np.diag_indices(len(acc))] -= np.concatenate(
         [np.full(p.shape[1] ** 2, 1 / (n * p.shape[1])) for p in blocks])
     # acc is Hermitian up to round-off; eigvalsh reads its lower triangle

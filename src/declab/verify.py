@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._groupavg import apply_channel_stack, group_values, perm_stack
+from ._groupavg import channel_values, perm_stack
 from .entropy import h2_cond, h_min_cond
 from .linalg import mpow, pair_indices, partial_trace, schatten_norm, tensor
 from .states import (
@@ -107,12 +107,11 @@ def _channel_norms(ch: ChoiChannel, mat, dims, elems, ps, target=None) -> np.nda
     """Schatten p-norms of T(g X g^dagger) - target, one column per p in ps, for
     every group element g acting on A of the operator X on A x R (no target: of
     the output itself)."""
-    def norms(stack):
-        out = apply_channel_stack(ch, stack, dims[1])
+    def norms(out):
         out = out if target is None else out - target
         return np.stack([schatten_norm(out, p) for p in ps], axis=-1)
 
-    return group_values(mat, dims, elems, norms)
+    return channel_values(ch, mat, dims, elems, norms)
 
 
 def _deviation_norms(ch: ChoiChannel, mat, dims, elems, p) -> np.ndarray:

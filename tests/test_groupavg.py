@@ -2,8 +2,9 @@
 
 Every test of a chunked average runs the kernel with a chunk budget small
 enough that at least three chunks run, the last one shorter than the others.
-The orbit mean, which enumerates no element, is checked against the chunked
-mean over the whole symmetric group.
+Channel averages are checked against `apply_channel_mat` on each conjugated
+input. The orbit mean, which enumerates no element, is checked against the
+chunked mean over the whole symmetric group.
 """
 
 import tracemalloc
@@ -16,10 +17,9 @@ from hypothesis import strategies as st
 
 from declab import _groupavg, suites, twirl
 from declab._groupavg import (
-    apply_channel_stack,
+    channel_values,
     element_chunks,
     group_mean,
-    group_values,
     orbit_mean,
     pattern_labels,
     perm_stack,
@@ -48,22 +48,31 @@ def close(kernel, reference):
 
 @pytest.fixture
 def chunked(monkeypatch):
-    """use(n_ops, dim, unitary) sets the budget to chunks of n_ops elements
-    whose conjugates have dimension dim, and returns the list that collects
-    the size of every chunk the kernel builds. A permutation gather keeps one
-    operator per element live, a unitary lift four."""
+    """use(n_ops, dims, unitary, d_out) sets the budget to chunks of n_ops
+    elements acting on the first of the factors dims, and returns the list
+    that collects the size of every chunk slice the kernel takes.
+
+    Without d_out the chunks are of conjugates: a permutation gather keeps
+    one operator per element live, a unitary lift four. With d_out they are
+    of channel outputs through a channel with d_out outputs: the kernel of
+    d_out^2 d_A^2 entries (two while a unitary's is formed) and five outputs
+    of d_out^2 d_R^2 entries."""
     sizes = []
-    conjugates = _groupavg.conjugates
+    chunks = _groupavg.chunks
 
-    def spy(mat, dims, elems, sites=(0,)):
-        sizes.append(len(elems))
-        return conjugates(mat, dims, elems, sites)
+    def spy(n, item_bytes):
+        out = chunks(n, item_bytes)
+        sizes.extend(sl.stop - sl.start for sl in out)
+        return out
 
-    monkeypatch.setattr(_groupavg, "conjugates", spy)
+    monkeypatch.setattr(_groupavg, "chunks", spy)
 
-    def use(n_ops, dim, unitary=False):
-        live = 4 if unitary else 1
-        monkeypatch.setattr(_groupavg, "CHUNK_BYTES", live * 16 * dim * dim * n_ops)
+    def use(n_ops, dims, unitary=False, d_out=None):
+        if d_out is None:
+            item = (4 if unitary else 1) * 16 * int(np.prod(dims)) ** 2
+        else:
+            item = 16 * d_out ** 2 * ((2 if unitary else 1) * dims[0] ** 2 + 5 * dims[1] ** 2)
+        monkeypatch.setattr(_groupavg, "CHUNK_BYTES", item * n_ops)
         return sizes
 
     return use
@@ -92,8 +101,8 @@ def reference_norms(ch, mat, dims, ops, p, target=0.0):
     return np.array(out)
 
 
-def channel_norms(ch, d_r, p, target=0.0):
-    return lambda stack: schatten_norm(apply_channel_stack(ch, stack, d_r) - target, p)
+def channel_norms(p, target=0.0):
+    return lambda out: schatten_norm(out - target, p)
 
 
 def test_chunks_cover_in_order(monkeypatch):
@@ -105,12 +114,12 @@ def test_chunks_cover_in_order(monkeypatch):
 @pytest.mark.parametrize("d_a", [4, 5])
 @pytest.mark.parametrize("p", [1, 2])
 def test_all_permutations(chunked, d_a, p):
-    sizes = chunked(7 if d_a == 4 else 50, 2 * d_a)
+    sizes = chunked(7 if d_a == 4 else 50, (d_a, 2), d_out=3)
     rho = random_cq((d_a, 2), seed=d_a)
     ch = random_channel(d_a, 3, tp=False, seed=10 + d_a)
     target = tensor(ch.env_marginal, partial_trace(rho.mat, rho.dims, [1]))
     perms = list(all_perms(d_a))
-    vals = group_values(rho.mat, rho.dims, perm_stack(perms), channel_norms(ch, 2, p, target))
+    vals = channel_values(ch, rho.mat, rho.dims, perm_stack(perms), channel_norms(p, target))
     assert_ragged(sizes)
     ref = reference_norms(ch, rho.mat, rho.dims, [perm_operator(q) for q in perms], p, target)
     assert close(vals, ref)
@@ -124,7 +133,7 @@ def test_all_permutations(chunked, d_a, p):
 
 def test_all_permutations_on_two_factors(chunked):
     d = 4
-    sizes = chunked(5, d * d)
+    sizes = chunked(5, (d, d))
     rng = np.random.default_rng(0)
     m = rng.normal(size=(d * d, d * d)) + 1j * rng.normal(size=(d * d, d * d))
     perms = list(all_perms(d))
@@ -137,7 +146,7 @@ def test_all_permutations_on_two_factors(chunked):
 
 def test_perm_decoupling_lhs(chunked):
     d_a, d_r = 5, 3
-    sizes = chunked(50, d_a * d_r)
+    sizes = chunked(50, (d_a, d_r), d_out=2)
     ch = random_channel(d_a, 2, tp=True, seed=3)
     rep = verify_perm_decoupling_lemma(ch, d_r)
     assert_ragged(sizes)
@@ -154,7 +163,7 @@ def test_perm_decoupling_lhs(chunked):
 def test_distance_from_classicality_lhs(chunked, d_r):
     # both norms come from one channel stack; each must match its own loop
     d_a = 5
-    sizes = chunked(50, d_a * d_r)
+    sizes = chunked(50, (d_a, d_r), d_out=2)
     ch = random_channel(d_a, 2, tp=False, seed=30 + d_r)
     rep = verify_distance_from_classicality(ch, d_r)
     assert_ragged(sizes)
@@ -167,6 +176,21 @@ def test_distance_from_classicality_lhs(chunked, d_r):
     assert close(rep.lhs, np.mean(reference_norms(ch, st, (d_a, d_r), ops, 2) ** 2))
     assert close(rep.meta["bound_check"].lhs,
                  np.mean(reference_norms(ch, st, (d_a, d_r), ops, 1)))
+
+
+def test_channel_average_stays_within_the_chunk_budget():
+    # the kernels, the product, the output and the norms of a chunk together
+    # fit the budget; a stack of conjugated inputs beside its transposed copy
+    # reads over 2.1 times the budget on this call
+    ch = random_channel(6, 2, tp=False, seed=1)
+    verify_distance_from_classicality(ch, 5)
+    tracemalloc.start()
+    try:
+        verify_distance_from_classicality(ch, 5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * _groupavg.CHUNK_BYTES
 
 
 def test_brute_twirl_stacks_one_chunk_at_a_time(monkeypatch):
@@ -190,7 +214,7 @@ def test_brute_twirl_stacks_one_chunk_at_a_time(monkeypatch):
 def test_weighted_family(chunked):
     d_a1, d_a2, d_r = 3, 2, 2
     d_a = d_a1 * d_a2
-    sizes = chunked(8, d_a * d_r)
+    sizes = chunked(8, (d_a, d_r), d_out=d_a1)
     rng = np.random.default_rng(4)
     perms = tuple(dict.fromkeys(tuple(int(x) for x in rng.permutation(d_a)) for _ in range(30)))
     fam = PermFamily(perms, rng.dirichlet(np.ones(len(perms))))
@@ -204,6 +228,7 @@ def test_weighted_family(chunked):
         reduced = partial_trace(conj @ rho.mat @ conj.T, (d_a1, d_a2, d_r), [0, 2])
         ref += w * svd_norm(reduced - target, 1)
     assert close(rep.lhs, ref)
+    sizes = chunked(8, (d_a, d_r))
     sizes.clear()
     avg = group_mean(rho.mat, rho.dims, perm_stack(fam.perms), fam.weights)
     assert_ragged(sizes)
@@ -214,7 +239,7 @@ def test_weighted_family(chunked):
 
 def test_haar_stack(chunked):
     d_a, d_r, n = 4, 2, 45
-    sizes = chunked(10, d_a * d_r, unitary=True)
+    sizes = chunked(10, (d_a, d_r), unitary=True, d_out=2)
     rho = random_density(d_a * d_r, seed=6, dims=(d_a, d_r))
     ch = random_channel(d_a, 2, tp=True, seed=7)
     rep = verify_decoupling_theorem(rho, ch, n_samples=n, seed=8)
@@ -224,7 +249,7 @@ def test_haar_stack(chunked):
     ref = reference_norms(ch, rho.mat, rho.dims, us, 1, target)
     assert close(rep.lhs, ref.mean())
     sizes.clear()
-    vals = group_values(rho.mat, rho.dims, us, channel_norms(ch, d_r, 2, target))
+    vals = channel_values(ch, rho.mat, rho.dims, us, channel_norms(2, target))
     assert_ragged(sizes)
     assert close(vals, reference_norms(ch, rho.mat, rho.dims, us, 2, target))
 
@@ -234,13 +259,13 @@ def test_circuit_ensemble(chunked):
     ens = circuit_ensemble(2, 12, 40, seed=9)
     rho = random_density(8, seed=10, dims=(d, 2))
     ch = random_channel(d, 2, tp=True, seed=11)
-    sizes = chunked(9, 2 * d, unitary=True)
+    sizes = chunked(9, (d, 2), unitary=True, d_out=2)
     rep = verify_design_decoupling(ens, rho, ch, epsilon=0.0)
     assert_ragged(sizes)
     target = tensor(ch.env_marginal, partial_trace(rho.mat, rho.dims, [1]))
     ref = reference_norms(ch, rho.mat, rho.dims, ens.unitaries, 1, target)
     assert close(rep.lhs, ens.weights @ ref)
-    sizes = chunked(9, d * d, unitary=True)
+    sizes = chunked(9, (d, d), unitary=True)
     sizes.clear()
     rng = np.random.default_rng(12)
     m = rng.normal(size=(d * d, d * d)) + 1j * rng.normal(size=(d * d, d * d))
@@ -297,9 +322,8 @@ def test_mc_cross_check_streams_one_chunk_at_a_time(monkeypatch, n_mc):
     rho = random_density(4, seed=int(rng.integers(2**31)), dims=(2, 2))
     ch = random_channel(2, 2, tp=False, seed=int(rng.integers(2**31)))
     target = tensor(ch.env_marginal, rho.marginal([1]))
-    vals = group_values(rho.mat, rho.dims, haar_samples(2, n_mc, rng),
-                        lambda stack: schatten_norm(apply_channel_stack(ch, stack, 2) - target,
-                                                    2) ** 2)
+    vals = channel_values(ch, rho.mat, rho.dims, haar_samples(2, n_mc, rng),
+                          lambda out: schatten_norm(out - target, 2) ** 2)
     drawn = []
     samples = twirl.haar_samples
 
@@ -309,6 +333,6 @@ def test_mc_cross_check_streams_one_chunk_at_a_time(monkeypatch, n_mc):
 
     monkeypatch.setattr(twirl, "haar_samples", spy)
     rep = suites.mc_cross_check(0, n_mc)
-    step = element_chunks(n_mc, (2, 2), unitary=True)[0].stop
+    step = element_chunks(n_mc, (2, 2), unitary=True, d_out=2)[0].stop
     assert sum(drawn) == n_mc and max(drawn) == step and n_mc % step
     assert (rep.lhs, rep.meta["se"]) == mean_se(vals)

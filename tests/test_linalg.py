@@ -186,6 +186,14 @@ def test_mpow_rejects_negative():
         mpow(np.diag([1.0, -0.5]), 0.5)
 
 
+def test_stack_is_hermitian_matrix_by_matrix():
+    # a skew refused alone is refused beside a matrix of much larger entries
+    b = np.array([[0.5, 1e-7], [0.0, 0.5]])
+    for mat in (b, np.stack([1e4 * np.eye(2), b])):
+        with pytest.raises(ValueError, match="not Hermitian"):
+            mpow(mat, 0.5)
+
+
 def mpow_one(mat, exponent):
     """The single-matrix mpow that the stacked one replaced: the reference
     it must match bit for bit."""

@@ -4,7 +4,7 @@ from math import log2
 import numpy as np
 import pytest
 
-from declab import twirl
+from declab import _groupavg, twirl
 from declab._groupavg import group_mean
 from declab.linalg import permute_systems, schatten_norm, swap_operator, tensor
 from declab.states import random_channel
@@ -187,6 +187,13 @@ def test_design_epsilon_matches_dense_choi(d):
     for ens in ensembles:
         ref = dense_design_epsilon(ens, d)
         assert abs(design_epsilon_bound(ens, d) - ref) <= 1e-12 * ref
+
+
+def test_design_epsilon_does_not_depend_on_the_chunk_budget(monkeypatch):
+    ens = circuit_ensemble(2, 30, 50, seed=0)
+    eps = design_epsilon_bound(ens, 4)
+    monkeypatch.setattr(_groupavg, "CHUNK_BYTES", 1)            # one member a chunk
+    assert abs(design_epsilon_bound(ens, 4) - eps) <= 1e-12 * eps
 
 
 @pytest.mark.parametrize("d", [5, 6])

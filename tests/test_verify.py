@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from declab import entropy
-from declab._groupavg import apply_channel_stack
 from declab.entropy import h_min_cond
 from declab.linalg import mpow, partial_trace, permute_systems, schatten_norm, swap_operator, tensor
 from declab.states import (
@@ -199,8 +198,9 @@ def test_trace_out_channel_is_the_partial_trace(d_a1, d_a2):
     rng = np.random.default_rng(d_a1 * 10 + d_a2)
     stack = rng.normal(size=(6, n, n)) + 1j * rng.normal(size=(6, n, n))
     tr_a2 = _trace_out(d_a1, d_a2)
-    out = apply_channel_stack(tr_a2, stack, d_r)
-    for got, mat in zip(out, stack):
+    for mat in stack:
+        got, dims = apply_channel_mat(tr_a2, mat, (d_a1 * d_a2, d_r), 0)
+        assert dims == (d_a1, d_r)
         assert np.abs(got - partial_trace(mat, (d_a1, d_a2, d_r), [0, 2])).max() < 1e-13
     assert np.abs(tr_a2.env_marginal - np.eye(d_a1) / d_a1).max() < 1e-15
 
