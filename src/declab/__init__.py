@@ -61,7 +61,6 @@ from .twirl import (
     haar_twirl2_mc,
     perm_twirl2_brute,
     perm_twirl2_exact,
-    random_circuit,
 )
 from .verify import VerificationReport
 

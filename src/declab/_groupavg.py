@@ -1,19 +1,21 @@
 """Batched, chunked averages over group elements.
 
 Every average over permutations, Haar samples or unitary ensembles in declab
-runs through this kernel. A set of group elements is one array: an integer
-array (n, d) of permutations (row k maps j to perms[k, j], as in symgroup)
-or a complex array (n, d, d) of unitaries.
+runs through one of two kernels.
 
 A channel average moves each element onto the channel: T(g X g^dagger) is
 T o Ad_g applied to the fixed operator X, and the kernel of T o Ad_g is the
 channel's kernel with its input indices transformed, a gather for a
-permutation and g^T K_ef conj(g) for a unitary. `channel_values` builds a
-chunk's kernels and applies them all to X in one matrix product, so no stack
-of conjugated inputs is ever formed. The twirls, which need the conjugates
-themselves, get them from `conjugates`: a permutation acts as an index gather
-on the factors it moves, a unitary as a batched product with its lift to the
-whole space.
+permutation and g^T K_ef conj(g) for a unitary. `channel_values` takes its
+elements as one array, an integer array (n, d) of permutations (row k maps j
+to perms[k, j], as in symgroup) or a complex array (n, d, d) of unitaries,
+builds a chunk's kernels and applies them all to X in one matrix product, so
+no stack of conjugated inputs is ever formed.
+
+A second moment, the twirl of an operator on two copies, conjugates it by
+U (x) U. `two_copy_lifts` forms that lift for a chunk of unitaries at a time
+(permutations come as their permutation matrices), and `twirl2_mean`
+averages the conjugates over the chunks.
 
 Elements are taken in chunks sized so that everything live while a chunk is
 processed fits in CHUNK_BYTES, so the working set does not grow with the
@@ -25,8 +27,6 @@ pattern of its index tuple names.
 """
 
 from __future__ import annotations
-
-from math import prod
 
 import numpy as np
 
@@ -40,21 +40,12 @@ def chunks(n: int, item_bytes: int) -> list[slice]:
     return [slice(i, min(i + step, n)) for i in range(0, n, step)]
 
 
-def element_chunks(n_elems: int, dims, unitary: bool, d_out=None) -> list[slice]:
-    """Chunks of n_elems group elements acting on the factors dims, sized so
-    that everything live while a chunk is processed fits in CHUNK_BYTES.
-
-    Without d_out, for `conjugates`: an index gather holds one (k, D, D)
-    complex stack, a unitary lift four (the lift, its adjoint and the two
-    products). With d_out, for `channel_values` through a channel from the
-    first factor A to E of dimension d_out, R the second factor: per element
-    the kernel of d_E^2 d_A^2 entries (two while a unitary's is formed) and
-    five arrays of the output's d_E^2 d_R^2 entries (the product, the output
-    stack and three of the norms' temporaries).
-    """
-    if d_out is None:
-        n = prod(dims)
-        return chunks(n_elems, (4 if unitary else 1) * 16 * n * n)
+def element_chunks(n_elems: int, dims, unitary: bool, d_out: int) -> list[slice]:
+    """Chunks of n_elems group elements for `channel_values` through a channel
+    from the first factor A of dims to E of dimension d_out, R the second
+    factor: per element the kernel of d_E^2 d_A^2 entries (two while a
+    unitary's is formed) and five arrays of the output's d_E^2 d_R^2 entries
+    (the product, the output stack and three of the norms' temporaries)."""
     d_a, d_r = dims
     return chunks(n_elems, 16 * d_out ** 2 * ((2 if unitary else 1) * d_a ** 2 + 5 * d_r ** 2))
 
@@ -63,43 +54,28 @@ def _is_perm(elems: np.ndarray) -> bool:
     return np.issubdtype(elems.dtype, np.integer)
 
 
-def _chunks_of(elems: np.ndarray, dims) -> list[slice]:
-    return element_chunks(len(elems), dims, not _is_perm(elems))
-
-
 def perm_stack(perms) -> np.ndarray:
     """Permutation tuples as one integer array (n, d)."""
     return np.array(list(perms), dtype=np.intp)
 
 
-def conjugates(mat: np.ndarray, dims, elems: np.ndarray, sites=(0,)) -> np.ndarray:
-    """The stack g mat g^dagger over the elements g, each acting on every
-    factor listed in `sites` and as the identity on the other factors."""
-    dims = tuple(int(d) for d in dims)
-    n = prod(dims)
-    if _is_perm(elems):
-        inv = np.argsort(elems, axis=1)
-        digits = np.indices(dims).reshape(len(dims), n)
-        strides = [prod(dims[f + 1:]) for f in range(len(dims))]
-        src = sum((inv[:, digits[f]] if f in sites else digits[f]) * strides[f]
-                  for f in range(len(dims)))
-        return mat[src[:, :, None], src[:, None, :]]
-    lift = np.ones((len(elems), 1, 1))
-    for f, d in enumerate(dims):
-        fac = elems if f in sites else np.eye(d)[None]
-        lift = (lift[:, :, None, :, None] * fac[:, None, :, None, :]).reshape(
-            len(elems), lift.shape[1] * d, lift.shape[2] * d)
-    return lift @ mat @ lift.conj().transpose(0, 2, 1)
+def two_copy_lifts(n: int, d: int, members):
+    """Yield (sl, U (x) U) chunk by chunk for n unitaries on d levels: sl is
+    the chunk's slice of range(n), and members(sl), called once per chunk and
+    in order, gives its unitaries as a stack (k, d, d); the lifts come as a
+    stack (k, d^2, d^2). A chunk holds four complex stacks of that size: the
+    lift, its adjoint and the two products of a twirl."""
+    for sl in chunks(n, 4 * 16 * d ** 4):
+        us = members(sl)
+        uu = us[:, :, None, :, None] * us[:, None, :, None, :]
+        yield sl, uu.reshape(len(us), d * d, d * d)
 
 
-def group_mean(mat: np.ndarray, dims, elems: np.ndarray, weights=None, sites=(0,)) -> np.ndarray:
-    """Average of g mat g^dagger over the elements: uniform, or with the given weights."""
-    total = 0.0
-    for sl in _chunks_of(elems, dims):
-        stack = conjugates(mat, dims, elems[sl], sites)
-        total = total + (stack.sum(axis=0) if weights is None
-                         else np.tensordot(weights[sl], stack, axes=1))
-    return total / len(elems) if weights is None else total
+def twirl2_mean(mat: np.ndarray, n: int, d: int, members) -> np.ndarray:
+    """Uniform average of (U (x) U) mat (U (x) U)^dagger over the n unitaries
+    that members gives, as in `two_copy_lifts`."""
+    return sum((uu @ mat @ uu.conj().transpose(0, 2, 1)).sum(axis=0)
+               for _, uu in two_copy_lifts(n, d, members)) / n
 
 
 def pattern_labels(idx: np.ndarray) -> np.ndarray:
@@ -124,9 +100,10 @@ def orbit_mean(x: np.ndarray, d: int, k: int) -> np.ndarray:
     S_d maps an index k-tuple onto every tuple of the same equality pattern
     and onto no other, so the group mean of an entry is the plain mean over
     the entries of its pattern: one label per tuple and one average per label,
-    in memory linear in x and with no group element enumerated. Equals
-    group_mean over all_perms(d) to round-off, for example with k = 4 on the
-    (row, column) indices of an operator on two d-level factors.
+    in memory linear in x and with no group element enumerated. Equals, to
+    round-off, the mean of Q x Q^T over the permutation matrices P of
+    all_perms(d), with Q = P for the (row, column) indices of an operator on
+    one d-level factor (k = 2) and Q = P (x) P for one on two (k = 4).
     """
     x = np.asarray(x)
     labels = pattern_labels(np.indices((d,) * k).reshape(k, -1))

@@ -39,14 +39,10 @@ def _hermitian_mask(mat: np.ndarray) -> np.ndarray:
     return skew <= HERM_RTOL * scale
 
 
-def is_hermitian(mat: np.ndarray) -> bool:
-    """True iff the matrix, or every matrix of a stack, is Hermitian within
-    HERM_RTOL times its own largest entry."""
-    return bool(_hermitian_mask(mat).all())
-
-
 def require_hermitian(mat: np.ndarray, what: str = "operator") -> np.ndarray:
-    if not is_hermitian(mat):
+    """mat, after checking that it, or every matrix of a stack, is Hermitian
+    within HERM_RTOL times its own largest entry."""
+    if not _hermitian_mask(mat).all():
         raise ValueError(f"{what} is not Hermitian within tolerance")
     return mat
 

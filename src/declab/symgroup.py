@@ -175,8 +175,9 @@ class PermFamily:
             w = np.full(len(perms), 1.0 / len(perms))
         else:
             w = np.asarray(self.weights, dtype=float)
-        if w.shape != (len(perms),) or abs(w.sum() - 1.0) > 1e-12:
-            raise ValueError("weights must match the members and sum to 1")
+        # a nan weight fails w >= 0
+        if w.shape != (len(perms),) or not (w >= 0).all() or abs(w.sum() - 1.0) > 1e-12:
+            raise ValueError("weights must match the members, be non-negative and sum to 1")
         object.__setattr__(self, "weights", w)
 
     def __len__(self):

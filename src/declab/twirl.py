@@ -15,7 +15,7 @@ from math import factorial
 
 import numpy as np
 
-from ._groupavg import element_chunks, group_mean
+from ._groupavg import two_copy_lifts, twirl2_mean
 from .linalg import pair_indices, permute_systems, require_hermitian, swap_operator, tensor
 from .symgroup import MAX_ENUM_D, all_perms, perm_operator
 
@@ -47,8 +47,9 @@ class UnitaryEnsemble:
         us = np.array(self.unitaries, dtype=complex)
         if us.ndim != 3 or us.shape[1] != us.shape[2]:
             raise ValueError("members must be square matrices of one dimension")
-        if w.shape != (len(us),) or abs(w.sum() - 1.0) > 1e-12:
-            raise ValueError("weights must match members and sum to 1")
+        # a nan weight fails w >= 0
+        if w.shape != (len(us),) or not (w >= 0).all() or abs(w.sum() - 1.0) > 1e-12:
+            raise ValueError("weights must match members, be non-negative and sum to 1")
         gram = us.conj().transpose(0, 2, 1) @ us
         if np.abs(gram - np.eye(us.shape[1])).max() > UNITARY_TOL:
             raise ValueError("ensemble member is not unitary within tolerance")
@@ -103,16 +104,12 @@ def haar_samples(d: int, n: int, rng) -> np.ndarray:
     return q * (diag / np.abs(diag))[:, None, :]
 
 
-def _adjoints(us: np.ndarray) -> np.ndarray:
-    return us.conj().transpose(0, 2, 1)
-
-
 def haar_twirl2_mc(mat: np.ndarray, d: int, n: int, seed=0) -> np.ndarray:
     """(1/N) sum_k U_k^t2-dagger M U_k^t2 over Haar samples."""
     if n < 1:
         raise ValueError("need at least one sample")
-    us = haar_samples(d, n, np.random.default_rng(seed))
-    return group_mean(np.asarray(mat, dtype=complex), (d, d), _adjoints(us), sites=(0, 1))
+    adj = haar_samples(d, n, np.random.default_rng(seed)).conj().transpose(0, 2, 1)
+    return twirl2_mean(np.asarray(mat, dtype=complex), n, d, adj.__getitem__)
 
 
 def clifford_1q() -> UnitaryEnsemble:
@@ -157,9 +154,9 @@ def design_epsilon_bound(ens: UnitaryEnsemble, d: int) -> float:
     coordinates z of the members the Haar Choi is 1/(n a) on the a^2 Anti
     entries and 1/(n s) on the s^2 Sym entries (Schur orthogonality), n = d^2,
     and one eigvalsh of that size gives the trace norm. The members'
-    coordinates are built one kernel chunk at a time into one (N, a^2 + s^2)
-    array, and the ensemble's Choi is a single product of it with its
-    conjugate.
+    coordinates are built one chunk of two-copy lifts at a time into one
+    (N, a^2 + s^2) array, and the ensemble's Choi is a single product of it
+    with its conjugate.
     """
     if d * d > 64:
         raise ValueError("moment-map Choi too large (needs d^2 <= 64)")
@@ -170,10 +167,8 @@ def design_epsilon_bound(ens: UnitaryEnsemble, d: int) -> float:
     b = np.linalg.eigh(swap_operator(d))[1]        # eigenvalue -1 (Anti) first
     blocks = (b[:, :a], b[:, a:])
     z = np.empty((len(ens), a * a + (n - a) ** 2), dtype=complex)
-    for sl in element_chunks(len(ens), (d, d), True):
-        us = ens.unitaries[sl]
-        uu = (us[:, :, None, :, None] * us[:, None, :, None, :]).reshape(len(us), n, n)
-        z[sl] = np.concatenate([(p.T @ uu @ p).reshape(len(us), -1) for p in blocks], axis=1)
+    for sl, uu in two_copy_lifts(len(ens), d, ens.unitaries.__getitem__):
+        z[sl] = np.concatenate([(p.T @ uu @ p).reshape(len(uu), -1) for p in blocks], axis=1)
     zc = z.conj()
     z *= ens.weights[:, None] / n
     acc = z.T @ zc
@@ -198,18 +193,6 @@ def _lift_gate(gate: np.ndarray, n_qubits: int, q1: int, q2: int) -> np.ndarray:
     return permute_systems(big, (2,) * n_qubits, inv_order)
 
 
-def random_circuit(n_qubits: int, t: int, seed=0) -> np.ndarray:
-    """Product of t random two-qubit gates from the {H, T, CNOT} set, each on a
-    uniformly random ordered pair of qubits: the one member of
-    circuit_ensemble(n_qubits, t, 1, seed).
-
-    The discrete gate set keeps the depth dependence meaningful even when a
-    single gate already spans the whole register (n_qubits = 2), where Haar
-    steps of any depth would be exactly Haar distributed.
-    """
-    return circuit_ensemble(n_qubits, t, 1, seed).unitaries[0]
-
-
 @lru_cache(maxsize=None)
 def _universal_steps(n_qubits: int) -> np.ndarray:
     """Every lifted {H, T, CNOT} gate as one read-only stack: entry 3 * pair + gate is
@@ -221,7 +204,12 @@ def _universal_steps(n_qubits: int) -> np.ndarray:
 
 
 def circuit_ensemble(n_qubits: int, t: int, n_circuits: int, seed=0) -> UnitaryEnsemble:
-    """Uniform ensemble of independent universal random circuits of depth t.
+    """Uniform ensemble of independent universal random circuits of depth t:
+    products of t random two-qubit gates from the {H, T, CNOT} set, each on a
+    uniformly random ordered pair of qubits. The discrete gate set keeps the
+    depth dependence meaningful even when a single gate already spans the
+    whole register (n_qubits = 2), where Haar steps of any depth would be
+    exactly Haar distributed.
 
     Every step of every circuit is one uniform index into the stack of lifted
     gates (see _universal_steps), so its pair and gate are uniform and
@@ -345,15 +333,11 @@ def commutant_dim_brute(d: int) -> int:
 def perm_twirl2_brute(mat: np.ndarray, d: int) -> np.ndarray:
     """Exhaustive uniform average of P^t2 M P^t2-dagger over all d! permutations
     (d <= symgroup.MAX_ENUM_D), conjugating by explicit permutation matrices in
-    the group-average kernel: the reference that the commutant expansion is
+    the two-copy twirl kernel: the reference that the commutant expansion is
     checked against. The matrices are stacked one kernel chunk at a time."""
-    mat = np.asarray(mat, dtype=complex)
     perms = all_perms(d)
-    total = 0.0
-    for sl in element_chunks(factorial(d), (d, d), True):
-        ops = np.array([perm_operator(p) for p in islice(perms, sl.stop - sl.start)], complex)
-        total = total + len(ops) * group_mean(mat, (d, d), ops, sites=(0, 1))
-    return total / factorial(d)
+    return twirl2_mean(np.asarray(mat, dtype=complex), factorial(d), d, lambda sl: np.array(
+        [perm_operator(p) for p in islice(perms, sl.stop - sl.start)], complex))
 
 
 def perm_twirl2_exact(mat: np.ndarray, d: int) -> PermTwirlResult:

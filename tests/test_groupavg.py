@@ -3,8 +3,9 @@
 Every test of a chunked average runs the kernel with a chunk budget small
 enough that at least three chunks run, the last one shorter than the others.
 Channel averages are checked against `apply_channel_mat` on each conjugated
-input. The orbit mean, which enumerates no element, is checked against the
-chunked mean over the whole symmetric group.
+input, two-copy twirls against `np.kron` loops. The orbit mean, which
+enumerates no element, is checked against a loop over the permutation
+matrices of the whole symmetric group.
 """
 
 import tracemalloc
@@ -19,10 +20,10 @@ from declab import _groupavg, suites, twirl
 from declab._groupavg import (
     channel_values,
     element_chunks,
-    group_mean,
     orbit_mean,
     pattern_labels,
     perm_stack,
+    twirl2_mean,
 )
 from declab.linalg import partial_trace, schatten_norm, tensor
 from declab.states import apply_channel_mat, random_channel, random_cq, random_density
@@ -48,31 +49,20 @@ def close(kernel, reference):
 
 @pytest.fixture
 def chunked(monkeypatch):
-    """use(n_ops, dims, unitary, d_out) sets the budget to chunks of n_ops
-    elements acting on the first of the factors dims, and returns the list
-    that collects the size of every chunk slice the kernel takes.
-
-    Without d_out the chunks are of conjugates: a permutation gather keeps
-    one operator per element live, a unitary lift four. With d_out they are
-    of channel outputs through a channel with d_out outputs: the kernel of
-    d_out^2 d_A^2 entries (two while a unitary's is formed) and five outputs
-    of d_out^2 d_R^2 entries."""
+    """use(n_ops) sets the budget of every chunking that follows to n_ops
+    elements a chunk, whatever a kernel counts per element, and returns the
+    list that collects the size of every chunk slice the kernels take."""
     sizes = []
     chunks = _groupavg.chunks
 
-    def spy(n, item_bytes):
-        out = chunks(n, item_bytes)
-        sizes.extend(sl.stop - sl.start for sl in out)
-        return out
+    def use(n_ops):
+        def spy(n, item_bytes):
+            monkeypatch.setattr(_groupavg, "CHUNK_BYTES", item_bytes * n_ops)
+            out = chunks(n, item_bytes)
+            sizes.extend(sl.stop - sl.start for sl in out)
+            return out
 
-    monkeypatch.setattr(_groupavg, "chunks", spy)
-
-    def use(n_ops, dims, unitary=False, d_out=None):
-        if d_out is None:
-            item = (4 if unitary else 1) * 16 * int(np.prod(dims)) ** 2
-        else:
-            item = 16 * d_out ** 2 * ((2 if unitary else 1) * dims[0] ** 2 + 5 * dims[1] ** 2)
-        monkeypatch.setattr(_groupavg, "CHUNK_BYTES", item * n_ops)
+        monkeypatch.setattr(_groupavg, "chunks", spy)
         return sizes
 
     return use
@@ -114,7 +104,7 @@ def test_chunks_cover_in_order(monkeypatch):
 @pytest.mark.parametrize("d_a", [4, 5])
 @pytest.mark.parametrize("p", [1, 2])
 def test_all_permutations(chunked, d_a, p):
-    sizes = chunked(7 if d_a == 4 else 50, (d_a, 2), d_out=3)
+    sizes = chunked(7 if d_a == 4 else 50)
     rho = random_cq((d_a, 2), seed=d_a)
     ch = random_channel(d_a, 3, tp=False, seed=10 + d_a)
     target = tensor(ch.env_marginal, partial_trace(rho.mat, rho.dims, [1]))
@@ -133,11 +123,11 @@ def test_all_permutations(chunked, d_a, p):
 
 def test_all_permutations_on_two_factors(chunked):
     d = 4
-    sizes = chunked(5, (d, d))
+    sizes = chunked(5)
     rng = np.random.default_rng(0)
     m = rng.normal(size=(d * d, d * d)) + 1j * rng.normal(size=(d * d, d * d))
     perms = list(all_perms(d))
-    avg = group_mean(m, (d, d), perm_stack(perms), sites=(0, 1))
+    avg = perm_twirl2_brute(m, d)
     assert_ragged(sizes)
     ref = sum(np.kron(perm_operator(q), perm_operator(q)) @ m
               @ np.kron(perm_operator(q), perm_operator(q)).T for q in perms) / len(perms)
@@ -146,7 +136,7 @@ def test_all_permutations_on_two_factors(chunked):
 
 def test_perm_decoupling_lhs(chunked):
     d_a, d_r = 5, 3
-    sizes = chunked(50, (d_a, d_r), d_out=2)
+    sizes = chunked(50)
     ch = random_channel(d_a, 2, tp=True, seed=3)
     rep = verify_perm_decoupling_lemma(ch, d_r)
     assert_ragged(sizes)
@@ -163,7 +153,7 @@ def test_perm_decoupling_lhs(chunked):
 def test_distance_from_classicality_lhs(chunked, d_r):
     # both norms come from one channel stack; each must match its own loop
     d_a = 5
-    sizes = chunked(50, (d_a, d_r), d_out=2)
+    sizes = chunked(50)
     ch = random_channel(d_a, 2, tp=False, seed=30 + d_r)
     rep = verify_distance_from_classicality(ch, d_r)
     assert_ragged(sizes)
@@ -214,7 +204,7 @@ def test_brute_twirl_stacks_one_chunk_at_a_time(monkeypatch):
 def test_weighted_family(chunked):
     d_a1, d_a2, d_r = 3, 2, 2
     d_a = d_a1 * d_a2
-    sizes = chunked(8, (d_a, d_r), d_out=d_a1)
+    sizes = chunked(8)
     rng = np.random.default_rng(4)
     perms = tuple(dict.fromkeys(tuple(int(x) for x in rng.permutation(d_a)) for _ in range(30)))
     fam = PermFamily(perms, rng.dirichlet(np.ones(len(perms))))
@@ -228,18 +218,11 @@ def test_weighted_family(chunked):
         reduced = partial_trace(conj @ rho.mat @ conj.T, (d_a1, d_a2, d_r), [0, 2])
         ref += w * svd_norm(reduced - target, 1)
     assert close(rep.lhs, ref)
-    sizes = chunked(8, (d_a, d_r))
-    sizes.clear()
-    avg = group_mean(rho.mat, rho.dims, perm_stack(fam.perms), fam.weights)
-    assert_ragged(sizes)
-    ref = sum(w * tensor(perm_operator(q), np.eye(d_r)) @ rho.mat
-              @ tensor(perm_operator(q), np.eye(d_r)).T for w, q in zip(fam.weights, fam.perms))
-    assert close(avg, ref)
 
 
 def test_haar_stack(chunked):
     d_a, d_r, n = 4, 2, 45
-    sizes = chunked(10, (d_a, d_r), unitary=True, d_out=2)
+    sizes = chunked(10)
     rho = random_density(d_a * d_r, seed=6, dims=(d_a, d_r))
     ch = random_channel(d_a, 2, tp=True, seed=7)
     rep = verify_decoupling_theorem(rho, ch, n_samples=n, seed=8)
@@ -259,20 +242,18 @@ def test_circuit_ensemble(chunked):
     ens = circuit_ensemble(2, 12, 40, seed=9)
     rho = random_density(8, seed=10, dims=(d, 2))
     ch = random_channel(d, 2, tp=True, seed=11)
-    sizes = chunked(9, (d, 2), unitary=True, d_out=2)
+    sizes = chunked(9)
     rep = verify_design_decoupling(ens, rho, ch, epsilon=0.0)
     assert_ragged(sizes)
     target = tensor(ch.env_marginal, partial_trace(rho.mat, rho.dims, [1]))
     ref = reference_norms(ch, rho.mat, rho.dims, ens.unitaries, 1, target)
     assert close(rep.lhs, ens.weights @ ref)
-    sizes = chunked(9, (d, d), unitary=True)
     sizes.clear()
     rng = np.random.default_rng(12)
     m = rng.normal(size=(d * d, d * d)) + 1j * rng.normal(size=(d * d, d * d))
-    tw = group_mean(m, (d, d), ens.unitaries, ens.weights, sites=(0, 1))
+    tw = twirl2_mean(m, len(ens), d, ens.unitaries.__getitem__)
     assert_ragged(sizes)
-    ref = sum(w * np.kron(u, u) @ m @ np.kron(u, u).conj().T
-              for w, u in zip(ens.weights, ens.unitaries))
+    ref = sum(np.kron(u, u) @ m @ np.kron(u, u).conj().T for u in ens.unitaries) / len(ens)
     assert close(tw, ref)
 
 
@@ -285,10 +266,12 @@ def test_orbit_mean_is_the_group_mean(d, k):
     rng = np.random.default_rng(10 * d + k)
     x = rng.normal(size=(d,) * k + (2, 3)) + 1j * rng.normal(size=(d,) * k + (2, 3))
     n = d ** (k // 2)
-    sites = tuple(range(k // 2))
     ops = x.reshape(n, n, 6).transpose(2, 0, 1)
-    ref = np.stack([group_mean(op, (d,) * (k // 2), perm_stack(all_perms(d)), sites=sites)
-                    for op in ops]).transpose(1, 2, 0).reshape(x.shape)
+    ref = 0.0
+    for q in all_perms(d):
+        p = perm_operator(q) if k == 2 else np.kron(perm_operator(q), perm_operator(q))
+        ref = ref + p @ ops @ p.T
+    ref = (ref / factorial(d)).transpose(1, 2, 0).reshape(x.shape)
     assert np.abs(orbit_mean(x, d, k) - ref).max() <= 1e-13
 
 

@@ -252,8 +252,10 @@ def test_diamond_equals_pairwise_on_permutation_families():
 
 
 def test_perm_family_validation():
-    with pytest.raises(ValueError):
-        PermFamily(((0, 1), (1, 0)), weights=np.array([0.7, 0.7]))
+    # weights that do not sum to 1, negative weights and a nan weight
+    for weights in ((0.7, 0.7), (1.5, -0.5), (2.0, -1.0), (np.nan, 1.0)):
+        with pytest.raises(ValueError, match="weights"):
+            PermFamily(((0, 1), (1, 0)), weights=np.array(weights))
     with pytest.raises(ValueError):
         PermFamily(((0, 0, 1),))
 

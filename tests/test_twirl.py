@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from declab import _groupavg, twirl
-from declab._groupavg import group_mean
 from declab.linalg import permute_systems, schatten_norm, swap_operator, tensor
 from declab.states import random_channel
 from declab.symgroup import all_perms, perm_operator
@@ -23,7 +22,6 @@ from declab.twirl import (
     haar_twirl2_mc,
     perm_twirl2_brute,
     perm_twirl2_exact,
-    random_circuit,
 )
 from declab.verify import swap_pullback
 
@@ -35,7 +33,8 @@ def rand_herm(rng, n):
 
 def design_twirl2(ens, mat):
     """Weighted two-fold conjugation sum over the ensemble."""
-    return group_mean(mat, (ens.dim, ens.dim), ens.unitaries, ens.weights, sites=(0, 1))
+    return sum(w * np.kron(u, u) @ mat @ np.kron(u, u).conj().T
+               for w, u in zip(ens.weights, ens.unitaries))
 
 
 def sym_herm(rng, d):
@@ -207,13 +206,17 @@ def test_design_epsilon_rank_floor(d):
     assert design_epsilon_bound(ens, d) >= floor
 
 
+def one_circuit(n_qubits, t, seed):
+    return circuit_ensemble(n_qubits, t, 1, seed).unitaries[0]
+
+
 def test_random_circuit_basics():
-    assert np.allclose(random_circuit(2, 0, seed=0), np.eye(4))
-    u = random_circuit(3, 12, seed=1)
+    assert np.allclose(one_circuit(2, 0, seed=0), np.eye(4))
+    u = one_circuit(3, 12, seed=1)
     assert np.abs(u.conj().T @ u - np.eye(8)).max() < 1e-9
-    assert np.allclose(random_circuit(2, 7, seed=5), random_circuit(2, 7, seed=5))
+    assert np.allclose(one_circuit(2, 7, seed=5), one_circuit(2, 7, seed=5))
     with pytest.raises(ValueError):
-        random_circuit(5, 1)
+        one_circuit(5, 1, seed=0)
     with pytest.raises(ValueError, match="depth must be >= 0"):
         circuit_ensemble(2, -1, 3)
 
@@ -257,7 +260,7 @@ def test_circuit_ensemble_matches_random_circuit(n_qubits, t, seed):
     for member, idx in zip(ens.unitaries, steps):
         assert np.array_equal(member, step_by_step_circuit(n_qubits, idx))
     idx = np.random.default_rng(seed).integers(n_gates, size=(1, t))[0]
-    assert np.array_equal(random_circuit(n_qubits, t, seed=seed),
+    assert np.array_equal(one_circuit(n_qubits, t, seed=seed),
                           step_by_step_circuit(n_qubits, idx))
 
 
@@ -465,7 +468,9 @@ def test_perm_twirl_projection_properties():
 
 
 def test_ensemble_validation():
-    with pytest.raises(ValueError):
-        UnitaryEnsemble(np.array([0.5, 0.4]), (np.eye(2), np.eye(2)))
+    # weights that do not sum to 1, negative weights and a nan weight
+    for weights in ((0.5, 0.4), (1.5, -0.5), (2.0, -1.0), (np.nan, 1.0)):
+        with pytest.raises(ValueError, match="weights"):
+            UnitaryEnsemble(np.array(weights), (np.eye(2), np.eye(2)))
     with pytest.raises(ValueError):
         UnitaryEnsemble(np.array([1.0]), (np.array([[1.0, 0.0], [0.0, 2.0]]),))
