@@ -107,19 +107,7 @@ def apply_channel_mat(ch: ChoiChannel, mat: np.ndarray, dims, subsystem: int = 0
     # kernel K[e,e',b,a] so that T(X)[e,e'] = sum_ab K[e,e',b,a] X[b,a]
     kernel = ch.d_in * w4.transpose(1, 3, 0, 2)
     t = np.tensordot(kernel, mat.reshape(dims + dims), axes=([2, 3], [subsystem, k + subsystem]))
-    rest = [i for i in range(k) if i != subsystem]
-    pos = {}
-    nxt = 2
-    for i in rest:
-        pos[i] = nxt
-        nxt += 1
-    col = {}
-    for i in rest:
-        col[i] = nxt
-        nxt += 1
-    perm = [0 if i == subsystem else pos[i] for i in range(k)]
-    perm += [1 if i == subsystem else col[i] for i in range(k)]
-    t = t.transpose(perm)
+    t = np.moveaxis(t, [0, 1], [subsystem, k + subsystem])
     new_dims = list(dims)
     new_dims[subsystem] = ch.d_out
     n = int(np.prod(new_dims))
@@ -130,12 +118,9 @@ def pinch_mat(mat: np.ndarray, dims, subsystem: int = 0) -> np.ndarray:
     dims = check_dims(mat, dims)
     k = len(dims)
     d = dims[subsystem]
-    t = mat.reshape(dims + dims).copy()
-    idx_row = np.arange(d).reshape([-1] + [1] * (2 * k - 1))
-    idx_col = np.arange(d).reshape([1] * (k + subsystem) + [-1] + [1] * (k - subsystem - 1))
-    sel_row = np.moveaxis(idx_row, 0, subsystem)
-    mask = sel_row == idx_col
-    return (t * mask).reshape(mat.shape)
+    shape = [1] * (2 * k)
+    shape[subsystem] = shape[k + subsystem] = d
+    return (mat.reshape(dims + dims) * np.eye(d).reshape(shape)).reshape(mat.shape)
 
 
 def classicalize_channel(ch: ChoiChannel) -> ChoiChannel:

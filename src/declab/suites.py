@@ -147,6 +147,7 @@ def mc_cross_check(seed, n_mc: int = 100_000) -> VerificationReport:
     consumes its generator sample by sample, so the values are those of one
     batch of n_mc samples from the same generator.
     """
+    verify.require_samples(n_mc)
     rng = np.random.default_rng([seed, 77])
     d_a = d_r = d_e = 2
     rho = random_density(d_a * d_r, seed=int(rng.integers(2**31)), dims=(d_a, d_r))
@@ -411,12 +412,10 @@ def check_perm_vs_haar_rhs(cfg: SuiteConfig):
     d_a = 4
     for _, s in _instances(cfg, "permhaar", 5):
         ch = random_channel(d_a, 2, tp=False, seed=s)
-        tr_w2 = schatten_norm(ch.choi, 2) ** 2
-        tr_we2 = schatten_norm(ch.env_marginal, 2) ** 2
-        rhs_perm = tr_w2 - tr_we2 / d_a   # the d_R = d_A specialization
         phi = max_entangled(d_a)
         rhs_haar = verify.haar_lemma_rhs(phi.mat, phi.dims, ch)
-        reports.append(equality_report("perm_vs_haar_rhs", rhs_perm, rhs_haar, 1e-10))
+        reports.append(equality_report("perm_vs_haar_rhs", verify.perm_lemma_rhs(ch, d_a),
+                                       rhs_haar, 1e-10))
     return reports
 
 

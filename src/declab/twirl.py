@@ -3,19 +3,19 @@
 stack per step, drawn for a whole ensemble by one integers call), and the
 permutation twirl via the 11-element commutant basis with its closed-form
 Gramian. The commutant's dimension is checked by an exact count of index
-orbits, with no eigensolve.
+orbits, read off their equality patterns, with no eigensolve.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations, islice, permutations
+from itertools import islice, permutations
 from math import factorial
 
 import numpy as np
 
-from ._groupavg import two_copy_lifts, twirl2_mean
+from ._groupavg import pattern_labels, two_copy_lifts, twirl2_mean
 from .linalg import pair_indices, permute_systems, require_hermitian, swap_operator, tensor
 from .symgroup import MAX_ENUM_D, all_perms, perm_operator
 
@@ -105,11 +105,13 @@ def haar_samples(d: int, n: int, rng) -> np.ndarray:
 
 
 def haar_twirl2_mc(mat: np.ndarray, d: int, n: int, seed=0) -> np.ndarray:
-    """(1/N) sum_k U_k^t2-dagger M U_k^t2 over Haar samples."""
+    """(1/N) sum_k U_k^t2-dagger M U_k^t2 over Haar samples, drawn one kernel
+    chunk at a time from one generator (the same samples as one batch of n)."""
     if n < 1:
         raise ValueError("need at least one sample")
-    adj = haar_samples(d, n, np.random.default_rng(seed)).conj().transpose(0, 2, 1)
-    return twirl2_mean(np.asarray(mat, dtype=complex), n, d, adj.__getitem__)
+    rng = np.random.default_rng(seed)
+    return twirl2_mean(np.asarray(mat, dtype=complex), n, d, lambda sl: haar_samples(
+        d, sl.stop - sl.start, rng).conj().transpose(0, 2, 1))
 
 
 def clifford_1q() -> UnitaryEnsemble:
@@ -311,23 +313,16 @@ def commutant_basis(d: int) -> CommutantBasis:
 
 def commutant_dim_brute(d: int) -> int:
     """Dimension of {X : [X, P (x) P] = 0 for all P, [X, F] = 0} for 1 <= d <= MAX_ENUM_D, counted
-    exactly over a generating set: every transposition P (x) P, and the swap F. These permute the
-    basis |i1 i2>, and X commutes with a permutation matrix Q iff X[Qa, Qb] = X[a, b], so the
-    dimension is the number of orbits of entry positions (i1, i2, j1, j2). Each generator is a
-    gather on the flat position, along which every orbit's least position spreads until fixed."""
+    exactly. These operators permute the basis |i1 i2>, and X commutes with a permutation matrix Q
+    iff X[Qa, Qb] = X[a, b], so the dimension is the number of orbits of entry positions
+    (i1, i2, j1, j2) under S_d and the swap F. The S_d orbits are the equality patterns
+    (`pattern_labels`), and F, which exchanges i1 with i2 and j1 with j2, commutes with
+    relabelling, so each orbit is a pattern together with its swapped pattern: one label per
+    position is the lesser of the two."""
     if not 1 <= d <= MAX_ENUM_D:
         raise ValueError(f"commutant count needs 1 <= d <= {MAX_ENUM_D}")
-    digits = pair_indices(d).reshape(4, -1)       # (i1, i2, j1, j2) of each flat position
-    place = d ** np.arange(3, -1, -1)
-    swaps = [np.array([b if x == a else a if x == b else x for x in range(d)])
-             for a, b in combinations(range(d), 2)]
-    gathers = [place @ digits[[1, 0, 3, 2]]] + [place @ p[digits] for p in swaps]
-    label, before = np.arange(d ** 4), None
-    while not np.array_equal(label, before):
-        before = label.copy()
-        for g in gathers:
-            np.minimum(label, label[g], out=label)
-    return len(np.unique(label))
+    idx = pair_indices(d).reshape(4, -1)          # (i1, i2, j1, j2) of each flat position
+    return len(np.unique(np.minimum(pattern_labels(idx), pattern_labels(idx[[1, 0, 3, 2]]))))
 
 
 def perm_twirl2_brute(mat: np.ndarray, d: int) -> np.ndarray:

@@ -58,11 +58,15 @@ def bound_report(name, lhs, rhs, tol=BOUND_TOL, se: float = 0.0, **meta) -> Veri
     return VerificationReport(name, "upper_bound", float(lhs), float(rhs), tol, bool(ok), meta)
 
 
+def require_samples(n: int) -> None:
+    """A sampled record needs two samples for the standard error of its mean."""
+    if n < 2:
+        raise ValueError(f"a sampled average needs at least 2 samples, got {n}")
+
+
 def mean_se(vals: np.ndarray) -> tuple[float, float]:
-    """Sample mean and its standard error std(ddof=1) / sqrt(n), 0 for one sample."""
-    n = len(vals)
-    se = float(vals.std(ddof=1) / np.sqrt(n)) if n > 1 else 0.0
-    return float(vals.mean()), se
+    """Sample mean and its standard error std(ddof=1) / sqrt(n)."""
+    return float(vals.mean()), float(vals.std(ddof=1) / np.sqrt(len(vals)))
 
 
 def _certified(rep: VerificationReport, hmin_results) -> VerificationReport:
@@ -103,6 +107,21 @@ def haar_lemma_rhs(rho_mat, dims, ch: ChoiChannel) -> float:
             * schatten_norm(dev_rho, 2) ** 2 * schatten_norm(dev_om, 2) ** 2)
 
 
+def perm_lemma_rhs(ch: ChoiChannel, d_r: int) -> float:
+    """Right side of the permutation decoupling lemma on the embedded entangled
+    state, (d_A^2 / d_R^2) (d_R - 1) / (d_A - 1) ((d_R / d_A) ||omega||_2^2
+    - ||omega_E||_2^2 / d_A + (1 - d_R / d_A) ||omega_cl||_2^2), omega_cl the
+    Choi operator pinched on A. At d_R = d_A it is the Haar lemma right side on
+    the maximally entangled input."""
+    d_a = ch.d_in
+    w_cl = pinch_mat(ch.choi, (d_a, ch.d_out), 0)
+    tr_w2 = schatten_norm(ch.choi, 2) ** 2
+    tr_we2 = schatten_norm(ch.env_marginal, 2) ** 2
+    tr_wcl2 = schatten_norm(w_cl, 2) ** 2
+    return ((d_a ** 2 / d_r ** 2) * (d_r - 1) / (d_a - 1)
+            * ((d_r / d_a) * tr_w2 - tr_we2 / d_a + (1 - d_r / d_a) * tr_wcl2))
+
+
 def _channel_norms(ch: ChoiChannel, mat, dims, elems, ps, target=None) -> np.ndarray:
     """Schatten p-norms of T(g X g^dagger) - target, one column per p in ps, for
     every group element g acting on A of the operator X on A x R (no target: of
@@ -130,6 +149,7 @@ def _trace_out(d_a1: int, d_a2: int) -> ChoiChannel:
 
 
 def _haar_deviation_norms(rho: DensityOp, ch: ChoiChannel, n_samples: int, seed) -> np.ndarray:
+    require_samples(n_samples)
     us = haar_samples(rho.dims[0], n_samples, np.random.default_rng(seed))
     return _deviation_norms(ch, rho.mat, rho.dims, us, 1)
 
@@ -364,13 +384,7 @@ def verify_perm_decoupling_lemma(ch: ChoiChannel, d_r: int) -> VerificationRepor
     phi, _, pi = _embedded_pair_states(d_a, d_r)
     st = phi - pi
     lhs = float(np.mean(_channel_norms(ch, st, (d_a, d_r), _full_group(d_a), (2,))[:, 0] ** 2))
-    w_cl = pinch_mat(ch.choi, (d_a, ch.d_out), 0)
-    tr_w2 = schatten_norm(ch.choi, 2) ** 2
-    tr_we2 = schatten_norm(ch.env_marginal, 2) ** 2
-    tr_wcl2 = schatten_norm(w_cl, 2) ** 2
-    rhs = ((d_a ** 2 / d_r ** 2) * (d_r - 1) / (d_a - 1)
-           * ((d_r / d_a) * tr_w2 - tr_we2 / d_a + (1 - d_r / d_a) * tr_wcl2))
-    return equality_report("perm_decoupling_lemma", lhs, rhs,
+    return equality_report("perm_decoupling_lemma", lhs, perm_lemma_rhs(ch, d_r),
                            dims={"d_A": d_a, "d_R": d_r, "d_E": ch.d_out})
 
 

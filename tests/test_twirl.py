@@ -1,3 +1,4 @@
+import tracemalloc
 from itertools import permutations
 from math import log2
 
@@ -121,6 +122,25 @@ def test_haar_twirl2_mc_scaling():
         ratios.append(e1 / e4)
     avg = np.mean(ratios)
     assert 1.3 <= avg <= 3.0                                           # 1/sqrt(N) scaling
+
+
+def test_haar_twirl2_mc_draws_one_chunk_at_a_time():
+    # the samples are those of one batch of n, but only one chunk of them is
+    # held at a time: drawing all n first peaks at 7.3 MiB for n = 10 000
+    d, n = 3, 777                                      # ragged chunks of 101
+    m = rand_herm(np.random.default_rng(6), d * d)
+    adj = haar_samples(d, n, np.random.default_rng(3)).conj().transpose(0, 2, 1)
+    batch = _groupavg.twirl2_mean(m.astype(complex), n, d, adj.__getitem__)
+    assert np.array_equal(haar_twirl2_mc(m, d, n, seed=3), batch)
+    peaks = []
+    for size in (1000, 10_000):
+        tracemalloc.start()
+        try:
+            haar_twirl2_mc(m, d, size)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] < 1.1 * peaks[0]
 
 
 def test_clifford_1q_is_exact_2_design():

@@ -3,7 +3,7 @@ from math import factorial
 import numpy as np
 import pytest
 
-from declab import entropy
+from declab import entropy, suites, verify
 from declab.entropy import h_min_cond
 from declab.linalg import mpow, partial_trace, permute_systems, schatten_norm, swap_operator, tensor
 from declab.states import (
@@ -126,6 +126,23 @@ def test_improved_decoupling():
     prod = DensityOp(tensor(np.eye(4) / 4, random_density(2, seed=14).mat), (4, 2))
     rep = verify_improved_decoupling(prod, constant_channel(4, 2), n_samples=5, seed=15)
     assert rep.passed and rep.lhs < 1e-10 and rep.rhs < 1e-6
+
+
+@pytest.mark.parametrize("n", [0, 1])
+def test_sampled_records_need_two_samples(monkeypatch, n):
+    # one sample has no standard error; the count is rejected before any draw
+    def draw(*args):
+        raise AssertionError("drew samples")
+
+    monkeypatch.setattr(verify, "haar_samples", draw)
+    monkeypatch.setattr(suites.twirl, "haar_samples", draw)
+    rho = random_density(8, seed=7, dims=(4, 2))
+    ch = random_channel(4, 2, tp=True, seed=8)
+    for verifier in (verify_decoupling_theorem, verify_improved_decoupling):
+        with pytest.raises(ValueError, match=f"got {n}$"):
+            verifier(rho, ch, n_samples=n)
+    with pytest.raises(ValueError, match=f"got {n}$"):
+        suites.mc_cross_check(0, n)
 
 
 def test_design_decoupling_clifford_exact():
@@ -317,6 +334,24 @@ def test_perm_decoupling_lemma():
         ch = random_channel(d_a, 2, tp=bool(k % 2), seed=220 + k)
         rep = verify_perm_decoupling_lemma(ch, d_r)
         assert rep.passed, (d_a, d_r, rep.lhs, rep.rhs)
+
+
+def test_perm_vs_haar_rhs_follows_the_verifier(monkeypatch):
+    # the environment term divided by d_A^2 in place of d_A must fail the
+    # lemma's records and, through the shared right side, the Haar comparison
+    rhs = verify.perm_lemma_rhs
+
+    def mutant(ch, d_r):
+        d_a = ch.d_in
+        shift = schatten_norm(ch.env_marginal, 2) ** 2 * (1 / d_a - 1 / d_a ** 2)
+        return rhs(ch, d_r) + (d_a / d_r) ** 2 * (d_r - 1) / (d_a - 1) * shift
+
+    cfg = suites.SuiteConfig(seed=0)
+    checks = (suites.check_perm_decoupling, suites.check_perm_vs_haar_rhs)
+    assert all(r.passed for check in checks for r in check(cfg))
+    monkeypatch.setattr(verify, "perm_lemma_rhs", mutant)
+    for check in checks:
+        assert not any(r.passed for r in check(cfg))
 
 
 def test_exhaustive_averages_share_one_cap():
