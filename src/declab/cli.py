@@ -70,29 +70,32 @@ def _dims(rep: VerificationReport) -> dict:
     return rep.meta.get("dims", {})
 
 
-def _to_json(reports, seed: int) -> str:
-    lines = []
-    for rep in reports:
-        dims = ", ".join(f'"{k}": {v}' for k, v in _dims(rep).items())
-        lines.append(
-            "  {"
-            + f'"name": "{rep.name}", "kind": "{rep.kind}", '
-            + f'"lhs": {_fmt(rep.lhs)}, "rhs": {_fmt(rep.rhs)}, '
-            + f'"gap": {_fmt(rep.gap)}, "pass": {str(rep.passed).lower()}, '
-            + "\"dims\": {" + dims + "}, "
-            + f'"seed": {seed}'
-            + "}"
-        )
-    return "[\n" + ",\n".join(lines) + "\n]\n"
+def _cell(value, output: str) -> str:
+    """One value of a `_table` row, written for `output` ("json" or "csv")."""
+    if isinstance(value, bool):
+        return str(value).lower()
+    if isinstance(value, float):
+        return _fmt(value)
+    if isinstance(value, dict):
+        if output == "csv":
+            return ";".join(f"{k}={v}" for k, v in value.items())
+        return "{" + ", ".join(f'"{k}": {v}' for k, v in value.items()) + "}"
+    if isinstance(value, str) and output == "json":
+        return f'"{value}"'
+    return str(value)
 
 
-def _to_csv(reports, seed: int) -> str:
-    rows = ["name,kind,lhs,rhs,gap,pass,dims,seed"]
-    for rep in reports:
-        dims = ";".join(f"{k}={v}" for k, v in _dims(rep).items())
-        rows.append(f"{rep.name},{rep.kind},{_fmt(rep.lhs)},{_fmt(rep.rhs)},"
-                    f"{_fmt(rep.gap)},{str(rep.passed).lower()},{dims},{seed}")
-    return "\n".join(rows) + "\n"
+def _table(rows, output: str) -> str:
+    """Rows of ordered key -> value dicts as a JSON list of objects or as CSV
+    with a header line: floats through `_fmt`, booleans lower case, a dict
+    value (the dims) as an object or as k=v;... ."""
+    if output == "csv":
+        lines = [",".join(rows[0])] + [",".join(_cell(v, output) for v in row.values())
+                                       for row in rows]
+        return "\n".join(lines) + "\n"
+    return "[\n" + ",\n".join(
+        "  {" + ", ".join(f'"{k}": {_cell(v, output)}' for k, v in row.items()) + "}"
+        for row in rows) + "\n]\n"
 
 
 def _emit(text: str, out_path):
@@ -112,13 +115,13 @@ def run_suite(cfg: SuiteConfig) -> int:
     for check in build_checks(cfg):
         t0 = time.perf_counter()
         flat = flatten_reports(check.run())
-        ms = (time.perf_counter() - t0) * 1000
+        timing = f" ({(time.perf_counter() - t0) * 1000:.1f} ms)"
         for rep in flat:
             status = "PASS" if rep.passed else "FAIL"
             text_lines.append(
                 f"[{status}] {rep.name:42s} {rep.kind:11s} "
-                f"lhs={_fmt(rep.lhs):>18s} rhs={_fmt(rep.rhs):>18s} "
-                f"({ms / len(flat):.1f} ms)")
+                f"lhs={_fmt(rep.lhs):>18s} rhs={_fmt(rep.rhs):>18s}{timing}")
+            timing = ""
         reports += flat
     if cfg.dims:
         taken = {_dims(rep).get("d_A") for rep in reports}
@@ -129,10 +132,10 @@ def run_suite(cfg: SuiteConfig) -> int:
     if not reports:
         raise ValueError("no check supports the requested dimensions")
     n_pass = sum(rep.passed for rep in reports)
-    if cfg.output == "json":
-        _emit(_to_json(reports, cfg.seed), cfg.out_path)
-    elif cfg.output == "csv":
-        _emit(_to_csv(reports, cfg.seed), cfg.out_path)
+    if cfg.output in ("json", "csv"):
+        _emit(_table([{"name": rep.name, "kind": rep.kind, "lhs": rep.lhs, "rhs": rep.rhs,
+                       "gap": rep.gap, "pass": rep.passed, "dims": _dims(rep),
+                       "seed": cfg.seed} for rep in reports], cfg.output), cfg.out_path)
     else:
         _emit("\n".join(text_lines) + f"\n{n_pass}/{len(reports)} checks passed\n",
               cfg.out_path)
@@ -188,7 +191,8 @@ def cmd_twirl(args) -> int:
         exact = twirl.perm_twirl2_exact(sym, d)
         brute = twirl.perm_twirl2_brute(sym, d)
     print(f"random Hermitian M on two copies of dimension {d} (seed {args.seed})")
-    print(f"Haar twirl: alpha = {_fmt(res.alpha.real)}, beta = {_fmt(res.beta.real)}")
+    alpha, beta = res.coeffs.real
+    print(f"Haar twirl: alpha = {_fmt(alpha)}, beta = {_fmt(beta)}")
     dev = float(np.abs(mc - res.reconstructed).max())
     print(f"Monte Carlo twirl ({args.samples} samples): max deviation {_fmt(dev)}")
     if d >= 4:
@@ -201,12 +205,9 @@ def cmd_twirl(args) -> int:
 
 def cmd_circuit_study(args) -> int:
     pairs = suites.run_circuit_study(args.qubits, args.depths, args.trials, seed=args.seed)
-    if args.output == "json":
-        body = ",\n".join(f'  {{"depth": {t}, "epsilon_bound": {_fmt(e)}}}' for t, e in pairs)
-        _emit("[\n" + body + "\n]\n", args.out)
-    elif args.output == "csv":
-        _emit("depth,epsilon_bound\n"
-              + "\n".join(f"{t},{_fmt(e)}" for t, e in pairs) + "\n", args.out)
+    if args.output in ("json", "csv"):
+        _emit(_table([{"depth": t, "epsilon_bound": e} for t, e in pairs], args.output),
+              args.out)
     else:
         _emit("".join(f"depth {t:4d}: epsilon bound {_fmt(e)}\n" for t, e in pairs), args.out)
     return 0

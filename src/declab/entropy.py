@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import PINV_RCOND, check_dims, eig_hermitian, mpow, schatten_norm, support_projector
+from .linalg import PINV_RCOND, check_dims, eig_hermitian, mpow, schatten_norm
 from .states import DensityOp
 
 
@@ -256,7 +256,7 @@ def _h2_mirror_descent(blocks: np.ndarray, w: np.ndarray, u: np.ndarray):
 
 
 def _check_support(sigma: np.ndarray, rho_b: np.ndarray) -> None:
-    proj = support_projector(sigma)
+    proj = mpow(sigma, 0.0)
     leak = np.abs(rho_b - proj @ rho_b @ proj).max()
     if leak > 1e-8:
         raise ValueError("support of sigma does not contain the support of the marginal")

@@ -147,10 +147,3 @@ def mpow(mat: np.ndarray, exponent: float) -> np.ndarray:
     powered = np.zeros_like(w)
     powered[support] = w[support] ** exponent
     return (v * powered[..., None, :]) @ v.conj().swapaxes(-1, -2)
-
-
-def support_projector(mat: np.ndarray) -> np.ndarray:
-    w, v = eig_hermitian(mat)
-    cutoff = PINV_RCOND * max(w[-1], 0.0) if w.size else 0.0
-    keep = w > cutoff
-    return (v[:, keep]) @ v[:, keep].conj().T

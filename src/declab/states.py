@@ -40,10 +40,6 @@ class DensityOp:
         if w.sum() > 1 + TRACE_TOL:
             raise ValueError(f"trace {w.sum():.12f} exceeds 1")
 
-    @property
-    def dim(self) -> int:
-        return self.mat.shape[0]
-
     def marginal(self, keep) -> np.ndarray:
         return partial_trace(self.mat, self.dims, keep)
 

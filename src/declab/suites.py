@@ -158,9 +158,8 @@ def mc_cross_check(seed, n_mc: int = 100_000) -> VerificationReport:
         for sl in element_chunks(n_mc, rho.dims, unitary=True, d_out=d_e)])
     rhs = verify.haar_lemma_rhs(rho.mat, rho.dims, ch)
     lhs, se = verify.mean_se(vals)
-    ok = abs(lhs - rhs) <= 3 * se + 1e-12
-    return VerificationReport("decoupling_lemma_mc", "equality", lhs, rhs, 3 * se, ok,
-                              {"se": se, "n_samples": n_mc, "seed": seed})
+    return equality_report("decoupling_lemma_mc", lhs, rhs, 1e-12, se=se,
+                           n_samples=n_mc, seed=seed)
 
 
 def _haar_sampled(cfg: SuiteConfig, tag: str, verifier):
@@ -194,7 +193,7 @@ def check_design_clifford(cfg: SuiteConfig):
     for _, s in _instances(cfg, "cliffdec", 3):
         rho = random_density(4, seed=s, dims=(2, 2))
         ch = random_channel(2, 2, tp=True, seed=s + 1)
-        reports.append(verify.verify_design_decoupling(ens, rho, ch))
+        reports.append(verify.verify_design_decoupling(ens, rho, ch, epsilon=eps))
     return reports
 
 
@@ -353,8 +352,7 @@ def check_gramian(cfg: SuiteConfig):
         raised = False
     except ValueError:
         raised = True
-    reports.append(VerificationReport("gramian_singular_d3", "equality",
-                                      0.0 if raised else 1.0, 0.0, 0.0, raised, {}))
+    reports.append(equality_report("gramian_singular_d3", 0.0 if raised else 1.0, 0.0, 0.0))
     return reports
 
 

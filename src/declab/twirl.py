@@ -23,15 +23,12 @@ UNITARY_TOL = 1e-10
 
 
 @dataclass(frozen=True)
-class HaarTwirlResult:
-    alpha: float
-    beta: float
-    reconstructed: np.ndarray
+class TwirlResult:
+    """An exact twirl: its projection onto the commutant of the group's
+    two-copy action, as coefficients in a basis of that commutant and the
+    operator they sum to."""
 
-
-@dataclass(frozen=True)
-class PermTwirlResult:
-    coeffs: np.ndarray            # 11 expansion coefficients
+    coeffs: np.ndarray            # (alpha, beta) in (I, F) for Haar; 11 for S_d
     reconstructed: np.ndarray
 
 
@@ -73,8 +70,9 @@ class CommutantBasis:
     gram_inv: np.ndarray          # closed-form inverse
 
 
-def haar_twirl2_exact(mat: np.ndarray, d: int) -> HaarTwirlResult:
-    """Exact two-fold Haar average of U^t2-dagger M U^t2 as alpha*I + beta*F.
+def haar_twirl2_exact(mat: np.ndarray, d: int) -> TwirlResult:
+    """Exact two-fold Haar average of U^t2-dagger M U^t2 as alpha*I + beta*F,
+    with coeffs (alpha, beta).
 
     alpha, beta follow from matching tr and tr(. F) of the projection onto
     span{I, F}.
@@ -89,7 +87,7 @@ def haar_twirl2_exact(mat: np.ndarray, d: int) -> HaarTwirlResult:
     alpha = (d * d * tr_m - d * tr_mf) / (d * d * (d * d - 1))
     beta = (d * d * tr_mf - d * tr_m) / (d * d * (d * d - 1))
     rec = alpha * np.eye(d * d) + beta * f
-    return HaarTwirlResult(complex(alpha), complex(beta), rec)
+    return TwirlResult(np.array([alpha, beta], dtype=complex), rec)
 
 
 def haar_samples(d: int, n: int, rng) -> np.ndarray:
@@ -335,7 +333,7 @@ def perm_twirl2_brute(mat: np.ndarray, d: int) -> np.ndarray:
         [perm_operator(p) for p in islice(perms, sl.stop - sl.start)], complex))
 
 
-def perm_twirl2_exact(mat: np.ndarray, d: int) -> PermTwirlResult:
+def perm_twirl2_exact(mat: np.ndarray, d: int) -> TwirlResult:
     """Permutation twirl through the commutant expansion
     sum_ij Ginv_ij tr(M A_i) A_j.
 
@@ -353,4 +351,4 @@ def perm_twirl2_exact(mat: np.ndarray, d: int) -> PermTwirlResult:
     traces = np.array([np.trace(mat @ a) for a in basis.ops])
     coeffs = basis.gram_inv @ traces
     rec = sum(c * a for c, a in zip(coeffs, basis.ops))
-    return PermTwirlResult(coeffs, rec)
+    return TwirlResult(coeffs, rec)

@@ -44,18 +44,23 @@ class VerificationReport:
         return self.rhs - self.lhs
 
 
-def equality_report(name, lhs, rhs, tol=EQ_TOL, **meta) -> VerificationReport:
-    ok = abs(lhs - rhs) <= tol * max(1.0, abs(rhs))
-    return VerificationReport(name, "equality", float(lhs), float(rhs), tol, bool(ok), meta)
+def _sampled_meta(meta: dict, se: float, strict: bool) -> dict:
+    """A sampled record (se > 0) passes within three standard errors se of its
+    tolerance; its meta keeps se and the verdict without that allowance."""
+    return {**meta, "se": se, "strict_pass": bool(strict)} if se else meta
+
+
+def equality_report(name, lhs, rhs, tol=EQ_TOL, se: float = 0.0, **meta) -> VerificationReport:
+    slack = tol * max(1.0, abs(rhs))
+    ok = abs(lhs - rhs) <= slack + 3.0 * se
+    return VerificationReport(name, "equality", float(lhs), float(rhs), tol, bool(ok),
+                              _sampled_meta(meta, se, abs(lhs - rhs) <= slack))
 
 
 def bound_report(name, lhs, rhs, tol=BOUND_TOL, se: float = 0.0, **meta) -> VerificationReport:
     ok = lhs - 3.0 * se <= rhs + tol
-    meta = dict(meta)
-    if se:
-        meta["se"] = se
-        meta["strict_pass"] = bool(lhs <= rhs + tol)
-    return VerificationReport(name, "upper_bound", float(lhs), float(rhs), tol, bool(ok), meta)
+    return VerificationReport(name, "upper_bound", float(lhs), float(rhs), tol, bool(ok),
+                              _sampled_meta(meta, se, lhs <= rhs + tol))
 
 
 def require_samples(n: int) -> None:

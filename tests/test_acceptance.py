@@ -69,7 +69,7 @@ def test_criterion_01_unitary_decoupling_lemma():
     elapsed = time.time() - t0
     ok = worst <= 1e-9 and mc.passed and elapsed < 10.0
     report(1, ok, f"50 instances worst rel dev {worst:.2e}; "
-                  f"MC |lhs-rhs|={abs(mc.lhs - mc.rhs):.2e} <= 3SE={mc.tolerance:.2e}; "
+                  f"MC |lhs-rhs|={abs(mc.lhs - mc.rhs):.2e} <= 3SE={3 * mc.meta['se']:.2e}; "
                   f"{elapsed:.1f}s")
 
 

@@ -27,6 +27,15 @@ def test_suite_groups_exit_zero(tmp_path):
     assert set(records[0]) == {"name", "kind", "lhs", "rhs", "gap", "pass", "dims", "seed"}
 
 
+def test_text_output_times_each_check_once(capsys):
+    assert main(["verify", "--suite", "groups"]) == 0
+    lines = capsys.readouterr().out.splitlines()[:-1]
+    checks = build_checks(SuiteConfig(suite="groups"))
+    timed = [line for line in lines if line.endswith(" ms)")]
+    assert len(timed) == len(checks) < len(lines)
+    assert lines[0] in timed
+
+
 def test_json_deterministic(tmp_path):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     for path in (a, b):
@@ -157,6 +166,18 @@ def test_circuit_study_deterministic():
     assert r1.returncode == 0
     assert r1.stdout == r2.stdout
     assert r1.stdout.splitlines()[0] == "depth,epsilon_bound"
+
+
+def test_circuit_study_json_and_csv_hold_the_same_rows(capsys):
+    tables = {}
+    for fmt in ("json", "csv"):
+        assert main(["circuit-study", "--depths", "2,8", "--trials", "5",
+                     "--output", fmt]) == 0
+        tables[fmt] = capsys.readouterr().out
+    header, *rows = tables["csv"].splitlines()
+    assert header == "depth,epsilon_bound"
+    assert json.loads(tables["json"]) == [
+        {"depth": int(t), "epsilon_bound": float(e)} for t, e in (r.split(",") for r in rows)]
 
 
 def test_circuit_study_scores_each_depth_once(capsys):

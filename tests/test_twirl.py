@@ -50,7 +50,21 @@ def test_haar_twirl2_exact_fixed_points():
         assert np.allclose(res.reconstructed, np.eye(d * d))
         res = haar_twirl2_exact(swap_operator(d), d)
         assert np.allclose(res.reconstructed, swap_operator(d))
-        assert np.isclose(res.alpha, 0.0) and np.isclose(res.beta, 1.0)
+        assert np.allclose(res.coeffs, (0.0, 1.0))
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_exact_twirls_reconstruct_from_their_coefficients(d):
+    # both exact twirls are projections onto a commutant: (I, F) for Haar and
+    # the 11 commutant operators for S_d, each a TwirlResult
+    m = sym_herm(np.random.default_rng(d), d)
+    results = [(haar_twirl2_exact(m, d), (np.eye(d * d), swap_operator(d)))]
+    if d >= 4:
+        results.append((perm_twirl2_exact(m, d), commutant_basis(d).ops))
+    for res, basis in results:
+        assert isinstance(res, twirl.TwirlResult) and len(res.coeffs) == len(basis)
+        expansion = sum(c * a for c, a in zip(res.coeffs, basis))
+        assert np.abs(res.reconstructed - expansion).max() <= 1e-12
 
 
 def test_haar_twirl2_exact_choi_beta():
@@ -61,8 +75,8 @@ def test_haar_twirl2_exact_choi_beta():
         res = haar_twirl2_exact(m, d)
         dev = ch.choi - tensor(np.eye(d) / d, ch.env_marginal)
         expect = d**2 / (d**2 - 1) * schatten_norm(dev, 2) ** 2
-        assert abs(res.beta.real - expect) < 1e-10
-        assert abs(res.beta.imag) < 1e-12
+        assert abs(res.coeffs[1].real - expect) < 1e-10
+        assert abs(res.coeffs[1].imag) < 1e-12
 
 
 def test_haar_twirl_projection_properties():

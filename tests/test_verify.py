@@ -145,6 +145,26 @@ def test_sampled_records_need_two_samples(monkeypatch, n):
         suites.mc_cross_check(0, n)
 
 
+def test_sampled_equality_passes_within_three_standard_errors():
+    # tolerance 1e-6 relative to max(1, |rhs|) = 2, plus 3 se
+    inside, outside = 2.0 + 2e-6 + 3 * 0.01 - 1e-9, 2.0 + 2e-6 + 3 * 0.01 + 1e-9
+    for lhs, ok in ((inside, True), (outside, False), (2.0 - (inside - 2.0), True)):
+        rep = verify.equality_report("sampled", lhs, 2.0, 1e-6, se=0.01)
+        assert rep.passed is ok
+        assert rep.meta == {"se": 0.01, "strict_pass": False}
+    assert verify.equality_report("s", 2.0 + 1e-6, 2.0, 1e-6, se=0.01).meta["strict_pass"]
+    # without se the record is exact: no allowance and no sampled meta
+    rep = verify.equality_report("exact", inside, 2.0, 1e-6, note=1)
+    assert not rep.passed and rep.meta == {"note": 1}
+
+
+def test_mc_cross_check_records_its_strict_verdict():
+    rep = suites.mc_cross_check(0, n_mc=2000)
+    assert rep.kind == "equality" and rep.passed
+    assert rep.meta["strict_pass"] is (abs(rep.lhs - rep.rhs) <= 1e-12 * max(1.0, rep.rhs))
+    assert rep.meta["se"] > 0 and rep.meta["n_samples"] == 2000
+
+
 def test_design_decoupling_clifford_exact():
     ens = clifford_1q()
     for k in range(3):
