@@ -1,9 +1,14 @@
 """Symmetric group machinery: permutation operators, characters, hook lengths,
-and pairwise-independent permutation families over GF(2^n).
+coset representatives and pairwise-independent permutation families over
+GF(2^n).
 
 Permutations are tuples p with p[j] the image of j; partitions are
 non-increasing tuples; a cycle type is the tuple (k_1, ..., k_d) of
 multiplicities with sum i*k_i = d.
+
+Every enumeration of group elements (all of S_d, or one element per coset of
+a subgroup) is counted in closed form first and refused when the count
+exceeds MAX_ENUM_ELEMENTS = MAX_ENUM_D! = 40 320.
 """
 
 from __future__ import annotations
@@ -11,11 +16,12 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from functools import lru_cache
-from math import factorial, prod
+from math import comb, factorial, prod
 
 import numpy as np
 
 MAX_ENUM_D = 8          # guard for full S_d enumeration
+MAX_ENUM_ELEMENTS = factorial(MAX_ENUM_D)   # cap on the elements one enumeration yields
 MAX_DIAMOND_D = 7       # guard for the exhaustive classical diamond norm
 
 # fixed irreducible polynomials for GF(2^n), as bitmasks (degree n term included)
@@ -39,11 +45,78 @@ def perm_operator(p) -> np.ndarray:
     return m
 
 
+def _enumerable(count: int, what: str) -> None:
+    """Raise ValueError, naming the count, if count elements exceed the cap."""
+    if count > MAX_ENUM_ELEMENTS:
+        raise ValueError(f"enumeration of {count} {what} refused "
+                         f"(more than {MAX_ENUM_D}! = {MAX_ENUM_ELEMENTS})")
+
+
 def all_perms(d: int):
     """All d! permutations in lexicographic order."""
-    if d > MAX_ENUM_D:
-        raise ValueError(f"enumeration of S_{d} refused (d > {MAX_ENUM_D})")
+    _enumerable(factorial(d), f"elements of S_{d}")
     return (tuple(p) for p in itertools.permutations(range(d)))
+
+
+def image_set_perms(d: int, k: int):
+    """One permutation per image set of the first k points, C(d, k) of them:
+    for each k-subset S of range(d), in lexicographic order, the permutation
+    sending 0..k-1 onto S and k..d-1 onto the rest, both in increasing order.
+    These represent the left cosets g (S_k x S_{d-k})."""
+    if not 0 <= k <= d:
+        raise ValueError(f"needs 0 <= k <= d, got k = {k}, d = {d}")
+    _enumerable(comb(d, k), f"image sets of {k} of {d} points")
+    return (s + tuple(x for x in range(d) if x not in s)
+            for s in itertools.combinations(range(d), k))
+
+
+def _split_perms(d1: int, d2: int, blocks: bool):
+    """Permutations g of d = d1 * d2 points, point a1 * d2 + a2 the pair
+    (a1, a2), in which the first labels g(x) // d2 appear in order of first
+    use along x = 0, 1, ..., and the second labels g(x) % d2 do too (blocks:
+    appear in increasing order within each first label)."""
+    if min(d1, d2) < 1:
+        raise ValueError(f"split {d1} x {d2} needs factors of at least 1")
+    d = d1 * d2
+    if blocks:
+        _enumerable(factorial(d) // (factorial(d2) ** d1 * factorial(d1)),
+                    f"partitions of {d} points into {d1} blocks of {d2}")
+    else:
+        _enumerable(factorial(d) // (factorial(d1) * factorial(d2)),
+                    f"cosets of S_{d1} x S_{d2} in S_{d}")
+    g = [0] * d
+    used = [set() for _ in range(d1)]           # second labels taken under each first
+
+    def extend(x, n1, n2):                      # n1, n2: labels that g[:x] uses
+        if x == d:
+            yield tuple(g)
+            return
+        for a1 in range(min(n1 + 1, d1)):
+            taken = used[a1]
+            for a2 in ((len(taken),) if blocks else range(min(n2 + 1, d2))):
+                if a2 < d2 and a2 not in taken:
+                    taken.add(a2)
+                    g[x] = a1 * d2 + a2
+                    yield from extend(x + 1, max(n1, a1 + 1), max(n2, a2 + 1))
+                    taken.discard(a2)
+
+    return extend(0, 0, 0)
+
+
+def block_partition_perms(d1: int, d2: int):
+    """One permutation per partition of d1 * d2 points into d1 unordered
+    blocks of d2, d!/(d2!^d1 d1!) of them: the preimages of the blocks
+    {a1 * d2, ..., a1 * d2 + d2 - 1} are the partition's blocks, numbered by
+    their least point, and each block goes onto its target in increasing
+    order. These represent the right cosets (S_d2 wr S_d1) g."""
+    return _split_perms(d1, d2, blocks=True)
+
+
+def split_coset_perms(d1: int, d2: int):
+    """One permutation per right coset (S_d1 x S_d2) g of S_d, d = d1 * d2 with
+    point a1 * d2 + a2 the pair (a1, a2), d!/(d1! d2!) of them: the one whose
+    labels a1 and a2 each appear in order of first use along x = 0, 1, ..."""
+    return _split_perms(d1, d2, blocks=False)
 
 
 def cycle_lengths(counts) -> tuple[int, ...]:

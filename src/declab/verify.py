@@ -3,6 +3,15 @@ or by controlled sampling, its right side from entropies and dimensions, and
 reports pass/fail with the gap. Every averaged left side takes its
 per-element norms from `_channel_norms`; the hash bounds are decoupling
 averages through the channel tr_A2 (`_trace_out`).
+
+A uniform average over S_d_A whose value is unchanged by a subgroup runs over
+one permutation per coset, which is the same mean regrouped (every coset has
+the same size): C(d_A, d_R) image sets for `verify_distance_from_classicality`
+and `verify_perm_decoupling_lemma`, d_A!/(d_A2!^d_A1 d_A1!) block partitions
+for `verify_cq_hash` and d_A!/(d_A1! d_A2!) cosets of S_d_A1 x S_d_A2 for
+`verify_quantum_hash`. The other CQ averages enumerate all of S_d_A. Every
+enumeration is refused above symgroup.MAX_ENUM_ELEMENTS = 8! = 40 320
+elements.
 """
 
 from __future__ import annotations
@@ -22,7 +31,14 @@ from .states import (
     max_entangled,
     pinch_mat,
 )
-from .symgroup import PermFamily, all_perms, pairwise_dependence
+from .symgroup import (
+    PermFamily,
+    all_perms,
+    block_partition_perms,
+    image_set_perms,
+    pairwise_dependence,
+    split_coset_perms,
+)
 from .twirl import UnitaryEnsemble, design_epsilon_bound, haar_samples, haar_twirl2_exact
 
 EQ_TOL = 1e-9
@@ -248,6 +264,17 @@ def _full_group(d_a: int) -> np.ndarray:
     return perm_stack(all_perms(d_a))
 
 
+def _split(d_a: int, d_a1: int, d_a2: int) -> tuple[int, int]:
+    """The split A = A1 x A2 as two ints; ValueError unless both factors are
+    at least 1 and their product is d_A."""
+    d_a1, d_a2 = int(d_a1), int(d_a2)
+    if min(d_a1, d_a2) < 1:
+        raise ValueError(f"split {d_a1} x {d_a2} needs factors of at least 1")
+    if d_a1 * d_a2 != d_a:
+        raise ValueError(f"split {d_a1} x {d_a2} does not match d_A = {d_a}")
+    return d_a1, d_a2
+
+
 def verify_cq_decoupling_lemma(rho: DensityOp, ch: ChoiChannel) -> VerificationReport:
     """Exhaustive permutation average of the squared 2-norm deviation equals
     d^2/(d-1) times the product of classicalized deviation norms."""
@@ -266,14 +293,18 @@ def verify_cq_decoupling_lemma(rho: DensityOp, ch: ChoiChannel) -> VerificationR
 
 def verify_cq_hash(rho: DensityOp, d_a1: int, d_a2: int) -> VerificationReport:
     """Leftover-hash style bound for tracing out A2 of a CQ state under the
-    full permutation group, with the min-entropy right side."""
+    full permutation group, with the min-entropy right side.
+
+    tr_A2 of a CQ state sees only which A1 block each point of A lands in, and
+    pi_A1 (x) rho_R no relabelling of the blocks, so the group mean is the mean
+    over one permutation per partition of A into d_A1 blocks of d_A2 points,
+    d_A!/(d_A2!^d_A1 d_A1!) of them (at most 8! = 40 320)."""
     d_a, d_r = rho.dims
-    if d_a != d_a1 * d_a2:
-        raise ValueError("split does not match d_A")
+    d_a1, d_a2 = _split(d_a, d_a1, d_a2)
     if not is_cq(rho):
         raise ValueError("state must be classical on A")
     lhs = float(np.mean(_deviation_norms(_trace_out(d_a1, d_a2), rho.mat, rho.dims,
-                                         _full_group(d_a), 1)))
+                                         perm_stack(block_partition_perms(d_a1, d_a2)), 1)))
     res = h_min_cond(rho.mat, rho.dims)
     rhs = float(np.sqrt(d_a1 * (d_a - d_a2) / (d_a - 1) * 2.0 ** (-res.value)))
     weak = float(np.sqrt(d_a1 * 2.0 ** (-res.value)))
@@ -319,8 +350,7 @@ def verify_family_hash(fam: PermFamily, rho: DensityOp, d_a1: int, d_a2: int) ->
     with the epsilon penalty 4 eps d_A inside the square root; eps is the
     family's pairwise dependence."""
     d_a, d_r = rho.dims
-    if d_a != d_a1 * d_a2:
-        raise ValueError("split does not match d_A")
+    d_a1, d_a2 = _split(d_a, d_a1, d_a2)
     if not is_cq(rho):
         raise ValueError("state must be classical on A")
     fam.require_points(d_a)
@@ -357,11 +387,16 @@ def verify_distance_from_classicality(ch: ChoiChannel, d_r: int) -> Verification
     times the distance of the Choi operator from its pinched version.
 
     meta['bound_check'] carries the 1-norm corollary with the H2 right side.
+    Both averages run over one permutation per image set of the first d_R
+    points, C(d_A, d_R) of them (at most 8! = 40 320): the input lives on
+    those levels of A and is invariant under sigma (x) sigma there, and a
+    permutation of R commutes with the channel and keeps every norm.
     """
     d_a = ch.d_in
     phi, tee, _ = _embedded_pair_states(d_a, d_r)
     st = phi - tee
-    norms2, norms1 = _channel_norms(ch, st, (d_a, d_r), _full_group(d_a), (2, 1)).T
+    reps = perm_stack(image_set_perms(d_a, d_r))
+    norms2, norms1 = _channel_norms(ch, st, (d_a, d_r), reps, (2, 1)).T
     lhs = float(np.mean(norms2 ** 2))
     w_cl = pinch_mat(ch.choi, (d_a, ch.d_out), 0)
     rhs = ((d_a / d_r) * (d_r - 1) / (d_a - 1) * schatten_norm(ch.choi - w_cl, 2) ** 2)
@@ -384,11 +419,14 @@ def verify_perm_decoupling_lemma(ch: ChoiChannel, d_r: int) -> VerificationRepor
     difference (entangled minus embedded product); for d_R = d_A this equals
     the average distance of the channel output from omega_E (x) pi_R, and the
     right side matches the Haar decoupling lemma on the entangled input.
+    The average runs over the C(d_A, d_R) image sets of the first d_R points,
+    as in `verify_distance_from_classicality`.
     """
     d_a = ch.d_in
     phi, _, pi = _embedded_pair_states(d_a, d_r)
     st = phi - pi
-    lhs = float(np.mean(_channel_norms(ch, st, (d_a, d_r), _full_group(d_a), (2,))[:, 0] ** 2))
+    reps = perm_stack(image_set_perms(d_a, d_r))
+    lhs = float(np.mean(_channel_norms(ch, st, (d_a, d_r), reps, (2,))[:, 0] ** 2))
     return equality_report("perm_decoupling_lemma", lhs, perm_lemma_rhs(ch, d_r),
                            dims={"d_A": d_a, "d_R": d_r, "d_E": ch.d_out})
 
@@ -396,16 +434,18 @@ def verify_perm_decoupling_lemma(ch: ChoiChannel, d_r: int) -> VerificationRepor
 def verify_quantum_hash(rho: DensityOp, d_a1: int, d_a2: int) -> VerificationReport:
     """Fully quantum hash bound sqrt(2 d_A1 2^(-Hmin)) under the permutation
     group; meta['two_norm_check'] carries the intermediate squared-2-norm bound.
+
+    tr_A2 sees no relabelling of A2 and pi_A1 (x) rho_R none of A1, so both
+    averages run over one permutation per coset of S_d_A1 x S_d_A2,
+    d_A!/(d_A1! d_A2!) of them (at most 8! = 40 320).
     """
-    d_a1, d_a2 = int(d_a1), int(d_a2)
-    d_a = d_a1 * d_a2
-    d_r = rho.dims[1]
-    if rho.dims[0] != d_a:
-        raise ValueError("split does not match d_A")
+    d_a, d_r = rho.dims
+    d_a1, d_a2 = _split(d_a, d_a1, d_a2)
     if d_a < 4:
         raise ValueError("needs d_A >= 4")
     tr_a2 = _trace_out(d_a1, d_a2)
-    lhs = float(np.mean(_deviation_norms(tr_a2, rho.mat, rho.dims, _full_group(d_a), 1)))
+    reps = perm_stack(split_coset_perms(d_a1, d_a2))
+    lhs = float(np.mean(_deviation_norms(tr_a2, rho.mat, rho.dims, reps, 1)))
     res = h_min_cond(rho.mat, rho.dims)
     hmin = res.value
     rhs = float(np.sqrt(2 * d_a1 * 2.0 ** (-hmin)))
@@ -417,7 +457,7 @@ def verify_quantum_hash(rho: DensityOp, d_a1: int, d_a2: int) -> VerificationRep
     sandwich = tensor(np.eye(d_a), mpow(zeta, -0.25))
     tilde = sandwich @ rho.mat @ sandwich
     tilde_cl = pinch_mat(tilde, rho.dims, 0)
-    lhs2 = float(np.mean(_deviation_norms(tr_a2, tilde, rho.dims, _full_group(d_a), 2) ** 2))
+    lhs2 = float(np.mean(_deviation_norms(tr_a2, tilde, rho.dims, reps, 2) ** 2))
     rhs2 = ((d_a1 - 1) / (d_a - 1) * schatten_norm(tilde, 2) ** 2
             + (d_a1 - 1) * (d_a2 - 1) / (d_a - 1) * schatten_norm(tilde_cl, 2) ** 2
             + schatten_norm(tilde, 2) ** 2)

@@ -136,7 +136,7 @@ def test_all_permutations_on_two_factors(chunked):
 
 def test_perm_decoupling_lhs(chunked):
     d_a, d_r = 5, 3
-    sizes = chunked(50)
+    sizes = chunked(3)          # one element per image set: C(5, 3) = 10
     ch = random_channel(d_a, 2, tp=True, seed=3)
     rep = verify_perm_decoupling_lemma(ch, d_r)
     assert_ragged(sizes)
@@ -153,7 +153,7 @@ def test_perm_decoupling_lhs(chunked):
 def test_distance_from_classicality_lhs(chunked, d_r):
     # both norms come from one channel stack; each must match its own loop
     d_a = 5
-    sizes = chunked(50)
+    sizes = chunked(3)          # one element per image set: C(5, d_R) = 10
     ch = random_channel(d_a, 2, tp=False, seed=30 + d_r)
     rep = verify_distance_from_classicality(ch, d_r)
     assert_ragged(sizes)

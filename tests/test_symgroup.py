@@ -1,4 +1,4 @@
-from math import factorial
+from math import comb, factorial
 
 import numpy as np
 import pytest
@@ -10,17 +10,20 @@ from declab.symgroup import (
     PermFamily,
     affine_family,
     all_perms,
+    block_partition_perms,
     char_closed_forms,
     chi_r,
     class_size,
     classical_diamond_distance,
     gf2_mul,
     hook_dimension,
+    image_set_perms,
     mn_character,
     pairwise_dependence,
     partition_to_counts,
     partitions,
     perm_operator,
+    split_coset_perms,
 )
 from declab.states import random_cq
 from declab.verify import verify_family_hash
@@ -52,6 +55,110 @@ def test_all_perms():
     assert np.allclose(total, factorial(4) * np.ones((5, 5)))
     with pytest.raises(ValueError):
         all_perms(9)
+
+
+def first_use(labels):
+    """labels renumbered 0, 1, ... in order of first appearance."""
+    seen = {}
+    return tuple(seen.setdefault(x, len(seen)) for x in labels)
+
+
+# each coset rule with an independent canonical form of g's coset: its
+# generator, the form, and the closed-form count of cosets
+COSET_RULES = {
+    "image_set": (
+        image_set_perms,
+        lambda g, _, k: tuple(sorted(g[:k])),
+        lambda d, _, k: comb(d, k)),
+    "blocks": (
+        block_partition_perms,
+        lambda g, d1, d2: frozenset(frozenset(x for x in range(d1 * d2) if g[x] // d2 == b)
+                                    for b in range(d1)),
+        lambda d, d1, d2: factorial(d) // (factorial(d2) ** d1 * factorial(d1))),
+    "split": (
+        split_coset_perms,
+        lambda g, _, d2: (first_use(x // d2 for x in g), first_use(x % d2 for x in g)),
+        lambda d, d1, d2: factorial(d) // (factorial(d1) * factorial(d2))),
+}
+CASES = ([("image_set", d, k) for d in range(1, 8) for k in range(d + 1)]
+         + [(rule, d1, d2) for rule in ("blocks", "split")
+            for d1, d2 in [(1, 4), (4, 1), (2, 2), (3, 2), (2, 3), (1, 7), (7, 1)]])
+
+
+def coset_hits(reps, canon, a, b, g):
+    """How many of reps lie in the coset of g."""
+    key = canon(g, a, b)
+    return sum(canon(r, a, b) == key for r in reps)
+
+
+@given(st.sampled_from(CASES), st.data())
+@settings(max_examples=120, deadline=None)
+def test_every_permutation_lands_on_one_representative(case, data):
+    rule, a, b = case
+    d = a if rule == "image_set" else a * b
+    g = tuple(data.draw(st.permutations(range(d))))
+    gen, canon, _ = COSET_RULES[rule]
+    assert coset_hits(list(gen(a, b)), canon, a, b, g) == 1
+
+
+@pytest.mark.parametrize("rule, a, b", CASES)
+def test_coset_representatives_meet_every_coset_once(rule, a, b):
+    d = a if rule == "image_set" else a * b
+    gen, canon, count = COSET_RULES[rule]
+    reps = list(gen(a, b))
+    assert len(reps) == count(d, a, b) == factorial(d) // len(
+        [g for g in all_perms(d) if canon(g, a, b) == canon(tuple(range(d)), a, b)])
+    assert all(sorted(r) == list(range(d)) for r in reps)
+    forms = [canon(r, a, b) for r in reps]
+    assert len(set(forms)) == len(reps)
+    assert {canon(g, a, b) for g in all_perms(d)} == set(forms)
+
+
+def ranks(g, d2):
+    """The A2 label of each point that a block rule would give it: its rank
+    among the earlier points of the same A1 block."""
+    return tuple(sum(g[y] // d2 == g[x] // d2 for y in range(x)) for x in range(len(g)))
+
+
+# rules that each forget one relabelling: one permutation per coset of a
+# smaller subgroup, so they meet some cosets more than once
+MUTANTS = [
+    ("image_set", 6, 2, lambda g: list(g[2:]) == sorted(g[2:])),
+    ("blocks", 3, 2, lambda g: tuple(x % 2 for x in g) == ranks(g, 2)),
+    ("split", 3, 2, lambda g: first_use(x // 2 for x in g) == tuple(x // 2 for x in g)),
+    ("split", 3, 2, lambda g: first_use(x % 2 for x in g) == tuple(x % 2 for x in g)),
+]
+
+
+@pytest.mark.parametrize("rule, a, b, keep", MUTANTS)
+def test_a_rule_that_ignores_a_relabelling_is_caught(rule, a, b, keep):
+    d = a if rule == "image_set" else a * b
+    _, canon, _ = COSET_RULES[rule]
+    loose = [g for g in all_perms(d) if keep(g)]
+    assert any(coset_hits(loose, canon, a, b, g) != 1 for g in all_perms(d))
+
+
+@pytest.mark.parametrize("gen, a, b, count", [
+    (image_set_perms, 10, 2, 45), (image_set_perms, 9, 4, 126),
+    (block_partition_perms, 3, 3, 280), (block_partition_perms, 2, 4, 35),
+    (split_coset_perms, 3, 3, 10080), (split_coset_perms, 4, 2, 840),
+])
+def test_coset_counts_past_s8(gen, a, b, count):
+    assert sum(1 for _ in gen(a, b)) == count
+
+
+def test_one_element_cap_refuses_before_enumerating():
+    # each call raises at once, naming the count; none of them yields an element
+    for call, count in [(lambda: all_perms(9), 362880),
+                        (lambda: split_coset_perms(6, 2), 332640),
+                        (lambda: block_partition_perms(4, 4), 2627625),
+                        (lambda: image_set_perms(18, 9), 48620)]:
+        with pytest.raises(ValueError, match=f"enumeration of {count} .* refused"):
+            call()
+    for call in (lambda: split_coset_perms(-2, -2), lambda: block_partition_perms(0, 3),
+                 lambda: image_set_perms(4, 5)):
+        with pytest.raises(ValueError):
+            call()
 
 
 def cycle_type(p):

@@ -37,6 +37,10 @@ from declab.verify import (
 )
 
 
+def close_rel(got, want, rtol=1e-12):
+    return abs(got - want) <= rtol * abs(want)
+
+
 def trace_channel(d):
     return ChoiChannel(np.eye(d) / d, d, 1, tp=True)
 
@@ -375,11 +379,15 @@ def test_perm_vs_haar_rhs_follows_the_verifier(monkeypatch):
 
 
 def test_exhaustive_averages_share_one_cap():
-    # symgroup.MAX_ENUM_D = 8 caps every exhaustive average; ch7 needs d_A >= 4
-    with pytest.raises(ValueError):
+    # one cap of 8! = 40320 enumerated elements, checked on the closed-form count:
+    # the coset averages reach d_A = 9 where their count is small, the full-group
+    # CQ averages stop at S_8, and ch7 needs d_A >= 4
+    rep = verify_perm_decoupling_lemma(random_channel(9, 2, seed=2), 2)
+    assert rep.passed and rep.kind == "equality"
+    with pytest.raises(ValueError, match="362880"):
         verify_cq_tpcp(random_cq((9, 2), seed=0), random_channel(9, 2, tp=True, seed=1))
-    with pytest.raises(ValueError):
-        verify_perm_decoupling_lemma(random_channel(9, 2, seed=2), 2)
+    with pytest.raises(ValueError, match="332640"):
+        verify_quantum_hash(random_density(24, seed=6, dims=(12, 2)), 6, 2)
     with pytest.raises(ValueError):
         verify_distance_from_classicality(random_channel(3, 2, seed=3), 2)
     for verifier in (verify_perm_decoupling_lemma, verify_distance_from_classicality):
@@ -387,6 +395,74 @@ def test_exhaustive_averages_share_one_cap():
             verifier(random_channel(3, 2, seed=4), 2)
         with pytest.raises(ValueError, match="needs d_R <= d_A"):
             verifier(random_channel(4, 2, seed=5), 5)
+
+
+@pytest.mark.parametrize("d_a", [4, 5, 6, 7])
+def test_image_set_averages_equal_the_full_group_mean(d_a):
+    # the embedded inputs live on the first d_R levels of A and are invariant
+    # under sigma (x) sigma there, so only the image set of those points matters
+    full = verify._full_group(d_a)
+    for d_r in sorted({2, 3, d_a - 1, d_a}):
+        ch = random_channel(d_a, 2, tp=False, seed=400 + 10 * d_a + d_r)
+        phi, tee, pi = verify._embedded_pair_states(d_a, d_r)
+        norms2, norms1 = verify._channel_norms(ch, phi - tee, (d_a, d_r), full, (2, 1)).T
+        rep = verify_distance_from_classicality(ch, d_r)
+        assert close_rel(rep.lhs, np.mean(norms2 ** 2))
+        assert close_rel(rep.meta["bound_check"].lhs, np.mean(norms1))
+        norms2 = verify._channel_norms(ch, phi - pi, (d_a, d_r), full, (2,))[:, 0]
+        assert close_rel(verify_perm_decoupling_lemma(ch, d_r).lhs, np.mean(norms2 ** 2))
+
+
+@pytest.mark.parametrize("d_a1, d_a2", [(2, 2), (3, 2), (2, 3), (7, 1)])
+def test_split_averages_equal_the_full_group_mean(d_a1, d_a2):
+    # a CQ state's tr_A2 output sees only the blocks of A1, and the target
+    # pi_A1 (x) rho_R sees no relabelling of A1; tr_A2 sees none of A2
+    d_a, d_r = d_a1 * d_a2, 2
+    full = verify._full_group(d_a)
+    tr_a2 = _trace_out(d_a1, d_a2)
+    cq = random_cq((d_a, d_r), seed=500 + d_a)
+    ref = np.mean(verify._deviation_norms(tr_a2, cq.mat, cq.dims, full, 1))
+    assert close_rel(verify_cq_hash(cq, d_a1, d_a2).lhs, ref)
+    rho = random_density(d_a * d_r, seed=510 + d_a, dims=(d_a, d_r))
+    rep = verify_quantum_hash(rho, d_a1, d_a2)
+    assert close_rel(rep.lhs, np.mean(verify._deviation_norms(tr_a2, rho.mat, rho.dims, full, 1)))
+    sandwich = tensor(np.eye(d_a), mpow(h_min_cond(rho.mat, rho.dims).optimizer, -0.25))
+    tilde = sandwich @ rho.mat @ sandwich
+    ref = np.mean(verify._deviation_norms(tr_a2, tilde, rho.dims, full, 2) ** 2)
+    assert close_rel(rep.meta["two_norm_check"].lhs, ref)
+
+
+@pytest.mark.parametrize("d_a", [9, 10])
+def test_permutation_identities_past_d8(d_a):
+    # S_9 and S_10 are past the cap; their image-set cosets are not
+    for d_r in (2, 3):
+        ch = random_channel(d_a, 2, tp=False, seed=600 + 10 * d_a + d_r)
+        rep = verify_distance_from_classicality(ch, d_r)
+        assert rep.passed and rep.tolerance == verify.EQ_TOL
+        assert rep.meta["bound_check"].passed
+        rep = verify_perm_decoupling_lemma(random_channel(d_a, 2, tp=True, seed=700 + d_r), d_r)
+        assert rep.passed and rep.tolerance == verify.EQ_TOL
+
+
+def test_hash_bounds_at_a_3x3_split():
+    # 280 block partitions and 10080 cosets of S_3 x S_3 in S_9
+    rep = verify_cq_hash(random_cq((9, 2), seed=800), 3, 3)
+    assert rep.passed and rep.meta["weak_pass"]
+    assert rep.meta["hmin_bracket"] <= entropy.HMIN_BRACKET_TOL
+    rep = verify_quantum_hash(random_density(18, seed=801, dims=(9, 2)), 3, 3)
+    assert rep.passed and rep.meta["two_norm_check"].passed
+    assert rep.meta["hmin_bracket"] <= entropy.HMIN_BRACKET_TOL
+
+
+@pytest.mark.parametrize("d_a1, d_a2", [(-2, -2), (0, 4), (4, 0), (2, 3)])
+def test_hash_verifiers_refuse_a_bad_split(d_a1, d_a2):
+    cq = random_cq((4, 2), seed=900)
+    fam = PermFamily(tuple(all_perms(4)))
+    for run in (lambda: verify_cq_hash(cq, d_a1, d_a2),
+                lambda: verify_family_hash(fam, cq, d_a1, d_a2),
+                lambda: verify_quantum_hash(cq, d_a1, d_a2)):
+        with pytest.raises(ValueError, match=f"split {d_a1} x {d_a2}"):
+            run()
 
 
 def test_perm_decoupling_outside_form_at_full_rank():
