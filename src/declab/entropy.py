@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import PINV_RCOND, check_dims, eig_hermitian, mpow, schatten_norm
+from .linalg import PINV_RCOND, check_dims, eig_hermitian, mpow, require_hermitian, schatten_norm
 from .states import DensityOp
 
 
@@ -29,8 +29,17 @@ class EntropyResult:
     meta: dict | None = None
 
 
+def _finite(mat, what: str) -> np.ndarray:
+    """mat as an array, after checking that every entry is finite."""
+    mat = np.asarray(mat)
+    if not np.isfinite(mat).all():
+        raise ValueError(f"{what} has a non-finite entry")
+    return mat
+
+
 def _matdims(state, dims, what: str):
-    """The matrix and the two dimensions of a bipartite state of positive trace."""
+    """The matrix and the two dimensions of a bipartite state of positive trace.
+    A bare matrix must be finite and Hermitian, as a DensityOp already is."""
     if isinstance(state, DensityOp):
         mat, dims = state.mat, state.dims
     else:
@@ -38,6 +47,7 @@ def _matdims(state, dims, what: str):
         if dims is None:
             raise ValueError("dims required when passing a bare matrix")
         dims = check_dims(mat, dims)
+        require_hermitian(_finite(mat, f"{what} state"), f"{what} state")
     if len(dims) != 2:
         raise ValueError(f"{what} expects a bipartite state")
     if np.trace(mat).real <= 0:
@@ -337,7 +347,7 @@ def _trace(mat: np.ndarray):
 def trace_distance(rho, sigma):
     """Un-halved trace distance ||rho - sigma||_1, of two matrices (a float)
     or matrix for matrix of two stacks over leading axes (an array)."""
-    return schatten_norm(np.asarray(rho) - np.asarray(sigma), 1)
+    return schatten_norm(_finite(rho, "rho") - _finite(sigma, "sigma"), 1)
 
 
 def generalized_trace_distance(rho, sigma):
@@ -349,8 +359,8 @@ def generalized_trace_distance(rho, sigma):
 def fidelity(rho, sigma):
     """||sqrt(rho) sqrt(sigma)||_1, of two PSD matrices or of two stacks; a
     stack gives each pair's own value bit for bit."""
-    r = mpow(np.asarray(rho, dtype=complex), 0.5)
-    s = mpow(np.asarray(sigma, dtype=complex), 0.5)
+    r = mpow(_finite(np.asarray(rho, dtype=complex), "rho"), 0.5)
+    s = mpow(_finite(np.asarray(sigma, dtype=complex), "sigma"), 0.5)
     return schatten_norm(r @ s, 1)
 
 

@@ -363,7 +363,7 @@ def check_commutant_dim(cfg: SuiteConfig):
 
 def _perm_twirl_residual(d: int, seed) -> float:
     """Relative 2-norm distance between the commutant-formula and the
-    brute-force permutation twirl of one random swap-symmetric Hermitian operator."""
+    permutation-matrix twirl of one random swap-symmetric Hermitian operator."""
     f = swap_operator(d)
     rng = np.random.default_rng(seed)
     h = rng.normal(size=(d * d, d * d)) + 1j * rng.normal(size=(d * d, d * d))

@@ -2,22 +2,24 @@
 2-designs, random {H, T, CNOT} circuits (one uniform index into a cached gate
 stack per step, drawn for a whole ensemble by one integers call), and the
 permutation twirl via the 11-element commutant basis with its closed-form
-Gramian. The commutant's dimension is checked by an exact count of index
-orbits, read off their equality patterns, with no eigensolve.
+Gramian. Its reference, `perm_twirl2_brute`, averages along the chain of
+transpositions that picks one coset after another, d(d + 1)/2 - 1
+conjugations by permutation matrices instead of d!. The commutant's
+dimension is checked by an exact count of index orbits, read off their
+equality patterns, with no eigensolve.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import islice, permutations
-from math import factorial
+from itertools import permutations
 
 import numpy as np
 
 from ._groupavg import pattern_labels, two_copy_lifts, twirl2_mean
 from .linalg import pair_indices, permute_systems, require_hermitian, swap_operator, tensor
-from .symgroup import MAX_ENUM_D, all_perms, perm_operator
+from .symgroup import MAX_ENUM_D, perm_operator
 
 UNITARY_TOL = 1e-10
 
@@ -323,14 +325,35 @@ def commutant_dim_brute(d: int) -> int:
     return len(np.unique(np.minimum(pattern_labels(idx), pattern_labels(idx[[1, 0, 3, 2]]))))
 
 
+def _transposition(d: int, j: int, k: int) -> list[int]:
+    """The permutation of range(d) that exchanges j and k (the identity if j == k)."""
+    p = list(range(d))
+    p[j], p[k] = k, j
+    return p
+
+
 def perm_twirl2_brute(mat: np.ndarray, d: int) -> np.ndarray:
-    """Exhaustive uniform average of P^t2 M P^t2-dagger over all d! permutations
-    (d <= symgroup.MAX_ENUM_D), conjugating by explicit permutation matrices in
-    the two-copy twirl kernel: the reference that the commutant expansion is
-    checked against. The matrices are stacked one kernel chunk at a time."""
-    perms = all_perms(d)
-    return twirl2_mean(np.asarray(mat, dtype=complex), factorial(d), d, lambda sl: np.array(
-        [perm_operator(p) for p in islice(perms, sl.stop - sl.start)], complex))
+    """Uniform average of P^t2 M P^t2-dagger over all d! permutations
+    (d <= symgroup.MAX_ENUM_D), by explicit permutation matrices in the
+    two-copy twirl kernel: the reference that the commutant expansion is
+    checked against.
+
+    Every g in S_d factors uniquely as t_d ... t_2, with t_(k+1) one of the
+    k + 1 transpositions (j k), 0 <= j <= k, and (k k) the identity: these
+    pick the cosets of the subgroup that fixes k, ..., d - 1 inside the one
+    that fixes k + 1, ..., d - 1. Conjugation is a group action, so the mean
+    over S_d is the mean over each transversal in turn, k = 1, ..., d - 1:
+    d(d + 1)/2 - 1 conjugations instead of d! (20 instead of 720 at d = 6).
+    The name keeps "brute" because the benchmark traces this function by it;
+    a rename waits for the benchmark's next change.
+    """
+    if not 1 <= d <= MAX_ENUM_D:
+        raise ValueError(f"permutation twirl needs 1 <= d <= {MAX_ENUM_D}")
+    out = np.asarray(mat, dtype=complex)
+    for k in range(1, d):
+        ts = np.array([perm_operator(_transposition(d, j, k)) for j in range(k + 1)], complex)
+        out = twirl2_mean(out, k + 1, d, ts.__getitem__)
+    return out
 
 
 def perm_twirl2_exact(mat: np.ndarray, d: int) -> TwirlResult:

@@ -199,6 +199,45 @@ def test_zero_operator_is_refused(entropy_of):
             entropy_of(np.zeros((4, 4)), (2, 2))
 
 
+ENTROPIES = {
+    "h_min_cond": h_min_cond,
+    "h2_cond": h2_cond,
+    "h2_cond optimized": lambda mat, dims: h2_cond(mat, dims, optimize=True),
+}
+DISTANCES = {fn.__name__: fn for fn in (trace_distance, generalized_trace_distance, fidelity,
+                                        generalized_fidelity, purified_distance)}
+
+
+def _spoiled(kind):
+    """A valid state with one bad feature: a nan or an inf on the diagonal,
+    or a skew part 0.1i times the strict upper triangle of ones."""
+    mat = random_density(6, seed=4, dims=(3, 2)).mat.copy()
+    if kind == "skew":
+        return mat + 0.1j * np.triu(np.ones((6, 6)), 1)
+    mat[2, 2] = {"nan": np.nan, "inf": np.inf}[kind]
+    return mat
+
+
+@pytest.mark.parametrize("kind", ["nan", "inf", "skew"])
+@pytest.mark.parametrize("name", list(ENTROPIES))
+def test_entropies_refuse_non_finite_or_non_hermitian_input(name, kind):
+    # a value, not an exception, came back for the skew input before these checks
+    message = "not Hermitian" if kind == "skew" else "non-finite"
+    with pytest.raises(ValueError, match=f"^{name.split()[0]} state .*{message}"):
+        ENTROPIES[name](_spoiled(kind), (3, 2))
+
+
+@pytest.mark.parametrize("kind", ["nan", "inf"])
+@pytest.mark.parametrize("which", ["rho", "sigma"])
+@pytest.mark.parametrize("name", list(DISTANCES))
+def test_distances_refuse_non_finite_input(name, which, kind):
+    # refused before the SVD or eigensolve, which raised LinAlgError on nan
+    good = random_density(6, seed=5).mat
+    args = {"rho": good, "sigma": good, which: _spoiled(kind)}
+    with pytest.raises(ValueError, match=f"^{which} has a non-finite entry"):
+        DISTANCES[name](args["rho"], args["sigma"])
+
+
 def test_h2_cond_fixed_sigma_scale_invariant():
     # H2 at a fixed sigma depends on sigma / tr sigma only
     rho = random_density(6, seed=3, dims=(3, 2))

@@ -501,6 +501,69 @@ def test_perm_twirl_projection_properties():
         assert np.abs(pp @ out - out @ pp).max() < 1e-10
 
 
+def kron_perm_twirl(m, d):
+    """Reference: the mean of (P (x) P) m (P (x) P)^T over all d! permutation matrices."""
+    lifts = [np.kron(perm_operator(q), perm_operator(q)) for q in all_perms(d)]
+    return sum(pp @ m @ pp.T for pp in lifts) / len(lifts)
+
+
+def rand_op(rng, n):
+    """A complex operator with no symmetry: not Hermitian, not swap-symmetric."""
+    return rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+
+
+def rel_dev(out, ref):
+    return np.abs(out - ref).max() / np.abs(ref).max()
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
+def test_perm_twirl_chain_matches_kron_loop(d):
+    m = rand_op(np.random.default_rng(20 + d), d * d)
+    assert rel_dev(perm_twirl2_brute(m, d), kron_perm_twirl(m, d)) <= 1e-12
+
+
+@pytest.mark.parametrize("d", [4, 5, 6, 7, 8])
+def test_perm_twirl_chain_matches_orbit_mean(d):
+    # an independent method that enumerates no permutation, so it reaches d = 7 and 8
+    m = rand_op(np.random.default_rng(30 + d), d * d)
+    ref = _groupavg.orbit_mean(m.reshape((d,) * 4), d, 4).reshape(d * d, d * d)
+    assert rel_dev(perm_twirl2_brute(m, d), ref) <= 1e-13
+
+
+def test_perm_twirl_chain_conjugates_by_transpositions_only(monkeypatch):
+    # one permutation matrix per transversal member, d(d + 1)/2 - 1 in all, not d!
+    d = 6
+    calls = []
+
+    def spy(p):
+        calls.append(tuple(p))
+        return perm_operator(p)
+
+    monkeypatch.setattr(twirl, "perm_operator", spy)
+    perm_twirl2_brute(rand_op(np.random.default_rng(6), d * d), d)
+    assert len(calls) == d * (d + 1) // 2 - 1 == 20
+    assert all(sum(i != j for i, j in enumerate(p)) in (0, 2) for p in calls)
+
+
+def test_perm_twirl_chain_needs_the_identity_in_each_transversal(monkeypatch):
+    # mutant: each stage averages over the transpositions (j k), j < k, alone
+    d = 4
+    m = rand_op(np.random.default_rng(7), d * d)
+    mean = _groupavg.twirl2_mean
+
+    def without_identity(mat, n, d_, members):
+        kept = [u for u in members(slice(0, n)) if not np.array_equal(u, np.eye(d_))]
+        return mean(mat, len(kept), d_, lambda sl: np.array(kept[sl]))
+
+    monkeypatch.setattr(twirl, "twirl2_mean", without_identity)
+    assert rel_dev(perm_twirl2_brute(m, d), kron_perm_twirl(m, d)) > 1e-3
+
+
+def test_perm_twirl_refuses_d_past_the_enumeration_cap():
+    with pytest.raises(ValueError, match="permutation twirl"):
+        perm_twirl2_brute(np.eye(81), 9)
+
+
 def test_ensemble_validation():
     # weights that do not sum to 1, negative weights and a nan weight
     for weights in ((0.5, 0.4), (1.5, -0.5), (2.0, -1.0), (np.nan, 1.0)):
