@@ -1,12 +1,15 @@
 """Single-shot entropies and distance measures for sub-normalized states.
 
-All entropies are in bits. The conditional min-entropy comes from a small
-barrier solver for the one SDP shape needed here, min{tr z : rho <= I (x) z,
-z >= 0}, with one log-det barrier on the block-diagonal I_{A+1} (x) z - (rho (+) 0):
-a Newton step takes one inverse, one Hessian matmul and one Cholesky guard.
-It is tested up to d_A = d_B = 8 (total dimension 64); a dual witness from its
-central path brackets the optimum. The optimized conditional collision entropy
-comes from exponentiated-gradient (mirror) descent over density matrices,
+All entropies are in bits. Each takes a finite Hermitian matrix of positive
+trace on A x B and its dimensions (d_A, d_B), conditions on B and runs on
+rho / tr rho, so H(c rho) = H(rho) - log2 c at any trace c. The conditional
+min-entropy comes from a small barrier solver for the one SDP shape needed
+here, min{tr z : rho <= I (x) z, z >= 0}, with one log-det barrier on the
+block-diagonal I_{A+1} (x) z - (rho (+) 0): a Newton step takes one inverse,
+one Hessian matmul and one Cholesky guard. It is tested up to d_A = d_B = 8
+(total dimension 64); a dual witness from its central path brackets the
+optimum. The optimized conditional collision entropy comes from
+exponentiated-gradient (mirror) descent over density matrices,
 which carries a Frank-Wolfe bracket.
 """
 
@@ -18,14 +21,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import PINV_RCOND, check_dims, eig_hermitian, mpow, require_hermitian, schatten_norm
-from .states import DensityOp
 
 
 @dataclass(frozen=True)
 class EntropyResult:
     value: float                 # bits
     optimizer: np.ndarray        # normalized achieving sigma/zeta on the conditioning system
-    method: str                  # closed_form | fixed_sigma | optimized
+    method: str                  # fixed_sigma | optimized
     meta: dict | None = None
 
 
@@ -37,17 +39,17 @@ def _finite(mat, what: str) -> np.ndarray:
     return mat
 
 
+def _hermitian(mat, what: str) -> np.ndarray:
+    """mat (or a stack) as a complex array, after checking it is finite and Hermitian."""
+    return require_hermitian(_finite(np.asarray(mat, dtype=complex), what), what)
+
+
 def _matdims(state, dims, what: str):
-    """The matrix and the two dimensions of a bipartite state of positive trace.
-    A bare matrix must be finite and Hermitian, as a DensityOp already is."""
-    if isinstance(state, DensityOp):
-        mat, dims = state.mat, state.dims
-    else:
-        mat = np.asarray(state, dtype=complex)
-        if dims is None:
-            raise ValueError("dims required when passing a bare matrix")
-        dims = check_dims(mat, dims)
-        require_hermitian(_finite(mat, f"{what} state"), f"{what} state")
+    """The matrix and the two dimensions of a bipartite state of positive
+    trace, after checking that the matrix is finite and Hermitian."""
+    mat = np.asarray(state, dtype=complex)
+    dims = check_dims(mat, dims)
+    _hermitian(mat, f"{what} state")
     if len(dims) != 2:
         raise ValueError(f"{what} expects a bipartite state")
     if np.trace(mat).real <= 0:
@@ -161,8 +163,8 @@ def _sdp_conditional(rho: np.ndarray, d_a: int, d_b: int):
     return float(np.trace(z).real), z, y, steps
 
 
-def h_min_cond(state, dims=None) -> EntropyResult:
-    """Conditional min-entropy of the first subsystem given the second.
+def h_min_cond(state, dims) -> EntropyResult:
+    """Conditional min-entropy H_min(A|B) of the matrix `state` on dims = (d_A, d_B).
 
     Solves min{tr z : rho_AB <= I_A (x) z, z >= 0}, whose optimum is
     2^-H_min. `value` = -log2 tr z at the strictly feasible z returned, the
@@ -187,17 +189,12 @@ def h_min_cond(state, dims=None) -> EntropyResult:
                          method="optimized", meta=meta)
 
 
-def _sandwich_trace(mat: np.ndarray, dims, s_half: np.ndarray) -> float:
-    """tr[((I (x) S) rho)^2] via the conditioning-system blocks of rho."""
+def _h2_value(mat: np.ndarray, dims, sigma: np.ndarray) -> float:
+    """tr[((I (x) sigma^-1/2) rho)^2] of a trace-1 rho = mat, the quantity inside -log2."""
     d_a, d_b = dims
     blocks = mat.reshape(d_a, d_b, d_a, d_b).transpose(0, 2, 1, 3)
-    w = np.matmul(s_half, blocks)            # S rho_ab blockwise
+    w = np.matmul(mpow(sigma, -0.5), blocks)       # S rho_ab blockwise
     return float(np.einsum('abij,baji->', w, w).real)
-
-
-def _h2_value(mat: np.ndarray, dims, sigma: np.ndarray) -> float:
-    """tr[((I (x) sigma^-1/2) rho)^2] / tr rho, the quantity inside -log2."""
-    return _sandwich_trace(mat, dims, mpow(sigma, -0.5)) / float(np.trace(mat).real)
 
 
 # ---------------------------------------------------------------------------
@@ -265,61 +262,49 @@ def _h2_mirror_descent(blocks: np.ndarray, w: np.ndarray, u: np.ndarray):
     return w, u, f, gap, it, "converged"
 
 
-def _check_support(sigma: np.ndarray, rho_b: np.ndarray) -> None:
-    proj = mpow(sigma, 0.0)
-    leak = np.abs(rho_b - proj @ rho_b @ proj).max()
-    if leak > 1e-8:
-        raise ValueError("support of sigma does not contain the support of the marginal")
+def h2_cond(state, dims, *, optimize: bool = False, zeta_start=None,
+            seed=None) -> EntropyResult:
+    """Conditional collision entropy H2(A|B) of the matrix `state` on dims = (d_A, d_B).
 
-
-def h2_cond(state, dims=None, sigma=None, optimize: bool = False, *,
-            zeta_start=None, seed=None) -> EntropyResult:
-    """Conditional collision entropy of the first subsystem given the second.
-
-    With `sigma` fixed, scored as sigma / tr sigma, the returned value
+    Without `optimize`, sigma is the conditioning marginal, and the value
     lower-bounds the optimum, which keeps every decoupling upper bound valid.
-    The default sigma is the conditioning marginal. `optimize=True` maximizes
-    over sigma by mirror descent, started at the marginal and confined to its
-    support. The value is the best of the marginal, `zeta_start` (the
-    min-entropy optimizer, when the caller has solved that SDP) and the final
+    `optimize=True` maximizes over sigma by mirror descent, started at the
+    marginal and confined to its support. The value is the best of the
+    marginal, `zeta_start` (the min-entropy optimizer, when the caller has
+    solved that SDP; its support must contain the marginal's) and the final
     iterate, each scored exactly, so it is never below the fixed-sigma value
     nor, given zeta_start, below H_min. It is the exact score at a feasible
     sigma, off only by the relative round-off of `_h2_value`, which is far
     inside `verify.BOUND_TOL`, so it needs no certificate of its own. `meta`
-    holds the Frank-Wolfe gap `fw_gap`, the certified upper end `h2_upper` of
-    the optimum, the iteration count and the solver `status` (converged,
-    max_iter or stalled). Passing both `sigma` and `optimize=True` raises
-    ValueError. `seed` is unused; it is accepted because
-    benchmark/workloads.py still passes it.
+    holds the Frank-Wolfe gap `fw_gap` of the objective on rho / tr rho, the
+    certified upper end `h2_upper` of the optimum, the iteration count and the
+    solver `status` (converged, max_iter or stalled). `seed` is unused; it is
+    accepted because benchmark/workloads.py still passes it.
     """
-    if sigma is not None and optimize:
-        raise ValueError("h2_cond takes a fixed sigma or optimize=True, not both")
     mat, dims = _matdims(state, dims, "h2_cond")
     d_a, d_b = dims
+    scale = float(np.trace(mat).real)
+    shift = math.log2(scale)
+    mat = mat / scale
     rho_b = np.trace(mat.reshape(d_a, d_b, d_a, d_b), axis1=0, axis2=2)
-    if sigma is not None:
-        sigma = np.asarray(sigma, dtype=complex)
-        _check_support(sigma, rho_b)
-        sigma = sigma / np.trace(sigma).real
-        return EntropyResult(float(-np.log2(_h2_value(mat, dims, sigma))), sigma, "fixed_sigma")
-
     sigma0 = rho_b / np.trace(rho_b).real
     best_sigma, best_val = sigma0, _h2_value(mat, dims, sigma0)
     if not optimize:
-        return EntropyResult(float(-np.log2(best_val)), best_sigma, "fixed_sigma")
+        return EntropyResult(float(-np.log2(best_val)) - shift, best_sigma, "fixed_sigma")
 
     candidates = []
     if zeta_start is not None:
-        zeta = np.asarray(zeta_start, dtype=complex)
-        _check_support(zeta, rho_b)
+        zeta = _hermitian(zeta_start, "zeta_start")
+        proj = mpow(zeta, 0.0)
+        if np.abs(rho_b - proj @ rho_b @ proj).max() > 1e-8:
+            raise ValueError("support of zeta_start does not contain the support of the marginal")
         candidates.append(zeta / np.trace(zeta).real)
     # the optimal sigma lives on supp rho_B (pinching onto it does not raise
     # the objective), cut as in mpow; a singular rho_B has no logarithm
     w_b, v_b = eig_hermitian(rho_b)
     keep = w_b > PINV_RCOND * w_b[-1]
     v_b = v_b[:, keep]
-    blocks = mat.reshape(d_a, d_b, d_a, d_b).transpose(0, 2, 1, 3)
-    blocks = v_b.conj().T @ (blocks / np.sqrt(np.trace(mat).real)) @ v_b
+    blocks = v_b.conj().T @ mat.reshape(d_a, d_b, d_a, d_b).transpose(0, 2, 1, 3) @ v_b
     w, u, f, gap, iterations, status = _h2_mirror_descent(
         blocks, w_b[keep] / w_b[keep].sum(), np.eye(v_b.shape[1], dtype=complex))
     candidates.append(v_b @ ((u * w) @ u.conj().T) @ v_b.conj().T)
@@ -328,12 +313,12 @@ def h2_cond(state, dims=None, sigma=None, optimize: bool = False, *,
         if val < best_val:
             best_sigma, best_val = cand, val
     meta = {
-        "h2_upper": float(-np.log2(f - gap)) if f > gap else float("inf"),
+        "h2_upper": float(-np.log2(f - gap)) - shift if f > gap else float("inf"),
         "fw_gap": float(gap),
         "iterations": iterations,
         "status": status,
     }
-    return EntropyResult(float(-np.log2(best_val)), best_sigma, "optimized", meta)
+    return EntropyResult(float(-np.log2(best_val)) - shift, best_sigma, "optimized", meta)
 
 
 # ---------------------------------------------------------------------------
@@ -346,7 +331,8 @@ def _trace(mat: np.ndarray):
 
 def trace_distance(rho, sigma):
     """Un-halved trace distance ||rho - sigma||_1, of two matrices (a float)
-    or matrix for matrix of two stacks over leading axes (an array)."""
+    or matrix for matrix of two stacks over leading axes (an array). A finite
+    non-Hermitian pair is accepted: its 1-norm is the sum of singular values."""
     return schatten_norm(_finite(rho, "rho") - _finite(sigma, "sigma"), 1)
 
 
@@ -358,9 +344,10 @@ def generalized_trace_distance(rho, sigma):
 
 def fidelity(rho, sigma):
     """||sqrt(rho) sqrt(sigma)||_1, of two PSD matrices or of two stacks; a
-    stack gives each pair's own value bit for bit."""
-    r = mpow(_finite(np.asarray(rho, dtype=complex), "rho"), 0.5)
-    s = mpow(_finite(np.asarray(sigma, dtype=complex), "sigma"), 0.5)
+    stack gives each pair's own value bit for bit. A non-finite or
+    non-Hermitian rho or sigma is refused with its name."""
+    r = mpow(_hermitian(rho, "rho"), 0.5)
+    s = mpow(_hermitian(sigma, "sigma"), 0.5)
     return schatten_norm(r @ s, 1)
 
 

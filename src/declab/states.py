@@ -110,13 +110,12 @@ def apply_channel_mat(ch: ChoiChannel, mat: np.ndarray, dims, subsystem: int = 0
     return t.reshape(n, n), tuple(new_dims)
 
 
-def pinch_mat(mat: np.ndarray, dims, subsystem: int = 0) -> np.ndarray:
+def pinch_mat(mat: np.ndarray, dims) -> np.ndarray:
+    """Pinching on the first subsystem in the computational basis: every
+    block off that subsystem's diagonal set to zero."""
     dims = check_dims(mat, dims)
-    k = len(dims)
-    d = dims[subsystem]
-    shape = [1] * (2 * k)
-    shape[subsystem] = shape[k + subsystem] = d
-    return (mat.reshape(dims + dims) * np.eye(d).reshape(shape)).reshape(mat.shape)
+    d, rest = dims[0], mat.shape[0] // dims[0]
+    return (mat.reshape(d, rest, d, rest) * np.eye(d)[:, None, :, None]).reshape(mat.shape)
 
 
 def classicalize_channel(ch: ChoiChannel) -> ChoiChannel:
@@ -124,12 +123,12 @@ def classicalize_channel(ch: ChoiChannel) -> ChoiChannel:
 
     Its Choi operator is the pinching of the original Choi on the input copy.
     """
-    return ChoiChannel(pinch_mat(ch.choi, (ch.d_in, ch.d_out), 0), ch.d_in, ch.d_out, tp=ch.tp)
+    return ChoiChannel(pinch_mat(ch.choi, (ch.d_in, ch.d_out)), ch.d_in, ch.d_out, tp=ch.tp)
 
 
 def is_cq(rho: DensityOp) -> bool:
     """True iff all off-diagonal blocks on the first subsystem vanish (to 1e-10)."""
-    return bool(np.abs(rho.mat - pinch_mat(rho.mat, rho.dims, 0)).max() <= 1e-10)
+    return bool(np.abs(rho.mat - pinch_mat(rho.mat, rho.dims)).max() <= 1e-10)
 
 
 def random_density(d: int, rank: int | None = None, seed=0, dims=None) -> DensityOp:
@@ -144,12 +143,11 @@ def random_density(d: int, rank: int | None = None, seed=0, dims=None) -> Densit
     return DensityOp(m, dims if dims is not None else (d,))
 
 
-def random_cq(dims, seed=0, trace: float = 1.0) -> DensityOp:
-    """Random state that is classical on the first subsystem."""
-    d = int(np.prod(dims))
-    rho = random_density(d, seed=seed, dims=dims)
-    m = pinch_mat(rho.mat, rho.dims, 0) * trace
-    return DensityOp(m, tuple(dims))
+def random_cq(dims, seed=0) -> DensityOp:
+    """Random trace-1 state that is classical on the first subsystem: the
+    pinching of a `random_density` state there."""
+    rho = random_density(int(np.prod(dims)), seed=seed, dims=dims)
+    return DensityOp(pinch_mat(rho.mat, rho.dims), rho.dims)
 
 
 def random_channel(d_in: int, d_out: int, tp: bool = True, seed=0) -> ChoiChannel:

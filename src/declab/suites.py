@@ -17,7 +17,7 @@ from typing import Callable
 import numpy as np
 
 from . import symgroup, twirl, verify
-from ._groupavg import element_chunks, orbit_mean
+from ._groupavg import orbit_mean
 from .entropy import (
     generalized_trace_distance,
     h2_cond,
@@ -26,7 +26,6 @@ from .entropy import (
 )
 from .linalg import schatten_norm, swap_operator, tensor
 from .states import (
-    DensityOp,
     classical_correlated,
     cq_decoupling_state,
     max_entangled,
@@ -140,22 +139,14 @@ def check_decoupling_lemma(cfg: SuiteConfig):
 
 def mc_cross_check(seed, n_mc: int = 100_000) -> VerificationReport:
     """Monte Carlo Haar average of the squared 2-norm deviation at d_A = 2,
-    compared with the closed right side within three standard errors.
-
-    The samples are drawn and scored one kernel chunk (`element_chunks`) at a
-    time, so no more than one chunk of unitaries is ever held. haar_samples
-    consumes its generator sample by sample, so the values are those of one
-    batch of n_mc samples from the same generator.
-    """
-    verify.require_samples(n_mc)
+    compared with the closed right side within three standard errors. The
+    samples are drawn and scored one kernel chunk at a time
+    (`verify._haar_deviation_norms`)."""
     rng = np.random.default_rng([seed, 77])
     d_a = d_r = d_e = 2
     rho = random_density(d_a * d_r, seed=int(rng.integers(2**31)), dims=(d_a, d_r))
     ch = random_channel(d_a, d_e, tp=False, seed=int(rng.integers(2**31)))
-    vals = np.concatenate([
-        verify._deviation_norms(ch, rho.mat, rho.dims,
-                                twirl.haar_samples(d_a, sl.stop - sl.start, rng), 2) ** 2
-        for sl in element_chunks(n_mc, rho.dims, unitary=True, d_out=d_e)])
+    vals = verify._haar_deviation_norms(rho, ch, n_mc, rng, 2) ** 2
     rhs = verify.haar_lemma_rhs(rho.mat, rho.dims, ch)
     lhs, se = verify.mean_se(vals)
     return equality_report("decoupling_lemma_mc", lhs, rhs, 1e-12, se=se,
@@ -505,11 +496,10 @@ def _hmin_minus_h2(seeds, solves: list) -> dict:
         scale = float(rng.uniform(0.3, 1.0))
         rho = random_density(d_a * d_b, rank=rank, seed=int(rng.integers(2**31)),
                              dims=(d_a, d_b))
-        rho = DensityOp(rho.mat * scale, rho.dims)
-        res = h_min_cond(rho.mat, rho.dims)
+        mat = rho.mat * scale
+        res = h_min_cond(mat, rho.dims)
         solves.append(res)
-        h2 = h2_cond(rho.mat, rho.dims, optimize=True,
-                     zeta_start=res.optimizer).value
+        h2 = h2_cond(mat, rho.dims, optimize=True, zeta_start=res.optimizer).value
         out.append(res.value - h2)
     return {"hmin_le_h2": np.array(out)}
 

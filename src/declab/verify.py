@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._groupavg import channel_values, perm_stack
+from ._groupavg import channel_values, element_chunks, perm_stack
 from .entropy import h2_cond, h_min_cond
 from .linalg import mpow, pair_indices, partial_trace, schatten_norm, tensor
 from .states import (
@@ -135,7 +135,7 @@ def perm_lemma_rhs(ch: ChoiChannel, d_r: int) -> float:
     Choi operator pinched on A. At d_R = d_A it is the Haar lemma right side on
     the maximally entangled input."""
     d_a = ch.d_in
-    w_cl = pinch_mat(ch.choi, (d_a, ch.d_out), 0)
+    w_cl = pinch_mat(ch.choi, (d_a, ch.d_out))
     tr_w2 = schatten_norm(ch.choi, 2) ** 2
     tr_we2 = schatten_norm(ch.env_marginal, 2) ** 2
     tr_wcl2 = schatten_norm(w_cl, 2) ** 2
@@ -169,10 +169,17 @@ def _trace_out(d_a1: int, d_a2: int) -> ChoiChannel:
     return ChoiChannel(w @ w.T / (d_a1 * d_a2), d_a1 * d_a2, d_a1, tp=True)
 
 
-def _haar_deviation_norms(rho: DensityOp, ch: ChoiChannel, n_samples: int, seed) -> np.ndarray:
+def _haar_deviation_norms(rho: DensityOp, ch: ChoiChannel, n_samples: int, rng,
+                          p) -> np.ndarray:
+    """`_deviation_norms` of n_samples Haar unitaries drawn from rng (a generator
+    or seed) one kernel chunk at a time; haar_samples consumes rng sample by
+    sample, so the values are those of one batch of n_samples."""
     require_samples(n_samples)
-    us = haar_samples(rho.dims[0], n_samples, np.random.default_rng(seed))
-    return _deviation_norms(ch, rho.mat, rho.dims, us, 1)
+    rng = np.random.default_rng(rng)
+    return np.concatenate([
+        _deviation_norms(ch, rho.mat, rho.dims,
+                         haar_samples(rho.dims[0], sl.stop - sl.start, rng), p)
+        for sl in element_chunks(n_samples, rho.dims, unitary=True, d_out=ch.d_out)])
 
 
 def _h2_pair(rho_mat, rho_dims, ch: ChoiChannel):
@@ -208,7 +215,7 @@ def verify_decoupling_theorem(rho: DensityOp, ch: ChoiChannel, n_samples: int = 
     """Sampled Haar average of the 1-norm deviation against the collision-entropy
     bound 2^(-H2/2 - H2/2)."""
     d_a, d_r = rho.dims
-    vals = _haar_deviation_norms(rho, ch, n_samples, seed)
+    vals = _haar_deviation_norms(rho, ch, n_samples, seed, 1)
     h2_rho, h2_om = _h2_pair(rho.mat, rho.dims, ch)
     rhs = 2.0 ** (-0.5 * h2_om - 0.5 * h2_rho)
     lhs, se = mean_se(vals)
@@ -222,7 +229,7 @@ def verify_improved_decoupling(rho: DensityOp, ch: ChoiChannel, n_samples: int =
     """Sampled Haar average against the min-entropy bound with the two bracket
     terms 2^(-Hmin) - tr/d_A and the 1-norm deviation factors."""
     d_a, d_r = rho.dims
-    vals = _haar_deviation_norms(rho, ch, n_samples, seed)
+    vals = _haar_deviation_norms(rho, ch, n_samples, seed, 1)
     solves = (h_min_cond(rho.mat, rho.dims), h_min_cond(ch.choi, (ch.d_in, ch.d_out)))
     hmin_rho, hmin_om = (res.value for res in solves)
     tr_rho_r = float(np.trace(rho.mat).real)
@@ -398,7 +405,7 @@ def verify_distance_from_classicality(ch: ChoiChannel, d_r: int) -> Verification
     reps = perm_stack(image_set_perms(d_a, d_r))
     norms2, norms1 = _channel_norms(ch, st, (d_a, d_r), reps, (2, 1)).T
     lhs = float(np.mean(norms2 ** 2))
-    w_cl = pinch_mat(ch.choi, (d_a, ch.d_out), 0)
+    w_cl = pinch_mat(ch.choi, (d_a, ch.d_out))
     rhs = ((d_a / d_r) * (d_r - 1) / (d_a - 1) * schatten_norm(ch.choi - w_cl, 2) ** 2)
     report = equality_report("distance_from_classicality", lhs, rhs,
                              dims={"d_A": d_a, "d_R": d_r, "d_E": ch.d_out})
@@ -456,7 +463,7 @@ def verify_quantum_hash(rho: DensityOp, d_a1: int, d_a2: int) -> VerificationRep
     zeta = res.optimizer
     sandwich = tensor(np.eye(d_a), mpow(zeta, -0.25))
     tilde = sandwich @ rho.mat @ sandwich
-    tilde_cl = pinch_mat(tilde, rho.dims, 0)
+    tilde_cl = pinch_mat(tilde, rho.dims)
     lhs2 = float(np.mean(_deviation_norms(tr_a2, tilde, rho.dims, reps, 2) ** 2))
     rhs2 = ((d_a1 - 1) / (d_a - 1) * schatten_norm(tilde, 2) ** 2
             + (d_a1 - 1) * (d_a2 - 1) / (d_a - 1) * schatten_norm(tilde_cl, 2) ** 2

@@ -1,3 +1,5 @@
+import inspect
+import math
 import warnings
 
 import numpy as np
@@ -48,7 +50,7 @@ def test_h_min_cond_max_entangled(d):
 def test_h_min_cond_helstrom_closed_form(d_b):
     # classical bit A: 2^-H_min is the Helstrom guessing probability
     # (tr rho + ||rho_0 - rho_1||_1) / 2 of the sub-normalized blocks
-    rho = random_cq((2, d_b), seed=20 + d_b, trace=0.7).mat
+    rho = 0.7 * random_cq((2, d_b), seed=20 + d_b).mat
     blocks = rho.reshape(2, d_b, 2, d_b)
     p_guess = (np.trace(rho).real + trace_distance(blocks[0, :, 0], blocks[1, :, 1])) / 2
     _assert_hmin_bracket(rho, (2, d_b), -np.log2(p_guess))
@@ -167,27 +169,39 @@ def test_failed_hmin_solve_is_never_converged(monkeypatch, routine):
 def test_h2_cond_product_uniform():
     rho_b = random_density(3, seed=4).mat
     rho = tensor(np.eye(4) / 4, rho_b)
-    res = h2_cond(rho, (4, 3), sigma=rho_b)
+    res = h2_cond(rho, (4, 3))
     assert abs(res.value - 2.0) < 1e-10
     assert res.method == "fixed_sigma"
 
 
 def test_h2_cond_max_entangled():
     phi = max_entangled(2)
-    res = h2_cond(phi.mat, phi.dims, sigma=np.eye(2) / 2)
+    res = h2_cond(phi.mat, phi.dims)
     assert abs(res.value + 1.0) < 1e-10
 
 
 def test_h2_cond_support_violation():
     rho = random_density(4, seed=5, dims=(2, 2))
-    with pytest.raises(ValueError):
-        h2_cond(rho.mat, rho.dims, sigma=np.diag([1.0, 0.0]))
+    with pytest.raises(ValueError, match="^support of zeta_start"):
+        h2_cond(rho.mat, rho.dims, optimize=True, zeta_start=np.diag([1.0, 0.0]))
 
 
-def test_h2_cond_refuses_fixed_sigma_with_optimize():
+@pytest.mark.parametrize("kind", ["nan", "skew"])
+def test_h2_cond_refuses_non_finite_or_non_hermitian_zeta_start(kind):
+    rho = random_density(4, seed=5, dims=(2, 2))
+    zeta = np.array([[0.5, 0.1j], [0.1j, 0.5]]) if kind == "skew" else np.diag([np.nan, 1.0])
+    message = "is not Hermitian" if kind == "skew" else "has a non-finite entry"
+    with pytest.raises(ValueError, match=f"^zeta_start {message}"):
+        h2_cond(rho.mat, rho.dims, optimize=True, zeta_start=zeta)
+
+
+def test_h2_cond_takes_no_sigma():
+    # sigma is the marginal or optimized; optimize is keyword-only, so no
+    # positional third argument can be read as a sigma
+    assert "sigma" not in inspect.signature(h2_cond).parameters
     rho = random_density(6, seed=3, dims=(3, 2))
-    with pytest.raises(ValueError, match="sigma.*optimize"):
-        h2_cond(rho.mat, rho.dims, sigma=rho.marginal([1]), optimize=True)
+    with pytest.raises(TypeError):
+        h2_cond(rho.mat, rho.dims, True)
 
 
 @pytest.mark.parametrize("entropy_of", [h_min_cond, h2_cond])
@@ -227,25 +241,42 @@ def test_entropies_refuse_non_finite_or_non_hermitian_input(name, kind):
         ENTROPIES[name](_spoiled(kind), (3, 2))
 
 
-@pytest.mark.parametrize("kind", ["nan", "inf"])
+@pytest.mark.parametrize("kind", ["nan", "inf", "skew"])
 @pytest.mark.parametrize("which", ["rho", "sigma"])
 @pytest.mark.parametrize("name", list(DISTANCES))
 def test_distances_refuse_non_finite_input(name, which, kind):
-    # refused before the SVD or eigensolve, which raised LinAlgError on nan
+    # refused before the SVD or eigensolve, which raised LinAlgError on nan;
+    # a skew argument is refused by name before mpow, except by the trace
+    # distances, whose SVD is defined for it
     good = random_density(6, seed=5).mat
     args = {"rho": good, "sigma": good, which: _spoiled(kind)}
-    with pytest.raises(ValueError, match=f"^{which} has a non-finite entry"):
+    if kind == "skew" and name.endswith("trace_distance"):
+        assert DISTANCES[name](args["rho"], args["sigma"]) > 0
+        return
+    message = "is not Hermitian within tolerance" if kind == "skew" else "has a non-finite entry"
+    with pytest.raises(ValueError, match=f"^{which} {message}"):
         DISTANCES[name](args["rho"], args["sigma"])
 
 
-def test_h2_cond_fixed_sigma_scale_invariant():
-    # H2 at a fixed sigma depends on sigma / tr sigma only
-    rho = random_density(6, seed=3, dims=(3, 2))
-    rho_b = rho.marginal([1])
-    ref = h2_cond(rho.mat, rho.dims, sigma=rho_b).value
-    for c in (2.0, 0.5):
-        assert abs(h2_cond(rho.mat, rho.dims, sigma=c * rho_b).value - ref) <= 1e-12
-    assert ref <= h2_cond(rho.mat, rho.dims, optimize=True).meta["h2_upper"]
+@given(kind=st.sampled_from(["pure", "product", "diagonal"]),
+       d_a=st.integers(2, 4), d_b=st.integers(2, 4), rank=st.integers(1, 4),
+       log_c=st.floats(-300, 0), seed=st.integers(0, 2**31 - 1))
+@settings(max_examples=30, deadline=None, derandomize=True)
+def test_entropies_scale_free_down_to_1e_300(kind, d_a, d_b, rank, log_c, seed):
+    # H(c rho) + log2 c = H(rho): every entropy runs on rho / tr rho; H2 once
+    # squared entries of order c, which returned inf from c = 1e-200
+    rho, _ = _closed_form_state(kind, d_a, d_b, rank, seed)
+    c = 10.0 ** log_c
+    for name, entropy_of in ENTROPIES.items():
+        ref = entropy_of(rho, (d_a, d_b)).value
+        assert abs(entropy_of(c * rho, (d_a, d_b)).value + np.log2(c) - ref) <= 1e-9, name
+
+
+def _h2_at(mat, dims, sigma):
+    """H2 of mat scored at sigma / tr sigma, as h2_cond scores each start."""
+    scale = float(np.trace(mat).real)
+    sigma = sigma / np.trace(sigma).real
+    return float(-np.log2(entropy._h2_value(mat / scale, dims, sigma))) - math.log2(scale)
 
 
 def test_h2_monotone_and_min_entropy_bound():
@@ -342,8 +373,7 @@ def test_h2_optimized_never_below_starts_and_deterministic():
         res = runs[0]
         assert res.meta["status"] == "converged"
         assert res.value >= h2_cond(rho.mat, rho.dims).value
-        assert res.value >= h2_cond(rho.mat, rho.dims,
-                                    sigma=zeta / np.trace(zeta).real).value
+        assert res.value >= _h2_at(rho.mat, rho.dims, zeta)
         assert res.value <= res.meta["h2_upper"]
         assert res.value == runs[1].value
         assert res.optimizer.tobytes() == runs[1].optimizer.tobytes()
@@ -358,7 +388,7 @@ def test_h2_optimized_scores_every_start(monkeypatch):
         rho = random_density(6, seed=seed, dims=(3, 2))
         zeta = h_min_cond(rho.mat, rho.dims).optimizer
         res = h2_cond(rho.mat, rho.dims, optimize=True, zeta_start=zeta)
-        at_zeta = h2_cond(rho.mat, rho.dims, sigma=zeta / np.trace(zeta).real).value
+        at_zeta = _h2_at(rho.mat, rho.dims, zeta)
         assert res.meta["status"] == "max_iter"
         assert res.value == at_zeta > h2_cond(rho.mat, rho.dims).value + 1e-4
 

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from declab import _groupavg, suites, twirl
+from declab import _groupavg, suites, verify
 from declab._groupavg import (
     channel_values,
     element_chunks,
@@ -226,7 +226,9 @@ def test_haar_stack(chunked):
     rho = random_density(d_a * d_r, seed=6, dims=(d_a, d_r))
     ch = random_channel(d_a, 2, tp=True, seed=7)
     rep = verify_decoupling_theorem(rho, ch, n_samples=n, seed=8)
-    assert_ragged(sizes)
+    # the samples' chunks, then the kernel's one chunk of each
+    assert sizes[:len(sizes) // 2] == sizes[len(sizes) // 2:]
+    assert_ragged(sizes[:len(sizes) // 2])
     us = haar_samples(d_a, n, np.random.default_rng(8))
     target = tensor(ch.env_marginal, partial_trace(rho.mat, rho.dims, [1]))
     ref = reference_norms(ch, rho.mat, rho.dims, us, 1, target)
@@ -308,13 +310,13 @@ def test_mc_cross_check_streams_one_chunk_at_a_time(monkeypatch, n_mc):
     vals = channel_values(ch, rho.mat, rho.dims, haar_samples(2, n_mc, rng),
                           lambda out: schatten_norm(out - target, 2) ** 2)
     drawn = []
-    samples = twirl.haar_samples
+    samples = verify.haar_samples
 
     def spy(d, n, rng):
         drawn.append(n)
         return samples(d, n, rng)
 
-    monkeypatch.setattr(twirl, "haar_samples", spy)
+    monkeypatch.setattr(verify, "haar_samples", spy)
     rep = suites.mc_cross_check(0, n_mc)
     step = element_chunks(n_mc, (2, 2), unitary=True, d_out=2)[0].stop
     assert sum(drawn) == n_mc and max(drawn) == step and n_mc % step

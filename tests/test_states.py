@@ -39,7 +39,7 @@ def test_classical_correlated():
     assert np.allclose(t, np.diag([0.5, 0, 0, 0.5]))
     # pinching the entangled state gives the classically correlated one
     phi = max_entangled(3)
-    assert np.allclose(pinch_mat(phi.mat, phi.dims, 0), classical_correlated(3).mat)
+    assert np.allclose(pinch_mat(phi.mat, phi.dims), classical_correlated(3).mat)
     for d in (2, 4):
         rho = classical_correlated(d)
         assert np.allclose(rho.marginal([0]), np.eye(d) / d)
@@ -147,12 +147,12 @@ def test_classicalize_channel():
 
 def test_classicalize_state():
     diag = np.diag([0.5, 0.2, 0.3])
-    assert np.allclose(pinch_mat(diag, (3,), 0), diag)
-    assert np.allclose(pinch_mat(max_entangled(2).mat, (2, 2), 0),
+    assert np.allclose(pinch_mat(diag, (3,)), diag)
+    assert np.allclose(pinch_mat(max_entangled(2).mat, (2, 2)),
                        classical_correlated(2).mat)
     for seed in range(20):
         rho = random_density(6, seed=100 + seed, dims=(3, 2))
-        pinched = DensityOp(pinch_mat(rho.mat, rho.dims, 0), rho.dims)
+        pinched = DensityOp(pinch_mat(rho.mat, rho.dims), rho.dims)
         # pinching cannot increase purity
         assert (np.trace(pinched.mat @ pinched.mat).real
                 <= np.trace(rho.mat @ rho.mat).real + 1e-12)
@@ -205,11 +205,13 @@ def test_density_op_validation():
         ChoiChannel(np.diag([0.5, 0.5, 0.0, 0.0]), 2, 2, tp=True)   # not TP
 
 
-def test_pinch_mat_second_subsystem():
-    rho = random_density(6, seed=13, dims=(2, 3))
-    pinched = pinch_mat(rho.mat, (2, 3), 1)
-    blocks = rho.mat.reshape(2, 3, 2, 3)
-    expect = np.zeros_like(blocks)
-    for j in range(3):
-        expect[:, j, :, j] = blocks[:, j, :, j]
-    assert np.allclose(pinched, expect.reshape(6, 6))
+def test_pinch_mat_first_subsystem():
+    # every block off the first subsystem's diagonal is zeroed, the rest kept
+    for dims in [(2, 3), (3, 2), (2, 2, 2)]:
+        n = int(np.prod(dims))
+        rho = random_density(n, seed=13, dims=dims)
+        blocks = rho.mat.reshape(dims[0], n // dims[0], dims[0], n // dims[0])
+        expect = np.zeros_like(blocks)
+        for a in range(dims[0]):
+            expect[a, :, a] = blocks[a, :, a]
+        assert np.array_equal(pinch_mat(rho.mat, dims), expect.reshape(n, n))
