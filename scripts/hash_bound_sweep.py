@@ -11,9 +11,8 @@ import argparse
 
 import numpy as np
 
-from declab.entropy import h_min_cond
 from declab.linalg import tensor
-from declab.states import DensityOp, random_cq
+from declab.states import DensityOp, random_cq, random_density
 from declab.verify import verify_cq_hash, verify_quantum_hash
 
 
@@ -27,14 +26,16 @@ def main():
     ap.add_argument("--quantum", action="store_true",
                     help="use a fully quantum input and the 2 d_A1 bound")
     args = ap.parse_args()
+    if args.steps < 2:
+        ap.error(f"argument --steps: needs at least 2 mixing weights, got {args.steps}")
 
     d_a = args.d_a1 * args.d_a2
-    rho0 = random_cq((d_a, args.d_r), seed=args.seed)
     if args.quantum:
-        from declab.states import random_density
-
         rho0 = random_density(d_a * args.d_r, seed=args.seed, dims=(d_a, args.d_r))
+    else:
+        rho0 = random_cq((d_a, args.d_r), seed=args.seed)
     uniform = tensor(np.eye(d_a) / d_a, rho0.marginal([1]))
+    verifier = verify_quantum_hash if args.quantum else verify_cq_hash
 
     print(f"# split {args.d_a1} x {args.d_a2}, d_R = {args.d_r}, seed {args.seed}, "
           f"{'quantum' if args.quantum else 'CQ'} input")
@@ -42,12 +43,8 @@ def main():
     for k in range(args.steps):
         w = k / (args.steps - 1)
         mixed = DensityOp((1 - w) * rho0.mat + w * uniform, rho0.dims)
-        if args.quantum:
-            rep = verify_quantum_hash(mixed, args.d_a1, args.d_a2)
-        else:
-            rep = verify_cq_hash(mixed, args.d_a1, args.d_a2)
-        hmin = h_min_cond(mixed.mat, mixed.dims).value
-        print(f"{w:5.2f} {hmin:10.4f} {rep.lhs:13.6f} {rep.rhs:10.6f} "
+        rep = verifier(mixed, args.d_a1, args.d_a2)
+        print(f"{w:5.2f} {rep.meta['hmin']:10.4f} {rep.lhs:13.6f} {rep.rhs:10.6f} "
               f"{rep.rhs - rep.lhs:10.6f}")
 
 

@@ -6,11 +6,12 @@ runs through one of two kernels.
 A channel average moves each element onto the channel: T(g X g^dagger) is
 T o Ad_g applied to the fixed operator X, and the kernel of T o Ad_g is the
 channel's kernel with its input indices transformed, a gather for a
-permutation and g^T K_ef conj(g) for a unitary. `channel_values` takes its
+permutation and g^T K_ef conj(g) for a unitary. `channel_norms` takes its
 elements as one array, an integer array (n, d) of permutations (row k maps j
 to perms[k, j], as in symgroup) or a complex array (n, d, d) of unitaries,
-builds a chunk's kernels and applies them all to X in one matrix product, so
-no stack of conjugated inputs is ever formed.
+builds a chunk's kernels, applies them all to X in one matrix product, so
+no stack of conjugated inputs is ever formed, and returns the Schatten norms
+of the outputs, or of their distances from a fixed target.
 
 A second moment, the twirl of an operator on two copies, conjugates it by
 U (x) U. `two_copy_lifts` forms that lift for a chunk of unitaries at a time
@@ -30,6 +31,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .linalg import schatten_norm
+
 CHUNK_BYTES = 1 << 19       # bytes of arrays live per chunk
 
 
@@ -41,11 +44,12 @@ def chunks(n: int, item_bytes: int) -> list[slice]:
 
 
 def element_chunks(n_elems: int, dims, unitary: bool, d_out: int) -> list[slice]:
-    """Chunks of n_elems group elements for `channel_values` through a channel
+    """Chunks of n_elems group elements for `channel_norms` through a channel
     from the first factor A of dims to E of dimension d_out, R the second
     factor: per element the kernel of d_E^2 d_A^2 entries (two while a
     unitary's is formed) and five arrays of the output's d_E^2 d_R^2 entries
-    (the product, the output stack and three of the norms' temporaries)."""
+    (the product, the output stack, its difference from the target and two of
+    the norms' temporaries)."""
     d_a, d_r = dims
     return chunks(n_elems, 16 * d_out ** 2 * ((2 if unitary else 1) * d_a ** 2 + 5 * d_r ** 2))
 
@@ -113,32 +117,36 @@ def orbit_mean(x: np.ndarray, d: int, k: int) -> np.ndarray:
     return (sums / np.bincount(labels)[:, None])[labels].reshape(x.shape)
 
 
-def _channel_chunk(kernel: np.ndarray, x: np.ndarray, elems: np.ndarray, dims) -> np.ndarray:
-    """T o Ad_g applied to X for every element g of one chunk, as a stack on
-    E x R; kernel is K as [(e f), (a b)] and x is X as [(a b), (r s)]. The
-    chunk's kernels and product are freed on return, before the stack is
-    scored."""
+def _chunk_norms(kernel: np.ndarray, x: np.ndarray, elems: np.ndarray, dims, ps,
+                 target) -> np.ndarray:
+    """The rows of `channel_norms` for one chunk of elements; kernel is K as
+    [(e f), (a b)] and x is X as [(a b), (r s)]. One name holds the chunk's
+    kernels, then their product, then the output stack (less the target), so
+    each is freed once the next is formed and only the last is scored."""
     d_a, d_r, d_e = dims
     if _is_perm(elems):
-        kg = np.take(kernel, elems[:, :, None] * d_a + elems[:, None, :], axis=1)
+        out = np.take(kernel, elems[:, :, None] * d_a + elems[:, None, :], axis=1)
     else:
-        kg = (elems.transpose(0, 2, 1)[None] @ kernel.reshape(-1, 1, d_a, d_a)
-              @ elems.conj()[None])
-    out = (kg.reshape(-1, d_a * d_a) @ x).reshape(d_e, d_e, len(elems), d_r, d_r)
-    return out.transpose(2, 0, 3, 1, 4).reshape(len(elems), d_e * d_r, d_e * d_r)
+        out = (elems.transpose(0, 2, 1)[None] @ kernel.reshape(-1, 1, d_a, d_a)
+               @ elems.conj()[None])
+    out = (out.reshape(-1, d_a * d_a) @ x).reshape(d_e, d_e, len(elems), d_r, d_r)
+    out = out.transpose(2, 0, 3, 1, 4).reshape(len(elems), d_e * d_r, d_e * d_r)
+    if target is not None:
+        out = out - target
+    return np.stack([schatten_norm(out, p) for p in ps], axis=-1)
 
 
-def channel_values(ch, mat: np.ndarray, dims, elems: np.ndarray, fn) -> np.ndarray:
-    """fn applied chunk by chunk to the stack T(g X g^dagger) over the
-    elements g, each acting on the first factor A of the operator X = mat on
-    A x R, for the channel T from A to E; fn maps a stack to one value (or one
-    row of values) per operator, and the rows come back in element order.
+def channel_norms(ch, mat: np.ndarray, dims, elems: np.ndarray, ps, target=None) -> np.ndarray:
+    """Schatten p-norms of T(g X g^dagger) - target, one row per element g in
+    element order and one column per p in ps, each g acting on the first
+    factor A of the operator X = mat on A x R, for the channel T from A to E;
+    with no target, the norms of the outputs themselves.
 
     g moves onto the channel: with the kernel K[e, f, a, b] = d_A omega[(a e),
     (b f)] of T, the kernel of T o Ad_g is K_g[e, f] = g^T K[e, f] conj(g),
     which for a permutation is the gather K[e, f, g(a), g(b)]. A chunk is one
     product of its (k d_E^2, d_A^2) kernels with X arranged as [(a b), (r s)],
-    and one transpose of that product into the output stack.
+    one transpose of that product into the output stack, and its norms.
     """
     d_a, d_r = (int(d) for d in dims)
     d_e = ch.d_out
@@ -146,5 +154,5 @@ def channel_values(ch, mat: np.ndarray, dims, elems: np.ndarray, fn) -> np.ndarr
         d_e * d_e, d_a * d_a)
     x = mat.reshape(d_a, d_r, d_a, d_r).transpose(0, 2, 1, 3).reshape(d_a * d_a, d_r * d_r)
     return np.concatenate([
-        fn(_channel_chunk(kernel, x, elems[sl], (d_a, d_r, d_e)))
+        _chunk_norms(kernel, x, elems[sl], (d_a, d_r, d_e), ps, target)
         for sl in element_chunks(len(elems), (d_a, d_r), not _is_perm(elems), d_e)])

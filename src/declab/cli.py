@@ -179,6 +179,8 @@ def cmd_characters(args) -> int:
 
 def cmd_twirl(args) -> int:
     d = args.d
+    if not 2 <= d <= symgroup.MAX_ENUM_D:
+        raise ValueError(f"twirl needs 2 <= --d <= {symgroup.MAX_ENUM_D}, got {d}")
     rng = np.random.default_rng(args.seed)
     h = rng.normal(size=(d * d, d * d)) + 1j * rng.normal(size=(d * d, d * d))
     h = (h + h.conj().T) / 2
@@ -204,7 +206,7 @@ def cmd_twirl(args) -> int:
 
 
 def cmd_circuit_study(args) -> int:
-    pairs = suites.run_circuit_study(args.qubits, args.depths, args.trials, seed=args.seed)
+    pairs = suites.run_circuit_study(args.qubits, args.depths, args.trials, seed=[args.seed])
     if args.output in ("json", "csv"):
         _emit(_table([{"depth": t, "epsilon_bound": e} for t, e in pairs], args.output),
               args.out)

@@ -27,8 +27,7 @@ from .linalg import PINV_RCOND, check_dims, eig_hermitian, mpow, require_hermiti
 class EntropyResult:
     value: float                 # bits
     optimizer: np.ndarray        # normalized achieving sigma/zeta on the conditioning system
-    method: str                  # fixed_sigma | optimized
-    meta: dict | None = None
+    meta: dict | None = None     # None for the fixed-sigma H2
 
 
 def _finite(mat, what: str) -> np.ndarray:
@@ -185,8 +184,7 @@ def h_min_cond(state, dims) -> EntropyResult:
         "iterations": steps,
         "status": "converged" if upper - value <= HMIN_BRACKET_TOL else "wide",
     }
-    return EntropyResult(value=value, optimizer=z / np.trace(z).real,
-                         method="optimized", meta=meta)
+    return EntropyResult(value=value, optimizer=z / np.trace(z).real, meta=meta)
 
 
 def _h2_value(mat: np.ndarray, dims, sigma: np.ndarray) -> float:
@@ -290,7 +288,7 @@ def h2_cond(state, dims, *, optimize: bool = False, zeta_start=None,
     sigma0 = rho_b / np.trace(rho_b).real
     best_sigma, best_val = sigma0, _h2_value(mat, dims, sigma0)
     if not optimize:
-        return EntropyResult(float(-np.log2(best_val)) - shift, best_sigma, "fixed_sigma")
+        return EntropyResult(float(-np.log2(best_val)) - shift, best_sigma)
 
     candidates = []
     if zeta_start is not None:
@@ -318,7 +316,7 @@ def h2_cond(state, dims, *, optimize: bool = False, zeta_start=None,
         "iterations": iterations,
         "status": status,
     }
-    return EntropyResult(float(-np.log2(best_val)) - shift, best_sigma, "optimized", meta)
+    return EntropyResult(float(-np.log2(best_val)) - shift, best_sigma, meta)
 
 
 # ---------------------------------------------------------------------------

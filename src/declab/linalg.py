@@ -89,7 +89,7 @@ def schatten_norm(mat: np.ndarray, p):
         raise ValueError("schatten_norm expects square matrices")
     if p == 2:
         out = np.sqrt((mat.real ** 2 + mat.imag ** 2).sum(axis=(-2, -1)))
-    elif p in (1, np.inf, "inf"):
+    elif p in (1, "inf"):
         herm = _hermitian_mask(mat)
         if herm.all():
             s = np.abs(np.linalg.eigvalsh(mat))

@@ -137,7 +137,7 @@ def check_decoupling_lemma(cfg: SuiteConfig):
     return reports
 
 
-def mc_cross_check(seed, n_mc: int = 100_000) -> VerificationReport:
+def mc_cross_check(seed, n_mc: int) -> VerificationReport:
     """Monte Carlo Haar average of the squared 2-norm deviation at d_A = 2,
     compared with the closed right side within three standard errors. The
     samples are drawn and scored one kernel chunk at a time
@@ -196,16 +196,16 @@ def check_design_circuits(cfg: SuiteConfig):
     return [verify.verify_design_decoupling(ens, rho, ch)]
 
 
-def run_circuit_study(n_qubits: int, depths, trials: int, seed=0):
+def run_circuit_study(n_qubits: int, depths, trials: int, seed: list):
     """(depth, epsilon-bound) pairs for ensembles of random circuits, one
-    per distinct depth, in first-seen order."""
+    per distinct depth, in first-seen order; the ensemble of depth t is drawn
+    from the seed sequence seed + [t]."""
     if n_qubits not in (2, 3):
         raise ValueError("circuit study supports 2 or 3 qubits")
     d = 2 ** n_qubits
-    base = list(seed) if isinstance(seed, (list, tuple)) else [seed]
     out = []
     for t in dict.fromkeys(int(t) for t in depths):
-        ens = twirl.circuit_ensemble(n_qubits, t, trials, seed=base + [t])
+        ens = twirl.circuit_ensemble(n_qubits, t, trials, seed=seed + [t])
         out.append((t, twirl.design_epsilon_bound(ens, d)))
     return out
 

@@ -1,8 +1,8 @@
 """One verifier per decoupling statement: each computes its left side exactly
 or by controlled sampling, its right side from entropies and dimensions, and
 reports pass/fail with the gap. Every averaged left side takes its
-per-element norms from `_channel_norms`; the hash bounds are decoupling
-averages through the channel tr_A2 (`_trace_out`).
+per-element norms from `_groupavg.channel_norms`; the hash bounds are
+decoupling averages through the channel tr_A2 (`_trace_out`).
 
 A uniform average over S_d_A whose value is unchanged by a subgroup runs over
 one permutation per coset, which is the same mean regrouped (every coset has
@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._groupavg import channel_values, element_chunks, perm_stack
+from ._groupavg import channel_norms, element_chunks, perm_stack
 from .entropy import h2_cond, h_min_cond
 from .linalg import mpow, pair_indices, partial_trace, schatten_norm, tensor
 from .states import (
@@ -77,12 +77,6 @@ def bound_report(name, lhs, rhs, tol=BOUND_TOL, se: float = 0.0, **meta) -> Veri
     ok = lhs - 3.0 * se <= rhs + tol
     return VerificationReport(name, "upper_bound", float(lhs), float(rhs), tol, bool(ok),
                               _sampled_meta(meta, se, lhs <= rhs + tol))
-
-
-def require_samples(n: int) -> None:
-    """A sampled record needs two samples for the standard error of its mean."""
-    if n < 2:
-        raise ValueError(f"a sampled average needs at least 2 samples, got {n}")
 
 
 def mean_se(vals: np.ndarray) -> tuple[float, float]:
@@ -143,22 +137,11 @@ def perm_lemma_rhs(ch: ChoiChannel, d_r: int) -> float:
             * ((d_r / d_a) * tr_w2 - tr_we2 / d_a + (1 - d_r / d_a) * tr_wcl2))
 
 
-def _channel_norms(ch: ChoiChannel, mat, dims, elems, ps, target=None) -> np.ndarray:
-    """Schatten p-norms of T(g X g^dagger) - target, one column per p in ps, for
-    every group element g acting on A of the operator X on A x R (no target: of
-    the output itself)."""
-    def norms(out):
-        out = out if target is None else out - target
-        return np.stack([schatten_norm(out, p) for p in ps], axis=-1)
-
-    return channel_values(ch, mat, dims, elems, norms)
-
-
 def _deviation_norms(ch: ChoiChannel, mat, dims, elems, p) -> np.ndarray:
     """Schatten p-norm of T(g rho g^dagger) - omega_E (x) rho_R for every element g
     on A, with omega_E = T(pi_A) the channel's output marginal."""
     target = tensor(ch.env_marginal, partial_trace(mat, dims, [1]))
-    return _channel_norms(ch, mat, dims, elems, (p,), target)[:, 0]
+    return channel_norms(ch, mat, dims, elems, (p,), target)[:, 0]
 
 
 def _trace_out(d_a1: int, d_a2: int) -> ChoiChannel:
@@ -174,7 +157,8 @@ def _haar_deviation_norms(rho: DensityOp, ch: ChoiChannel, n_samples: int, rng,
     """`_deviation_norms` of n_samples Haar unitaries drawn from rng (a generator
     or seed) one kernel chunk at a time; haar_samples consumes rng sample by
     sample, so the values are those of one batch of n_samples."""
-    require_samples(n_samples)
+    if n_samples < 2:
+        raise ValueError(f"a sampled average needs at least 2 samples, got {n_samples}")
     rng = np.random.default_rng(rng)
     return np.concatenate([
         _deviation_norms(ch, rho.mat, rho.dims,
@@ -271,6 +255,13 @@ def _full_group(d_a: int) -> np.ndarray:
     return perm_stack(all_perms(d_a))
 
 
+def _cq_dims(rho: DensityOp) -> tuple[int, int]:
+    """(d_A, d_R) of a state on A x R; ValueError unless it is classical on A."""
+    if not is_cq(rho):
+        raise ValueError("state must be classical on A")
+    return rho.dims
+
+
 def _split(d_a: int, d_a1: int, d_a2: int) -> tuple[int, int]:
     """The split A = A1 x A2 as two ints; ValueError unless both factors are
     at least 1 and their product is d_A."""
@@ -285,9 +276,7 @@ def _split(d_a: int, d_a1: int, d_a2: int) -> tuple[int, int]:
 def verify_cq_decoupling_lemma(rho: DensityOp, ch: ChoiChannel) -> VerificationReport:
     """Exhaustive permutation average of the squared 2-norm deviation equals
     d^2/(d-1) times the product of classicalized deviation norms."""
-    d_a, d_r = rho.dims
-    if not is_cq(rho):
-        raise ValueError("state must be classical on A")
+    d_a, d_r = _cq_dims(rho)
     lhs = float(np.mean(_deviation_norms(ch, rho.mat, rho.dims, _full_group(d_a), 2) ** 2))
     w_cl = classicalize_channel(ch)
     dev_rho = product_difference(rho.mat, rho.dims)
@@ -306,27 +295,23 @@ def verify_cq_hash(rho: DensityOp, d_a1: int, d_a2: int) -> VerificationReport:
     pi_A1 (x) rho_R no relabelling of the blocks, so the group mean is the mean
     over one permutation per partition of A into d_A1 blocks of d_A2 points,
     d_A!/(d_A2!^d_A1 d_A1!) of them (at most 8! = 40 320)."""
-    d_a, d_r = rho.dims
+    d_a, d_r = _cq_dims(rho)
     d_a1, d_a2 = _split(d_a, d_a1, d_a2)
-    if not is_cq(rho):
-        raise ValueError("state must be classical on A")
     lhs = float(np.mean(_deviation_norms(_trace_out(d_a1, d_a2), rho.mat, rho.dims,
                                          perm_stack(block_partition_perms(d_a1, d_a2)), 1)))
     res = h_min_cond(rho.mat, rho.dims)
     rhs = float(np.sqrt(d_a1 * (d_a - d_a2) / (d_a - 1) * 2.0 ** (-res.value)))
     weak = float(np.sqrt(d_a1 * 2.0 ** (-res.value)))
-    return _certified(bound_report("cq_hash", lhs, rhs,
+    return _certified(bound_report("cq_hash", lhs, rhs, hmin=res.value,
                                    weak_rhs=weak, weak_pass=bool(lhs <= weak + BOUND_TOL),
                                    dims={"d_A1": d_a1, "d_A2": d_a2, "d_R": d_r}), [res])
 
 
 def verify_cq_tpcp(rho: DensityOp, ch: ChoiChannel) -> VerificationReport:
     """Permutation decoupling of a CQ state through a trace-preserving map."""
-    d_a, d_r = rho.dims
     if not ch.tp:
         raise ValueError("channel must be trace preserving")
-    if not is_cq(rho):
-        raise ValueError("state must be classical on A")
+    d_a, d_r = _cq_dims(rho)
     d_e = ch.d_out
     lhs = float(np.mean(_deviation_norms(ch, rho.mat, rho.dims, _full_group(d_a), 1)))
     h2 = h2_cond(rho.mat, rho.dims).value
@@ -337,9 +322,7 @@ def verify_cq_tpcp(rho: DensityOp, ch: ChoiChannel) -> VerificationReport:
 def verify_cq_general(rho: DensityOp, ch: ChoiChannel) -> VerificationReport:
     """General CQ decoupling bound sqrt((d_A + 1) 2^(-H2 - H2)) with the
     collision entropy of the classicalized Choi operator."""
-    d_a, d_r = rho.dims
-    if not is_cq(rho):
-        raise ValueError("state must be classical on A")
+    d_a, d_r = _cq_dims(rho)
     lhs = float(np.mean(_deviation_norms(ch, rho.mat, rho.dims, _full_group(d_a), 1)))
     w_cl = classicalize_channel(ch)
     h2_rho = h2_cond(rho.mat, rho.dims).value
@@ -356,10 +339,8 @@ def verify_family_hash(fam: PermFamily, rho: DensityOp, d_a1: int, d_a2: int) ->
     """Hash bound when averaging over a pairwise almost independent family,
     with the epsilon penalty 4 eps d_A inside the square root; eps is the
     family's pairwise dependence."""
-    d_a, d_r = rho.dims
+    d_a, d_r = _cq_dims(rho)
     d_a1, d_a2 = _split(d_a, d_a1, d_a2)
-    if not is_cq(rho):
-        raise ValueError("state must be classical on A")
     fam.require_points(d_a)
     lhs = float(fam.weights @ _deviation_norms(_trace_out(d_a1, d_a2), rho.mat, rho.dims,
                                                perm_stack(fam.perms), 1))
@@ -403,7 +384,7 @@ def verify_distance_from_classicality(ch: ChoiChannel, d_r: int) -> Verification
     phi, tee, _ = _embedded_pair_states(d_a, d_r)
     st = phi - tee
     reps = perm_stack(image_set_perms(d_a, d_r))
-    norms2, norms1 = _channel_norms(ch, st, (d_a, d_r), reps, (2, 1)).T
+    norms2, norms1 = channel_norms(ch, st, (d_a, d_r), reps, (2, 1)).T
     lhs = float(np.mean(norms2 ** 2))
     w_cl = pinch_mat(ch.choi, (d_a, ch.d_out))
     rhs = ((d_a / d_r) * (d_r - 1) / (d_a - 1) * schatten_norm(ch.choi - w_cl, 2) ** 2)
@@ -433,7 +414,7 @@ def verify_perm_decoupling_lemma(ch: ChoiChannel, d_r: int) -> VerificationRepor
     phi, _, pi = _embedded_pair_states(d_a, d_r)
     st = phi - pi
     reps = perm_stack(image_set_perms(d_a, d_r))
-    lhs = float(np.mean(_channel_norms(ch, st, (d_a, d_r), reps, (2,))[:, 0] ** 2))
+    lhs = float(np.mean(channel_norms(ch, st, (d_a, d_r), reps, (2,))[:, 0] ** 2))
     return equality_report("perm_decoupling_lemma", lhs, perm_lemma_rhs(ch, d_r),
                            dims={"d_A": d_a, "d_R": d_r, "d_E": ch.d_out})
 
@@ -456,7 +437,7 @@ def verify_quantum_hash(rho: DensityOp, d_a1: int, d_a2: int) -> VerificationRep
     res = h_min_cond(rho.mat, rho.dims)
     hmin = res.value
     rhs = float(np.sqrt(2 * d_a1 * 2.0 ** (-hmin)))
-    report = _certified(bound_report("quantum_hash", lhs, rhs,
+    report = _certified(bound_report("quantum_hash", lhs, rhs, hmin=hmin,
                                      dims={"d_A1": d_a1, "d_A2": d_a2, "d_R": d_r}), [res])
 
     # intermediate 2-norm inequality for the min-entropy-optimally sandwiched state

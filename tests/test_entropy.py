@@ -171,7 +171,7 @@ def test_h2_cond_product_uniform():
     rho = tensor(np.eye(4) / 4, rho_b)
     res = h2_cond(rho, (4, 3))
     assert abs(res.value - 2.0) < 1e-10
-    assert res.method == "fixed_sigma"
+    assert res.meta is None
 
 
 def test_h2_cond_max_entangled():

@@ -18,14 +18,14 @@ from hypothesis import strategies as st
 
 from declab import _groupavg, suites, verify
 from declab._groupavg import (
-    channel_values,
+    channel_norms,
     element_chunks,
     orbit_mean,
     pattern_labels,
     perm_stack,
     twirl2_mean,
 )
-from declab.linalg import partial_trace, schatten_norm, tensor
+from declab.linalg import partial_trace, tensor
 from declab.states import apply_channel_mat, random_channel, random_cq, random_density
 from declab.symgroup import PermFamily, all_perms, perm_operator
 from declab.twirl import circuit_ensemble, haar_samples, perm_twirl2_brute
@@ -91,10 +91,6 @@ def reference_norms(ch, mat, dims, ops, p, target=0.0):
     return np.array(out)
 
 
-def channel_norms(p, target=0.0):
-    return lambda out: schatten_norm(out - target, p)
-
-
 def test_chunks_cover_in_order(monkeypatch):
     monkeypatch.setattr(_groupavg, "CHUNK_BYTES", 100)
     assert _groupavg.chunks(7, 30) == [slice(0, 3), slice(3, 6), slice(6, 7)]
@@ -109,7 +105,7 @@ def test_all_permutations(chunked, d_a, p):
     ch = random_channel(d_a, 3, tp=False, seed=10 + d_a)
     target = tensor(ch.env_marginal, partial_trace(rho.mat, rho.dims, [1]))
     perms = list(all_perms(d_a))
-    vals = channel_values(ch, rho.mat, rho.dims, perm_stack(perms), channel_norms(p, target))
+    vals = channel_norms(ch, rho.mat, rho.dims, perm_stack(perms), (p,), target)[:, 0]
     assert_ragged(sizes)
     ref = reference_norms(ch, rho.mat, rho.dims, [perm_operator(q) for q in perms], p, target)
     assert close(vals, ref)
@@ -234,7 +230,7 @@ def test_haar_stack(chunked):
     ref = reference_norms(ch, rho.mat, rho.dims, us, 1, target)
     assert close(rep.lhs, ref.mean())
     sizes.clear()
-    vals = channel_values(ch, rho.mat, rho.dims, us, channel_norms(2, target))
+    vals = channel_norms(ch, rho.mat, rho.dims, us, (2,), target)[:, 0]
     assert_ragged(sizes)
     assert close(vals, reference_norms(ch, rho.mat, rho.dims, us, 2, target))
 
@@ -307,8 +303,8 @@ def test_mc_cross_check_streams_one_chunk_at_a_time(monkeypatch, n_mc):
     rho = random_density(4, seed=int(rng.integers(2**31)), dims=(2, 2))
     ch = random_channel(2, 2, tp=False, seed=int(rng.integers(2**31)))
     target = tensor(ch.env_marginal, rho.marginal([1]))
-    vals = channel_values(ch, rho.mat, rho.dims, haar_samples(2, n_mc, rng),
-                          lambda out: schatten_norm(out - target, 2) ** 2)
+    vals = channel_norms(ch, rho.mat, rho.dims, haar_samples(2, n_mc, rng), (2,),
+                         target)[:, 0] ** 2
     drawn = []
     samples = verify.haar_samples
 

@@ -21,6 +21,14 @@ def test_hash_bound_sweep_table(extra):
     assert all(float(row.split()[-1]) >= 0 for row in rows)
 
 
+def test_hash_bound_sweep_refuses_one_step():
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    r = subprocess.run([sys.executable, str(ROOT / "scripts" / "hash_bound_sweep.py"),
+                        "--steps", "1"], capture_output=True, text=True, env=env)
+    assert r.returncode == 2 and r.stdout == ""
+    assert "--steps" in r.stderr
+
+
 def _records(lhs, passed=True):
     return [{"name": "a", "lhs": 1.0, "gap": 0.0, "pass": True, "dims": {"d": 2}},
             {"name": "b", "lhs": lhs, "gap": lhs - 0.5, "pass": passed, "dims": {"d": 3}},

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from declab import entropy, suites, verify
+from declab._groupavg import channel_norms
 from declab.entropy import h_min_cond
 from declab.linalg import mpow, partial_trace, permute_systems, schatten_norm, swap_operator, tensor
 from declab.states import (
@@ -405,11 +406,11 @@ def test_image_set_averages_equal_the_full_group_mean(d_a):
     for d_r in sorted({2, 3, d_a - 1, d_a}):
         ch = random_channel(d_a, 2, tp=False, seed=400 + 10 * d_a + d_r)
         phi, tee, pi = verify._embedded_pair_states(d_a, d_r)
-        norms2, norms1 = verify._channel_norms(ch, phi - tee, (d_a, d_r), full, (2, 1)).T
+        norms2, norms1 = channel_norms(ch, phi - tee, (d_a, d_r), full, (2, 1)).T
         rep = verify_distance_from_classicality(ch, d_r)
         assert close_rel(rep.lhs, np.mean(norms2 ** 2))
         assert close_rel(rep.meta["bound_check"].lhs, np.mean(norms1))
-        norms2 = verify._channel_norms(ch, phi - pi, (d_a, d_r), full, (2,))[:, 0]
+        norms2 = channel_norms(ch, phi - pi, (d_a, d_r), full, (2,))[:, 0]
         assert close_rel(verify_perm_decoupling_lemma(ch, d_r).lhs, np.mean(norms2 ** 2))
 
 
@@ -463,6 +464,23 @@ def test_hash_verifiers_refuse_a_bad_split(d_a1, d_a2):
                 lambda: verify_quantum_hash(cq, d_a1, d_a2)):
         with pytest.raises(ValueError, match=f"split {d_a1} x {d_a2}"):
             run()
+
+
+CQ_VERIFIERS = {
+    "cq_decoupling_lemma": lambda rho: verify_cq_decoupling_lemma(
+        rho, random_channel(4, 2, tp=False, seed=1)),
+    "cq_hash": lambda rho: verify_cq_hash(rho, 2, 2),
+    "cq_tpcp": lambda rho: verify_cq_tpcp(rho, random_channel(4, 2, tp=True, seed=1)),
+    "cq_general": lambda rho: verify_cq_general(rho, random_channel(4, 2, tp=False, seed=1)),
+    "family_hash": lambda rho: verify_family_hash(PermFamily(tuple(all_perms(4))), rho, 2, 2),
+}
+
+
+@pytest.mark.parametrize("name", CQ_VERIFIERS)
+def test_cq_verifiers_refuse_a_state_not_classical_on_a(name):
+    rho = random_density(8, seed=910, dims=(4, 2))
+    with pytest.raises(ValueError, match="classical on A"):
+        CQ_VERIFIERS[name](rho)
 
 
 def test_perm_decoupling_outside_form_at_full_rank():
