@@ -11,6 +11,7 @@ import argparse
 
 import numpy as np
 
+from declab.cli import _int_at_least
 from declab.linalg import tensor
 from declab.states import DensityOp, random_cq, random_density
 from declab.verify import verify_cq_hash, verify_quantum_hash
@@ -18,9 +19,9 @@ from declab.verify import verify_cq_hash, verify_quantum_hash
 
 def main():
     ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--d-a1", type=int, default=2)
-    ap.add_argument("--d-a2", type=int, default=2)
-    ap.add_argument("--d-r", type=int, default=2)
+    ap.add_argument("--d-a1", type=_int_at_least(1), default=2)
+    ap.add_argument("--d-a2", type=_int_at_least(1), default=2)
+    ap.add_argument("--d-r", type=_int_at_least(1), default=2)
     ap.add_argument("--steps", type=int, default=9)
     ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--quantum", action="store_true",
@@ -28,6 +29,8 @@ def main():
     args = ap.parse_args()
     if args.steps < 2:
         ap.error(f"argument --steps: needs at least 2 mixing weights, got {args.steps}")
+    if args.d_a1 * args.d_a2 < 2:
+        ap.error("arguments --d-a1, --d-a2: the split 1 x 1 leaves A one point, needs d_A >= 2")
 
     d_a = args.d_a1 * args.d_a2
     if args.quantum:

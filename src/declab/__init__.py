@@ -29,7 +29,6 @@ from .states import (
     DensityOp,
     apply_channel_mat,
     classical_correlated,
-    classicalize_channel,
     cq_decoupling_state,
     is_cq,
     max_entangled,

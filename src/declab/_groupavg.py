@@ -7,11 +7,14 @@ A channel average moves each element onto the channel: T(g X g^dagger) is
 T o Ad_g applied to the fixed operator X, and the kernel of T o Ad_g is the
 channel's kernel with its input indices transformed, a gather for a
 permutation and g^T K_ef conj(g) for a unitary. `channel_norms` takes its
-elements as one array, an integer array (n, d) of permutations (row k maps j
-to perms[k, j], as in symgroup) or a complex array (n, d, d) of unitaries,
-builds a chunk's kernels, applies them all to X in one matrix product, so
-no stack of conjugated inputs is ever formed, and returns the Schatten norms
-of the outputs, or of their distances from a fixed target.
+elements as one array, as every producer of group elements stores them: an
+integer array (n, d) of permutations (row k maps j to perms[k, j]), from the
+symgroup enumerators or `PermFamily.perms`, or a complex array (n, d, d) of
+unitaries, from `haar_samples` or `UnitaryEnsemble.unitaries`. It builds a
+chunk's kernels, applies them all to X in one matrix product, so no stack of
+conjugated inputs is ever formed, and returns the Schatten norms of the
+outputs, or of their distances from a fixed target. A weighted set, a
+`PermFamily` or a `UnitaryEnsemble`, checks its weights by `check_weights`.
 
 A second moment, the twirl of an operator on two copies, conjugates it by
 U (x) U. `two_copy_lifts` forms that lift for a chunk of unitaries at a time
@@ -58,9 +61,14 @@ def _is_perm(elems: np.ndarray) -> bool:
     return np.issubdtype(elems.dtype, np.integer)
 
 
-def perm_stack(perms) -> np.ndarray:
-    """Permutation tuples as one integer array (n, d)."""
-    return np.array(list(perms), dtype=np.intp)
+def check_weights(weights, n: int) -> np.ndarray:
+    """The weights of n elements as a float array: uniform when weights is
+    None; ValueError unless they have shape (n,), are non-negative (a NaN is
+    not) and sum to 1."""
+    w = np.ones(n) / n if weights is None else np.asarray(weights, dtype=float)
+    if w.shape != (n,) or not (w >= 0).all() or abs(w.sum() - 1.0) > 1e-12:
+        raise ValueError("weights must match the members, be non-negative and sum to 1")
+    return w
 
 
 def two_copy_lifts(n: int, d: int, members):
@@ -149,6 +157,8 @@ def channel_norms(ch, mat: np.ndarray, dims, elems: np.ndarray, ps, target=None)
     one transpose of that product into the output stack, and its norms.
     """
     d_a, d_r = (int(d) for d in dims)
+    if ch.d_in != d_a:
+        raise ValueError(f"channel input dimension {ch.d_in} does not match d_A = {d_a}")
     d_e = ch.d_out
     kernel = d_a * ch.choi.reshape(d_a, d_e, d_a, d_e).transpose(1, 3, 0, 2).reshape(
         d_e * d_e, d_a * d_a)

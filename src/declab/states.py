@@ -118,14 +118,6 @@ def pinch_mat(mat: np.ndarray, dims) -> np.ndarray:
     return (mat.reshape(d, rest, d, rest) * np.eye(d)[:, None, :, None]).reshape(mat.shape)
 
 
-def classicalize_channel(ch: ChoiChannel) -> ChoiChannel:
-    """Channel that first dephases its input in the computational basis.
-
-    Its Choi operator is the pinching of the original Choi on the input copy.
-    """
-    return ChoiChannel(pinch_mat(ch.choi, (ch.d_in, ch.d_out)), ch.d_in, ch.d_out, tp=ch.tp)
-
-
 def is_cq(rho: DensityOp) -> bool:
     """True iff all off-diagonal blocks on the first subsystem vanish (to 1e-10)."""
     return bool(np.abs(rho.mat - pinch_mat(rho.mat, rho.dims)).max() <= 1e-10)

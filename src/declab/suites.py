@@ -314,7 +314,7 @@ def check_family_hash(cfg: SuiteConfig):
     reports = []
     fams = {
         "affine": affine_family(2),
-        "full_group": symgroup.PermFamily(tuple(all_perms(4))),
+        "full_group": symgroup.PermFamily(all_perms(4)),
         "singleton": symgroup.PermFamily((tuple(range(4)),)),
     }
     for label, fam in fams.items():

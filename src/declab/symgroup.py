@@ -2,13 +2,16 @@
 coset representatives and pairwise-independent permutation families over
 GF(2^n).
 
-Permutations are tuples p with p[j] the image of j; partitions are
-non-increasing tuples; a cycle type is the tuple (k_1, ..., k_d) of
-multiplicities with sum i*k_i = d.
+A set of n permutations of d points, whether enumerated (all of S_d, or one
+element per coset of a subgroup) or a family, is one integer array (n, d)
+whose row k maps j to perms[k, j]: the array the group-average kernel reads.
+A single permutation p may be any sequence with p[j] the image of j.
+Partitions are non-increasing tuples; a cycle type is the tuple
+(k_1, ..., k_d) of multiplicities with sum i*k_i = d.
 
-Every enumeration of group elements (all of S_d, or one element per coset of
-a subgroup) is counted in closed form first and refused when the count
-exceeds MAX_ENUM_ELEMENTS = MAX_ENUM_D! = 40 320.
+Every enumeration is counted in closed form first and refused, before any
+element is built, when the count exceeds MAX_ENUM_ELEMENTS = MAX_ENUM_D! =
+40 320.
 """
 
 from __future__ import annotations
@@ -19,6 +22,8 @@ from functools import lru_cache
 from math import comb, factorial, prod
 
 import numpy as np
+
+from ._groupavg import check_weights
 
 MAX_ENUM_D = 8          # guard for full S_d enumeration
 MAX_ENUM_ELEMENTS = factorial(MAX_ENUM_D)   # cap on the elements one enumeration yields
@@ -45,32 +50,34 @@ def perm_operator(p) -> np.ndarray:
     return m
 
 
-def _enumerable(count: int, what: str) -> None:
-    """Raise ValueError, naming the count, if count elements exceed the cap."""
+def _enumerated(count: int, d: int, what: str, perms) -> np.ndarray:
+    """The count permutations of d points that the lazy iterable perms
+    yields, as one array (count, d); ValueError, naming the count, if it
+    exceeds the cap, raised before perms yields anything."""
     if count > MAX_ENUM_ELEMENTS:
         raise ValueError(f"enumeration of {count} {what} refused "
                          f"(more than {MAX_ENUM_D}! = {MAX_ENUM_ELEMENTS})")
+    return np.array(list(perms), dtype=np.intp).reshape(count, d)
 
 
-def all_perms(d: int):
+def all_perms(d: int) -> np.ndarray:
     """All d! permutations in lexicographic order."""
-    _enumerable(factorial(d), f"elements of S_{d}")
-    return (tuple(p) for p in itertools.permutations(range(d)))
+    return _enumerated(factorial(d), d, f"elements of S_{d}", itertools.permutations(range(d)))
 
 
-def image_set_perms(d: int, k: int):
+def image_set_perms(d: int, k: int) -> np.ndarray:
     """One permutation per image set of the first k points, C(d, k) of them:
     for each k-subset S of range(d), in lexicographic order, the permutation
     sending 0..k-1 onto S and k..d-1 onto the rest, both in increasing order.
     These represent the left cosets g (S_k x S_{d-k})."""
     if not 0 <= k <= d:
         raise ValueError(f"needs 0 <= k <= d, got k = {k}, d = {d}")
-    _enumerable(comb(d, k), f"image sets of {k} of {d} points")
-    return (s + tuple(x for x in range(d) if x not in s)
-            for s in itertools.combinations(range(d), k))
+    return _enumerated(comb(d, k), d, f"image sets of {k} of {d} points",
+                       (s + tuple(x for x in range(d) if x not in s)
+                        for s in itertools.combinations(range(d), k)))
 
 
-def _split_perms(d1: int, d2: int, blocks: bool):
+def _split_perms(d1: int, d2: int, blocks: bool) -> np.ndarray:
     """Permutations g of d = d1 * d2 points, point a1 * d2 + a2 the pair
     (a1, a2), in which the first labels g(x) // d2 appear in order of first
     use along x = 0, 1, ..., and the second labels g(x) % d2 do too (blocks:
@@ -79,11 +86,11 @@ def _split_perms(d1: int, d2: int, blocks: bool):
         raise ValueError(f"split {d1} x {d2} needs factors of at least 1")
     d = d1 * d2
     if blocks:
-        _enumerable(factorial(d) // (factorial(d2) ** d1 * factorial(d1)),
-                    f"partitions of {d} points into {d1} blocks of {d2}")
+        count = factorial(d) // (factorial(d2) ** d1 * factorial(d1))
+        what = f"partitions of {d} points into {d1} blocks of {d2}"
     else:
-        _enumerable(factorial(d) // (factorial(d1) * factorial(d2)),
-                    f"cosets of S_{d1} x S_{d2} in S_{d}")
+        count = factorial(d) // (factorial(d1) * factorial(d2))
+        what = f"cosets of S_{d1} x S_{d2} in S_{d}"
     g = [0] * d
     used = [set() for _ in range(d1)]           # second labels taken under each first
 
@@ -100,10 +107,10 @@ def _split_perms(d1: int, d2: int, blocks: bool):
                     yield from extend(x + 1, max(n1, a1 + 1), max(n2, a2 + 1))
                     taken.discard(a2)
 
-    return extend(0, 0, 0)
+    return _enumerated(count, d, what, extend(0, 0, 0))
 
 
-def block_partition_perms(d1: int, d2: int):
+def block_partition_perms(d1: int, d2: int) -> np.ndarray:
     """One permutation per partition of d1 * d2 points into d1 unordered
     blocks of d2, d!/(d2!^d1 d1!) of them: the preimages of the blocks
     {a1 * d2, ..., a1 * d2 + d2 - 1} are the partition's blocks, numbered by
@@ -112,7 +119,7 @@ def block_partition_perms(d1: int, d2: int):
     return _split_perms(d1, d2, blocks=True)
 
 
-def split_coset_perms(d1: int, d2: int):
+def split_coset_perms(d1: int, d2: int) -> np.ndarray:
     """One permutation per right coset (S_d1 x S_d2) g of S_d, d = d1 * d2 with
     point a1 * d2 + a2 the pair (a1, a2), d!/(d1! d2!) of them: the one whose
     labels a1 and a2 each appear in order of first use along x = 0, 1, ..."""
@@ -236,30 +243,28 @@ def hook_dimension(lam) -> int:
 
 @dataclass(frozen=True)
 class PermFamily:
-    perms: tuple
+    """Weighted permutations, stored as one read-only array (n, d), row k
+    mapping j to perms[k, j]; uniform weights when none are given."""
+
+    perms: np.ndarray
     weights: np.ndarray = field(default=None)
 
     def __post_init__(self):
-        perms = tuple(check_permutation(p) for p in self.perms)
-        if not perms or len({len(p) for p in perms}) != 1:
+        members = [check_permutation(p) for p in self.perms]
+        if not members or len({len(p) for p in members}) != 1:
             raise ValueError("a family needs at least one member, all on the same points")
+        perms = np.array(members, dtype=np.intp)
+        perms.flags.writeable = False
         object.__setattr__(self, "perms", perms)
-        if self.weights is None:
-            w = np.full(len(perms), 1.0 / len(perms))
-        else:
-            w = np.asarray(self.weights, dtype=float)
-        # a nan weight fails w >= 0
-        if w.shape != (len(perms),) or not (w >= 0).all() or abs(w.sum() - 1.0) > 1e-12:
-            raise ValueError("weights must match the members, be non-negative and sum to 1")
-        object.__setattr__(self, "weights", w)
+        object.__setattr__(self, "weights", check_weights(self.weights, len(perms)))
 
     def __len__(self):
         return len(self.perms)
 
     def require_points(self, d: int):
         """Raise ValueError unless the members permute d points."""
-        if len(self.perms[0]) != d:
-            raise ValueError(f"family permutes {len(self.perms[0])} points, not d = {d}")
+        if self.perms.shape[1] != d:
+            raise ValueError(f"family permutes {self.perms.shape[1]} points, not d = {d}")
 
 
 def gf2_mul(a: int, b: int, n: int) -> int:
@@ -285,14 +290,13 @@ def affine_family(n: int) -> PermFamily:
     for a in range(1, d):
         for b in range(d):
             members.append(tuple(gf2_mul(a, x, n) ^ b for x in range(d)))
-    return PermFamily(tuple(members))
+    return PermFamily(members)
 
 
-def _pair_distributions(perms, weights, d):
-    """dist[x1*d + x2, y1*d + y2]: total weight of the members mapping the
-    ordered pair (x1, x2) to (y1, y2)."""
-    arr = np.asarray(perms, dtype=np.intp).reshape(-1, d)
-    images = arr[:, :, None] * d + arr[:, None, :]              # (member, x1, x2)
+def _pair_distributions(perms: np.ndarray, weights, d):
+    """dist[x1*d + x2, y1*d + y2]: total weight of the members (rows of perms)
+    mapping the ordered pair (x1, x2) to (y1, y2)."""
+    images = perms[:, :, None] * d + perms[:, None, :]          # (member, x1, x2)
     cells = np.arange(d * d).reshape(d, d) * (d * d) + images
     dist = np.bincount(cells.ravel(), weights=np.repeat(weights, d * d), minlength=d ** 4)
     return dist.reshape(d * d, d * d)
@@ -324,6 +328,6 @@ def classical_diamond_distance(fam: PermFamily, d: int) -> float:
         raise ValueError(f"exhaustive reference refused for d > {MAX_DIAMOND_D}")
     fam.require_points(d)
     dist_w = _pair_distributions(fam.perms, fam.weights, d)
-    group = list(all_perms(d))
+    group = all_perms(d)
     dist_h = _pair_distributions(group, np.full(len(group), 1.0 / len(group)), d)
     return float(np.abs(dist_w - dist_h).sum(axis=1).max())

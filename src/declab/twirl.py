@@ -17,7 +17,7 @@ from itertools import permutations
 
 import numpy as np
 
-from ._groupavg import pattern_labels, two_copy_lifts, twirl2_mean
+from ._groupavg import check_weights, pattern_labels, two_copy_lifts, twirl2_mean
 from .linalg import pair_indices, permute_systems, require_hermitian, swap_operator, tensor
 from .symgroup import MAX_ENUM_D, perm_operator
 
@@ -36,19 +36,17 @@ class TwirlResult:
 
 @dataclass(frozen=True)
 class UnitaryEnsemble:
-    """Weighted unitaries, stored as one read-only stack (n, d, d)."""
+    """Weighted unitaries, stored as one read-only stack (n, d, d); uniform
+    weights when weights is None."""
 
     weights: np.ndarray
     unitaries: np.ndarray
 
     def __post_init__(self):
-        w = np.asarray(self.weights, dtype=float)
         us = np.array(self.unitaries, dtype=complex)
         if us.ndim != 3 or us.shape[1] != us.shape[2]:
             raise ValueError("members must be square matrices of one dimension")
-        # a nan weight fails w >= 0
-        if w.shape != (len(us),) or not (w >= 0).all() or abs(w.sum() - 1.0) > 1e-12:
-            raise ValueError("weights must match members, be non-negative and sum to 1")
+        w = check_weights(self.weights, len(us))
         gram = us.conj().transpose(0, 2, 1) @ us
         if np.abs(gram - np.eye(us.shape[1])).max() > UNITARY_TOL:
             raise ValueError("ensemble member is not unitary within tolerance")

@@ -20,17 +20,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._groupavg import channel_norms, element_chunks, perm_stack
+from ._groupavg import channel_norms, element_chunks
 from .entropy import h2_cond, h_min_cond
 from .linalg import mpow, pair_indices, partial_trace, schatten_norm, tensor
-from .states import (
-    ChoiChannel,
-    DensityOp,
-    classicalize_channel,
-    is_cq,
-    max_entangled,
-    pinch_mat,
-)
+from .states import ChoiChannel, DensityOp, is_cq, max_entangled, pinch_mat
 from .symgroup import (
     PermFamily,
     all_perms,
@@ -182,7 +175,7 @@ def verify_decoupling_lemma(rho_mat, dims, ch: ChoiChannel) -> VerificationRepor
     The exact left side is one contraction of four d_A^4 tensors."""
     d_a, d_r = dims
     if ch.d_in != d_a:
-        raise ValueError("channel input dimension must match subsystem A")
+        raise ValueError(f"channel input dimension {ch.d_in} does not match d_A = {d_a}")
     twirled = haar_twirl2_exact(swap_pullback(ch.choi, ch.d_in, ch.d_out), d_a).reconstructed
     m_e = swap_pullback(rho_mat, d_a, d_r)
     xi = max_entangled(d_a).mat - np.eye(d_a * d_a) / d_a ** 2
@@ -250,11 +243,6 @@ def verify_design_decoupling(ens: UnitaryEnsemble, rho: DensityOp, ch: ChoiChann
 # CQ states under the full permutation group
 # ---------------------------------------------------------------------------
 
-def _full_group(d_a: int) -> np.ndarray:
-    """All permutations of d_A points (at most symgroup.MAX_ENUM_D) as one array."""
-    return perm_stack(all_perms(d_a))
-
-
 def _cq_dims(rho: DensityOp) -> tuple[int, int]:
     """(d_A, d_R) of a state on A x R; ValueError unless it is classical on A."""
     if not is_cq(rho):
@@ -263,8 +251,10 @@ def _cq_dims(rho: DensityOp) -> tuple[int, int]:
 
 
 def _split(d_a: int, d_a1: int, d_a2: int) -> tuple[int, int]:
-    """The split A = A1 x A2 as two ints; ValueError unless both factors are
-    at least 1 and their product is d_A."""
+    """The split A = A1 x A2 as two ints; ValueError unless d_A is at least 2,
+    both factors are at least 1 and their product is d_A."""
+    if d_a < 2:
+        raise ValueError(f"a split needs d_A >= 2, got d_A = {d_a}")
     d_a1, d_a2 = int(d_a1), int(d_a2)
     if min(d_a1, d_a2) < 1:
         raise ValueError(f"split {d_a1} x {d_a2} needs factors of at least 1")
@@ -277,10 +267,10 @@ def verify_cq_decoupling_lemma(rho: DensityOp, ch: ChoiChannel) -> VerificationR
     """Exhaustive permutation average of the squared 2-norm deviation equals
     d^2/(d-1) times the product of classicalized deviation norms."""
     d_a, d_r = _cq_dims(rho)
-    lhs = float(np.mean(_deviation_norms(ch, rho.mat, rho.dims, _full_group(d_a), 2) ** 2))
-    w_cl = classicalize_channel(ch)
+    lhs = float(np.mean(_deviation_norms(ch, rho.mat, rho.dims, all_perms(d_a), 2) ** 2))
+    w_cl = pinch_mat(ch.choi, (d_a, ch.d_out))
     dev_rho = product_difference(rho.mat, rho.dims)
-    dev_om = product_difference(w_cl.choi, (d_a, ch.d_out))
+    dev_om = product_difference(w_cl, (d_a, ch.d_out))
     rhs = (d_a ** 2 / (d_a - 1)
            * schatten_norm(dev_rho, 2) ** 2 * schatten_norm(dev_om, 2) ** 2)
     return equality_report("cq_decoupling_lemma", lhs, rhs,
@@ -298,7 +288,7 @@ def verify_cq_hash(rho: DensityOp, d_a1: int, d_a2: int) -> VerificationReport:
     d_a, d_r = _cq_dims(rho)
     d_a1, d_a2 = _split(d_a, d_a1, d_a2)
     lhs = float(np.mean(_deviation_norms(_trace_out(d_a1, d_a2), rho.mat, rho.dims,
-                                         perm_stack(block_partition_perms(d_a1, d_a2)), 1)))
+                                         block_partition_perms(d_a1, d_a2), 1)))
     res = h_min_cond(rho.mat, rho.dims)
     rhs = float(np.sqrt(d_a1 * (d_a - d_a2) / (d_a - 1) * 2.0 ** (-res.value)))
     weak = float(np.sqrt(d_a1 * 2.0 ** (-res.value)))
@@ -313,7 +303,7 @@ def verify_cq_tpcp(rho: DensityOp, ch: ChoiChannel) -> VerificationReport:
         raise ValueError("channel must be trace preserving")
     d_a, d_r = _cq_dims(rho)
     d_e = ch.d_out
-    lhs = float(np.mean(_deviation_norms(ch, rho.mat, rho.dims, _full_group(d_a), 1)))
+    lhs = float(np.mean(_deviation_norms(ch, rho.mat, rho.dims, all_perms(d_a), 1)))
     h2 = h2_cond(rho.mat, rho.dims).value
     rhs = float(np.sqrt(d_e * (d_a - d_a / d_e) / (d_a - 1) * 2.0 ** (-h2)))
     return bound_report("cq_tpcp", lhs, rhs, dims={"d_A": d_a, "d_R": d_r, "d_E": d_e})
@@ -323,10 +313,10 @@ def verify_cq_general(rho: DensityOp, ch: ChoiChannel) -> VerificationReport:
     """General CQ decoupling bound sqrt((d_A + 1) 2^(-H2 - H2)) with the
     collision entropy of the classicalized Choi operator."""
     d_a, d_r = _cq_dims(rho)
-    lhs = float(np.mean(_deviation_norms(ch, rho.mat, rho.dims, _full_group(d_a), 1)))
-    w_cl = classicalize_channel(ch)
+    lhs = float(np.mean(_deviation_norms(ch, rho.mat, rho.dims, all_perms(d_a), 1)))
+    w_cl = pinch_mat(ch.choi, (d_a, ch.d_out))
     h2_rho = h2_cond(rho.mat, rho.dims).value
-    h2_om = h2_cond(w_cl.choi, (d_a, ch.d_out)).value
+    h2_om = h2_cond(w_cl, (d_a, ch.d_out)).value
     rhs = float(np.sqrt((d_a + 1) * 2.0 ** (-h2_rho - h2_om)))
     return bound_report("cq_general", lhs, rhs, dims={"d_A": d_a, "d_R": d_r, "d_E": ch.d_out})
 
@@ -343,7 +333,7 @@ def verify_family_hash(fam: PermFamily, rho: DensityOp, d_a1: int, d_a2: int) ->
     d_a1, d_a2 = _split(d_a, d_a1, d_a2)
     fam.require_points(d_a)
     lhs = float(fam.weights @ _deviation_norms(_trace_out(d_a1, d_a2), rho.mat, rho.dims,
-                                               perm_stack(fam.perms), 1))
+                                               fam.perms, 1))
     eps = pairwise_dependence(fam, d_a)
     h2 = h2_cond(rho.mat, rho.dims).value
     rhs = float(np.sqrt(d_a1 * ((d_a - d_a2) / (d_a - 1) + 4 * eps * d_a) * 2.0 ** (-h2)))
@@ -383,7 +373,7 @@ def verify_distance_from_classicality(ch: ChoiChannel, d_r: int) -> Verification
     d_a = ch.d_in
     phi, tee, _ = _embedded_pair_states(d_a, d_r)
     st = phi - tee
-    reps = perm_stack(image_set_perms(d_a, d_r))
+    reps = image_set_perms(d_a, d_r)
     norms2, norms1 = channel_norms(ch, st, (d_a, d_r), reps, (2, 1)).T
     lhs = float(np.mean(norms2 ** 2))
     w_cl = pinch_mat(ch.choi, (d_a, ch.d_out))
@@ -413,7 +403,7 @@ def verify_perm_decoupling_lemma(ch: ChoiChannel, d_r: int) -> VerificationRepor
     d_a = ch.d_in
     phi, _, pi = _embedded_pair_states(d_a, d_r)
     st = phi - pi
-    reps = perm_stack(image_set_perms(d_a, d_r))
+    reps = image_set_perms(d_a, d_r)
     lhs = float(np.mean(channel_norms(ch, st, (d_a, d_r), reps, (2,))[:, 0] ** 2))
     return equality_report("perm_decoupling_lemma", lhs, perm_lemma_rhs(ch, d_r),
                            dims={"d_A": d_a, "d_R": d_r, "d_E": ch.d_out})
@@ -432,7 +422,7 @@ def verify_quantum_hash(rho: DensityOp, d_a1: int, d_a2: int) -> VerificationRep
     if d_a < 4:
         raise ValueError("needs d_A >= 4")
     tr_a2 = _trace_out(d_a1, d_a2)
-    reps = perm_stack(split_coset_perms(d_a1, d_a2))
+    reps = split_coset_perms(d_a1, d_a2)
     lhs = float(np.mean(_deviation_norms(tr_a2, rho.mat, rho.dims, reps, 1)))
     res = h_min_cond(rho.mat, rho.dims)
     hmin = res.value

@@ -22,13 +22,12 @@ from declab._groupavg import (
     element_chunks,
     orbit_mean,
     pattern_labels,
-    perm_stack,
     twirl2_mean,
 )
 from declab.linalg import partial_trace, tensor
 from declab.states import apply_channel_mat, random_channel, random_cq, random_density
 from declab.symgroup import PermFamily, all_perms, perm_operator
-from declab.twirl import circuit_ensemble, haar_samples, perm_twirl2_brute
+from declab.twirl import UnitaryEnsemble, circuit_ensemble, haar_samples, perm_twirl2_brute
 from declab.verify import (
     mean_se,
     verify_cq_tpcp,
@@ -104,8 +103,8 @@ def test_all_permutations(chunked, d_a, p):
     rho = random_cq((d_a, 2), seed=d_a)
     ch = random_channel(d_a, 3, tp=False, seed=10 + d_a)
     target = tensor(ch.env_marginal, partial_trace(rho.mat, rho.dims, [1]))
-    perms = list(all_perms(d_a))
-    vals = channel_norms(ch, rho.mat, rho.dims, perm_stack(perms), (p,), target)[:, 0]
+    perms = all_perms(d_a)
+    vals = channel_norms(ch, rho.mat, rho.dims, perms, (p,), target)[:, 0]
     assert_ragged(sizes)
     ref = reference_norms(ch, rho.mat, rho.dims, [perm_operator(q) for q in perms], p, target)
     assert close(vals, ref)
@@ -214,6 +213,18 @@ def test_weighted_family(chunked):
         reduced = partial_trace(conj @ rho.mat @ conj.T, (d_a1, d_a2, d_r), [0, 2])
         ref += w * svd_norm(reduced - target, 1)
     assert close(rep.lhs, ref)
+
+
+@pytest.mark.parametrize("build", [
+    lambda w: PermFamily(((0, 1), (1, 0)), w),
+    lambda w: UnitaryEnsemble(w, (np.eye(2), np.eye(2))),
+], ids=["PermFamily", "UnitaryEnsemble"])
+def test_both_weighted_sets_follow_one_weight_rule(build):
+    assert np.array_equal(build(None).weights, [0.5, 0.5])
+    # too few weights, sums above and below 1, negative weights and a nan weight
+    for weights in ((1.0,), (0.7, 0.7), (0.5, 0.4), (1.5, -0.5), (2.0, -1.0), (np.nan, 1.0)):
+        with pytest.raises(ValueError, match="weights must match the members"):
+            build(np.array(weights))
 
 
 def test_haar_stack(chunked):

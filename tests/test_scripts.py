@@ -22,11 +22,17 @@ def test_hash_bound_sweep_table(extra):
 
 
 def test_hash_bound_sweep_refuses_one_step():
+    # and each dimension that is not an integer >= 1, and the one-point split
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
-    r = subprocess.run([sys.executable, str(ROOT / "scripts" / "hash_bound_sweep.py"),
-                        "--steps", "1"], capture_output=True, text=True, env=env)
-    assert r.returncode == 2 and r.stdout == ""
-    assert "--steps" in r.stderr
+    for args, named in [(["--steps", "1"], "argument --steps"),
+                        (["--d-a1", "0"], "argument --d-a1"),
+                        (["--d-a2", "two"], "argument --d-a2"),
+                        (["--d-r", "0"], "argument --d-r"),
+                        (["--d-a1", "1", "--d-a2", "1"], "arguments --d-a1, --d-a2")]:
+        r = subprocess.run([sys.executable, str(ROOT / "scripts" / "hash_bound_sweep.py"),
+                            *args], capture_output=True, text=True, env=env)
+        assert r.returncode == 2 and r.stdout == "", args
+        assert named in r.stderr
 
 
 def _records(lhs, passed=True):

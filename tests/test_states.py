@@ -9,7 +9,6 @@ from declab.states import (
     DensityOp,
     apply_channel_mat,
     classical_correlated,
-    classicalize_channel,
     cq_decoupling_state,
     is_cq,
     max_entangled,
@@ -124,12 +123,14 @@ def test_choi_of_state_product_is_constant_map():
     assert np.allclose(out, np.trace(x) * sigma.mat)
 
 
-def test_classicalize_channel():
+def test_pinched_choi_is_the_dephased_channel():
+    # pinching a channel's Choi operator on its input copy gives the Choi
+    # operator of the channel that first dephases its input, again trace
+    # preserving (ChoiChannel checks it)
     ident = ChoiChannel(max_entangled(3).mat, 3, 3, tp=True)
-    cl = classicalize_channel(ident)
-    assert np.allclose(cl.choi, classical_correlated(3).mat)
+    assert np.allclose(pinch_mat(ident.choi, (3, 3)), classical_correlated(3).mat)
     ch = random_channel(3, 2, tp=True, seed=7)
-    cl = classicalize_channel(ch)
+    cl = ChoiChannel(pinch_mat(ch.choi, (3, 2)), 3, 2, tp=True)
     # environment marginals agree
     assert np.allclose(cl.env_marginal, ch.env_marginal)
     # on classical inputs the classicalized map acts identically

@@ -47,10 +47,7 @@ def test_perm_operator_homomorphism(p, q):
 
 
 def test_all_perms():
-    assert len(list(all_perms(1))) == 1
-    three = list(all_perms(3))
-    assert len(three) == 6 and len(set(three)) == 6
-    assert three == sorted(three)          # lexicographic
+    assert all_perms(1).tolist() == [[0]]
     total = sum(perm_operator(p) for p in all_perms(5))
     assert np.allclose(total, factorial(4) * np.ones((5, 5)))
     with pytest.raises(ValueError):
@@ -105,8 +102,9 @@ def test_every_permutation_lands_on_one_representative(case, data):
 def test_coset_representatives_meet_every_coset_once(rule, a, b):
     d = a if rule == "image_set" else a * b
     gen, canon, count = COSET_RULES[rule]
-    reps = list(gen(a, b))
-    assert len(reps) == count(d, a, b) == factorial(d) // len(
+    reps = gen(a, b)
+    assert reps.dtype == np.intp and reps.shape == (count(d, a, b), d)
+    assert len(reps) == factorial(d) // len(
         [g for g in all_perms(d) if canon(g, a, b) == canon(tuple(range(d)), a, b)])
     assert all(sorted(r) == list(range(d)) for r in reps)
     forms = [canon(r, a, b) for r in reps]
@@ -144,7 +142,23 @@ def test_a_rule_that_ignores_a_relabelling_is_caught(rule, a, b, keep):
     (split_coset_perms, 3, 3, 10080), (split_coset_perms, 4, 2, 840),
 ])
 def test_coset_counts_past_s8(gen, a, b, count):
-    assert sum(1 for _ in gen(a, b)) == count
+    assert len(gen(a, b)) == count
+
+
+@pytest.mark.parametrize("enumerate_, rows", [
+    (lambda: all_perms(3),                     # lexicographic
+     [(0, 1, 2), (0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0)]),
+    (lambda: image_set_perms(4, 2),
+     [(0, 1, 2, 3), (0, 2, 1, 3), (0, 3, 1, 2), (1, 2, 0, 3), (1, 3, 0, 2), (2, 3, 0, 1)]),
+    (lambda: block_partition_perms(2, 2), [(0, 1, 2, 3), (0, 2, 1, 3), (0, 2, 3, 1)]),
+    (lambda: split_coset_perms(2, 2),
+     [(0, 1, 2, 3), (0, 1, 3, 2), (0, 2, 1, 3), (0, 2, 3, 1), (0, 3, 1, 2), (0, 3, 2, 1)]),
+], ids=["all", "image_set", "blocks", "split"])
+def test_enumerations_are_pinned_index_arrays(enumerate_, rows):
+    # row k maps j to perms[k, j], in the order the kernel averages them
+    perms = enumerate_()
+    assert perms.dtype == np.intp
+    assert perms.tolist() == [list(r) for r in rows]
 
 
 def test_one_element_cap_refuses_before_enumerating():
@@ -258,12 +272,13 @@ def test_gf2_inverses_exist(n):
 
 def test_affine_family_small():
     fam1 = affine_family(1)
-    assert sorted(fam1.perms) == [(0, 1), (1, 0)]
+    assert sorted(fam1.perms.tolist()) == [[0, 1], [1, 0]]
     fam2 = affine_family(2)
-    assert len(fam2) == 12
-    assert len(set(fam2.perms)) == 12
-    for p in fam2.perms:
-        assert sorted(p) == [0, 1, 2, 3]
+    assert len(fam2) == 12 and fam2.perms.dtype == np.intp
+    assert len(np.unique(fam2.perms, axis=0)) == 12
+    assert (np.sort(fam2.perms, axis=1) == np.arange(4)).all()
+    with pytest.raises(ValueError, match="read-only"):
+        fam2.perms[0, 0] = 1
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -338,7 +353,7 @@ def test_diamond_dominates_pairwise_and_mixtures():
     from declab.symgroup import _pair_distributions
 
     dist_w = _pair_distributions(fam.perms, fam.weights, d)
-    group = list(all_perms(d))
+    group = all_perms(d)
     dist_h = _pair_distributions(group, np.full(len(group), 1 / len(group)), d)
     for _ in range(50):
         mix = rng.dirichlet(np.ones(d * d))
@@ -359,11 +374,8 @@ def test_diamond_equals_pairwise_on_permutation_families():
 
 
 def test_perm_family_validation():
-    # weights that do not sum to 1, negative weights and a nan weight
-    for weights in ((0.7, 0.7), (1.5, -0.5), (2.0, -1.0), (np.nan, 1.0)):
-        with pytest.raises(ValueError, match="weights"):
-            PermFamily(((0, 1), (1, 0)), weights=np.array(weights))
-    with pytest.raises(ValueError):
+    # the weights are checked by test_both_weighted_sets_follow_one_weight_rule
+    with pytest.raises(ValueError, match="not a permutation"):
         PermFamily(((0, 0, 1),))
 
 

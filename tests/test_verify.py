@@ -11,8 +11,8 @@ from declab.states import (
     ChoiChannel,
     DensityOp,
     apply_channel_mat,
-    classicalize_channel,
     max_entangled,
+    pinch_mat,
     random_channel,
     random_cq,
     random_density,
@@ -337,7 +337,8 @@ def test_family_hash_affine_family_at_d8():
 
 def test_distance_from_classicality():
     # already classical channel: both sides vanish
-    ch = classicalize_channel(random_channel(4, 2, tp=True, seed=200))
+    ch = random_channel(4, 2, tp=True, seed=200)
+    ch = ChoiChannel(pinch_mat(ch.choi, (4, 2)), 4, 2, tp=True)
     rep = verify_distance_from_classicality(ch, 2)
     assert rep.passed and abs(rep.lhs) < 1e-14 and abs(rep.rhs) < 1e-14
     # d_R = 1 degenerates to zero exactly
@@ -402,7 +403,7 @@ def test_exhaustive_averages_share_one_cap():
 def test_image_set_averages_equal_the_full_group_mean(d_a):
     # the embedded inputs live on the first d_R levels of A and are invariant
     # under sigma (x) sigma there, so only the image set of those points matters
-    full = verify._full_group(d_a)
+    full = all_perms(d_a)
     for d_r in sorted({2, 3, d_a - 1, d_a}):
         ch = random_channel(d_a, 2, tp=False, seed=400 + 10 * d_a + d_r)
         phi, tee, pi = verify._embedded_pair_states(d_a, d_r)
@@ -419,7 +420,7 @@ def test_split_averages_equal_the_full_group_mean(d_a1, d_a2):
     # a CQ state's tr_A2 output sees only the blocks of A1, and the target
     # pi_A1 (x) rho_R sees no relabelling of A1; tr_A2 sees none of A2
     d_a, d_r = d_a1 * d_a2, 2
-    full = verify._full_group(d_a)
+    full = all_perms(d_a)
     tr_a2 = _trace_out(d_a1, d_a2)
     cq = random_cq((d_a, d_r), seed=500 + d_a)
     ref = np.mean(verify._deviation_norms(tr_a2, cq.mat, cq.dims, full, 1))
@@ -464,6 +465,38 @@ def test_hash_verifiers_refuse_a_bad_split(d_a1, d_a2):
                 lambda: verify_quantum_hash(cq, d_a1, d_a2)):
         with pytest.raises(ValueError, match=f"split {d_a1} x {d_a2}"):
             run()
+
+
+def test_hash_verifiers_refuse_a_one_point_split():
+    # d_A = 1 would divide by d_A - 1 = 0 in the bounds
+    cq = random_cq((1, 2), seed=0)
+    for run in (lambda: verify_cq_hash(cq, 1, 1),
+                lambda: verify_family_hash(PermFamily(((0,),)), cq, 1, 1),
+                lambda: verify_quantum_hash(cq, 1, 1)):
+        with pytest.raises(ValueError, match="d_A >= 2, got d_A = 1"):
+            run()
+
+
+# every verifier that applies a channel on A, each given a channel from 3
+# levels where d_A = 4 (d_A = 2 for the Clifford ensemble's design average)
+CHANNEL_VERIFIERS = {
+    "decoupling_lemma": lambda rho, ch: verify_decoupling_lemma(rho.mat, rho.dims, ch),
+    "decoupling_theorem": lambda rho, ch: verify_decoupling_theorem(rho, ch, n_samples=4),
+    "improved_decoupling": lambda rho, ch: verify_improved_decoupling(rho, ch, n_samples=4),
+    "design_decoupling": lambda rho, ch: verify_design_decoupling(
+        clifford_1q(), random_cq((2, 2), seed=0), ch),
+    "cq_decoupling_lemma": verify_cq_decoupling_lemma,
+    "cq_tpcp": verify_cq_tpcp,
+    "cq_general": verify_cq_general,
+}
+
+
+@pytest.mark.parametrize("name", CHANNEL_VERIFIERS)
+def test_channel_verifiers_refuse_a_mismatched_input_dimension(name):
+    rho = random_cq((4, 2), seed=0)
+    d_a = 2 if name == "design_decoupling" else 4
+    with pytest.raises(ValueError, match=f"channel input dimension 3 does not match d_A = {d_a}"):
+        CHANNEL_VERIFIERS[name](rho, random_channel(3, 2, tp=True, seed=0))
 
 
 CQ_VERIFIERS = {
