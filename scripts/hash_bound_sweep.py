@@ -23,16 +23,19 @@ def main():
     ap.add_argument("--d-a2", type=_int_at_least(1), default=2)
     ap.add_argument("--d-r", type=_int_at_least(1), default=2)
     ap.add_argument("--steps", type=int, default=9)
-    ap.add_argument("--seed", type=int, default=0)
+    ap.add_argument("--seed", type=_int_at_least(0), default=0)
     ap.add_argument("--quantum", action="store_true",
                     help="use a fully quantum input and the 2 d_A1 bound")
     args = ap.parse_args()
     if args.steps < 2:
         ap.error(f"argument --steps: needs at least 2 mixing weights, got {args.steps}")
-    if args.d_a1 * args.d_a2 < 2:
-        ap.error("arguments --d-a1, --d-a2: the split 1 x 1 leaves A one point, needs d_A >= 2")
-
     d_a = args.d_a1 * args.d_a2
+    if d_a < 2:
+        ap.error("arguments --d-a1, --d-a2: the split 1 x 1 leaves A one point, needs d_A >= 2")
+    if args.quantum and d_a < 4:
+        ap.error(f"arguments --d-a1, --d-a2: the quantum bound needs d_A >= 4, "
+                 f"the split {args.d_a1} x {args.d_a2} gives d_A = {d_a}")
+
     if args.quantum:
         rho0 = random_density(d_a * args.d_r, seed=args.seed, dims=(d_a, args.d_r))
     else:

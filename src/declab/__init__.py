@@ -5,6 +5,7 @@ averages, and the 1-norm decoupling theorems against entropy right sides
 computed from a built-in min-entropy SDP, all at desk-scale dimensions.
 """
 
+from ._groupavg import ElementSet
 from .entropy import (
     EntropyResult,
     fidelity,
@@ -37,7 +38,6 @@ from .states import (
     random_density,
 )
 from .symgroup import (
-    PermFamily,
     affine_family,
     all_perms,
     char_closed_forms,
@@ -50,7 +50,6 @@ from .symgroup import (
 )
 from .twirl import (
     CommutantBasis,
-    UnitaryEnsemble,
     clifford_1q,
     commutant_basis,
     commutant_dim_brute,

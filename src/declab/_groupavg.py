@@ -9,12 +9,12 @@ channel's kernel with its input indices transformed, a gather for a
 permutation and g^T K_ef conj(g) for a unitary. `channel_norms` takes its
 elements as one array, as every producer of group elements stores them: an
 integer array (n, d) of permutations (row k maps j to perms[k, j]), from the
-symgroup enumerators or `PermFamily.perms`, or a complex array (n, d, d) of
-unitaries, from `haar_samples` or `UnitaryEnsemble.unitaries`. It builds a
-chunk's kernels, applies them all to X in one matrix product, so no stack of
-conjugated inputs is ever formed, and returns the Schatten norms of the
-outputs, or of their distances from a fixed target. A weighted set, a
-`PermFamily` or a `UnitaryEnsemble`, checks its weights by `check_weights`.
+symgroup enumerators, or a complex array (n, d, d) of unitaries, from
+`haar_samples`; a weighted set, an `ElementSet`, holds its members as one
+such array, `elems`. It builds a chunk's kernels, applies them all to X in
+one matrix product, so no stack of conjugated inputs is ever formed, and
+returns the Schatten norms of the outputs, or of their distances from a
+fixed target.
 
 A second moment, the twirl of an operator on two copies, conjugates it by
 U (x) U. `two_copy_lifts` forms that lift for a chunk of unitaries at a time
@@ -32,11 +32,14 @@ pattern of its index tuple names.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
 from .linalg import schatten_norm
 
 CHUNK_BYTES = 1 << 19       # bytes of arrays live per chunk
+UNITARY_TOL = 1e-10         # max |U^dagger U - I| entry of a unitary member
 
 
 def chunks(n: int, item_bytes: int) -> list[slice]:
@@ -61,14 +64,53 @@ def _is_perm(elems: np.ndarray) -> bool:
     return np.issubdtype(elems.dtype, np.integer)
 
 
-def check_weights(weights, n: int) -> np.ndarray:
-    """The weights of n elements as a float array: uniform when weights is
-    None; ValueError unless they have shape (n,), are non-negative (a NaN is
-    not) and sum to 1."""
-    w = np.ones(n) / n if weights is None else np.asarray(weights, dtype=float)
-    if w.shape != (n,) or not (w >= 0).all() or abs(w.sum() - 1.0) > 1e-12:
-        raise ValueError("weights must match the members, be non-negative and sum to 1")
-    return w
+@dataclass(frozen=True)
+class ElementSet:
+    """Weighted group elements as one read-only array, elems: permutations
+    as integers (n, d), row k mapping j to elems[k, j], or unitaries as a
+    complex stack (n, d, d). The weights are uniform when None, and otherwise
+    must have shape (n,), be non-negative (a NaN is not) and sum to 1."""
+
+    elems: np.ndarray
+    weights: np.ndarray = None
+
+    def __post_init__(self):
+        try:
+            elems = np.array(self.elems)
+        except ValueError:                      # members of different sizes
+            elems = np.empty(0)
+        if elems.ndim < 2 or not elems.size or elems.shape[2:] not in ((), elems.shape[1:2]):
+            raise ValueError("an element set needs at least one member, all on the same points:"
+                             " permutations (n, d) or unitaries (n, d, d)")
+        n, d = elems.shape[:2]
+        if elems.ndim == 2:
+            perms = elems.astype(np.intp)
+            bad = ~((perms == elems) & (np.sort(perms, axis=1) == np.arange(d))).all(axis=1)
+            if bad.any():
+                raise ValueError(f"{elems[bad.argmax()]} is not a permutation of 0..{d - 1}")
+            elems = perms
+        else:
+            elems = elems.astype(complex)
+            if np.abs(elems.conj().transpose(0, 2, 1) @ elems - np.eye(d)).max() > UNITARY_TOL:
+                raise ValueError("member is not unitary within tolerance")
+        w = np.ones(n) / n if self.weights is None else np.array(self.weights, dtype=float)
+        if w.shape != (n,) or not (w >= 0).all() or abs(w.sum() - 1.0) > 1e-12:
+            raise ValueError("weights must match the members, be non-negative and sum to 1")
+        for name, arr in (("elems", elems), ("weights", w)):
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
+
+    def __len__(self):
+        return len(self.elems)
+
+    def require(self, kind: str, d: int):
+        """Raise ValueError unless the members are of this kind
+        ("permutations" or "unitaries") and act on d points."""
+        own = "permutations" if _is_perm(self.elems) else "unitaries"
+        if own != kind:
+            raise ValueError(f"needs a set of {kind}, not of {own}")
+        if self.elems.shape[1] != d:
+            raise ValueError(f"set's {kind} act on {self.elems.shape[1]} points, not d = {d}")
 
 
 def two_copy_lifts(n: int, d: int, members):

@@ -226,7 +226,7 @@ def cmd_family(args) -> int:
     else:
         print("classical diamond distance: skipped (exhaustive reference needs d <= 7)")
     if args.n <= 3:
-        for p in fam.perms:
+        for p in fam.elems:
             print("  " + " ".join(str(x) for x in p))
     return 0
 

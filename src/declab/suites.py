@@ -17,7 +17,7 @@ from typing import Callable
 import numpy as np
 
 from . import symgroup, twirl, verify
-from ._groupavg import orbit_mean
+from ._groupavg import ElementSet, orbit_mean
 from .entropy import (
     generalized_trace_distance,
     h2_cond,
@@ -314,8 +314,8 @@ def check_family_hash(cfg: SuiteConfig):
     reports = []
     fams = {
         "affine": affine_family(2),
-        "full_group": symgroup.PermFamily(all_perms(4)),
-        "singleton": symgroup.PermFamily((tuple(range(4)),)),
+        "full_group": ElementSet(all_perms(4)),
+        "singleton": ElementSet((tuple(range(4)),)),
     }
     for label, fam in fams.items():
         for _, s in _instances(cfg, "famhash" + label, 10):

@@ -2,12 +2,13 @@
 coset representatives and pairwise-independent permutation families over
 GF(2^n).
 
-A set of n permutations of d points, whether enumerated (all of S_d, or one
-element per coset of a subgroup) or a family, is one integer array (n, d)
-whose row k maps j to perms[k, j]: the array the group-average kernel reads.
-A single permutation p may be any sequence with p[j] the image of j.
-Partitions are non-increasing tuples; a cycle type is the tuple
-(k_1, ..., k_d) of multiplicities with sum i*k_i = d.
+A set of n permutations of d points, enumerated (all of S_d, or one
+element per coset of a subgroup), is one integer array (n, d) whose row k
+maps j to perms[k, j]: the array the group-average kernel reads. A weighted
+family is an `_groupavg.ElementSet` holding such an array. A single
+permutation p may be any sequence with p[j] the image of j. Partitions are
+non-increasing tuples of positive parts; a cycle type is the tuple
+(k_1, ..., k_d) of non-negative multiplicities with sum i*k_i = d.
 
 Every enumeration is counted in closed form first and refused, before any
 element is built, when the count exceeds MAX_ENUM_ELEMENTS = MAX_ENUM_D! =
@@ -17,13 +18,12 @@ element is built, when the count exceeds MAX_ENUM_ELEMENTS = MAX_ENUM_D! =
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from functools import lru_cache
 from math import comb, factorial, prod
 
 import numpy as np
 
-from ._groupavg import check_weights
+from ._groupavg import ElementSet
 
 MAX_ENUM_D = 8          # guard for full S_d enumeration
 MAX_ENUM_ELEMENTS = factorial(MAX_ENUM_D)   # cap on the elements one enumeration yields
@@ -43,11 +43,7 @@ def check_permutation(p) -> tuple[int, ...]:
 def perm_operator(p) -> np.ndarray:
     """0/1 matrix with P[i, j] = 1 iff p(j) = i."""
     p = check_permutation(p)
-    d = len(p)
-    m = np.zeros((d, d))
-    for j in range(d):
-        m[p[j], j] = 1.0
-    return m
+    return np.eye(len(p))[:, list(p)]
 
 
 def _enumerated(count: int, d: int, what: str, perms) -> np.ndarray:
@@ -184,21 +180,33 @@ def _mn(lam: tuple, cycles: tuple) -> int:
     return total
 
 
-def mn_character(lam, counts) -> int:
-    """Character of the irrep `lam` of S_d on the class with multiplicities `counts`."""
+def _partition(lam) -> tuple[int, ...]:
+    """lam as a tuple; ValueError unless its parts are positive and non-increasing."""
     lam = tuple(int(x) for x in lam)
     if any(lam[i] < lam[i + 1] for i in range(len(lam) - 1)) or any(x <= 0 for x in lam):
         raise ValueError(f"{lam} is not a partition")
-    d = sum(lam)
-    if sum((i + 1) * k for i, k in enumerate(counts)) != d:
-        raise ValueError("cycle type does not match the partition size")
-    return _mn(lam, cycle_lengths(counts))
+    return lam
+
+
+def _cycle_type(counts, d: int) -> tuple[int, ...]:
+    """counts as a tuple; ValueError unless it is a cycle type of d points."""
+    counts = tuple(int(k) for k in counts)
+    if any(k < 0 for k in counts) or sum((i + 1) * k for i, k in enumerate(counts)) != d:
+        raise ValueError(f"{counts} is not a cycle type of {d} points")
+    return counts
+
+
+def mn_character(lam, counts) -> int:
+    """Character of the irrep `lam` of S_d on the class with multiplicities `counts`."""
+    lam = _partition(lam)
+    return _mn(lam, cycle_lengths(_cycle_type(counts, sum(lam))))
 
 
 def char_closed_forms(d: int, counts):
     """Characters of (d), (d-1,1), (d-2,1,1), (d-2,2) via the closed polynomials in k1, k2."""
     if d < 4:
         raise ValueError("closed forms need d >= 4")
+    counts = _cycle_type(counts, d)
     k1 = counts[0]
     k2 = counts[1] if len(counts) > 1 else 0
     return (
@@ -216,6 +224,7 @@ def chi_r(d: int, counts, s2_class) -> int:
     """
     if d < 2:
         raise ValueError("needs d >= 2")
+    counts = _cycle_type(counts, d)
     k1 = counts[0]
     k2 = counts[1] if len(counts) > 1 else 0
     if tuple(s2_class) == (2, 0):
@@ -227,7 +236,7 @@ def chi_r(d: int, counts, s2_class) -> int:
 
 def hook_dimension(lam) -> int:
     """Dimension of the irrep via the hook length formula."""
-    lam = tuple(int(x) for x in lam)
+    lam = _partition(lam)
     d = sum(lam)
     conj = [sum(1 for part in lam if part > j) for j in range(lam[0])] if lam else []
     hooks = 1
@@ -240,32 +249,6 @@ def hook_dimension(lam) -> int:
 # ---------------------------------------------------------------------------
 # permutation families
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class PermFamily:
-    """Weighted permutations, stored as one read-only array (n, d), row k
-    mapping j to perms[k, j]; uniform weights when none are given."""
-
-    perms: np.ndarray
-    weights: np.ndarray = field(default=None)
-
-    def __post_init__(self):
-        members = [check_permutation(p) for p in self.perms]
-        if not members or len({len(p) for p in members}) != 1:
-            raise ValueError("a family needs at least one member, all on the same points")
-        perms = np.array(members, dtype=np.intp)
-        perms.flags.writeable = False
-        object.__setattr__(self, "perms", perms)
-        object.__setattr__(self, "weights", check_weights(self.weights, len(perms)))
-
-    def __len__(self):
-        return len(self.perms)
-
-    def require_points(self, d: int):
-        """Raise ValueError unless the members permute d points."""
-        if self.perms.shape[1] != d:
-            raise ValueError(f"family permutes {self.perms.shape[1]} points, not d = {d}")
-
 
 def gf2_mul(a: int, b: int, n: int) -> int:
     """Carry-less multiplication modulo the fixed irreducible polynomial."""
@@ -281,7 +264,7 @@ def gf2_mul(a: int, b: int, n: int) -> int:
     return out
 
 
-def affine_family(n: int) -> PermFamily:
+def affine_family(n: int) -> ElementSet:
     """All x -> a*x + b over GF(2^n) with a != 0; (2^n - 1) * 2^n permutations."""
     if not 1 <= n <= 6:
         raise ValueError("bit width must be in 1..6")
@@ -290,7 +273,7 @@ def affine_family(n: int) -> PermFamily:
     for a in range(1, d):
         for b in range(d):
             members.append(tuple(gf2_mul(a, x, n) ^ b for x in range(d)))
-    return PermFamily(members)
+    return ElementSet(members)
 
 
 def _pair_distributions(perms: np.ndarray, weights, d):
@@ -302,21 +285,21 @@ def _pair_distributions(perms: np.ndarray, weights, d):
     return dist.reshape(d * d, d * d)
 
 
-def pairwise_dependence(fam: PermFamily, d: int) -> float:
+def pairwise_dependence(fam: ElementSet, d: int) -> float:
     """Worst-case statistical distance (un-halved) of the induced pair
     distribution from uniform over ordered distinct pairs."""
     if d < 2:
         raise ValueError("needs d >= 2")
-    fam.require_points(d)
+    fam.require("permutations", d)
     uniform = 1.0 / (d * (d - 1))
     distinct = ~np.eye(d, dtype=bool).ravel()                  # pair index x1*d + x2, x1 != x2
-    rows = _pair_distributions(fam.perms, fam.weights, d)[distinct]
+    rows = _pair_distributions(fam.elems, fam.weights, d)[distinct]
     terms = np.where(distinct, np.abs(rows - uniform), rows)
     dev = np.cumsum(terms, axis=1)[:, -1]       # sequential, in pair order (np.sum pairs terms up)
     return float(dev.max())
 
 
-def classical_diamond_distance(fam: PermFamily, d: int) -> float:
+def classical_diamond_distance(fam: ElementSet, d: int) -> float:
     """Classical diamond distance between the family's pair-moment map and the
     full-group one, maximized over the d^2 classical basis inputs.
 
@@ -326,8 +309,8 @@ def classical_diamond_distance(fam: PermFamily, d: int) -> float:
         raise ValueError("needs d >= 2")
     if d > MAX_DIAMOND_D:
         raise ValueError(f"exhaustive reference refused for d > {MAX_DIAMOND_D}")
-    fam.require_points(d)
-    dist_w = _pair_distributions(fam.perms, fam.weights, d)
+    fam.require("permutations", d)
+    dist_w = _pair_distributions(fam.elems, fam.weights, d)
     group = all_perms(d)
     dist_h = _pair_distributions(group, np.full(len(group), 1.0 / len(group)), d)
     return float(np.abs(dist_w - dist_h).sum(axis=1).max())

@@ -17,11 +17,9 @@ from itertools import permutations
 
 import numpy as np
 
-from ._groupavg import check_weights, pattern_labels, two_copy_lifts, twirl2_mean
+from ._groupavg import ElementSet, pattern_labels, two_copy_lifts, twirl2_mean
 from .linalg import pair_indices, permute_systems, require_hermitian, swap_operator, tensor
 from .symgroup import MAX_ENUM_D, perm_operator
-
-UNITARY_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -35,39 +33,17 @@ class TwirlResult:
 
 
 @dataclass(frozen=True)
-class UnitaryEnsemble:
-    """Weighted unitaries, stored as one read-only stack (n, d, d); uniform
-    weights when weights is None."""
-
-    weights: np.ndarray
-    unitaries: np.ndarray
-
-    def __post_init__(self):
-        us = np.array(self.unitaries, dtype=complex)
-        if us.ndim != 3 or us.shape[1] != us.shape[2]:
-            raise ValueError("members must be square matrices of one dimension")
-        w = check_weights(self.weights, len(us))
-        gram = us.conj().transpose(0, 2, 1) @ us
-        if np.abs(gram - np.eye(us.shape[1])).max() > UNITARY_TOL:
-            raise ValueError("ensemble member is not unitary within tolerance")
-        us.flags.writeable = False
-        object.__setattr__(self, "weights", w)
-        object.__setattr__(self, "unitaries", us)
-
-    def __len__(self):
-        return len(self.unitaries)
-
-    @property
-    def dim(self) -> int:
-        return self.unitaries.shape[1]
-
-
-@dataclass(frozen=True)
 class CommutantBasis:
     d: int
     ops: tuple                    # the 11 basis matrices
     gram: np.ndarray              # closed-form 11 x 11 Gramian
     gram_inv: np.ndarray          # closed-form inverse
+
+
+def _require_two_copies(mat, d: int):
+    """Raise ValueError unless mat is (d^2, d^2), an operator on two copies of d levels."""
+    if np.shape(mat) != (d * d, d * d):
+        raise ValueError(f"matrix must act on two copies of {d} levels, not {np.shape(mat)}")
 
 
 def haar_twirl2_exact(mat: np.ndarray, d: int) -> TwirlResult:
@@ -79,8 +55,7 @@ def haar_twirl2_exact(mat: np.ndarray, d: int) -> TwirlResult:
     """
     if d < 2:
         raise ValueError("needs d >= 2")
-    if mat.shape != (d * d, d * d):
-        raise ValueError("matrix must act on two copies")
+    _require_two_copies(mat, d)
     f = swap_operator(d)
     tr_m = np.trace(mat)
     tr_mf = np.trace(mat @ f)
@@ -107,12 +82,13 @@ def haar_twirl2_mc(mat: np.ndarray, d: int, n: int, seed=0) -> np.ndarray:
     chunk at a time from one generator (the same samples as one batch of n)."""
     if n < 1:
         raise ValueError("need at least one sample")
+    _require_two_copies(mat, d)
     rng = np.random.default_rng(seed)
     return twirl2_mean(np.asarray(mat, dtype=complex), n, d, lambda sl: haar_samples(
         d, sl.stop - sl.start, rng).conj().transpose(0, 2, 1))
 
 
-def clifford_1q() -> UnitaryEnsemble:
+def clifford_1q() -> ElementSet:
     """The 24 single-qubit Clifford unitaries (global phase quotiented),
     generated by closure from H and S; an exact 2-design."""
     h = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
@@ -141,10 +117,10 @@ def clifford_1q() -> UnitaryEnsemble:
     members = tuple(found.values())
     if len(members) != 24:
         raise RuntimeError(f"Clifford closure produced {len(members)} elements")
-    return UnitaryEnsemble(np.full(24, 1 / 24), members)
+    return ElementSet(members)
 
 
-def design_epsilon_bound(ens: UnitaryEnsemble, d: int) -> float:
+def design_epsilon_bound(ens: ElementSet, d: int) -> float:
     """Upper bound d^2 * ||Choi(G_W) - Choi(G_H)||_1 on the diamond-norm
     deviation of the ensemble's 2-fold moment map from Haar.
 
@@ -160,14 +136,13 @@ def design_epsilon_bound(ens: UnitaryEnsemble, d: int) -> float:
     """
     if d * d > 64:
         raise ValueError("moment-map Choi too large (needs d^2 <= 64)")
-    if d != ens.dim:
-        raise ValueError(f"ensemble acts on dimension {ens.dim}, not d = {d}")
+    ens.require("unitaries", d)
     n = d * d
     a = d * (d - 1) // 2
     b = np.linalg.eigh(swap_operator(d))[1]        # eigenvalue -1 (Anti) first
     blocks = (b[:, :a], b[:, a:])
     z = np.empty((len(ens), a * a + (n - a) ** 2), dtype=complex)
-    for sl, uu in two_copy_lifts(len(ens), d, ens.unitaries.__getitem__):
+    for sl, uu in two_copy_lifts(len(ens), d, ens.elems.__getitem__):
         z[sl] = np.concatenate([(p.T @ uu @ p).reshape(len(uu), -1) for p in blocks], axis=1)
     zc = z.conj()
     z *= ens.weights[:, None] / n
@@ -203,7 +178,7 @@ def _universal_steps(n_qubits: int) -> np.ndarray:
     return stack
 
 
-def circuit_ensemble(n_qubits: int, t: int, n_circuits: int, seed=0) -> UnitaryEnsemble:
+def circuit_ensemble(n_qubits: int, t: int, n_circuits: int, seed=0) -> ElementSet:
     """Uniform ensemble of independent universal random circuits of depth t:
     products of t random two-qubit gates from the {H, T, CNOT} set, each on a
     uniformly random ordered pair of qubits. The discrete gate set keeps the
@@ -228,7 +203,7 @@ def circuit_ensemble(n_qubits: int, t: int, n_circuits: int, seed=0) -> UnitaryE
     u = np.tile(np.eye(2 ** n_qubits, dtype=complex), (n_circuits, 1, 1))
     for k in range(t):
         u = stack[idx[:, k]] @ u
-    return UnitaryEnsemble(np.full(n_circuits, 1 / n_circuits), u)
+    return ElementSet(u)
 
 
 # ---------------------------------------------------------------------------
@@ -347,6 +322,7 @@ def perm_twirl2_brute(mat: np.ndarray, d: int) -> np.ndarray:
     """
     if not 1 <= d <= MAX_ENUM_D:
         raise ValueError(f"permutation twirl needs 1 <= d <= {MAX_ENUM_D}")
+    _require_two_copies(mat, d)
     out = np.asarray(mat, dtype=complex)
     for k in range(1, d):
         ts = np.array([perm_operator(_transposition(d, j, k)) for j in range(k + 1)], complex)
@@ -363,6 +339,7 @@ def perm_twirl2_exact(mat: np.ndarray, d: int) -> TwirlResult:
     commutant, where the Gramian projection is exact.
     """
     basis = commutant_basis(d)
+    _require_two_copies(mat, d)
     mat = np.asarray(mat, dtype=complex)
     require_hermitian(mat, "twirl input")
     f = basis.ops[4]

@@ -20,19 +20,18 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._groupavg import channel_norms, element_chunks
+from ._groupavg import ElementSet, channel_norms, element_chunks
 from .entropy import h2_cond, h_min_cond
 from .linalg import mpow, pair_indices, partial_trace, schatten_norm, tensor
 from .states import ChoiChannel, DensityOp, is_cq, max_entangled, pinch_mat
 from .symgroup import (
-    PermFamily,
     all_perms,
     block_partition_perms,
     image_set_perms,
     pairwise_dependence,
     split_coset_perms,
 )
-from .twirl import UnitaryEnsemble, design_epsilon_bound, haar_samples, haar_twirl2_exact
+from .twirl import design_epsilon_bound, haar_samples, haar_twirl2_exact
 
 EQ_TOL = 1e-9
 BOUND_TOL = 1e-9
@@ -224,14 +223,13 @@ def verify_improved_decoupling(rho: DensityOp, ch: ChoiChannel, n_samples: int =
         dims={"d_A": d_a, "d_R": d_r, "d_E": ch.d_out}), solves)
 
 
-def verify_design_decoupling(ens: UnitaryEnsemble, rho: DensityOp, ch: ChoiChannel,
+def verify_design_decoupling(ens: ElementSet, rho: DensityOp, ch: ChoiChannel,
                              epsilon=None) -> VerificationReport:
     """Exact ensemble average of the 1-norm deviation against the almost-2-design
     bound sqrt(1 + 4 eps d^4) 2^(-H2/2 - H2/2)."""
     d_a, d_r = rho.dims
-    if ens.dim != d_a:
-        raise ValueError("ensemble dimension must match subsystem A")
-    lhs = float(ens.weights @ _deviation_norms(ch, rho.mat, rho.dims, ens.unitaries, 1))
+    ens.require("unitaries", d_a)
+    lhs = float(ens.weights @ _deviation_norms(ch, rho.mat, rho.dims, ens.elems, 1))
     eps = design_epsilon_bound(ens, d_a) if epsilon is None else float(epsilon)
     h2_rho, h2_om = _h2_pair(rho.mat, rho.dims, ch)
     rhs = float(np.sqrt(1 + 4 * eps * d_a ** 4) * 2.0 ** (-0.5 * (h2_om + h2_rho)))
@@ -325,15 +323,15 @@ def verify_cq_general(rho: DensityOp, ch: ChoiChannel) -> VerificationReport:
 # almost independent permutation families
 # ---------------------------------------------------------------------------
 
-def verify_family_hash(fam: PermFamily, rho: DensityOp, d_a1: int, d_a2: int) -> VerificationReport:
+def verify_family_hash(fam: ElementSet, rho: DensityOp, d_a1: int, d_a2: int) -> VerificationReport:
     """Hash bound when averaging over a pairwise almost independent family,
     with the epsilon penalty 4 eps d_A inside the square root; eps is the
     family's pairwise dependence."""
     d_a, d_r = _cq_dims(rho)
     d_a1, d_a2 = _split(d_a, d_a1, d_a2)
-    fam.require_points(d_a)
+    fam.require("permutations", d_a)
     lhs = float(fam.weights @ _deviation_norms(_trace_out(d_a1, d_a2), rho.mat, rho.dims,
-                                               fam.perms, 1))
+                                               fam.elems, 1))
     eps = pairwise_dependence(fam, d_a)
     h2 = h2_cond(rho.mat, rho.dims).value
     rhs = float(np.sqrt(d_a1 * ((d_a - d_a2) / (d_a - 1) + 4 * eps * d_a) * 2.0 ** (-h2)))

@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 
 from declab import _groupavg, suites, verify
 from declab._groupavg import (
+    ElementSet,
     channel_norms,
     element_chunks,
     orbit_mean,
@@ -26,8 +27,14 @@ from declab._groupavg import (
 )
 from declab.linalg import partial_trace, tensor
 from declab.states import apply_channel_mat, random_channel, random_cq, random_density
-from declab.symgroup import PermFamily, all_perms, perm_operator
-from declab.twirl import UnitaryEnsemble, circuit_ensemble, haar_samples, perm_twirl2_brute
+from declab.symgroup import affine_family, all_perms, pairwise_dependence, perm_operator
+from declab.twirl import (
+    circuit_ensemble,
+    clifford_1q,
+    design_epsilon_bound,
+    haar_samples,
+    perm_twirl2_brute,
+)
 from declab.verify import (
     mean_se,
     verify_cq_tpcp,
@@ -202,29 +209,72 @@ def test_weighted_family(chunked):
     sizes = chunked(8)
     rng = np.random.default_rng(4)
     perms = tuple(dict.fromkeys(tuple(int(x) for x in rng.permutation(d_a)) for _ in range(30)))
-    fam = PermFamily(perms, rng.dirichlet(np.ones(len(perms))))
+    fam = ElementSet(perms, rng.dirichlet(np.ones(len(perms))))
     rho = random_cq((d_a, d_r), seed=5)
     rep = verify_family_hash(fam, rho, d_a1, d_a2)
     assert_ragged(sizes)
     target = tensor(np.eye(d_a1) / d_a1, partial_trace(rho.mat, rho.dims, [1]))
     ref = 0.0
-    for w, q in zip(fam.weights, fam.perms):
+    for w, q in zip(fam.weights, fam.elems):
         conj = tensor(perm_operator(q), np.eye(d_r))
         reduced = partial_trace(conj @ rho.mat @ conj.T, (d_a1, d_a2, d_r), [0, 2])
         ref += w * svd_norm(reduced - target, 1)
     assert close(rep.lhs, ref)
 
 
-@pytest.mark.parametrize("build", [
-    lambda w: PermFamily(((0, 1), (1, 0)), w),
-    lambda w: UnitaryEnsemble(w, (np.eye(2), np.eye(2))),
-], ids=["PermFamily", "UnitaryEnsemble"])
-def test_both_weighted_sets_follow_one_weight_rule(build):
-    assert np.array_equal(build(None).weights, [0.5, 0.5])
-    # too few weights, sums above and below 1, negative weights and a nan weight
-    for weights in ((1.0,), (0.7, 0.7), (0.5, 0.4), (1.5, -0.5), (2.0, -1.0), (np.nan, 1.0)):
-        with pytest.raises(ValueError, match="weights must match the members"):
-            build(np.array(weights))
+def test_element_set_holds_one_read_only_array():
+    perms = np.array([[0, 1], [1, 0]])
+    for members, dtype in ((perms, np.intp), (np.stack([np.eye(2), np.eye(2)[::-1]]), complex)):
+        s = ElementSet(members)
+        assert (s.elems.dtype, len(s)) == (dtype, 2)
+        assert np.array_equal(s.weights, [0.5, 0.5])
+        members[0] = members[1]                 # the set holds its own copy
+        assert not np.array_equal(s.elems[0], s.elems[1])
+        for arr in (s.elems, s.weights):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = arr[1]
+
+
+def _design_decoupling(ens):
+    rho = random_density(4, seed=2, dims=(2, 2))
+    return verify_design_decoupling(ens, rho, random_channel(2, 2, tp=True, seed=3))
+
+
+# the weight rule for both kinds (too few weights, sums above and below 1,
+# negative weights and a NaN weight), malformed members, and a set of the
+# wrong kind for the verifier
+@pytest.mark.parametrize("build, message", [
+    *(pytest.param(lambda m=members, w=weights: ElementSet(m, np.array(w)),
+                   "weights must match the members", id=f"{kind}-weights-{label}")
+      for kind, members in (("permutations", ((0, 1), (1, 0))),
+                            ("unitaries", (np.eye(2), np.eye(2))))
+      for label, weights in (("too-few", (1.0,)), ("above-1", (0.7, 0.7)),
+                             ("below-1", (0.5, 0.4)), ("negative", (1.5, -0.5)),
+                             ("negative-sum-1", (2.0, -1.0)), ("nan", (np.nan, 1.0)))),
+    pytest.param(lambda: ElementSet(((0, 0, 1),)), "not a permutation", id="not-a-permutation"),
+    pytest.param(lambda: ElementSet(((0.5, 1.0),)), "not a permutation", id="fractional-points"),
+    pytest.param(lambda: ElementSet((np.diag([1.0, 2.0]),)), "not unitary", id="not-unitary"),
+    pytest.param(lambda: ElementSet(np.ones((1, 2, 3))), "same points", id="not-square"),
+    pytest.param(lambda: ElementSet(((0, 1), (0, 1, 2))), "same points", id="mixed-lengths"),
+    pytest.param(lambda: ElementSet((np.eye(2), np.eye(3))), "same points", id="mixed-dimensions"),
+    pytest.param(lambda: ElementSet(()), "at least one member", id="empty"),
+    pytest.param(lambda: pairwise_dependence(clifford_1q(), 2),
+                 "needs a set of permutations, not of unitaries",
+                 id="unitaries-into-pairwise_dependence"),
+    pytest.param(lambda: verify_family_hash(ElementSet(haar_samples(4, 3, 0)),
+                                            random_cq((4, 2), seed=1), 2, 2),
+                 "needs a set of permutations, not of unitaries",
+                 id="unitaries-into-verify_family_hash"),
+    pytest.param(lambda: design_epsilon_bound(affine_family(1), 2),
+                 "needs a set of unitaries, not of permutations",
+                 id="permutations-into-design_epsilon_bound"),
+    pytest.param(lambda: _design_decoupling(affine_family(1)),
+                 "needs a set of unitaries, not of permutations",
+                 id="permutations-into-verify_design_decoupling"),
+])
+def test_element_set_refuses(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()
 
 
 def test_haar_stack(chunked):
@@ -255,14 +305,14 @@ def test_circuit_ensemble(chunked):
     rep = verify_design_decoupling(ens, rho, ch, epsilon=0.0)
     assert_ragged(sizes)
     target = tensor(ch.env_marginal, partial_trace(rho.mat, rho.dims, [1]))
-    ref = reference_norms(ch, rho.mat, rho.dims, ens.unitaries, 1, target)
+    ref = reference_norms(ch, rho.mat, rho.dims, ens.elems, 1, target)
     assert close(rep.lhs, ens.weights @ ref)
     sizes.clear()
     rng = np.random.default_rng(12)
     m = rng.normal(size=(d * d, d * d)) + 1j * rng.normal(size=(d * d, d * d))
-    tw = twirl2_mean(m, len(ens), d, ens.unitaries.__getitem__)
+    tw = twirl2_mean(m, len(ens), d, ens.elems.__getitem__)
     assert_ragged(sizes)
-    ref = sum(np.kron(u, u) @ m @ np.kron(u, u).conj().T for u in ens.unitaries) / len(ens)
+    ref = sum(np.kron(u, u) @ m @ np.kron(u, u).conj().T for u in ens.elems) / len(ens)
     assert close(tw, ref)
 
 

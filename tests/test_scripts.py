@@ -22,13 +22,17 @@ def test_hash_bound_sweep_table(extra):
 
 
 def test_hash_bound_sweep_refuses_one_step():
-    # and each dimension that is not an integer >= 1, and the one-point split
+    # and each dimension that is not an integer >= 1, the one-point split, a
+    # negative seed, and a split below the quantum bound's d_A >= 4
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     for args, named in [(["--steps", "1"], "argument --steps"),
                         (["--d-a1", "0"], "argument --d-a1"),
                         (["--d-a2", "two"], "argument --d-a2"),
                         (["--d-r", "0"], "argument --d-r"),
-                        (["--d-a1", "1", "--d-a2", "1"], "arguments --d-a1, --d-a2")]:
+                        (["--d-a1", "1", "--d-a2", "1"], "arguments --d-a1, --d-a2"),
+                        (["--seed", "-1"], "argument --seed"),
+                        (["--quantum", "--d-a1", "1", "--d-a2", "2"], "arguments --d-a1, --d-a2"),
+                        (["--quantum", "--d-a1", "3", "--d-a2", "1"], "arguments --d-a1, --d-a2")]:
         r = subprocess.run([sys.executable, str(ROOT / "scripts" / "hash_bound_sweep.py"),
                             *args], capture_output=True, text=True, env=env)
         assert r.returncode == 2 and r.stdout == "", args

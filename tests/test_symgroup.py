@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from declab.symgroup import (
     GF2_POLY,
-    PermFamily,
     affine_family,
     all_perms,
     block_partition_perms,
@@ -25,6 +24,7 @@ from declab.symgroup import (
     perm_operator,
     split_coset_perms,
 )
+from declab._groupavg import ElementSet
 from declab.states import random_cq
 from declab.verify import verify_family_hash
 
@@ -272,13 +272,13 @@ def test_gf2_inverses_exist(n):
 
 def test_affine_family_small():
     fam1 = affine_family(1)
-    assert sorted(fam1.perms.tolist()) == [[0, 1], [1, 0]]
+    assert sorted(fam1.elems.tolist()) == [[0, 1], [1, 0]]
     fam2 = affine_family(2)
-    assert len(fam2) == 12 and fam2.perms.dtype == np.intp
-    assert len(np.unique(fam2.perms, axis=0)) == 12
-    assert (np.sort(fam2.perms, axis=1) == np.arange(4)).all()
+    assert len(fam2) == 12 and fam2.elems.dtype == np.intp
+    assert len(np.unique(fam2.elems, axis=0)) == 12
+    assert (np.sort(fam2.elems, axis=1) == np.arange(4)).all()
     with pytest.raises(ValueError, match="read-only"):
-        fam2.perms[0, 0] = 1
+        fam2.elems[0, 0] = 1
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -290,9 +290,9 @@ def test_affine_family_pairwise_independent(n):
 
 
 def test_pairwise_dependence_reference_cases():
-    full = PermFamily(tuple(all_perms(3)))
+    full = ElementSet(tuple(all_perms(3)))
     assert pairwise_dependence(full, 3) < 1e-12
-    singleton = PermFamily(((0, 1, 2),))
+    singleton = ElementSet(((0, 1, 2),))
     # point mass vs uniform over six ordered pairs
     assert np.isclose(pairwise_dependence(singleton, 3), 5.0 / 3.0)
 
@@ -301,7 +301,7 @@ def pairwise_dependence_loop(fam, d):
     """Scan of every distinct input pair and every output pair."""
     uniform = 1.0 / (d * (d - 1))
     dist = np.zeros((d * d, d * d))
-    for p, w in zip(fam.perms, fam.weights):
+    for p, w in zip(fam.elems, fam.weights):
         for x1 in range(d):
             for x2 in range(d):
                 dist[x1 * d + x2, p[x1] * d + p[x2]] += w
@@ -324,15 +324,15 @@ def test_pairwise_dependence_matches_pair_loop():
         d = 2 + k % 5
         members = tuple(dict.fromkeys(tuple(int(x) for x in rng.permutation(d))
                                       for _ in range(1 + k % 9)))
-        fam = PermFamily(members, rng.dirichlet(np.ones(len(members))))
+        fam = ElementSet(members, rng.dirichlet(np.ones(len(members))))
         assert abs(pairwise_dependence(fam, d) - pairwise_dependence_loop(fam, d)) <= 1e-15
 
 
 def test_classical_diamond_distance():
-    full = PermFamily(tuple(all_perms(4)))
+    full = ElementSet(tuple(all_perms(4)))
     assert classical_diamond_distance(full, 4) < 1e-12
     assert classical_diamond_distance(affine_family(2), 4) < 1e-12
-    singleton = PermFamily(((0, 1, 2, 3),))
+    singleton = ElementSet(((0, 1, 2, 3),))
     assert classical_diamond_distance(singleton, 4) > 1.0
     with pytest.raises(ValueError):
         classical_diamond_distance(full, 8)
@@ -344,7 +344,7 @@ def test_diamond_dominates_pairwise_and_mixtures():
     rng = np.random.default_rng(0)
     members = tuple(tuple(p) for p in
                     (rng.permutation(4) for _ in range(5)))
-    fam = PermFamily(tuple(dict.fromkeys(members)))
+    fam = ElementSet(tuple(dict.fromkeys(members)))
     d = 4
     eps_vertex = classical_diamond_distance(fam, d)
     eps_pairs = pairwise_dependence(fam, d)
@@ -352,7 +352,7 @@ def test_diamond_dominates_pairwise_and_mixtures():
     # random mixtures of basis pair-states
     from declab.symgroup import _pair_distributions
 
-    dist_w = _pair_distributions(fam.perms, fam.weights, d)
+    dist_w = _pair_distributions(fam.elems, fam.weights, d)
     group = all_perms(d)
     dist_h = _pair_distributions(group, np.full(len(group), 1 / len(group)), d)
     for _ in range(50):
@@ -369,23 +369,31 @@ def test_diamond_equals_pairwise_on_permutation_families():
         for k in range(3):
             members = tuple(dict.fromkeys(tuple(int(x) for x in rng.permutation(d))
                                           for _ in range(1 + 4 * k)))
-            fam = PermFamily(members, rng.dirichlet(np.ones(len(members))))
+            fam = ElementSet(members, rng.dirichlet(np.ones(len(members))))
             assert abs(classical_diamond_distance(fam, d) - pairwise_dependence(fam, d)) <= 1e-14
 
 
-def test_perm_family_validation():
-    # the weights are checked by test_both_weighted_sets_follow_one_weight_rule
-    with pytest.raises(ValueError, match="not a permutation"):
-        PermFamily(((0, 0, 1),))
+@pytest.mark.parametrize("build, message", [
+    (lambda: verify_family_hash(affine_family(3), random_cq((4, 2), seed=1), 2, 2),
+     "act on 8 points, not d = 4"),
+    (lambda: pairwise_dependence(affine_family(2), 2), "act on 4 points, not d = 2"),
+], ids=["family-hash-dims", "pairwise-dims"])
+def test_malformed_family_or_dimension_is_refused(build, message):
+    # malformed members are refused by test_groupavg.py::test_element_set_refuses
+    with pytest.raises(ValueError, match=message):
+        build()
 
 
 @pytest.mark.parametrize("build, message", [
-    (lambda: PermFamily(((0, 1), (0, 1, 2))), "same points"),
-    (lambda: PermFamily(()), "at least one member"),
-    (lambda: verify_family_hash(affine_family(3), random_cq((4, 2), seed=1), 2, 2),
-     "permutes 8 points, not d = 4"),
-    (lambda: pairwise_dependence(affine_family(2), 2), "permutes 4 points, not d = 2"),
-], ids=["mixed-lengths", "empty", "family-hash-dims", "pairwise-dims"])
-def test_malformed_family_or_dimension_is_refused(build, message):
+    (lambda: hook_dimension((1, 2)), "not a partition"),
+    (lambda: hook_dimension((2, -1)), "not a partition"),
+    (lambda: mn_character((1, 2), (3,)), "not a partition"),
+    (lambda: mn_character((2, 1), (1,)), "not a cycle type of 3 points"),
+    (lambda: mn_character((2, 1), (5, -1)), "not a cycle type of 3 points"),
+    (lambda: char_closed_forms(5, (4,)), "not a cycle type of 5 points"),
+    (lambda: chi_r(4, (1,), (2, 0)), "not a cycle type of 4 points"),
+], ids=["hook-increasing", "hook-negative", "mn-partition", "mn-short-cycles",
+        "mn-negative-count", "closed-forms", "chi-r"])
+def test_bad_partition_or_cycle_type_is_refused(build, message):
     with pytest.raises(ValueError, match=message):
         build()

@@ -6,11 +6,11 @@ import numpy as np
 import pytest
 
 from declab import _groupavg, twirl
+from declab._groupavg import ElementSet
 from declab.linalg import permute_systems, schatten_norm, swap_operator, tensor
 from declab.states import random_channel
 from declab.symgroup import all_perms, perm_operator
 from declab.twirl import (
-    UnitaryEnsemble,
     circuit_ensemble,
     clifford_1q,
     commutant_basis,
@@ -35,7 +35,7 @@ def rand_herm(rng, n):
 def design_twirl2(ens, mat):
     """Weighted two-fold conjugation sum over the ensemble."""
     return sum(w * np.kron(u, u) @ mat @ np.kron(u, u).conj().T
-               for w, u in zip(ens.weights, ens.unitaries))
+               for w, u in zip(ens.weights, ens.elems))
 
 
 def sym_herm(rng, d):
@@ -172,17 +172,17 @@ def test_clifford_1q_is_exact_2_design():
 def test_design_twirl2_reference_ensembles():
     rng = np.random.default_rng(7)
     m = rand_herm(rng, 9)
-    singleton = UnitaryEnsemble(np.array([1.0]), (np.eye(3),))
+    singleton = ElementSet((np.eye(3),), np.array([1.0]))
     assert np.allclose(design_twirl2(singleton, m), m)
     d = 3
     perms = [perm_operator(p) for p in all_perms(d)]
-    ens = UnitaryEnsemble(np.full(len(perms), 1 / len(perms)), tuple(perms))
+    ens = ElementSet(tuple(perms), np.full(len(perms), 1 / len(perms)))
     assert np.allclose(design_twirl2(ens, m), perm_twirl2_brute(m, d))
 
 
 def test_design_epsilon_bound():
     assert design_epsilon_bound(clifford_1q(), 2) < 1e-10
-    singleton = UnitaryEnsemble(np.array([1.0]), (np.eye(2),))
+    singleton = ElementSet((np.eye(2),), np.array([1.0]))
     assert design_epsilon_bound(singleton, 2) > 0.1
     with pytest.raises(ValueError):
         design_epsilon_bound(singleton, 9)
@@ -194,7 +194,7 @@ def dense_design_epsilon(ens, d):
     """d^2 ||Choi(G_W) - Choi(G_H)||_1 from the two d^4 x d^4 Choi matrices,
     the Haar one entry by entry from G_H(E_ij) = a_ij I + b_ij F."""
     n = d * d
-    vecs = np.stack([np.kron(u, u).ravel() for u in ens.unitaries]) / np.sqrt(n)
+    vecs = np.stack([np.kron(u, u).ravel() for u in ens.elems]) / np.sqrt(n)
     choi_w = (ens.weights[:, None] * vecs).T @ vecs.conj()
     f = swap_operator(d)
     denom = d * d * (d * d - 1)
@@ -212,9 +212,9 @@ def dense_design_epsilon(ens, d):
 def test_design_epsilon_matches_dense_choi(d):
     rng = np.random.default_rng(d)
     weights = rng.random(12)
-    ensembles = [UnitaryEnsemble(np.full(12, 1 / 12), haar_samples(d, 12, seed))
+    ensembles = [ElementSet(haar_samples(d, 12, seed), np.full(12, 1 / 12))
                  for seed in (0, 1)]
-    ensembles.append(UnitaryEnsemble(weights / weights.sum(), haar_samples(d, 12, 2)))
+    ensembles.append(ElementSet(haar_samples(d, 12, 2), weights / weights.sum()))
     if d == 4:
         ensembles.append(circuit_ensemble(2, 30, 50, seed=0))
     for ens in ensembles:
@@ -235,13 +235,13 @@ def test_design_epsilon_rank_floor(d):
     # least s^2 - N (a^2 - N) Haar eigenvalues 1/(n s) (1/(n a)) uncovered
     n_members = 10
     s, a = d * (d + 1) // 2, d * (d - 1) // 2
-    ens = UnitaryEnsemble(np.full(n_members, 1 / n_members), haar_samples(d, n_members, d))
+    ens = ElementSet(haar_samples(d, n_members, d), np.full(n_members, 1 / n_members))
     floor = max(0, s * s - n_members) / s + max(0, a * a - n_members) / a
     assert design_epsilon_bound(ens, d) >= floor
 
 
 def one_circuit(n_qubits, t, seed):
-    return circuit_ensemble(n_qubits, t, 1, seed).unitaries[0]
+    return circuit_ensemble(n_qubits, t, 1, seed).elems[0]
 
 
 def test_random_circuit_basics():
@@ -291,7 +291,7 @@ def test_circuit_ensemble_matches_random_circuit(n_qubits, t, seed):
     n_gates = 3 * n_qubits * (n_qubits - 1)
     ens = circuit_ensemble(n_qubits, t, 12, seed=seed)
     steps = np.random.default_rng(seed).integers(n_gates, size=(12, t))
-    for member, idx in zip(ens.unitaries, steps):
+    for member, idx in zip(ens.elems, steps):
         assert np.array_equal(member, step_by_step_circuit(n_qubits, idx))
     idx = np.random.default_rng(seed).integers(n_gates, size=(1, t))[0]
     assert np.array_equal(one_circuit(n_qubits, t, seed=seed),
@@ -564,7 +564,13 @@ def test_perm_twirl_refuses_d_past_the_enumeration_cap():
         perm_twirl2_brute(np.eye(81), 9)
 
 
-def test_ensemble_validation():
-    # the weights are checked by test_both_weighted_sets_follow_one_weight_rule
-    with pytest.raises(ValueError, match="not unitary"):
-        UnitaryEnsemble(np.array([1.0]), (np.array([[1.0, 0.0], [0.0, 2.0]]),))
+@pytest.mark.parametrize("twirl_fn", [
+    lambda m, d: haar_twirl2_exact(m, d),
+    lambda m, d: haar_twirl2_mc(m, d, 3),
+    lambda m, d: perm_twirl2_exact(m, d),
+    lambda m, d: perm_twirl2_brute(m, d),
+], ids=["haar_exact", "haar_mc", "perm_exact", "perm_brute"])
+def test_two_copy_twirls_refuse_a_one_copy_shape(twirl_fn):
+    # a (9, 9) matrix is two copies of d = 3, not of d = 4
+    with pytest.raises(ValueError, match=r"two copies of 4 levels, not \(9, 9\)"):
+        twirl_fn(np.eye(9), 4)

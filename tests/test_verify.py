@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from declab import entropy, suites, verify
-from declab._groupavg import channel_norms
+from declab._groupavg import ElementSet, channel_norms
 from declab.entropy import h_min_cond
 from declab.linalg import mpow, partial_trace, permute_systems, schatten_norm, swap_operator, tensor
 from declab.states import (
@@ -17,7 +17,7 @@ from declab.states import (
     random_cq,
     random_density,
 )
-from declab.symgroup import PermFamily, affine_family, all_perms, perm_operator
+from declab.symgroup import affine_family, all_perms, perm_operator
 from declab.twirl import clifford_1q, haar_twirl2_exact
 from declab.verify import (
     _trace_out,
@@ -181,8 +181,7 @@ def test_design_decoupling_clifford_exact():
 
 
 def test_design_decoupling_singleton_inflated():
-    singleton_ens = __import__("declab.twirl", fromlist=["UnitaryEnsemble"]).UnitaryEnsemble(
-        np.array([1.0]), (np.eye(2),))
+    singleton_ens = ElementSet((np.eye(2),), np.array([1.0]))
     rho = random_density(4, seed=40, dims=(2, 2))
     ch = random_channel(2, 2, tp=True, seed=41)
     rep = verify_design_decoupling(singleton_ens, rho, ch)
@@ -273,7 +272,7 @@ def test_hash_left_sides_match_per_permutation_reference(d_a1, d_a2):
     assert close(verify_cq_hash(cq, d_a1, d_a2).lhs, ref)
     rng = np.random.default_rng(310 + d_a1)
     members = [tuple(int(j) for j in rng.permutation(d_a)) for _ in range(7)]
-    fam = PermFamily(tuple(members), rng.dirichlet(np.ones(7)))
+    fam = ElementSet(tuple(members), rng.dirichlet(np.ones(7)))
     ref = fam.weights @ _hash_norms_reference(cq.mat, d_a1, d_a2, d_r, members, 1)
     assert close(verify_family_hash(fam, cq, d_a1, d_a2).lhs, ref)
 
@@ -317,8 +316,8 @@ def test_cq_general_and_consistency_with_hash():
 
 def test_family_hash_three_families():
     affine = affine_family(2)
-    full = PermFamily(tuple(all_perms(4)))
-    singleton = PermFamily((tuple(range(4)),))
+    full = ElementSet(tuple(all_perms(4)))
+    singleton = ElementSet((tuple(range(4)),))
     for k in range(4):
         rho = random_cq((4, 2), seed=190 + k)
         for fam in (affine, full, singleton):
@@ -459,7 +458,7 @@ def test_hash_bounds_at_a_3x3_split():
 @pytest.mark.parametrize("d_a1, d_a2", [(-2, -2), (0, 4), (4, 0), (2, 3)])
 def test_hash_verifiers_refuse_a_bad_split(d_a1, d_a2):
     cq = random_cq((4, 2), seed=900)
-    fam = PermFamily(tuple(all_perms(4)))
+    fam = ElementSet(tuple(all_perms(4)))
     for run in (lambda: verify_cq_hash(cq, d_a1, d_a2),
                 lambda: verify_family_hash(fam, cq, d_a1, d_a2),
                 lambda: verify_quantum_hash(cq, d_a1, d_a2)):
@@ -471,7 +470,7 @@ def test_hash_verifiers_refuse_a_one_point_split():
     # d_A = 1 would divide by d_A - 1 = 0 in the bounds
     cq = random_cq((1, 2), seed=0)
     for run in (lambda: verify_cq_hash(cq, 1, 1),
-                lambda: verify_family_hash(PermFamily(((0,),)), cq, 1, 1),
+                lambda: verify_family_hash(ElementSet(((0,),)), cq, 1, 1),
                 lambda: verify_quantum_hash(cq, 1, 1)):
         with pytest.raises(ValueError, match="d_A >= 2, got d_A = 1"):
             run()
@@ -505,7 +504,7 @@ CQ_VERIFIERS = {
     "cq_hash": lambda rho: verify_cq_hash(rho, 2, 2),
     "cq_tpcp": lambda rho: verify_cq_tpcp(rho, random_channel(4, 2, tp=True, seed=1)),
     "cq_general": lambda rho: verify_cq_general(rho, random_channel(4, 2, tp=False, seed=1)),
-    "family_hash": lambda rho: verify_family_hash(PermFamily(tuple(all_perms(4))), rho, 2, 2),
+    "family_hash": lambda rho: verify_family_hash(ElementSet(tuple(all_perms(4))), rho, 2, 2),
 }
 
 
