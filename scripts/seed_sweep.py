@@ -9,7 +9,8 @@ exits non-zero, with the names of its failing records.
 The suite runs in process, from the `src` directory of the checkout that
 holds this script. With OUT_DIR, each seed's JSON records are kept as
 OUT_DIR/seed-<n>.json, so the output of two checkouts can be compared file by
-file with `cmp`. Exits 1 if any seed exits non-zero. About 2.5 s a seed.
+file with `cmp`. Exits 1 if any seed exits non-zero, and 2 if OUT_DIR cannot
+be made (an existing file, say). About 2.5 s a seed.
 
 With --pin, only the seeds in PINNED run, and their JSON is written to
 tests/data/suite-seed-<n>.json of the same checkout: the records that
@@ -20,7 +21,7 @@ compared record by record, in file order. For each record name and field
 that differs, it prints how many seeds differ and the largest absolute
 difference (for numbers; "-" otherwise). A seed whose two files list
 different records, or whose file is in one directory only, is named apart.
-Exits 1 if anything differs.
+Exits 1 if anything differs, and 2 if either directory holds no seed-<n>.json.
 """
 
 import json
@@ -46,6 +47,9 @@ def diff(old_dir: Path, new_dir: Path) -> int:
     JSON records of two sweeps and the largest absolute difference."""
     old_files = {p.name for p in old_dir.glob("seed-*.json")}
     new_files = {p.name for p in new_dir.glob("seed-*.json")}
+    if not old_files or not new_files:
+        print(f"error: no seed-*.json in {new_dir if old_files else old_dir}", file=sys.stderr)
+        return 2
     seeds, worst = {}, {}
     apart = [f"{name}: in {old_dir if name in old_files else new_dir} only"
              for name in sorted(old_files ^ new_files)]
@@ -88,7 +92,11 @@ def main(argv) -> int:
     seeds = PINNED if pin else SEEDS
     with tempfile.TemporaryDirectory() as tmp:
         out_dir = ROOT / "tests" / "data" if pin else Path(argv[0] if argv else tmp)
-        out_dir.mkdir(parents=True, exist_ok=True)
+        try:
+            out_dir.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:          # such as an OUT_DIR that is a file
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
         bad = 0
         for seed in seeds:
             path = out_dir / (f"suite-seed-{seed}.json" if pin else f"seed-{seed}.json")

@@ -64,6 +64,16 @@ def _is_perm(elems: np.ndarray) -> bool:
     return np.issubdtype(elems.dtype, np.integer)
 
 
+def permutation_rows(elems: np.ndarray) -> np.ndarray:
+    """elems (n, d) as np.intp; ValueError unless each row holds each integer 0..d-1 once."""
+    d = elems.shape[1]
+    perms = elems.astype(np.intp)
+    bad = ~((perms == elems) & (np.sort(perms, axis=1) == np.arange(d))).all(axis=1)
+    if bad.any():
+        raise ValueError(f"{elems[bad.argmax()]} is not a permutation of 0..{d - 1}")
+    return perms
+
+
 @dataclass(frozen=True)
 class ElementSet:
     """Weighted group elements as one read-only array, elems: permutations
@@ -84,14 +94,11 @@ class ElementSet:
                              " permutations (n, d) or unitaries (n, d, d)")
         n, d = elems.shape[:2]
         if elems.ndim == 2:
-            perms = elems.astype(np.intp)
-            bad = ~((perms == elems) & (np.sort(perms, axis=1) == np.arange(d))).all(axis=1)
-            if bad.any():
-                raise ValueError(f"{elems[bad.argmax()]} is not a permutation of 0..{d - 1}")
-            elems = perms
+            elems = permutation_rows(elems)
         else:
             elems = elems.astype(complex)
-            if np.abs(elems.conj().transpose(0, 2, 1) @ elems - np.eye(d)).max() > UNITARY_TOL:
+            if not (np.isfinite(elems).all() and np.abs(
+                    elems.conj().transpose(0, 2, 1) @ elems - np.eye(d)).max() <= UNITARY_TOL):
                 raise ValueError("member is not unitary within tolerance")
         w = np.ones(n) / n if self.weights is None else np.array(self.weights, dtype=float)
         if w.shape != (n,) or not (w >= 0).all() or abs(w.sum() - 1.0) > 1e-12:

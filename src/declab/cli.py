@@ -6,9 +6,9 @@ Exit codes: 0 all checks pass, 1 any check failed, 2 configuration error.
 Every subcommand reports a configuration error, or an --out that cannot be
 written, as one `error: ...` line on stderr and exits 2; a flag that argparse
 rejects (an unknown --suite, a non-integer --d, a --dims or --depths that is
-not a comma-separated list of integers, a --seed below 0, a --trials or
---samples below 1, a --depths entry below 0) gets argparse's usage text and a
-message naming the flag instead, also with exit 2.
+not a comma-separated list of integers, a --seed below 0, a --trials, --samples
+or characters --d below 1, a --depths entry below 0) gets argparse's usage text
+and a message naming the flag instead, also with exit 2.
 JSON and CSV output is byte-deterministic for a fixed configuration; wall
 times appear only in the text format.
 """
@@ -158,23 +158,19 @@ def cmd_gram(args) -> int:
 
 def cmd_characters(args) -> int:
     d = args.d
-    if d < 4:
-        raise ValueError("closed-form characters need d >= 4")
     parts = [(d,), (d - 1, 1), (d - 2, 1, 1), (d - 2, 2)]
-    header = ("class".ljust(22)
-              + "".join(str(p).rjust(14) for p in parts) + "   MN agrees")
-    print(header)
-    ok = True
+    rows = []
     for lam in symgroup.partitions(d):
         counts = symgroup.partition_to_counts(lam)
         closed = symgroup.char_closed_forms(d, counts)
         mn = tuple(symgroup.mn_character(p, counts) for p in parts)
-        agrees = closed == mn
-        ok &= agrees
+        rows.append((lam, closed, closed == mn))
+    print("class".ljust(22) + "".join(str(p).rjust(14) for p in parts) + "   MN agrees")
+    for lam, closed, agrees in rows:
         print(str(lam).ljust(22)
               + "".join(str(v).rjust(14) for v in closed)
               + ("   yes" if agrees else "   NO"))
-    return 0 if ok else 1
+    return 0 if all(agrees for *_, agrees in rows) else 1
 
 
 def cmd_twirl(args) -> int:
@@ -253,7 +249,7 @@ def main(argv=None) -> int:
     p_gram.set_defaults(fn=cmd_gram)
 
     p_chars = sub.add_parser("characters", help="closed-form character table")
-    p_chars.add_argument("--d", type=int, required=True)
+    p_chars.add_argument("--d", type=_int_at_least(1), required=True)
     p_chars.set_defaults(fn=cmd_characters)
 
     p_twirl = sub.add_parser("twirl", help="twirl a random Hermitian operator")

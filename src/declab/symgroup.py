@@ -23,7 +23,7 @@ from math import comb, factorial, prod
 
 import numpy as np
 
-from ._groupavg import ElementSet
+from ._groupavg import ElementSet, permutation_rows
 
 MAX_ENUM_D = 8          # guard for full S_d enumeration
 MAX_ENUM_ELEMENTS = factorial(MAX_ENUM_D)   # cap on the elements one enumeration yields
@@ -33,17 +33,10 @@ MAX_DIAMOND_D = 7       # guard for the exhaustive classical diamond norm
 GF2_POLY = {1: 0b11, 2: 0b111, 3: 0b1011, 4: 0b10011, 5: 0b100101, 6: 0b1000011}
 
 
-def check_permutation(p) -> tuple[int, ...]:
-    p = tuple(int(x) for x in p)
-    if sorted(p) != list(range(len(p))):
-        raise ValueError(f"{p} is not a permutation of 0..{len(p) - 1}")
-    return p
-
-
 def perm_operator(p) -> np.ndarray:
     """0/1 matrix with P[i, j] = 1 iff p(j) = i."""
-    p = check_permutation(p)
-    return np.eye(len(p))[:, list(p)]
+    p = permutation_rows(np.atleast_1d(p)[None])[0]
+    return np.eye(len(p))[:, p]
 
 
 def _enumerated(count: int, d: int, what: str, perms) -> np.ndarray:

@@ -88,6 +88,13 @@ def _certified(rep: VerificationReport, hmin_results) -> VerificationReport:
 # building blocks
 # ---------------------------------------------------------------------------
 
+def _points(d_a: int, low: int = 2) -> int:
+    """d_A; ValueError unless it is at least low (2 where a bound divides by d_A - 1)."""
+    if d_a < low:
+        raise ValueError(f"needs d_A >= {low}, got d_A = {d_a}")
+    return d_a
+
+
 def swap_pullback(choi_mat: np.ndarray, d_in: int, d_out: int) -> np.ndarray:
     """The output-swap operator pulled back through two copies of the adjoint of
     the map with the given (not necessarily PSD) Choi operator; the result is
@@ -204,7 +211,7 @@ def verify_improved_decoupling(rho: DensityOp, ch: ChoiChannel, n_samples: int =
                                seed=0) -> VerificationReport:
     """Sampled Haar average against the min-entropy bound with the two bracket
     terms 2^(-Hmin) - tr/d_A and the 1-norm deviation factors."""
-    d_a, d_r = rho.dims
+    d_a, d_r = _points(rho.dims[0]), rho.dims[1]
     vals = _haar_deviation_norms(rho, ch, n_samples, seed, 1)
     solves = (h_min_cond(rho.mat, rho.dims), h_min_cond(ch.choi, (ch.d_in, ch.d_out)))
     hmin_rho, hmin_om = (res.value for res in solves)
@@ -229,6 +236,8 @@ def verify_design_decoupling(ens: ElementSet, rho: DensityOp, ch: ChoiChannel,
     bound sqrt(1 + 4 eps d^4) 2^(-H2/2 - H2/2)."""
     d_a, d_r = rho.dims
     ens.require("unitaries", d_a)
+    if epsilon is not None and not 0 <= float(epsilon) < np.inf:
+        raise ValueError(f"epsilon must be finite and >= 0, got {epsilon}")
     lhs = float(ens.weights @ _deviation_norms(ch, rho.mat, rho.dims, ens.elems, 1))
     eps = design_epsilon_bound(ens, d_a) if epsilon is None else float(epsilon)
     h2_rho, h2_om = _h2_pair(rho.mat, rho.dims, ch)
@@ -242,23 +251,20 @@ def verify_design_decoupling(ens: ElementSet, rho: DensityOp, ch: ChoiChannel,
 # ---------------------------------------------------------------------------
 
 def _cq_dims(rho: DensityOp) -> tuple[int, int]:
-    """(d_A, d_R) of a state on A x R; ValueError unless it is classical on A."""
+    """(d_A, d_R) of a state on A x R; ValueError unless d_A >= 2 and it is classical on A."""
     if not is_cq(rho):
         raise ValueError("state must be classical on A")
-    return rho.dims
+    return _points(rho.dims[0]), rho.dims[1]
 
 
 def _split(d_a: int, d_a1: int, d_a2: int) -> tuple[int, int]:
-    """The split A = A1 x A2 as two ints; ValueError unless d_A is at least 2,
-    both factors are at least 1 and their product is d_A."""
-    if d_a < 2:
-        raise ValueError(f"a split needs d_A >= 2, got d_A = {d_a}")
-    d_a1, d_a2 = int(d_a1), int(d_a2)
-    if min(d_a1, d_a2) < 1:
-        raise ValueError(f"split {d_a1} x {d_a2} needs factors of at least 1")
-    if d_a1 * d_a2 != d_a:
-        raise ValueError(f"split {d_a1} x {d_a2} does not match d_A = {d_a}")
-    return d_a1, d_a2
+    """The split A = A1 x A2 as two ints; ValueError unless d_A >= 2 and the
+    split is two integer factors >= 1 of d_A (2.9 x 2.1 is no split of 4)."""
+    _points(d_a)
+    split = int(d_a1), int(d_a2)
+    if split != (d_a1, d_a2) or min(split) < 1 or split[0] * split[1] != d_a:
+        raise ValueError(f"split {d_a1} x {d_a2} is not two factors >= 1 of d_A = {d_a}")
+    return split
 
 
 def verify_cq_decoupling_lemma(rho: DensityOp, ch: ChoiChannel) -> VerificationReport:
@@ -329,10 +335,9 @@ def verify_family_hash(fam: ElementSet, rho: DensityOp, d_a1: int, d_a2: int) ->
     family's pairwise dependence."""
     d_a, d_r = _cq_dims(rho)
     d_a1, d_a2 = _split(d_a, d_a1, d_a2)
-    fam.require("permutations", d_a)
+    eps = pairwise_dependence(fam, d_a)         # refuses a set that is not permutations of A
     lhs = float(fam.weights @ _deviation_norms(_trace_out(d_a1, d_a2), rho.mat, rho.dims,
                                                fam.elems, 1))
-    eps = pairwise_dependence(fam, d_a)
     h2 = h2_cond(rho.mat, rho.dims).value
     rhs = float(np.sqrt(d_a1 * ((d_a - d_a2) / (d_a - 1) + 4 * eps * d_a) * 2.0 ** (-h2)))
     return bound_report("family_hash", lhs, rhs, epsilon=eps, family_size=len(fam),
@@ -346,8 +351,7 @@ def verify_family_hash(fam: ElementSet, rho: DensityOp, d_a1: int, d_a2: int) ->
 def _embedded_pair_states(d_a: int, d_r: int) -> np.ndarray:
     """Phi, T and pi_R (x) pi_R, each on A x R and supported on the first d_R
     levels of A, where row a * d_R + r (a < d_R) is that row of R x R."""
-    if d_a < 4:
-        raise ValueError("needs d_A >= 4")
+    _points(d_a, 4)
     if not 1 <= d_r <= d_a:
         raise ValueError("needs d_R <= d_A")
     i1, i2, j1, j2 = pair_indices(d_r)
@@ -417,8 +421,7 @@ def verify_quantum_hash(rho: DensityOp, d_a1: int, d_a2: int) -> VerificationRep
     """
     d_a, d_r = rho.dims
     d_a1, d_a2 = _split(d_a, d_a1, d_a2)
-    if d_a < 4:
-        raise ValueError("needs d_A >= 4")
+    _points(d_a, 4)
     tr_a2 = _trace_out(d_a1, d_a2)
     reps = split_coset_perms(d_a1, d_a2)
     lhs = float(np.mean(_deviation_norms(tr_a2, rho.mat, rho.dims, reps, 1)))

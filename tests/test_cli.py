@@ -66,7 +66,7 @@ def test_invalid_flags_exit_two(capsys):
     for args in (("verify", "--suite", "nonsense"), ("verify", "--dims", "x"),
                  ("verify", "--seed", "-1"), ("circuit-study", "--depths", "2,x"),
                  ("circuit-study", "--depths", "-1"), ("circuit-study", "--trials", "0"),
-                 ("twirl", "--samples", "0")):
+                 ("twirl", "--samples", "0"), ("characters", "--d", "0")):
         assert exit_code(args) == 2, args
         out, err = capsys.readouterr()
         assert out == "" and f"argument {args[1]}:" in err, args

@@ -254,6 +254,8 @@ def _design_decoupling(ens):
     pytest.param(lambda: ElementSet(((0, 0, 1),)), "not a permutation", id="not-a-permutation"),
     pytest.param(lambda: ElementSet(((0.5, 1.0),)), "not a permutation", id="fractional-points"),
     pytest.param(lambda: ElementSet((np.diag([1.0, 2.0]),)), "not unitary", id="not-unitary"),
+    pytest.param(lambda: ElementSet((np.diag([1.0, np.nan]),)), "not unitary", id="nan-unitary"),
+    pytest.param(lambda: ElementSet((np.diag([1.0, np.inf]),)), "not unitary", id="inf-unitary"),
     pytest.param(lambda: ElementSet(np.ones((1, 2, 3))), "same points", id="not-square"),
     pytest.param(lambda: ElementSet(((0, 1), (0, 1, 2))), "same points", id="mixed-lengths"),
     pytest.param(lambda: ElementSet((np.eye(2), np.eye(3))), "same points", id="mixed-dimensions"),

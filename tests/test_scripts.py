@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import os
 import subprocess
@@ -21,10 +22,20 @@ def test_hash_bound_sweep_table(extra):
     assert all(float(row.split()[-1]) >= 0 for row in rows)
 
 
-def test_hash_bound_sweep_refuses_one_step():
+def _script(name: str):
+    """scripts/<name>.py loaded as a module, so its main(argv) runs in process."""
+    spec = importlib.util.spec_from_file_location(name, ROOT / "scripts" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_hash_bound_sweep_refuses_one_step(capsys):
     # and each dimension that is not an integer >= 1, the one-point split, a
-    # negative seed, and a split below the quantum bound's d_A >= 4
-    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    # negative seed, a split below the quantum bound's d_A >= 4, and a split
+    # whose coset (quantum) or block-partition (CQ) count is over the 8! cap:
+    # every split that the verifier refuses, before a line is printed
+    main = _script("hash_bound_sweep").main
     for args, named in [(["--steps", "1"], "argument --steps"),
                         (["--d-a1", "0"], "argument --d-a1"),
                         (["--d-a2", "two"], "argument --d-a2"),
@@ -32,11 +43,16 @@ def test_hash_bound_sweep_refuses_one_step():
                         (["--d-a1", "1", "--d-a2", "1"], "arguments --d-a1, --d-a2"),
                         (["--seed", "-1"], "argument --seed"),
                         (["--quantum", "--d-a1", "1", "--d-a2", "2"], "arguments --d-a1, --d-a2"),
-                        (["--quantum", "--d-a1", "3", "--d-a2", "1"], "arguments --d-a1, --d-a2")]:
-        r = subprocess.run([sys.executable, str(ROOT / "scripts" / "hash_bound_sweep.py"),
-                            *args], capture_output=True, text=True, env=env)
-        assert r.returncode == 2 and r.stdout == "", args
-        assert named in r.stderr
+                        (["--quantum", "--d-a1", "3", "--d-a2", "1"], "arguments --d-a1, --d-a2"),
+                        (["--quantum", "--d-a1", "6", "--d-a2", "2", "--steps", "2"],
+                         "arguments --d-a1, --d-a2"),
+                        (["--d-a1", "4", "--d-a2", "4", "--steps", "2"],
+                         "arguments --d-a1, --d-a2")]:
+        with pytest.raises(SystemExit) as exc:
+            main(args)
+        out, err = capsys.readouterr()
+        assert exc.value.code == 2 and out == "", args
+        assert named in err, args
 
 
 def _records(lhs, passed=True):
@@ -66,3 +82,26 @@ def test_seed_sweep_diff_counts_seeds_and_largest_difference(tmp_path):
     r = subprocess.run([sys.executable, script, "--diff", str(old), str(old)],
                        capture_output=True, text=True)
     assert (r.returncode, r.stdout) == (0, "3 seeds compared\n")
+
+
+def test_seed_sweep_diff_refuses_an_empty_or_missing_directory(tmp_path, capsys):
+    # a mistyped path would otherwise compare 0 seeds and pass
+    main = _script("seed_sweep").main
+    full, empty = tmp_path / "full", tmp_path / "empty"
+    full.mkdir()
+    empty.mkdir()
+    (full / "seed-0.json").write_text(json.dumps(_records(0.5)))
+    for old, new, named in [(tmp_path / "missing", full, "missing"),
+                            (full, tmp_path / "missing", "missing"),
+                            (full, empty, "empty"), (empty, full, "empty")]:
+        assert main(["--diff", str(old), str(new)]) == 2, (old, new)
+        out, err = capsys.readouterr()
+        assert out == "" and err == f"error: no seed-*.json in {tmp_path / named}\n"
+
+
+def test_seed_sweep_refuses_an_out_dir_that_is_a_file(tmp_path, capsys):
+    out_file = tmp_path / "out"
+    out_file.write_text("")
+    assert _script("seed_sweep").main([str(out_file)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and str(out_file) in err

@@ -34,6 +34,14 @@ def test_perm_operator_basics():
     assert np.array_equal(perm_operator((1, 0)), np.array([[0.0, 1.0], [1.0, 0.0]]))
 
 
+def test_perm_operator_refuses_a_non_permutation():
+    # fractional points were once truncated: (0.5, 1) gave the identity and
+    # (1.9, 0.2) the swap
+    for p in ((0.5, 1), (1.9, 0.2), (0, 0), (0, 2), (1, 1, 0)):
+        with pytest.raises(ValueError, match="is not a permutation of 0.."):
+            perm_operator(p)
+
+
 @given(st.permutations(list(range(5))), st.permutations(list(range(5))))
 @settings(max_examples=40, deadline=None)
 def test_perm_operator_homomorphism(p, q):

@@ -455,7 +455,7 @@ def test_hash_bounds_at_a_3x3_split():
     assert rep.meta["hmin_bracket"] <= entropy.HMIN_BRACKET_TOL
 
 
-@pytest.mark.parametrize("d_a1, d_a2", [(-2, -2), (0, 4), (4, 0), (2, 3)])
+@pytest.mark.parametrize("d_a1, d_a2", [(-2, -2), (0, 4), (4, 0), (2, 3), (2.9, 2.1), (1.9, 4.2)])
 def test_hash_verifiers_refuse_a_bad_split(d_a1, d_a2):
     cq = random_cq((4, 2), seed=900)
     fam = ElementSet(tuple(all_perms(4)))
@@ -474,6 +474,37 @@ def test_hash_verifiers_refuse_a_one_point_split():
                 lambda: verify_quantum_hash(cq, 1, 1)):
         with pytest.raises(ValueError, match="d_A >= 2, got d_A = 1"):
             run()
+
+
+# d_A = 1 would divide by d_A - 1 or by 1 - 1/d_A^2 = 0 in the bounds
+ONE_POINT_VERIFIERS = {
+    "cq_decoupling_lemma": lambda: verify_cq_decoupling_lemma(random_cq((1, 2), seed=0),
+                                                              random_channel(1, 2, seed=1)),
+    "cq_hash": lambda: verify_cq_hash(random_cq((1, 2), seed=0), 1, 1),
+    "cq_tpcp": lambda: verify_cq_tpcp(random_cq((1, 2), seed=0),
+                                      random_channel(1, 2, tp=True, seed=1)),
+    "cq_general": lambda: verify_cq_general(random_cq((1, 2), seed=0),
+                                            random_channel(1, 2, seed=1)),
+    "family_hash": lambda: verify_family_hash(ElementSet(((0,),)), random_cq((1, 2), seed=0),
+                                              1, 1),
+    "improved_decoupling": lambda: verify_improved_decoupling(
+        random_density(2, seed=0, dims=(1, 2)), random_channel(1, 2, seed=1), n_samples=4),
+}
+
+
+@pytest.mark.parametrize("name", ONE_POINT_VERIFIERS)
+def test_verifiers_refuse_a_one_point_a(name):
+    with pytest.raises(ValueError, match="needs d_A >= 2, got d_A = 1"):
+        ONE_POINT_VERIFIERS[name]()
+
+
+@pytest.mark.parametrize("epsilon", [-1.0, -1e-300, np.nan, np.inf])
+def test_design_decoupling_refuses_a_bad_epsilon(epsilon):
+    rho = random_density(4, seed=2, dims=(2, 2))
+    ch = random_channel(2, 2, tp=True, seed=3)
+    with pytest.raises(ValueError, match=f"epsilon must be finite and >= 0, got {epsilon}"):
+        verify_design_decoupling(clifford_1q(), rho, ch, epsilon=epsilon)
+    assert verify_design_decoupling(clifford_1q(), rho, ch, epsilon=0.0).meta["epsilon"] == 0.0
 
 
 # every verifier that applies a channel on A, each given a channel from 3
