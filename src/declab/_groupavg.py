@@ -67,7 +67,9 @@ def _is_perm(elems: np.ndarray) -> bool:
 def permutation_rows(elems: np.ndarray) -> np.ndarray:
     """elems (n, d) as np.intp; ValueError unless each row holds each integer 0..d-1 once."""
     d = elems.shape[1]
-    perms = elems.astype(np.intp)
+    # float points outside (-d, d) or off the real line, NaN too, are -1: the cast never warns
+    perms = np.where(abs(elems) < d, elems.real, -1) if elems.dtype.kind in "fc" else elems
+    perms = perms.astype(np.intp)
     bad = ~((perms == elems) & (np.sort(perms, axis=1) == np.arange(d))).all(axis=1)
     if bad.any():
         raise ValueError(f"{elems[bad.argmax()]} is not a permutation of 0..{d - 1}")

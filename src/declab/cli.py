@@ -3,12 +3,13 @@ reference tables (Gramian, characters, twirl coefficients, circuit study,
 permutation families).
 
 Exit codes: 0 all checks pass, 1 any check failed, 2 configuration error.
-Every subcommand reports a configuration error, or an --out that cannot be
-written, as one `error: ...` line on stderr and exits 2; a flag that argparse
-rejects (an unknown --suite, a non-integer --d, a --dims or --depths that is
-not a comma-separated list of integers, a --seed below 0, a --trials, --samples
-or characters --d below 1, a --depths entry below 0) gets argparse's usage text
-and a message naming the flag instead, also with exit 2.
+Every subcommand reports a configuration error (a --depths entry below 0
+among them), or an --out that cannot be written, as one `error: ...` line on
+stderr and exits 2; a flag that argparse rejects (an unknown --suite, a
+non-integer --d, a --dims or --depths that is not a comma-separated list of
+integers, a --seed below 0, a --trials, --samples or characters --d below 1)
+gets argparse's usage text and a message naming the flag instead, also with
+exit 2.
 JSON and CSV output is byte-deterministic for a fixed configuration; wall
 times appear only in the text format.
 """
@@ -49,14 +50,6 @@ def _int_at_least(low: int):
             raise argparse.ArgumentTypeError(f"must be >= {low}, not {value}")
         return value
     return parse
-
-
-def _depths(text: str) -> tuple:
-    """argparse type of --depths: a comma-separated list of integers >= 0."""
-    depths = _int_list(text)
-    if min(depths) < 0:
-        raise argparse.ArgumentTypeError(f"every depth must be >= 0: {text!r}")
-    return depths
 
 
 def _fmt(x: float) -> str:
@@ -158,17 +151,16 @@ def cmd_gram(args) -> int:
 
 def cmd_characters(args) -> int:
     d = args.d
-    parts = [(d,), (d - 1, 1), (d - 2, 1, 1), (d - 2, 2)]
     rows = []
     for lam in symgroup.partitions(d):
         counts = symgroup.partition_to_counts(lam)
         closed = symgroup.char_closed_forms(d, counts)
-        mn = tuple(symgroup.mn_character(p, counts) for p in parts)
+        mn = {p: symgroup.mn_character(p, counts) for p in closed}
         rows.append((lam, closed, closed == mn))
-    print("class".ljust(22) + "".join(str(p).rjust(14) for p in parts) + "   MN agrees")
+    print("class".ljust(22) + "".join(str(p).rjust(14) for p in rows[0][1]) + "   MN agrees")
     for lam, closed, agrees in rows:
         print(str(lam).ljust(22)
-              + "".join(str(v).rjust(14) for v in closed)
+              + "".join(str(v).rjust(14) for v in closed.values())
               + ("   yes" if agrees else "   NO"))
     return 0 if all(agrees for *_, agrees in rows) else 1
 
@@ -220,7 +212,8 @@ def cmd_family(args) -> int:
         eps = symgroup.classical_diamond_distance(fam, d)
         print(f"classical diamond distance from the full group: {_fmt(eps)}")
     else:
-        print("classical diamond distance: skipped (exhaustive reference needs d <= 7)")
+        print("classical diamond distance: skipped "
+              f"(exhaustive reference needs d <= {symgroup.MAX_DIAMOND_D})")
     if args.n <= 3:
         for p in fam.elems:
             print("  " + " ".join(str(x) for x in p))
@@ -260,7 +253,7 @@ def main(argv=None) -> int:
 
     p_circ = sub.add_parser("circuit-study", help="epsilon bound vs circuit depth")
     p_circ.add_argument("--qubits", type=int, default=2)
-    p_circ.add_argument("--depths", type=_depths, default="2,30")
+    p_circ.add_argument("--depths", type=_int_list, default="2,30")
     p_circ.add_argument("--trials", type=_int_at_least(1), default=200)
     p_circ.add_argument("--seed", type=_int_at_least(0), default=0)
     p_circ.add_argument("--output", choices=("text", "json", "csv"), default="text")

@@ -204,7 +204,7 @@ def run_circuit_study(n_qubits: int, depths, trials: int, seed: list):
         raise ValueError("circuit study supports 2 or 3 qubits")
     d = 2 ** n_qubits
     out = []
-    for t in dict.fromkeys(int(t) for t in depths):
+    for t in dict.fromkeys(depths):
         ens = twirl.circuit_ensemble(n_qubits, t, trials, seed=seed + [t])
         out.append((t, twirl.design_epsilon_bound(ens, d)))
     return out
@@ -420,10 +420,9 @@ def check_quantum_hash(cfg: SuiteConfig):
 def check_characters_closed_forms(cfg: SuiteConfig):
     reports = []
     for d in (4, 5, 6, 7):
-        parts = [(d,), (d - 1, 1), (d - 2, 1, 1), (d - 2, 2)]
         worst = max(abs(mn_character(part, counts) - c)
                     for counts in map(partition_to_counts, partitions(d))
-                    for part, c in zip(parts, char_closed_forms(d, counts)))
+                    for part, c in char_closed_forms(d, counts).items())
         reports.append(equality_report(f"characters_closed[d={d}]", float(worst), 0.0, 1e-12))
     return reports
 
@@ -443,7 +442,7 @@ def _chi_r_residuals(d: int):
     closed-form characters, then minus the numeric trace."""
     for lam in partitions(d):
         counts = partition_to_counts(lam)
-        c_triv, c_std, c_col, c_row = char_closed_forms(d, counts)
+        c_triv, c_std, c_col, c_row = char_closed_forms(d, counts).values()
         pm = perm_operator(class_representative(lam))
         for s2, sign in (((2, 0), 1), ((0, 1), -1)):
             direct = chi_r(d, counts, s2)

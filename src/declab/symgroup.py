@@ -25,7 +25,7 @@ import numpy as np
 
 from ._groupavg import ElementSet, permutation_rows
 
-MAX_ENUM_D = 8          # guard for full S_d enumeration
+MAX_ENUM_D = 8          # largest d whose S_d one enumeration may list, 8! elements
 MAX_ENUM_ELEMENTS = factorial(MAX_ENUM_D)   # cap on the elements one enumeration yields
 MAX_DIAMOND_D = 7       # guard for the exhaustive classical diamond norm
 
@@ -196,18 +196,18 @@ def mn_character(lam, counts) -> int:
 
 
 def char_closed_forms(d: int, counts):
-    """Characters of (d), (d-1,1), (d-2,1,1), (d-2,2) via the closed polynomials in k1, k2."""
+    """{irrep: character} of (d), (d-1,1), (d-2,1,1), (d-2,2), by closed polynomials in k1, k2."""
     if d < 4:
         raise ValueError("closed forms need d >= 4")
     counts = _cycle_type(counts, d)
     k1 = counts[0]
     k2 = counts[1] if len(counts) > 1 else 0
-    return (
-        1,
-        k1 - 1,
-        (k1 - 1) * (k1 - 2) // 2 - k2,
-        k1 * (k1 - 3) // 2 + k2,
-    )
+    return {
+        (d,): 1,
+        (d - 1, 1): k1 - 1,
+        (d - 2, 1, 1): (k1 - 1) * (k1 - 2) // 2 - k2,
+        (d - 2, 2): k1 * (k1 - 3) // 2 + k2,
+    }
 
 
 def chi_r(d: int, counts, s2_class) -> int:
@@ -259,7 +259,7 @@ def gf2_mul(a: int, b: int, n: int) -> int:
 
 def affine_family(n: int) -> ElementSet:
     """All x -> a*x + b over GF(2^n) with a != 0; (2^n - 1) * 2^n permutations."""
-    if not 1 <= n <= 6:
+    if n not in GF2_POLY:
         raise ValueError("bit width must be in 1..6")
     d = 1 << n
     members = []

@@ -142,13 +142,11 @@ def test_criterion_06_projection_vs_brute():
 def test_criterion_07_character_suite():
     worst_closed = 0
     for d in (4, 5, 6, 7):
-        parts = [(d,), (d - 1, 1), (d - 2, 1, 1), (d - 2, 2)]
         for lam in partitions(d):
             counts = partition_to_counts(lam)
-            closed = char_closed_forms(d, counts)
-            mn = tuple(mn_character(p, counts) for p in parts)
-            worst_closed = max(worst_closed,
-                               max(abs(a - b) for a, b in zip(closed, mn)))
+            worst_closed = max(worst_closed, max(
+                abs(c - mn_character(p, counts))
+                for p, c in char_closed_forms(d, counts).items()))
     cfg = SuiteConfig(seed=0)
     chi_reports = suites.check_chi_r_decomposition(cfg)
     ortho_ok = True

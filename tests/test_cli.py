@@ -65,13 +65,15 @@ def test_invalid_flags_exit_two(capsys):
     # argparse rejects these values itself, with a message that names the flag
     for args in (("verify", "--suite", "nonsense"), ("verify", "--dims", "x"),
                  ("verify", "--seed", "-1"), ("circuit-study", "--depths", "2,x"),
-                 ("circuit-study", "--depths", "-1"), ("circuit-study", "--trials", "0"),
-                 ("twirl", "--samples", "0"), ("characters", "--d", "0")):
+                 ("circuit-study", "--trials", "0"), ("twirl", "--samples", "0"),
+                 ("characters", "--d", "0")):
         assert exit_code(args) == 2, args
         out, err = capsys.readouterr()
         assert out == "" and f"argument {args[1]}:" in err, args
+    # these reach the library, which owns the rule
     for args in (("twirl", "--d", "1"), ("twirl", "--d", "9"), ("characters", "--d", "3"),
-                 ("family", "--n", "0"), ("circuit-study", "--qubits", "5")):
+                 ("family", "--n", "0"), ("circuit-study", "--qubits", "5"),
+                 ("circuit-study", "--depths", "-1")):
         assert exit_code(args) == 2, args
         out, err = capsys.readouterr()
         assert out == "" and err.startswith("error: "), args

@@ -9,6 +9,7 @@ matrices of the whole symmetric group.
 """
 
 import tracemalloc
+import warnings
 from math import factorial
 
 import numpy as np
@@ -253,6 +254,10 @@ def _design_decoupling(ens):
                              ("negative-sum-1", (2.0, -1.0)), ("nan", (np.nan, 1.0)))),
     pytest.param(lambda: ElementSet(((0, 0, 1),)), "not a permutation", id="not-a-permutation"),
     pytest.param(lambda: ElementSet(((0.5, 1.0),)), "not a permutation", id="fractional-points"),
+    pytest.param(lambda: ElementSet(((0, np.nan),)), r"\[ 0. nan\] is not a permutation",
+                 id="nan-points"),
+    pytest.param(lambda: ElementSet(((0, np.inf),)), "not a permutation", id="inf-points"),
+    pytest.param(lambda: ElementSet(((0, 1j),)), "not a permutation", id="complex-points"),
     pytest.param(lambda: ElementSet((np.diag([1.0, 2.0]),)), "not unitary", id="not-unitary"),
     pytest.param(lambda: ElementSet((np.diag([1.0, np.nan]),)), "not unitary", id="nan-unitary"),
     pytest.param(lambda: ElementSet((np.diag([1.0, np.inf]),)), "not unitary", id="inf-unitary"),
@@ -275,8 +280,10 @@ def _design_decoupling(ens):
                  id="permutations-into-verify_design_decoupling"),
 ])
 def test_element_set_refuses(build, message):
-    with pytest.raises(ValueError, match=message):
-        build()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")          # a refusal comes with no numpy warning
+        with pytest.raises(ValueError, match=message):
+            build()
 
 
 def test_haar_stack(chunked):

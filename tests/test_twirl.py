@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from declab import _groupavg, twirl
+from declab.suites import run_circuit_study
 from declab._groupavg import ElementSet
 from declab.linalg import permute_systems, schatten_norm, swap_operator, tensor
 from declab.states import random_channel
@@ -255,6 +256,17 @@ def test_random_circuit_basics():
         circuit_ensemble(2, -1, 3)
 
 
+@pytest.mark.parametrize("make", [
+    lambda: circuit_ensemble(2, 2.9, 5),
+    lambda: circuit_ensemble(2, -1, 5),
+    # the study once truncated 2.9 to 2 and returned the depth-2 epsilon
+    lambda: run_circuit_study(2, [2.9], 5, seed=[0]),
+], ids=["fractional", "negative", "study-fractional"])
+def test_circuit_depth_must_be_a_whole_number(make):
+    with pytest.raises(ValueError, match="depth must be >= 0 and an integer"):
+        make()
+
+
 def step_by_step_circuit(n_qubits, steps):
     """The circuit of the given stack indices, built without the cached gate stack:
     step 3 * pair + gate lifts gate `gate` of (H x I, T x I, CNOT) to ordered pair
@@ -420,9 +432,10 @@ def test_commutant_dim_brute():
     dims = [commutant_dim_brute(d) for d in range(1, 9)]
     assert dims == [1, 6, 10, 11, 11, 11, 11, 11]
     assert dims == [_burnside_orbits(d) for d in range(1, 9)]
-    for d in (0, 9):
-        with pytest.raises(ValueError):
-            commutant_dim_brute(d)
+    # the count enumerates no group element, so d past 8 is counted too
+    assert [commutant_dim_brute(d) for d in range(9, 13)] == [11] * 4
+    with pytest.raises(ValueError, match="needs d >= 1"):
+        commutant_dim_brute(0)
 
 
 @pytest.mark.parametrize("d", [2, 3, 4, 5])
@@ -559,9 +572,22 @@ def test_perm_twirl_chain_needs_the_identity_in_each_transversal(monkeypatch):
     assert rel_dev(perm_twirl2_brute(m, d), kron_perm_twirl(m, d)) > 1e-3
 
 
-def test_perm_twirl_refuses_d_past_the_enumeration_cap():
-    with pytest.raises(ValueError, match="permutation twirl"):
-        perm_twirl2_brute(np.eye(81), 9)
+@pytest.mark.parametrize("d", [9, 10])
+def test_perm_twirl_brute_past_d_8(d):
+    # the chain enumerates no d! elements, so d = 9 and 10 are averaged, and agree with both
+    # the orbit mean and the commutant expansion
+    m = sym_herm(np.random.default_rng(40 + d), d)
+    brute = perm_twirl2_brute(m, d)
+    ref = _groupavg.orbit_mean(m.reshape((d,) * 4), d, 4).reshape(d * d, d * d)
+    assert rel_dev(brute, ref) <= 1e-13
+    assert rel_dev(brute, perm_twirl2_exact(m, d).reconstructed) <= 1e-13
+
+
+def test_perm_twirl_brute_refuses_d_below_1():
+    # (4, 4) has the shape of two copies of d = -2, which must not pass for them
+    for mat, d in ((np.eye(4), -2), (np.eye(0), 0)):
+        with pytest.raises(ValueError, match="two copies of"):
+            perm_twirl2_brute(mat, d)
 
 
 @pytest.mark.parametrize("twirl_fn", [
