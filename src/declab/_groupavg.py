@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import schatten_norm
+from .linalg import check_dims, schatten_norm
 
 CHUNK_BYTES = 1 << 19       # bytes of arrays live per chunk
 UNITARY_TOL = 1e-10         # max |U^dagger U - I| entry of a unitary member
@@ -67,9 +67,11 @@ def _is_perm(elems: np.ndarray) -> bool:
 def permutation_rows(elems: np.ndarray) -> np.ndarray:
     """elems (n, d) as np.intp; ValueError unless each row holds each integer 0..d-1 once."""
     d = elems.shape[1]
-    # float points outside (-d, d) or off the real line, NaN too, are -1: the cast never warns
-    perms = np.where(abs(elems) < d, elems.real, -1) if elems.dtype.kind in "fc" else elems
-    perms = perms.astype(np.intp)
+    if elems.dtype.kind not in "biufc":  # None, a string, an int past intp: -1 unless a point
+        perms = np.array([range(d).index(x) if x in range(d) else -1 for x in elems.flat])
+    else:                               # a float outside (-d, d), off the real line or NaN: -1
+        perms = np.where(abs(elems) < d, elems.real, -1) if elems.dtype.kind in "fc" else elems
+    perms = perms.astype(np.intp).reshape(elems.shape)     # a cast that never warns or overflows
     bad = ~((perms == elems) & (np.sort(perms, axis=1) == np.arange(d))).all(axis=1)
     if bad.any():
         raise ValueError(f"{elems[bad.argmax()]} is not a permutation of 0..{d - 1}")
@@ -207,7 +209,7 @@ def channel_norms(ch, mat: np.ndarray, dims, elems: np.ndarray, ps, target=None)
     product of its (k d_E^2, d_A^2) kernels with X arranged as [(a b), (r s)],
     one transpose of that product into the output stack, and its norms.
     """
-    d_a, d_r = (int(d) for d in dims)
+    d_a, d_r = check_dims(mat, dims)
     if ch.d_in != d_a:
         raise ValueError(f"channel input dimension {ch.d_in} does not match d_A = {d_a}")
     d_e = ch.d_out

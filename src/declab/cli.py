@@ -23,7 +23,7 @@ import time
 import numpy as np
 
 from . import suites, symgroup, twirl
-from .linalg import swap_operator
+from .linalg import swap_operator, whole
 from .suites import SuiteConfig, build_checks, flatten_reports
 from .verify import VerificationReport
 
@@ -166,9 +166,7 @@ def cmd_characters(args) -> int:
 
 
 def cmd_twirl(args) -> int:
-    d = args.d
-    if not 2 <= d <= symgroup.MAX_ENUM_D:
-        raise ValueError(f"twirl needs 2 <= --d <= {symgroup.MAX_ENUM_D}, got {d}")
+    d = whole(args.d, "--d", 2, symgroup.MAX_ENUM_D)
     rng = np.random.default_rng(args.seed)
     h = rng.normal(size=(d * d, d * d)) + 1j * rng.normal(size=(d * d, d * d))
     h = (h + h.conj().T) / 2

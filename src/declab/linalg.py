@@ -3,6 +3,10 @@
 Operators are plain complex ndarrays; a multipartite structure is carried
 separately as a tuple of subsystem dimensions (row-major tensor ordering,
 first subsystem = slowest index).
+
+Every size, count and index argument in declab passes one integer rule, `whole`: an
+int, a numpy integer or a float equal to one (2.0 is 2) is that int; anything else (2.9,
+NaN, None, "2", 1j), or an integer out of range, raises a ValueError naming the argument.
 """
 
 from __future__ import annotations
@@ -21,10 +25,18 @@ def tensor(*ops: np.ndarray) -> np.ndarray:
     return out
 
 
+def whole(x, name: str, low: int, high: int | None = None) -> int:
+    """x as an int; ValueError, naming it and its range, unless x is an integer in low..high."""
+    ok = isinstance(x, (int, np.integer)) or isinstance(x, (float, np.floating)) and x.is_integer()
+    if not (ok and low <= x and (high is None or x <= high)):
+        span = f"{name} >= {low}" if high is None else f"{low} <= {name} <= {high}"
+        got = x if ok else f"{x!r}, not an integer"
+        raise ValueError(f"needs {span}, got {name} = {got}")
+    return int(x)
+
+
 def check_dims(mat: np.ndarray, dims) -> tuple[int, ...]:
-    dims = tuple(int(d) for d in dims)
-    if any(d < 1 for d in dims):
-        raise ValueError(f"subsystem dimensions must be >= 1, got {dims}")
+    dims = tuple(whole(d, f"dims[{i}]", 1) for i, d in enumerate(dims))
     n = int(np.prod(dims))
     if mat.shape != (n, n):
         raise ValueError(f"matrix shape {mat.shape} does not match dims {dims}")
@@ -50,9 +62,9 @@ def require_hermitian(mat: np.ndarray, what: str = "operator") -> np.ndarray:
 def partial_trace(mat: np.ndarray, dims, keep) -> np.ndarray:
     """Trace out every subsystem not listed in `keep` (indices into dims)."""
     dims = check_dims(mat, dims)
-    keep = sorted(set(int(k) for k in keep))
-    if not keep or any(k < 0 or k >= len(dims) for k in keep):
-        raise ValueError(f"keep={keep} invalid for {len(dims)} subsystems")
+    keep = sorted({whole(k, "keep", 0, len(dims) - 1) for k in keep})
+    if not keep:
+        raise ValueError(f"keep names none of the {len(dims)} subsystems")
     t = mat.reshape(dims + dims)
     cur = list(dims)
     for i in [i for i in range(len(dims)) if i not in keep][::-1]:
@@ -65,7 +77,7 @@ def partial_trace(mat: np.ndarray, dims, keep) -> np.ndarray:
 def permute_systems(mat: np.ndarray, dims, order) -> np.ndarray:
     """Reorder tensor factors so that new subsystem i is old subsystem order[i]."""
     dims = check_dims(mat, dims)
-    order = list(order)
+    order = [whole(o, "order", 0, len(dims) - 1) for o in order]
     if sorted(order) != list(range(len(dims))):
         raise ValueError(f"order {order} is not a permutation of subsystems")
     k = len(dims)
@@ -113,9 +125,7 @@ def pair_indices(d: int) -> np.ndarray:
 
 def swap_operator(d: int) -> np.ndarray:
     """F = sum_ij |i><j| x |j><i| on a d*d space; F^2 = I and F = F^dagger."""
-    if d < 1:
-        raise ValueError("dimension must be >= 1")
-    i1, i2, j1, j2 = pair_indices(d)
+    i1, i2, j1, j2 = pair_indices(whole(d, "d", 1))
     return ((i1 == j2) & (i2 == j1)).astype(float)
 
 

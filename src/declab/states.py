@@ -19,6 +19,7 @@ from .linalg import (
     partial_trace,
     require_hermitian,
     tensor,
+    whole,
 )
 
 PSD_TOL = 1e-10
@@ -54,6 +55,8 @@ class ChoiChannel:
     tp: bool = field(default=False)
 
     def __post_init__(self):
+        for name in ("d_in", "d_out"):
+            object.__setattr__(self, name, whole(getattr(self, name), name, 1))
         check_dims(self.choi, (self.d_in, self.d_out))
         w = np.linalg.eigvalsh(require_hermitian(self.choi, "Choi operator"))
         if w[0] < -PSD_TOL:
@@ -84,8 +87,7 @@ def classical_correlated(d: int) -> DensityOp:
 
 def cq_decoupling_state(d: int) -> np.ndarray:
     """Classical analogue: correlated classical state minus the fully mixed one."""
-    if d < 2:
-        raise ValueError("needs dimension >= 2")
+    d = whole(d, "d", 2)
     return classical_correlated(d).mat - np.eye(d * d, dtype=complex) / d**2
 
 
@@ -125,9 +127,8 @@ def is_cq(rho: DensityOp) -> bool:
 
 def random_density(d: int, rank: int | None = None, seed=0, dims=None) -> DensityOp:
     """Normalized Wishart state G G^dagger / tr, deterministic per seed."""
-    rank = d if rank is None else rank
-    if not 1 <= rank <= d:
-        raise ValueError("rank must be in 1..d")
+    d = whole(d, "d", 1)
+    rank = whole(d if rank is None else rank, "rank", 1, d)
     rng = np.random.default_rng(seed)
     g = rng.normal(size=(d, rank)) + 1j * rng.normal(size=(d, rank))
     m = g @ g.conj().T

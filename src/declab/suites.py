@@ -24,7 +24,7 @@ from .entropy import (
     h_min_cond,
     purified_distance,
 )
-from .linalg import schatten_norm, swap_operator, tensor
+from .linalg import schatten_norm, swap_operator, tensor, whole
 from .states import (
     classical_correlated,
     cq_decoupling_state,
@@ -200,11 +200,9 @@ def run_circuit_study(n_qubits: int, depths, trials: int, seed: list):
     """(depth, epsilon-bound) pairs for ensembles of random circuits, one
     per distinct depth, in first-seen order; the ensemble of depth t is drawn
     from the seed sequence seed + [t]."""
-    if n_qubits not in (2, 3):
-        raise ValueError("circuit study supports 2 or 3 qubits")
-    d = 2 ** n_qubits
+    d = 2 ** whole(n_qubits, "n_qubits", 2, 3)
     out = []
-    for t in dict.fromkeys(depths):
+    for t in dict.fromkeys(whole(t, "depth", 0) for t in depths):
         ens = twirl.circuit_ensemble(n_qubits, t, trials, seed=seed + [t])
         out.append((t, twirl.design_epsilon_bound(ens, d)))
     return out

@@ -24,6 +24,7 @@ from math import comb, factorial, prod
 import numpy as np
 
 from ._groupavg import ElementSet, permutation_rows
+from .linalg import whole
 
 MAX_ENUM_D = 8          # largest d whose S_d one enumeration may list, 8! elements
 MAX_ENUM_ELEMENTS = factorial(MAX_ENUM_D)   # cap on the elements one enumeration yields
@@ -51,6 +52,7 @@ def _enumerated(count: int, d: int, what: str, perms) -> np.ndarray:
 
 def all_perms(d: int) -> np.ndarray:
     """All d! permutations in lexicographic order."""
+    d = whole(d, "d", 0)
     return _enumerated(factorial(d), d, f"elements of S_{d}", itertools.permutations(range(d)))
 
 
@@ -59,8 +61,8 @@ def image_set_perms(d: int, k: int) -> np.ndarray:
     for each k-subset S of range(d), in lexicographic order, the permutation
     sending 0..k-1 onto S and k..d-1 onto the rest, both in increasing order.
     These represent the left cosets g (S_k x S_{d-k})."""
-    if not 0 <= k <= d:
-        raise ValueError(f"needs 0 <= k <= d, got k = {k}, d = {d}")
+    d = whole(d, "d", 0)
+    k = whole(k, "k", 0, d)
     return _enumerated(comb(d, k), d, f"image sets of {k} of {d} points",
                        (s + tuple(x for x in range(d) if x not in s)
                         for s in itertools.combinations(range(d), k)))
@@ -71,8 +73,7 @@ def _split_perms(d1: int, d2: int, blocks: bool) -> np.ndarray:
     (a1, a2), in which the first labels g(x) // d2 appear in order of first
     use along x = 0, 1, ..., and the second labels g(x) % d2 do too (blocks:
     appear in increasing order within each first label)."""
-    if min(d1, d2) < 1:
-        raise ValueError(f"split {d1} x {d2} needs factors of at least 1")
+    d1, d2 = whole(d1, "d1", 1), whole(d2, "d2", 1)
     d = d1 * d2
     if blocks:
         count = factorial(d) // (factorial(d2) ** d1 * factorial(d1))
@@ -175,16 +176,16 @@ def _mn(lam: tuple, cycles: tuple) -> int:
 
 def _partition(lam) -> tuple[int, ...]:
     """lam as a tuple; ValueError unless its parts are positive and non-increasing."""
-    lam = tuple(int(x) for x in lam)
-    if any(lam[i] < lam[i + 1] for i in range(len(lam) - 1)) or any(x <= 0 for x in lam):
+    lam = tuple(whole(x, "part", 1) for x in lam)
+    if any(lam[i] < lam[i + 1] for i in range(len(lam) - 1)):
         raise ValueError(f"{lam} is not a partition")
     return lam
 
 
 def _cycle_type(counts, d: int) -> tuple[int, ...]:
     """counts as a tuple; ValueError unless it is a cycle type of d points."""
-    counts = tuple(int(k) for k in counts)
-    if any(k < 0 for k in counts) or sum((i + 1) * k for i, k in enumerate(counts)) != d:
+    counts = tuple(whole(k, "multiplicity", 0) for k in counts)
+    if sum((i + 1) * k for i, k in enumerate(counts)) != d:
         raise ValueError(f"{counts} is not a cycle type of {d} points")
     return counts
 
@@ -197,8 +198,7 @@ def mn_character(lam, counts) -> int:
 
 def char_closed_forms(d: int, counts):
     """{irrep: character} of (d), (d-1,1), (d-2,1,1), (d-2,2), by closed polynomials in k1, k2."""
-    if d < 4:
-        raise ValueError("closed forms need d >= 4")
+    d = whole(d, "d", 4)
     counts = _cycle_type(counts, d)
     k1 = counts[0]
     k2 = counts[1] if len(counts) > 1 else 0
@@ -215,9 +215,7 @@ def chi_r(d: int, counts, s2_class) -> int:
 
     s2_class is the cycle-multiplicity pair of S_2: (2, 0) identity, (0, 1) swap.
     """
-    if d < 2:
-        raise ValueError("needs d >= 2")
-    counts = _cycle_type(counts, d)
+    counts = _cycle_type(counts, whole(d, "d", 2))
     k1 = counts[0]
     k2 = counts[1] if len(counts) > 1 else 0
     if tuple(s2_class) == (2, 0):
@@ -259,8 +257,7 @@ def gf2_mul(a: int, b: int, n: int) -> int:
 
 def affine_family(n: int) -> ElementSet:
     """All x -> a*x + b over GF(2^n) with a != 0; (2^n - 1) * 2^n permutations."""
-    if n not in GF2_POLY:
-        raise ValueError("bit width must be in 1..6")
+    n = whole(n, "n", 1, max(GF2_POLY))
     d = 1 << n
     members = []
     for a in range(1, d):
@@ -281,8 +278,7 @@ def _pair_distributions(perms: np.ndarray, weights, d):
 def pairwise_dependence(fam: ElementSet, d: int) -> float:
     """Worst-case statistical distance (un-halved) of the induced pair
     distribution from uniform over ordered distinct pairs."""
-    if d < 2:
-        raise ValueError("needs d >= 2")
+    d = whole(d, "d", 2)
     fam.require("permutations", d)
     uniform = 1.0 / (d * (d - 1))
     distinct = ~np.eye(d, dtype=bool).ravel()                  # pair index x1*d + x2, x1 != x2
@@ -298,10 +294,7 @@ def classical_diamond_distance(fam: ElementSet, d: int) -> float:
 
     The full-group reference is computed by exhaustive summation over S_d.
     """
-    if d < 2:
-        raise ValueError("needs d >= 2")
-    if d > MAX_DIAMOND_D:
-        raise ValueError(f"exhaustive reference refused for d > {MAX_DIAMOND_D}")
+    d = whole(d, "d", 2, MAX_DIAMOND_D)
     fam.require("permutations", d)
     dist_w = _pair_distributions(fam.elems, fam.weights, d)
     group = all_perms(d)

@@ -18,7 +18,7 @@ from itertools import permutations
 import numpy as np
 
 from ._groupavg import ElementSet, pattern_labels, two_copy_lifts, twirl2_mean
-from .linalg import pair_indices, permute_systems, require_hermitian, swap_operator, tensor
+from .linalg import pair_indices, permute_systems, require_hermitian, swap_operator, tensor, whole
 from .symgroup import perm_operator
 
 
@@ -40,10 +40,12 @@ class CommutantBasis:
     gram_inv: np.ndarray          # closed-form inverse
 
 
-def _require_two_copies(mat, d: int):
-    """Raise ValueError unless d >= 1 and mat is (d^2, d^2): an operator on two d-level copies."""
-    if d < 1 or np.shape(mat) != (d * d, d * d):
+def _require_two_copies(mat, d: int) -> int:
+    """d as an int; ValueError unless d >= 1 and mat is (d^2, d^2), on two d-level copies."""
+    d = whole(d, "d", 1)
+    if np.shape(mat) != (d * d, d * d):
         raise ValueError(f"matrix must act on two copies of {d} levels, not {np.shape(mat)}")
+    return d
 
 
 def haar_twirl2_exact(mat: np.ndarray, d: int) -> TwirlResult:
@@ -53,9 +55,7 @@ def haar_twirl2_exact(mat: np.ndarray, d: int) -> TwirlResult:
     alpha, beta follow from matching tr and tr(. F) of the projection onto
     span{I, F}.
     """
-    if d < 2:
-        raise ValueError("needs d >= 2")
-    _require_two_copies(mat, d)
+    d = _require_two_copies(mat, whole(d, "d", 2))
     f = swap_operator(d)
     tr_m = np.trace(mat)
     tr_mf = np.trace(mat @ f)
@@ -80,9 +80,8 @@ def haar_samples(d: int, n: int, rng) -> np.ndarray:
 def haar_twirl2_mc(mat: np.ndarray, d: int, n: int, seed=0) -> np.ndarray:
     """(1/N) sum_k U_k^t2-dagger M U_k^t2 over Haar samples, drawn one kernel
     chunk at a time from one generator (the same samples as one batch of n)."""
-    if n < 1:
-        raise ValueError("need at least one sample")
-    _require_two_copies(mat, d)
+    n = whole(n, "n", 1)
+    d = _require_two_copies(mat, d)
     rng = np.random.default_rng(seed)
     return twirl2_mean(np.asarray(mat, dtype=complex), n, d, lambda sl: haar_samples(
         d, sl.stop - sl.start, rng).conj().transpose(0, 2, 1))
@@ -134,8 +133,7 @@ def design_epsilon_bound(ens: ElementSet, d: int) -> float:
     (N, a^2 + s^2) array, and the ensemble's Choi is a single product of it
     with its conjugate.
     """
-    if d * d > 64:
-        raise ValueError("moment-map Choi too large (needs d^2 <= 64)")
+    d = whole(d, "d", 1, 8)         # at d = 8 the eigvalsh is already of size a^2 + s^2 = 2080
     ens.require("unitaries", d)
     n = d * d
     a = d * (d - 1) // 2
@@ -192,12 +190,9 @@ def circuit_ensemble(n_qubits: int, t: int, n_circuits: int, seed=0) -> ElementS
     default_rng(seed).integers(3 * n_qubits * (n_qubits - 1), size=(n_circuits, t)),
     and the circuits are multiplied together one step at a time.
     """
-    if n_circuits < 1:
-        raise ValueError("need at least one circuit")
-    if not 2 <= n_qubits <= 4:
-        raise ValueError("supported qubit counts: 2..4")
-    if not (isinstance(t, (int, np.integer)) and t >= 0):
-        raise ValueError(f"depth must be >= 0 and an integer, not {t!r}")
+    n_circuits = whole(n_circuits, "n_circuits", 1)
+    n_qubits = whole(n_qubits, "n_qubits", 2, 4)
+    t = whole(t, "depth", 0)
     stack = _universal_steps(n_qubits)
     idx = np.random.default_rng(seed).integers(len(stack), size=(n_circuits, t))
     u = np.tile(np.eye(2 ** n_qubits, dtype=complex), (n_circuits, 1, 1))
@@ -252,8 +247,7 @@ def gram_closed_form(d: int) -> np.ndarray:
 
 def gram_inverse_closed_form(d: int) -> np.ndarray:
     """Block inverse of the Gramian; singular below d = 4."""
-    if d < 4:
-        raise ValueError(f"Gramian is singular for d = {d} (needs d >= 4)")
+    d = whole(d, "d", 4)
     x = d * (d - 1) * (d - 2) * (d - 3)
     block1 = np.array([
         [d**2 - 3*d + 1, 1, -d + 2, 1, 1, -d**2 + d, d - 1, -1, -1],
@@ -293,9 +287,7 @@ def commutant_dim_brute(d: int) -> int:
     (`pattern_labels`), and F, which exchanges i1 with i2 and j1 with j2, commutes with
     relabelling, so each orbit is a pattern together with its swapped pattern: one label per
     position is the lesser of the two."""
-    if d < 1:
-        raise ValueError(f"commutant count needs d >= 1, got {d}")
-    idx = pair_indices(d).reshape(4, -1)          # (i1, i2, j1, j2) of each flat position
+    idx = pair_indices(whole(d, "d", 1)).reshape(4, -1)   # (i1, i2, j1, j2) of each position
     return len(np.unique(np.minimum(pattern_labels(idx), pattern_labels(idx[[1, 0, 3, 2]]))))
 
 
@@ -321,7 +313,7 @@ def perm_twirl2_brute(mat: np.ndarray, d: int) -> np.ndarray:
     The name keeps "brute" because the benchmark traces this function by it;
     a rename waits for the benchmark's next change.
     """
-    _require_two_copies(mat, d)
+    d = _require_two_copies(mat, d)
     out = np.asarray(mat, dtype=complex)
     for k in range(1, d):
         ts = np.array([perm_operator(_transposition(d, j, k)) for j in range(k + 1)], complex)
@@ -337,8 +329,8 @@ def perm_twirl2_exact(mat: np.ndarray, d: int) -> TwirlResult:
     (F M F = M); the twirl of such an operator lies in the 11-dimensional
     commutant, where the Gramian projection is exact.
     """
+    d = _require_two_copies(mat, d)
     basis = commutant_basis(d)
-    _require_two_copies(mat, d)
     mat = np.asarray(mat, dtype=complex)
     require_hermitian(mat, "twirl input")
     f = basis.ops[4]

@@ -16,13 +16,14 @@ elements.
 
 from __future__ import annotations
 
+from contextlib import suppress
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from ._groupavg import ElementSet, channel_norms, element_chunks
 from .entropy import h2_cond, h_min_cond
-from .linalg import mpow, pair_indices, partial_trace, schatten_norm, tensor
+from .linalg import mpow, pair_indices, partial_trace, schatten_norm, tensor, whole
 from .states import ChoiChannel, DensityOp, is_cq, max_entangled, pinch_mat
 from .symgroup import (
     all_perms,
@@ -88,13 +89,6 @@ def _certified(rep: VerificationReport, hmin_results) -> VerificationReport:
 # building blocks
 # ---------------------------------------------------------------------------
 
-def _points(d_a: int, low: int = 2) -> int:
-    """d_A; ValueError unless it is at least low (2 where a bound divides by d_A - 1)."""
-    if d_a < low:
-        raise ValueError(f"needs d_A >= {low}, got d_A = {d_a}")
-    return d_a
-
-
 def swap_pullback(choi_mat: np.ndarray, d_in: int, d_out: int) -> np.ndarray:
     """The output-swap operator pulled back through two copies of the adjoint of
     the map with the given (not necessarily PSD) Choi operator; the result is
@@ -156,8 +150,7 @@ def _haar_deviation_norms(rho: DensityOp, ch: ChoiChannel, n_samples: int, rng,
     """`_deviation_norms` of n_samples Haar unitaries drawn from rng (a generator
     or seed) one kernel chunk at a time; haar_samples consumes rng sample by
     sample, so the values are those of one batch of n_samples."""
-    if n_samples < 2:
-        raise ValueError(f"a sampled average needs at least 2 samples, got {n_samples}")
+    n_samples = whole(n_samples, "n_samples", 2)
     rng = np.random.default_rng(rng)
     return np.concatenate([
         _deviation_norms(ch, rho.mat, rho.dims,
@@ -211,7 +204,7 @@ def verify_improved_decoupling(rho: DensityOp, ch: ChoiChannel, n_samples: int =
                                seed=0) -> VerificationReport:
     """Sampled Haar average against the min-entropy bound with the two bracket
     terms 2^(-Hmin) - tr/d_A and the 1-norm deviation factors."""
-    d_a, d_r = _points(rho.dims[0]), rho.dims[1]
+    d_a, d_r = whole(rho.dims[0], "d_A", 2), rho.dims[1]
     vals = _haar_deviation_norms(rho, ch, n_samples, seed, 1)
     solves = (h_min_cond(rho.mat, rho.dims), h_min_cond(ch.choi, (ch.d_in, ch.d_out)))
     hmin_rho, hmin_om = (res.value for res in solves)
@@ -254,17 +247,17 @@ def _cq_dims(rho: DensityOp) -> tuple[int, int]:
     """(d_A, d_R) of a state on A x R; ValueError unless d_A >= 2 and it is classical on A."""
     if not is_cq(rho):
         raise ValueError("state must be classical on A")
-    return _points(rho.dims[0]), rho.dims[1]
+    return whole(rho.dims[0], "d_A", 2), rho.dims[1]
 
 
 def _split(d_a: int, d_a1: int, d_a2: int) -> tuple[int, int]:
     """The split A = A1 x A2 as two ints; ValueError unless d_A >= 2 and the
     split is two integer factors >= 1 of d_A (2.9 x 2.1 is no split of 4)."""
-    _points(d_a)
-    split = int(d_a1), int(d_a2)
-    if split != (d_a1, d_a2) or min(split) < 1 or split[0] * split[1] != d_a:
-        raise ValueError(f"split {d_a1} x {d_a2} is not two factors >= 1 of d_A = {d_a}")
-    return split
+    d_a = whole(d_a, "d_A", 2)
+    with suppress(ValueError):
+        if whole(d_a1, "d_A1", 1) * whole(d_a2, "d_A2", 1) == d_a:
+            return int(d_a1), int(d_a2)
+    raise ValueError(f"split {d_a1} x {d_a2} is not two factors >= 1 of d_A = {d_a}")
 
 
 def verify_cq_decoupling_lemma(rho: DensityOp, ch: ChoiChannel) -> VerificationReport:
@@ -351,9 +344,7 @@ def verify_family_hash(fam: ElementSet, rho: DensityOp, d_a1: int, d_a2: int) ->
 def _embedded_pair_states(d_a: int, d_r: int) -> np.ndarray:
     """Phi, T and pi_R (x) pi_R, each on A x R and supported on the first d_R
     levels of A, where row a * d_R + r (a < d_R) is that row of R x R."""
-    _points(d_a, 4)
-    if not 1 <= d_r <= d_a:
-        raise ValueError("needs d_R <= d_A")
+    d_r = whole(d_r, "d_R", 1, whole(d_a, "d_A", 4))
     i1, i2, j1, j2 = pair_indices(d_r)
     phi = ((i1 == i2) & (j1 == j2)) / d_r
     out = np.zeros((3, d_a * d_r, d_a * d_r), dtype=complex)
@@ -421,7 +412,7 @@ def verify_quantum_hash(rho: DensityOp, d_a1: int, d_a2: int) -> VerificationRep
     """
     d_a, d_r = rho.dims
     d_a1, d_a2 = _split(d_a, d_a1, d_a2)
-    _points(d_a, 4)
+    whole(d_a, "d_A", 4)
     tr_a2 = _trace_out(d_a1, d_a2)
     reps = split_coset_perms(d_a1, d_a2)
     lhs = float(np.mean(_deviation_norms(tr_a2, rho.mat, rho.dims, reps, 1)))

@@ -258,6 +258,13 @@ def _design_decoupling(ens):
                  id="nan-points"),
     pytest.param(lambda: ElementSet(((0, np.inf),)), "not a permutation", id="inf-points"),
     pytest.param(lambda: ElementSet(((0, 1j),)), "not a permutation", id="complex-points"),
+    # object rows reach no integer cast: an int past intp, None
+    pytest.param(lambda: ElementSet(((0, 2**70),)), r"\[0 1180591620717411303424\] is not a perm",
+                 id="huge-points"),
+    pytest.param(lambda: perm_operator((0, 2**70)), "is not a permutation of 0..1",
+                 id="huge-points-perm_operator"),
+    pytest.param(lambda: ElementSet(((None, 1),)), r"\[None 1\] is not a permutation",
+                 id="none-points"),
     pytest.param(lambda: ElementSet((np.diag([1.0, 2.0]),)), "not unitary", id="not-unitary"),
     pytest.param(lambda: ElementSet((np.diag([1.0, np.nan]),)), "not unitary", id="nan-unitary"),
     pytest.param(lambda: ElementSet((np.diag([1.0, np.inf]),)), "not unitary", id="inf-unitary"),

@@ -397,10 +397,10 @@ def test_malformed_family_or_dimension_is_refused(build, message):
 
 @pytest.mark.parametrize("build, message", [
     (lambda: hook_dimension((1, 2)), "not a partition"),
-    (lambda: hook_dimension((2, -1)), "not a partition"),
+    (lambda: hook_dimension((2, -1)), "needs part >= 1, got part = -1"),
     (lambda: mn_character((1, 2), (3,)), "not a partition"),
     (lambda: mn_character((2, 1), (1,)), "not a cycle type of 3 points"),
-    (lambda: mn_character((2, 1), (5, -1)), "not a cycle type of 3 points"),
+    (lambda: mn_character((2, 1), (5, -1)), "needs multiplicity >= 0, got multiplicity = -1"),
     (lambda: char_closed_forms(5, (4,)), "not a cycle type of 5 points"),
     (lambda: chi_r(4, (1,), (2, 0)), "not a cycle type of 4 points"),
 ], ids=["hook-increasing", "hook-negative", "mn-partition", "mn-short-cycles",

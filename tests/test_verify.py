@@ -144,9 +144,9 @@ def test_sampled_records_need_two_samples(monkeypatch, n):
     rho = random_density(8, seed=7, dims=(4, 2))
     ch = random_channel(4, 2, tp=True, seed=8)
     for verifier in (verify_decoupling_theorem, verify_improved_decoupling):
-        with pytest.raises(ValueError, match=f"got {n}$"):
+        with pytest.raises(ValueError, match=f"needs n_samples >= 2, got n_samples = {n}$"):
             verifier(rho, ch, n_samples=n)
-    with pytest.raises(ValueError, match=f"got {n}$"):
+    with pytest.raises(ValueError, match=f"needs n_samples >= 2, got n_samples = {n}$"):
         suites.mc_cross_check(0, n)
 
 
@@ -394,7 +394,7 @@ def test_exhaustive_averages_share_one_cap():
     for verifier in (verify_perm_decoupling_lemma, verify_distance_from_classicality):
         with pytest.raises(ValueError, match="needs d_A >= 4"):
             verifier(random_channel(3, 2, seed=4), 2)
-        with pytest.raises(ValueError, match="needs d_R <= d_A"):
+        with pytest.raises(ValueError, match="needs 1 <= d_R <= 4, got d_R = 5"):
             verifier(random_channel(4, 2, seed=5), 5)
 
 
