@@ -210,8 +210,7 @@ def channel_norms(ch, mat: np.ndarray, dims, elems: np.ndarray, ps, target=None)
     one transpose of that product into the output stack, and its norms.
     """
     d_a, d_r = check_dims(mat, dims)
-    if ch.d_in != d_a:
-        raise ValueError(f"channel input dimension {ch.d_in} does not match d_A = {d_a}")
+    ch.require_input(d_a)
     d_e = ch.d_out
     kernel = d_a * ch.choi.reshape(d_a, d_e, d_a, d_e).transpose(1, 3, 0, 2).reshape(
         d_e * d_e, d_a * d_a)

@@ -20,7 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import PINV_RCOND, check_dims, eig_hermitian, mpow, require_hermitian, schatten_norm
+from .linalg import (PINV_RCOND, check_dims, eig_hermitian, mpow, require_finite,
+                     require_hermitian, schatten_norm)
 
 
 @dataclass(frozen=True)
@@ -30,25 +31,11 @@ class EntropyResult:
     meta: dict | None = None     # None for the fixed-sigma H2
 
 
-def _finite(mat, what: str) -> np.ndarray:
-    """mat as an array, after checking that every entry is finite."""
-    mat = np.asarray(mat)
-    if not np.isfinite(mat).all():
-        raise ValueError(f"{what} has a non-finite entry")
-    return mat
-
-
-def _hermitian(mat, what: str) -> np.ndarray:
-    """mat (or a stack) as a complex array, after checking it is finite and Hermitian."""
-    return require_hermitian(_finite(np.asarray(mat, dtype=complex), what), what)
-
-
 def _matdims(state, dims, what: str):
     """The matrix and the two dimensions of a bipartite state of positive
     trace, after checking that the matrix is finite and Hermitian."""
-    mat = np.asarray(state, dtype=complex)
-    dims = check_dims(mat, dims)
-    _hermitian(mat, f"{what} state")
+    dims = check_dims(np.asarray(state), dims)
+    mat = require_hermitian(state, f"{what} state")
     if len(dims) != 2:
         raise ValueError(f"{what} expects a bipartite state")
     if np.trace(mat).real <= 0:
@@ -292,7 +279,7 @@ def h2_cond(state, dims, *, optimize: bool = False, zeta_start=None,
 
     candidates = []
     if zeta_start is not None:
-        zeta = _hermitian(zeta_start, "zeta_start")
+        zeta = require_hermitian(zeta_start, "zeta_start")
         proj = mpow(zeta, 0.0)
         if np.abs(rho_b - proj @ rho_b @ proj).max() > 1e-8:
             raise ValueError("support of zeta_start does not contain the support of the marginal")
@@ -331,7 +318,7 @@ def trace_distance(rho, sigma):
     """Un-halved trace distance ||rho - sigma||_1, of two matrices (a float)
     or matrix for matrix of two stacks over leading axes (an array). A finite
     non-Hermitian pair is accepted: its 1-norm is the sum of singular values."""
-    return schatten_norm(_finite(rho, "rho") - _finite(sigma, "sigma"), 1)
+    return schatten_norm(require_finite(rho, "rho") - require_finite(sigma, "sigma"), 1)
 
 
 def generalized_trace_distance(rho, sigma):
@@ -344,8 +331,8 @@ def fidelity(rho, sigma):
     """||sqrt(rho) sqrt(sigma)||_1, of two PSD matrices or of two stacks; a
     stack gives each pair's own value bit for bit. A non-finite or
     non-Hermitian rho or sigma is refused with its name."""
-    r = mpow(_hermitian(rho, "rho"), 0.5)
-    s = mpow(_hermitian(sigma, "sigma"), 0.5)
+    r = mpow(require_hermitian(rho, "rho"), 0.5)
+    s = mpow(require_hermitian(sigma, "sigma"), 0.5)
     return schatten_norm(r @ s, 1)
 
 

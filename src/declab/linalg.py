@@ -7,6 +7,8 @@ first subsystem = slowest index).
 Every size, count and index argument in declab passes one integer rule, `whole`: an
 int, a numpy integer or a float equal to one (2.0 is 2) is that int; anything else (2.9,
 NaN, None, "2", 1j), or an integer out of range, raises a ValueError naming the argument.
+Every operator argument passes one rule per property it needs, each one function with one
+tolerance: `require_finite`, `require_hermitian` (HERM_RTOL) and `require_psd` (PSD_TOL).
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ from __future__ import annotations
 import numpy as np
 
 HERM_RTOL = 1e-10      # relative Hermiticity tolerance
+PSD_TOL = 1e-10        # relative tolerance on a negative eigenvalue
 PINV_RCOND = 1e-12     # eigenvalue cutoff for pseudo-inverse powers, relative to lambda_max
 
 
@@ -44,19 +47,37 @@ def check_dims(mat: np.ndarray, dims) -> tuple[int, ...]:
 
 
 def _hermitian_mask(mat: np.ndarray) -> np.ndarray:
-    """Per matrix of a stack over leading axes: Hermitian within HERM_RTOL
-    times its own largest entry (at least 1)."""
+    """Per matrix of a stack: Hermitian within HERM_RTOL times its largest entry (at least 1)."""
     scale = np.maximum(1.0, np.abs(mat).max(axis=(-2, -1), initial=0.0))
     skew = np.abs(mat - mat.conj().swapaxes(-1, -2)).max(axis=(-2, -1), initial=0.0)
     return skew <= HERM_RTOL * scale
 
 
-def require_hermitian(mat: np.ndarray, what: str = "operator") -> np.ndarray:
-    """mat, after checking that it, or every matrix of a stack, is Hermitian
-    within HERM_RTOL times its own largest entry."""
+def require_finite(mat, what: str) -> np.ndarray:
+    """mat as an array, after checking that every entry is finite."""
+    mat = np.asarray(mat)
+    if not np.isfinite(mat).all():
+        raise ValueError(f"{what} has a non-finite entry")
+    return mat
+
+
+def require_hermitian(mat, what: str = "operator") -> np.ndarray:
+    """mat as a complex array, after `require_finite` and a check that it, or every
+    matrix of a stack, is Hermitian within HERM_RTOL times its own largest entry."""
+    mat = require_finite(np.asarray(mat, dtype=complex), what)
     if not _hermitian_mask(mat).all():
         raise ValueError(f"{what} is not Hermitian within tolerance")
     return mat
+
+
+def require_psd(w: np.ndarray, what: str = "operator") -> np.ndarray:
+    """w, the ascending eigenvalues of a matrix or of every matrix of a stack, after
+    checking that each smallest is at least -PSD_TOL times its own largest (at least 1)."""
+    low = w[..., :1]
+    bad = low < -PSD_TOL * np.maximum(1.0, w[..., -1:])
+    if bad.any():
+        raise ValueError(f"{what} is not PSD within tolerance: min eigenvalue {low[bad].min():.3e}")
+    return w
 
 
 def partial_trace(mat: np.ndarray, dims, keep) -> np.ndarray:
@@ -91,10 +112,10 @@ def schatten_norm(mat: np.ndarray, p):
     """Schatten p-norm, p in {1, 2, 'inf'}, of a square matrix (a float) or of
     every matrix of a stack over leading axes (an array of those axes).
 
-    The 2-norm is the root sum of squared entries. The 1- and inf-norms take
-    each matrix's singular values from eigvalsh when that matrix is Hermitian
-    within HERM_RTOL times its own largest entry, and from the SVD otherwise,
-    so a stack gives, matrix for matrix, the same bits as one call per matrix.
+    The 2-norm is the root sum of squared entries (NaN or inf if one is not finite);
+    the 1- and inf-norms refuse a non-finite entry and take each matrix's singular
+    values from eigvalsh when it is Hermitian (see `require_hermitian`) and from the
+    SVD otherwise, so a stack gives, matrix for matrix, the same bits as one call each.
     """
     mat = np.asarray(mat)
     if mat.ndim < 2 or mat.shape[-1] != mat.shape[-2]:
@@ -102,7 +123,7 @@ def schatten_norm(mat: np.ndarray, p):
     if p == 2:
         out = np.sqrt((mat.real ** 2 + mat.imag ** 2).sum(axis=(-2, -1)))
     elif p in (1, "inf"):
-        herm = _hermitian_mask(mat)
+        herm = _hermitian_mask(require_finite(mat, "operator"))
         if herm.all():
             s = np.abs(np.linalg.eigvalsh(mat))
         elif not herm.any():
@@ -120,39 +141,34 @@ def schatten_norm(mat: np.ndarray, p):
 def pair_indices(d: int) -> np.ndarray:
     """The grids i1, i2, j1, j2, each (d*d, d*d), of an operator on two d-level
     copies: entry [(i1, i2), (j1, j2)] sits at row i1*d + i2, column j1*d + j2."""
+    d = whole(d, "d", 1)
     return np.indices((d,) * 4).reshape(4, d * d, d * d)
 
 
 def swap_operator(d: int) -> np.ndarray:
     """F = sum_ij |i><j| x |j><i| on a d*d space; F^2 = I and F = F^dagger."""
-    i1, i2, j1, j2 = pair_indices(whole(d, "d", 1))
+    i1, i2, j1, j2 = pair_indices(d)
     return ((i1 == j2) & (i2 == j1)).astype(float)
 
 
 def eig_hermitian(mat: np.ndarray):
-    """Eigenvalues (ascending, real) and eigenvector columns of a Hermitian
-    matrix, or of every matrix of a stack over leading axes."""
+    """Eigenvalues (ascending, real) and eigenvector columns of a matrix, or of
+    every matrix of a stack over leading axes, that passes `require_hermitian`."""
     require_hermitian(mat)
-    w, v = np.linalg.eigh((mat + mat.conj().swapaxes(-1, -2)) / 2)
-    return w, v
+    return np.linalg.eigh((mat + mat.conj().swapaxes(-1, -2)) / 2)
 
 
 def mpow(mat: np.ndarray, exponent: float) -> np.ndarray:
     """PSD matrix power of a matrix, or of every matrix of a stack over
     leading axes; negative exponents act as pseudo-inverse on the support.
 
-    Eigenvalues below PINV_RCOND times the largest eigenvalue of their own
-    matrix are treated as exact zeros. Raises ValueError if any matrix is not
-    Hermitian within HERM_RTOL of its own largest entry or has an eigenvalue below
-    -max(that cutoff, 1e-13). A stack gives, matrix for matrix, the same
-    bits as one call per matrix.
+    Refuses what `eig_hermitian` or `require_psd` refuses. Eigenvalues below PINV_RCOND
+    times the largest of their own matrix are exact zeros. A stack gives, matrix for
+    matrix, the same bits as one call per matrix.
     """
     w, v = eig_hermitian(mat)
+    require_psd(w)
     cutoff = PINV_RCOND * np.maximum(w[..., -1:], 0.0)
-    negative = w[..., :1] < -np.maximum(cutoff, 1e-13)
-    if np.count_nonzero(negative):
-        raise ValueError("mpow requires a PSD matrix "
-                         f"(min eigenvalue {w[..., :1][negative].min():.3e})")
     support = w > cutoff
     powered = np.zeros_like(w)
     powered[support] = w[support] ** exponent

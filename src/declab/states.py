@@ -18,11 +18,11 @@ from .linalg import (
     pair_indices,
     partial_trace,
     require_hermitian,
+    require_psd,
     tensor,
     whole,
 )
 
-PSD_TOL = 1e-10
 TRACE_TOL = 1e-10
 
 
@@ -35,9 +35,8 @@ class DensityOp:
 
     def __post_init__(self):
         object.__setattr__(self, "dims", check_dims(self.mat, self.dims))
-        w = np.linalg.eigvalsh(require_hermitian(self.mat, "density operator"))
-        if w[0] < -PSD_TOL:
-            raise ValueError(f"not PSD: min eigenvalue {w[0]:.3e}")
+        require_hermitian(self.mat, "density operator")
+        w = require_psd(np.linalg.eigvalsh(self.mat), "density operator")
         if w.sum() > 1 + TRACE_TOL:
             raise ValueError(f"trace {w.sum():.12f} exceeds 1")
 
@@ -58,9 +57,8 @@ class ChoiChannel:
         for name in ("d_in", "d_out"):
             object.__setattr__(self, name, whole(getattr(self, name), name, 1))
         check_dims(self.choi, (self.d_in, self.d_out))
-        w = np.linalg.eigvalsh(require_hermitian(self.choi, "Choi operator"))
-        if w[0] < -PSD_TOL:
-            raise ValueError(f"Choi not PSD: min eigenvalue {w[0]:.3e}")
+        require_hermitian(self.choi, "Choi operator")
+        require_psd(np.linalg.eigvalsh(self.choi), "Choi operator")
         if self.tp:
             m = partial_trace(self.choi, (self.d_in, self.d_out), [0])
             if np.abs(m - np.eye(self.d_in) / self.d_in).max() > TRACE_TOL:
@@ -71,9 +69,15 @@ class ChoiChannel:
         """Output marginal of the Choi operator; equals T(pi_in)."""
         return partial_trace(self.choi, (self.d_in, self.d_out), [1])
 
+    def require_input(self, d: int):
+        """Raise ValueError unless the channel's input A has d levels."""
+        if self.d_in != d:
+            raise ValueError(f"channel input dimension {self.d_in} does not match d_A = {d}")
+
 
 def max_entangled(d: int) -> DensityOp:
     """Rank-1 projector onto (1/sqrt d) sum_i |ii>."""
+    d = whole(d, "d", 1)
     v = np.eye(d, dtype=complex).reshape(-1) / np.sqrt(d)
     return DensityOp(np.outer(v, v.conj()), (d, d))
 
@@ -99,8 +103,7 @@ def apply_channel_mat(ch: ChoiChannel, mat: np.ndarray, dims, subsystem: int = 0
     """
     dims = check_dims(mat, dims)
     k = len(dims)
-    if dims[subsystem] != ch.d_in:
-        raise ValueError(f"subsystem dim {dims[subsystem]} != channel input dim {ch.d_in}")
+    ch.require_input(dims[subsystem])
     w4 = ch.choi.reshape(ch.d_in, ch.d_out, ch.d_in, ch.d_out)
     # kernel K[e,e',b,a] so that T(X)[e,e'] = sum_ab K[e,e',b,a] X[b,a]
     kernel = ch.d_in * w4.transpose(1, 3, 0, 2)
@@ -139,12 +142,14 @@ def random_density(d: int, rank: int | None = None, seed=0, dims=None) -> Densit
 def random_cq(dims, seed=0) -> DensityOp:
     """Random trace-1 state that is classical on the first subsystem: the
     pinching of a `random_density` state there."""
+    dims = tuple(whole(d, f"dims[{i}]", 1) for i, d in enumerate(dims))
     rho = random_density(int(np.prod(dims)), seed=seed, dims=dims)
     return DensityOp(pinch_mat(rho.mat, rho.dims), rho.dims)
 
 
 def random_channel(d_in: int, d_out: int, tp: bool = True, seed=0) -> ChoiChannel:
     """Random CP map; trace-1 Choi, or projected to trace preserving."""
+    d_in, d_out = whole(d_in, "d_in", 1), whole(d_out, "d_out", 1)
     rng = np.random.default_rng(seed)
     n = d_in * d_out
     g = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))

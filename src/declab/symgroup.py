@@ -126,6 +126,7 @@ def cycle_lengths(counts) -> tuple[int, ...]:
 
 def partitions(d: int):
     """All partitions of d, non-increasing tuples, lexicographically descending."""
+    d = whole(d, "d", 0)
     def gen(rest, cap):
         if rest == 0:
             yield ()
@@ -146,6 +147,7 @@ def partition_to_counts(lam) -> tuple[int, ...]:
 
 def class_size(counts) -> int:
     """Size of the conjugacy class with the given cycle multiplicities."""
+    counts = [whole(k, "multiplicity", 0) for k in counts]
     d = sum((i + 1) * k for i, k in enumerate(counts))
     z = prod((i + 1) ** k * factorial(k) for i, k in enumerate(counts))
     return factorial(d) // z

@@ -70,6 +70,7 @@ def haar_samples(d: int, n: int, rng) -> np.ndarray:
     matrices with phase correction. The generator is consumed sample by
     sample, so one call for n unitaries gives the same stack as n successive
     calls for one each."""
+    d, n = whole(d, "d", 1), whole(n, "n", 0)
     rng = np.random.default_rng(rng)
     g = rng.normal(size=(n, 2, d, d))
     q, r = np.linalg.qr((g[:, 0] + 1j * g[:, 1]) / np.sqrt(2))
@@ -208,6 +209,7 @@ def circuit_ensemble(n_qubits: int, t: int, n_circuits: int, seed=0) -> ElementS
 def commutant_ops(d: int) -> tuple:
     """The 11 spanning operators of the Hermitian swap-and-permutation commutant,
     written as functions of the entry indices [(i1, i2), (j1, j2)]."""
+    d = whole(d, "d", 1)
     i1, i2, j1, j2 = pair_indices(d)
 
     def delta(a, b):        # as floats: on bools, + would be a logical or
@@ -268,11 +270,15 @@ def gram_inverse_closed_form(d: int) -> np.ndarray:
     return inv
 
 
-@lru_cache(maxsize=None)
 def commutant_basis(d: int) -> CommutantBasis:
-    """The 11 commutant operators with their Gramian and its inverse; cached read-only."""
-    gram_inv = gram_inverse_closed_form(d)       # first, so every d < 4 gets its message
-    basis = CommutantBasis(d, commutant_ops(d), gram_closed_form(d), gram_inv)
+    """The 11 commutant operators with their Gramian and its inverse, d >= 4;
+    cached read-only, one basis per integer d."""
+    return _commutant_basis(whole(d, "d", 4))
+
+
+@lru_cache(maxsize=None)
+def _commutant_basis(d: int) -> CommutantBasis:
+    basis = CommutantBasis(d, commutant_ops(d), gram_closed_form(d), gram_inverse_closed_form(d))
     for arr in basis.ops + (basis.gram, basis.gram_inv):
         arr.flags.writeable = False
     return basis
@@ -287,7 +293,7 @@ def commutant_dim_brute(d: int) -> int:
     (`pattern_labels`), and F, which exchanges i1 with i2 and j1 with j2, commutes with
     relabelling, so each orbit is a pattern together with its swapped pattern: one label per
     position is the lesser of the two."""
-    idx = pair_indices(whole(d, "d", 1)).reshape(4, -1)   # (i1, i2, j1, j2) of each position
+    idx = pair_indices(d).reshape(4, -1)   # (i1, i2, j1, j2) of each position
     return len(np.unique(np.minimum(pattern_labels(idx), pattern_labels(idx[[1, 0, 3, 2]]))))
 
 
@@ -329,10 +335,9 @@ def perm_twirl2_exact(mat: np.ndarray, d: int) -> TwirlResult:
     (F M F = M); the twirl of such an operator lies in the 11-dimensional
     commutant, where the Gramian projection is exact.
     """
-    d = _require_two_copies(mat, d)
+    d = _require_two_copies(mat, whole(d, "d", 4))
     basis = commutant_basis(d)
-    mat = np.asarray(mat, dtype=complex)
-    require_hermitian(mat, "twirl input")
+    mat = require_hermitian(mat, "twirl input")
     f = basis.ops[4]
     scale = max(1.0, np.abs(mat).max())
     if np.abs(f @ mat @ f - mat).max() > 1e-10 * scale:

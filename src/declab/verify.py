@@ -23,7 +23,7 @@ import numpy as np
 
 from ._groupavg import ElementSet, channel_norms, element_chunks
 from .entropy import h2_cond, h_min_cond
-from .linalg import mpow, pair_indices, partial_trace, schatten_norm, tensor, whole
+from .linalg import check_dims, mpow, pair_indices, partial_trace, schatten_norm, tensor, whole
 from .states import ChoiChannel, DensityOp, is_cq, max_entangled, pinch_mat
 from .symgroup import (
     all_perms,
@@ -108,7 +108,9 @@ def product_difference(mat: np.ndarray, dims) -> np.ndarray:
 def haar_lemma_rhs(rho_mat, dims, ch: ChoiChannel) -> float:
     """Right side of the Haar decoupling lemma,
     d_A^2 / (d_A^2 - 1) ||rho - pi_A (x) rho_R||_2^2 ||omega - pi_A (x) omega_E||_2^2."""
-    d_a = dims[0]
+    dims = check_dims(rho_mat, dims)
+    d_a = whole(dims[0], "d_A", 2)
+    ch.require_input(d_a)
     dev_rho = product_difference(rho_mat, dims)
     dev_om = product_difference(ch.choi, (ch.d_in, ch.d_out))
     return (d_a ** 2 / (d_a ** 2 - 1)
@@ -121,7 +123,8 @@ def perm_lemma_rhs(ch: ChoiChannel, d_r: int) -> float:
     - ||omega_E||_2^2 / d_A + (1 - d_R / d_A) ||omega_cl||_2^2), omega_cl the
     Choi operator pinched on A. At d_R = d_A it is the Haar lemma right side on
     the maximally entangled input."""
-    d_a = ch.d_in
+    d_a = whole(ch.d_in, "d_A", 2)
+    d_r = whole(d_r, "d_R", 1, d_a)
     w_cl = pinch_mat(ch.choi, (d_a, ch.d_out))
     tr_w2 = schatten_norm(ch.choi, 2) ** 2
     tr_we2 = schatten_norm(ch.env_marginal, 2) ** 2
@@ -172,9 +175,8 @@ def verify_decoupling_lemma(rho_mat, dims, ch: ChoiChannel) -> VerificationRepor
     """Exact second-moment identity for the Haar average of the squared
     2-norm deviation from the product of marginals. Input need not be PSD.
     The exact left side is one contraction of four d_A^4 tensors."""
-    d_a, d_r = dims
-    if ch.d_in != d_a:
-        raise ValueError(f"channel input dimension {ch.d_in} does not match d_A = {d_a}")
+    d_a, d_r = check_dims(rho_mat, dims)
+    ch.require_input(d_a)
     twirled = haar_twirl2_exact(swap_pullback(ch.choi, ch.d_in, ch.d_out), d_a).reconstructed
     m_e = swap_pullback(rho_mat, d_a, d_r)
     xi = max_entangled(d_a).mat - np.eye(d_a * d_a) / d_a ** 2
@@ -341,15 +343,15 @@ def verify_family_hash(fam: ElementSet, rho: DensityOp, d_a1: int, d_a2: int) ->
 # fully quantum permutation decoupling
 # ---------------------------------------------------------------------------
 
-def _embedded_pair_states(d_a: int, d_r: int) -> np.ndarray:
-    """Phi, T and pi_R (x) pi_R, each on A x R and supported on the first d_R
-    levels of A, where row a * d_R + r (a < d_R) is that row of R x R."""
+def _embedded_pair_states(d_a: int, d_r: int) -> tuple[int, np.ndarray]:
+    """d_R as an int, and Phi, T and pi_R (x) pi_R, each on A x R and supported on
+    the first d_R levels of A, where row a * d_R + r (a < d_R) is that row of R x R."""
     d_r = whole(d_r, "d_R", 1, whole(d_a, "d_A", 4))
     i1, i2, j1, j2 = pair_indices(d_r)
     phi = ((i1 == i2) & (j1 == j2)) / d_r
     out = np.zeros((3, d_a * d_r, d_a * d_r), dtype=complex)
     out[:, :d_r * d_r, :d_r * d_r] = (phi, phi * (i1 == j1), np.eye(d_r * d_r) / d_r ** 2)
-    return out
+    return d_r, out
 
 
 def verify_distance_from_classicality(ch: ChoiChannel, d_r: int) -> VerificationReport:
@@ -364,7 +366,7 @@ def verify_distance_from_classicality(ch: ChoiChannel, d_r: int) -> Verification
     permutation of R commutes with the channel and keeps every norm.
     """
     d_a = ch.d_in
-    phi, tee, _ = _embedded_pair_states(d_a, d_r)
+    d_r, (phi, tee, _) = _embedded_pair_states(d_a, d_r)
     st = phi - tee
     reps = image_set_perms(d_a, d_r)
     norms2, norms1 = channel_norms(ch, st, (d_a, d_r), reps, (2, 1)).T
@@ -394,7 +396,7 @@ def verify_perm_decoupling_lemma(ch: ChoiChannel, d_r: int) -> VerificationRepor
     as in `verify_distance_from_classicality`.
     """
     d_a = ch.d_in
-    phi, _, pi = _embedded_pair_states(d_a, d_r)
+    d_r, (phi, _, pi) = _embedded_pair_states(d_a, d_r)
     st = phi - pi
     reps = image_set_perms(d_a, d_r)
     lhs = float(np.mean(channel_norms(ch, st, (d_a, d_r), reps, (2,))[:, 0] ** 2))

@@ -405,7 +405,7 @@ def test_image_set_averages_equal_the_full_group_mean(d_a):
     full = all_perms(d_a)
     for d_r in sorted({2, 3, d_a - 1, d_a}):
         ch = random_channel(d_a, 2, tp=False, seed=400 + 10 * d_a + d_r)
-        phi, tee, pi = verify._embedded_pair_states(d_a, d_r)
+        _, (phi, tee, pi) = verify._embedded_pair_states(d_a, d_r)
         norms2, norms1 = channel_norms(ch, phi - tee, (d_a, d_r), full, (2, 1)).T
         rep = verify_distance_from_classicality(ch, d_r)
         assert close_rel(rep.lhs, np.mean(norms2 ** 2))
@@ -507,9 +507,12 @@ def test_design_decoupling_refuses_a_bad_epsilon(epsilon):
     assert verify_design_decoupling(clifford_1q(), rho, ch, epsilon=0.0).meta["epsilon"] == 0.0
 
 
-# every verifier that applies a channel on A, each given a channel from 3
-# levels where d_A = 4 (d_A = 2 for the Clifford ensemble's design average)
+# every verifier, and every function under one, that applies a channel on A, each
+# given a channel from 3 levels where d_A = 4 (d_A = 2 for the Clifford ensemble's
+# design average): one rule, `ChoiChannel.require_input`, in one wording
 CHANNEL_VERIFIERS = {
+    "apply_channel_mat": lambda rho, ch: apply_channel_mat(ch, rho.mat, rho.dims),
+    "haar_lemma_rhs": lambda rho, ch: verify.haar_lemma_rhs(rho.mat, rho.dims, ch),
     "decoupling_lemma": lambda rho, ch: verify_decoupling_lemma(rho.mat, rho.dims, ch),
     "decoupling_theorem": lambda rho, ch: verify_decoupling_theorem(rho, ch, n_samples=4),
     "improved_decoupling": lambda rho, ch: verify_improved_decoupling(rho, ch, n_samples=4),
@@ -527,6 +530,21 @@ def test_channel_verifiers_refuse_a_mismatched_input_dimension(name):
     d_a = 2 if name == "design_decoupling" else 4
     with pytest.raises(ValueError, match=f"channel input dimension 3 does not match d_A = {d_a}"):
         CHANNEL_VERIFIERS[name](rho, random_channel(3, 2, tp=True, seed=0))
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: verify_decoupling_lemma(random_density(4, seed=0).mat, (2, 3),
+                                     random_channel(2, 2, seed=3)),
+     r"matrix shape \(4, 4\) does not match dims \(2, 3\)"),
+    (lambda: verify.haar_lemma_rhs(np.eye(2) / 2, (1, 2), random_channel(1, 2, seed=3)),
+     "needs d_A >= 2, got d_A = 1"),
+    (lambda: verify.perm_lemma_rhs(random_channel(4, 2, seed=3), 0),
+     "needs 1 <= d_R <= 4, got d_R = 0"),
+], ids=["decoupling_lemma", "haar_lemma_rhs", "perm_lemma_rhs"])
+def test_the_lemma_sides_refuse_their_sizes_by_the_rules(call, message):
+    # these once ended in numpy's reshape error and in a ZeroDivisionError
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call()
 
 
 CQ_VERIFIERS = {
