@@ -17,16 +17,20 @@ tests/data/suite-seed-<n>.json of the same checkout: the records that
 tests/test_pinned.py compares a fresh run against.
 
 With --diff, nothing runs: the seed-<n>.json files of two OUT_DIRs are
-compared record by record, in file order. For each record name and field
-that differs, it prints how many seeds differ and the largest absolute
-difference (for numbers; "-" otherwise). A seed whose two files list
-different records, or whose file is in one directory only, is named apart.
+compared record by record. A record is matched by its name and its
+occurrence among the records of that name, so seeds whose record lists
+differ are compared too. For each record name found in one directory only
+at some seeds, it prints that directory and the number of such seeds; a
+seed file in one directory only is named apart. Then, for each record name
+and field that differs between matched records, it prints how many seeds
+differ and the largest absolute difference (for numbers; "-" otherwise).
 Exits 1 if anything differs, and 2 if either directory holds no seed-<n>.json.
 """
 
 import json
 import sys
 import tempfile
+from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -42,25 +46,36 @@ def _number(x) -> bool:
     return isinstance(x, (int, float)) and not isinstance(x, bool)
 
 
+def _keyed(path: Path) -> dict:
+    """The JSON records of one seed file, keyed by (name, occurrence): the
+    k-th record of a name has occurrence k."""
+    count, keyed = Counter(), {}
+    for r in json.loads(path.read_text()):
+        keyed[r["name"], count[r["name"]]] = r
+        count[r["name"]] += 1
+    return keyed
+
+
 def diff(old_dir: Path, new_dir: Path) -> int:
-    """Print, per record name and field, the seeds that differ between the
+    """Print, per record name, the seeds that hold it in one sweep only, and
+    per record name and field, the seeds that differ between the matched
     JSON records of two sweeps and the largest absolute difference."""
     old_files = {p.name for p in old_dir.glob("seed-*.json")}
     new_files = {p.name for p in new_dir.glob("seed-*.json")}
     if not old_files or not new_files:
         print(f"error: no seed-*.json in {new_dir if old_files else old_dir}", file=sys.stderr)
         return 2
-    seeds, worst = {}, {}
+    seeds, worst, one_side = {}, {}, {}
     apart = [f"{name}: in {old_dir if name in old_files else new_dir} only"
              for name in sorted(old_files ^ new_files)]
     for name in sorted(old_files & new_files):
-        old = json.loads((old_dir / name).read_text())
-        new = json.loads((new_dir / name).read_text())
-        if [r["name"] for r in old] != [r["name"] for r in new]:
-            apart.append(f"{name}: the two files list different records")
-            continue
-        for a, b in zip(old, new):
-            for field in sorted(a.keys() | b.keys()):
+        old, new = _keyed(old_dir / name), _keyed(new_dir / name)
+        for record, k in old.keys() ^ new.keys():
+            side = old_dir if (record, k) in old else new_dir
+            one_side.setdefault((record, side), set()).add(name)
+        for match in old.keys() & new.keys():
+            a, b = old[match], new[match]
+            for field in a.keys() | b.keys():
                 x, y = a.get(field), b.get(field)
                 if x == y:
                     continue
@@ -71,12 +86,14 @@ def diff(old_dir: Path, new_dir: Path) -> int:
     print(f"{len(old_files & new_files)} seeds compared")
     for line in apart:
         print(line)
+    for (record, side), at in sorted(one_side.items()):
+        print(f"{record}: in {side} only, at {len(at)} seeds")
     if seeds:
         print(f"{'record':40} {'field':8} {'seeds':>5} {'max_abs_diff':>12}")
     for (record, field), differ in sorted(seeds.items()):
         big = f"{worst[record, field]:.3e}" if (record, field) in worst else "-"
         print(f"{record:40} {field:8} {len(differ):5d} {big:>12}")
-    return 1 if seeds or apart else 0
+    return 1 if seeds or apart or one_side else 0
 
 
 def main(argv) -> int:

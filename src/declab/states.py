@@ -98,8 +98,11 @@ def cq_decoupling_state(d: int) -> np.ndarray:
 def apply_channel_mat(ch: ChoiChannel, mat: np.ndarray, dims, subsystem: int = 0):
     """Apply the channel on one subsystem of an arbitrary operator.
 
-    Returns (new matrix, new dims). Works for any (not necessarily PSD) input,
-    which the verifiers need for difference operators.
+    Returns (new matrix, new dims). Works for any (not necessarily PSD)
+    input, such as a difference operator. The verifiers apply channels
+    through the batched kernels of `_groupavg`, so no check of the library
+    calls it: it stays as the tests' reference and as a name the benchmark
+    traces.
     """
     dims = check_dims(mat, dims)
     k = len(dims)

@@ -28,7 +28,7 @@ from .linalg import whole
 
 MAX_ENUM_D = 8          # largest d whose S_d one enumeration may list, 8! elements
 MAX_ENUM_ELEMENTS = factorial(MAX_ENUM_D)   # cap on the elements one enumeration yields
-MAX_DIAMOND_D = 7       # guard for the exhaustive classical diamond norm
+MAX_DIAMOND_D = 7       # largest d of classical_diamond_distance, the tests' reference
 
 # fixed irreducible polynomials for GF(2^n), as bitmasks (degree n term included)
 GF2_POLY = {1: 0b11, 2: 0b111, 3: 0b1011, 4: 0b10011, 5: 0b100101, 6: 0b1000011}
@@ -295,6 +295,9 @@ def classical_diamond_distance(fam: ElementSet, d: int) -> float:
     full-group one, maximized over the d^2 classical basis inputs.
 
     The full-group reference is computed by exhaustive summation over S_d.
+    On a permutation family this equals `pairwise_dependence`, so no check
+    of the library calls it: it stays as the tests' reference and as a name
+    the benchmark traces.
     """
     d = whole(d, "d", 2, MAX_DIAMOND_D)
     fam.require("permutations", d)

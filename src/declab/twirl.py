@@ -2,11 +2,12 @@
 2-designs, random {H, T, CNOT} circuits (one uniform index into a cached gate
 stack per step, drawn for a whole ensemble by one integers call), and the
 permutation twirl via the 11-element commutant basis with its closed-form
-Gramian. Its reference, `perm_twirl2_brute`, averages along the chain of
-transpositions that picks one coset after another, d(d + 1)/2 - 1
-conjugations by permutation matrices instead of d!. The commutant's
-dimension is checked by an exact count of index orbits, read off their
-equality patterns, with no eigensolve.
+Gramian. The library checks that expansion against the S_d orbit mean
+(`_groupavg.orbit_mean`); `perm_twirl2_brute`, which averages along the
+chain of transpositions that picks one coset after another, d(d + 1)/2 - 1
+conjugations by permutation matrices instead of d!, is the tests' second
+reference. The commutant's dimension is checked by an exact count of index
+orbits, read off their equality patterns, with no eigensolve.
 """
 
 from __future__ import annotations
@@ -316,8 +317,10 @@ def perm_twirl2_brute(mat: np.ndarray, d: int) -> np.ndarray:
     that fixes k + 1, ..., d - 1. Conjugation is a group action, so the mean
     over S_d is the mean over each transversal in turn, k = 1, ..., d - 1:
     d(d + 1)/2 - 1 conjugations instead of d! (20 instead of 720 at d = 6).
-    The name keeps "brute" because the benchmark traces this function by it;
-    a rename waits for the benchmark's next change.
+    No check of the library calls it, since the suites and `declab twirl`
+    compare with `_groupavg.orbit_mean`; it stays as the tests' reference and
+    as a name the benchmark traces. The name keeps "brute" for the same
+    reason; a rename waits for the benchmark's next change.
     """
     d = _require_two_copies(mat, d)
     out = np.asarray(mat, dtype=complex)

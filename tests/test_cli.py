@@ -156,9 +156,8 @@ def test_family_output():
     r = run_cli("family", "--n", "2")
     assert r.returncode == 0
     assert "12 permutations" in r.stdout
-    for line in r.stdout.splitlines():
-        if "pairwise dependence" in line or "diamond distance" in line:
-            assert float(line.rsplit(":", 1)[1]) < 1e-12
+    [dep] = [line for line in r.stdout.splitlines() if "pairwise dependence" in line]
+    assert float(dep.rsplit(":", 1)[1]) < 1e-12
 
 
 def test_circuit_study_deterministic():
@@ -199,6 +198,8 @@ def test_twirl_command():
     r = run_cli("twirl", "--d", "4", "--seed", "1", "--samples", "50")
     assert r.returncode == 0
     assert "alpha" in r.stdout and "permutation twirl" in r.stdout
+    [dev] = [line for line in r.stdout.splitlines() if "vs orbit mean" in line]
+    assert float(dev.rsplit(" ", 1)[1]) < 1e-12
 
 
 def test_build_checks_suite_selection():
@@ -250,8 +251,6 @@ def test_aggregate_records_replay_from_their_worst_seed():
     replay = {
         "hmin_le_h2": (suites.check_hmin_le_h2, "hminh2", 0,
                        lambda seeds: suites._hmin_minus_h2(seeds, [])),
-        "h2_optimized_ge_fixed": (suites.check_h2_monotone, "h2mono", 0,
-                                  suites._h2_fixed_minus_optimized),
         "sdp_primal_feasibility": (suites.check_sdp_feasibility, "sdpfeas", 0,
                                    lambda seeds: suites._hmin_infeasibility(seeds, [])),
         **{n: (suites.check_fuchs_van_de_graaf, "fvdg", 0, suites._fvdg_excess)

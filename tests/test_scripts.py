@@ -68,14 +68,19 @@ def test_seed_sweep_diff_counts_seeds_and_largest_difference(tmp_path):
     for seed, (lhs_old, lhs_new, passed) in enumerate([(0.5, 0.5, True), (0.5, 0.75, True),
                                                        (0.5, 0.625, False)]):
         (old / f"seed-{seed}.json").write_text(json.dumps(_records(lhs_old)))
-        (new / f"seed-{seed}.json").write_text(json.dumps(_records(lhs_new, passed)))
+        records = _records(lhs_new, passed)
+        if seed == 2:
+            # the new sweep drops record a at one seed, so both b records move
+            # up one place; each is still compared with the old b it repeats
+            del records[0]
+        (new / f"seed-{seed}.json").write_text(json.dumps(records))
     script = str(ROOT / "scripts" / "seed_sweep.py")
     r = subprocess.run([sys.executable, script, "--diff", str(old), str(new)],
                        capture_output=True, text=True)
     assert r.returncode == 1, r.stderr
     lines = r.stdout.splitlines()
-    assert lines[0] == "3 seeds compared"
-    rows = {tuple(line.split()[:2]): line.split()[2:] for line in lines[2:]}
+    assert lines[:2] == ["3 seeds compared", f"a: in {old} only, at 1 seeds"]
+    rows = {tuple(line.split()[:2]): line.split()[2:] for line in lines[3:]}
     assert rows == {("b", "gap"): ["2", "2.500e-01"], ("b", "lhs"): ["2", "2.500e-01"],
                     ("b", "pass"): ["1", "-"]}
     # the same records on both sides: no rows and exit 0
