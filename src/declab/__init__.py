@@ -28,7 +28,6 @@ from .linalg import (
 from .states import (
     ChoiChannel,
     DensityOp,
-    apply_channel_mat,
     classical_correlated,
     cq_decoupling_state,
     is_cq,
@@ -42,7 +41,6 @@ from .symgroup import (
     all_perms,
     char_closed_forms,
     chi_r,
-    classical_diamond_distance,
     hook_dimension,
     mn_character,
     pairwise_dependence,
@@ -57,7 +55,6 @@ from .twirl import (
     haar_samples,
     haar_twirl2_exact,
     haar_twirl2_mc,
-    perm_twirl2_brute,
     perm_twirl2_exact,
 )
 from .verify import VerificationReport

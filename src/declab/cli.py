@@ -10,8 +10,9 @@ non-integer --d, a --dims or --depths that is not a comma-separated list of
 integers, a --seed below 0, a --trials, --samples or characters --d below 1)
 gets argparse's usage text and a message naming the flag instead, also with
 exit 2.
-JSON and CSV output is byte-deterministic for a fixed configuration; wall
-times appear only in the text format.
+JSON and CSV output is byte-deterministic for a fixed configuration on one
+machine and numpy/BLAS build (elsewhere round-off-sized numbers can differ in
+the last bits); wall times appear only in the text format.
 """
 
 from __future__ import annotations

@@ -263,8 +263,10 @@ def h2_cond(state, dims, *, optimize: bool = False, zeta_start=None,
     inside `verify.BOUND_TOL`, so it needs no certificate of its own. `meta`
     holds the Frank-Wolfe gap `fw_gap` of the objective on rho / tr rho, the
     certified upper end `h2_upper` of the optimum, the iteration count and the
-    solver `status` (converged, max_iter or stalled). `seed` is unused; it is
-    accepted because benchmark/workloads.py still passes it.
+    solver `status` (converged, max_iter or stalled). No library check passes
+    `zeta_start`, so the suites compare H2 with an H_min solved apart; it stays
+    for the entropy_batch workload of benchmark/workloads.py, which passes it.
+    `seed` is unused; it is accepted because benchmark/workloads.py still passes it.
     """
     mat, dims = _matdims(state, dims, "h2_cond")
     d_a, d_b = dims
@@ -280,7 +282,7 @@ def h2_cond(state, dims, *, optimize: bool = False, zeta_start=None,
     candidates = []
     if zeta_start is not None:
         zeta = require_hermitian(zeta_start, "zeta_start")
-        proj = mpow(zeta, 0.0)
+        proj = mpow(zeta, 0.0, "zeta_start")
         if np.abs(rho_b - proj @ rho_b @ proj).max() > 1e-8:
             raise ValueError("support of zeta_start does not contain the support of the marginal")
         candidates.append(zeta / np.trace(zeta).real)
@@ -329,10 +331,10 @@ def generalized_trace_distance(rho, sigma):
 
 def fidelity(rho, sigma):
     """||sqrt(rho) sqrt(sigma)||_1, of two PSD matrices or of two stacks; a
-    stack gives each pair's own value bit for bit. A non-finite or
-    non-Hermitian rho or sigma is refused with its name."""
-    r = mpow(require_hermitian(rho, "rho"), 0.5)
-    s = mpow(require_hermitian(sigma, "sigma"), 0.5)
+    stack gives each pair's own value bit for bit. A non-finite, non-Hermitian
+    or non-PSD rho or sigma is refused with its name."""
+    r = mpow(np.asarray(rho, dtype=complex), 0.5, "rho")
+    s = mpow(np.asarray(sigma, dtype=complex), 0.5, "sigma")
     return schatten_norm(r @ s, 1)
 
 

@@ -151,23 +151,24 @@ def swap_operator(d: int) -> np.ndarray:
     return ((i1 == j2) & (i2 == j1)).astype(float)
 
 
-def eig_hermitian(mat: np.ndarray):
+def eig_hermitian(mat: np.ndarray, what: str = "operator"):
     """Eigenvalues (ascending, real) and eigenvector columns of a matrix, or of
-    every matrix of a stack over leading axes, that passes `require_hermitian`."""
-    require_hermitian(mat)
+    every matrix of a stack over leading axes, that passes `require_hermitian`;
+    a refusal names the matrix `what`."""
+    require_hermitian(mat, what)
     return np.linalg.eigh((mat + mat.conj().swapaxes(-1, -2)) / 2)
 
 
-def mpow(mat: np.ndarray, exponent: float) -> np.ndarray:
+def mpow(mat: np.ndarray, exponent: float, what: str = "operator") -> np.ndarray:
     """PSD matrix power of a matrix, or of every matrix of a stack over
     leading axes; negative exponents act as pseudo-inverse on the support.
 
-    Refuses what `eig_hermitian` or `require_psd` refuses. Eigenvalues below PINV_RCOND
-    times the largest of their own matrix are exact zeros. A stack gives, matrix for
-    matrix, the same bits as one call per matrix.
+    Refuses what `eig_hermitian` or `require_psd` refuses, naming the matrix `what`.
+    Eigenvalues below PINV_RCOND times the largest of their own matrix are exact zeros.
+    A stack gives, matrix for matrix, the same bits as one call per matrix.
     """
-    w, v = eig_hermitian(mat)
-    require_psd(w)
+    w, v = eig_hermitian(mat, what)
+    require_psd(w, what)
     cutoff = PINV_RCOND * np.maximum(w[..., -1:], 0.0)
     support = w > cutoff
     powered = np.zeros_like(w)

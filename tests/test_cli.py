@@ -249,10 +249,9 @@ def test_aggregate_records_replay_from_their_worst_seed():
     # and the check's measure replays it exactly from a one-seed stack:
     # record name -> (check, tag, base, the measure of the record's check)
     replay = {
-        "hmin_le_h2": (suites.check_hmin_le_h2, "hminh2", 0,
-                       lambda seeds: suites._hmin_minus_h2(seeds, [])),
-        "sdp_primal_feasibility": (suites.check_sdp_feasibility, "sdpfeas", 0,
-                                   lambda seeds: suites._hmin_infeasibility(seeds, [])),
+        **{n: (suites.check_hmin_le_h2, "hminh2", 0,
+               lambda seeds: suites._hmin_records(seeds, []))
+           for n in ("hmin_le_h2", "sdp_primal_feasibility")},
         **{n: (suites.check_fuchs_van_de_graaf, "fvdg", 0, suites._fvdg_excess)
            for n in ("fvdg_lower", "fvdg_upper")},
         **{n: (suites.check_norm_inequalities, "norms", 0, suites._norm_excess) for n in

@@ -550,10 +550,22 @@ def test_entropy_checks_fail_on_unconverged_hmin(monkeypatch):
     # a bracket wider than the tolerance marks the solve "wide", which must
     # fail every record built on it rather than pass on a quiet number
     cfg = suites.SuiteConfig(seed=0)
-    for check in (suites.check_hmin_le_h2, suites.check_sdp_feasibility):
-        (rep,) = check(cfg)
-        assert rep.passed and rep.meta["hmin_bracket"] <= entropy.HMIN_BRACKET_TOL
+    reps = suites.check_hmin_le_h2(cfg)
+    assert [r.name for r in reps] == ["hmin_le_h2", "sdp_primal_feasibility"]
+    assert all(r.passed and r.meta["hmin_bracket"] <= entropy.HMIN_BRACKET_TOL for r in reps)
     monkeypatch.setattr(entropy, "HMIN_BRACKET_TOL", 0.0)
-    for check in (suites.check_hmin_le_h2, suites.check_sdp_feasibility):
-        (rep,) = check(cfg)
-        assert not rep.passed
+    assert not any(r.passed for r in suites.check_hmin_le_h2(cfg))
+
+
+def test_entropy_suite_solves_each_hmin_state_once(monkeypatch):
+    # hmin_le_h2 and sdp_primal_feasibility share the same 100 solves
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return h_min_cond(*args, **kwargs)
+
+    monkeypatch.setattr(suites, "h_min_cond", counted)
+    for check in suites.build_checks(suites.SuiteConfig(suite="entropy")):
+        check.run()
+    assert len(calls) == 100

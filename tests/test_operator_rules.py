@@ -37,6 +37,8 @@ OPERATOR_ARGUMENTS = {
     "h_min_cond": ("h_min_cond state", 4, lambda m: h_min_cond(m, (2, 2))),
     "h2_cond": ("h2_cond state", 4, lambda m: h2_cond(m, (2, 2))),
     "h2_cond-optimized": ("h2_cond state", 4, lambda m: h2_cond(m, (2, 2), optimize=True)),
+    "h2_cond-zeta_start": ("zeta_start", 4,
+                           lambda m: h2_cond(np.eye(8) / 8, (2, 4), optimize=True, zeta_start=m)),
     "trace_distance": ("rho", 4, lambda m: trace_distance(m, MIXED)),
     "generalized_trace_distance": ("sigma", 4, lambda m: generalized_trace_distance(MIXED, m)),
     "fidelity": ("rho", 4, lambda m: fidelity(m, MIXED)),
@@ -89,7 +91,8 @@ def test_every_state_that_density_op_accepts_runs_through():
         assert verify_decoupling_theorem(rho, ch, n_samples=20).passed
 
 
-@pytest.mark.parametrize("case", ["DensityOp", "ChoiChannel", "mpow"])
+@pytest.mark.parametrize("case", ["DensityOp", "ChoiChannel", "mpow", "h2_cond-zeta_start",
+                                  "fidelity", "generalized_fidelity", "purified_distance"])
 def test_an_eigenvalue_past_psd_tol_is_refused_in_one_wording(case):
     what, _, call = OPERATOR_ARGUMENTS[case]
     with pytest.raises(ValueError, match=rf"^{what} is not PSD within tolerance: "
