@@ -10,7 +10,8 @@ The suite runs in process, from the `src` directory of the checkout that
 holds this script. With OUT_DIR, each seed's JSON records are kept as
 OUT_DIR/seed-<n>.json, so the output of two checkouts can be compared file by
 file with `cmp`. Exits 1 if any seed exits non-zero, and 2 if OUT_DIR cannot
-be made (an existing file, say). About 2.5 s a seed.
+be made (an existing file, say). About 0.9 s a seed with one BLAS thread
+(OPENBLAS_NUM_THREADS=1) on a 2-core Intel Xeon.
 
 With --pin, only the seeds in PINNED run, and their JSON is written to
 tests/data/suite-seed-<n>.json of the same checkout: the records that

@@ -154,14 +154,13 @@ def cmd_gram(args) -> int:
 def cmd_characters(args) -> int:
     d = args.d
     rows = []
-    for lam in symgroup.partitions(d):
-        counts = symgroup.partition_to_counts(lam)
-        closed = symgroup.char_closed_forms(d, counts)
-        mn = {p: symgroup.mn_character(p, counts) for p in closed}
-        rows.append((lam, closed, closed == mn))
+    for mu in symgroup.partitions(d):
+        closed = symgroup.char_closed_forms(mu)
+        mn = {lam: symgroup.mn_character(lam, mu) for lam in closed}
+        rows.append((mu, closed, closed == mn))
     print("class".ljust(22) + "".join(str(p).rjust(14) for p in rows[0][1]) + "   MN agrees")
-    for lam, closed, agrees in rows:
-        print(str(lam).ljust(22)
+    for mu, closed, agrees in rows:
+        print(str(mu).ljust(22)
               + "".join(str(v).rjust(14) for v in closed.values())
               + ("   yes" if agrees else "   NO"))
     return 0 if all(agrees for *_, agrees in rows) else 1

@@ -38,10 +38,10 @@ from .symgroup import (
     all_perms,
     char_closed_forms,
     chi_r,
+    class_representative,
     class_size,
     mn_character,
     pairwise_dependence,
-    partition_to_counts,
     partitions,
     perm_operator,
 )
@@ -406,38 +406,27 @@ def check_quantum_hash(cfg: SuiteConfig):
 def check_characters_closed_forms(cfg: SuiteConfig):
     reports = []
     for d in (4, 5, 6, 7):
-        worst = max(abs(mn_character(part, counts) - c)
-                    for counts in map(partition_to_counts, partitions(d))
-                    for part, c in char_closed_forms(d, counts).items())
+        worst = max(abs(mn_character(lam, mu) - c)
+                    for mu in partitions(d)
+                    for lam, c in char_closed_forms(mu).items())
         reports.append(equality_report(f"characters_closed[d={d}]", float(worst), 0.0, 1e-12))
     return reports
-
-
-def class_representative(lam):
-    """A permutation whose cycle lengths are the parts of the partition."""
-    p = []
-    start = 0
-    for part in lam:
-        p.extend(list(range(start + 1, start + part)) + [start])
-        start += part
-    return tuple(p)
 
 
 def _chi_r_residuals(d: int):
     """For each class and S2 irrep, chi_R minus its decomposition into the
     closed-form characters, then minus the numeric trace."""
-    for lam in partitions(d):
-        counts = partition_to_counts(lam)
-        c_triv, c_std, c_col, c_row = char_closed_forms(d, counts).values()
-        pm = perm_operator(class_representative(lam))
-        for s2, sign in (((2, 0), 1), ((0, 1), -1)):
-            direct = chi_r(d, counts, s2)
+    for mu in partitions(d):
+        c_triv, c_std, c_col, c_row = char_closed_forms(mu).values()
+        pm = perm_operator(class_representative(mu))
+        for s2, sign in (((1, 1), 1), ((2,), -1)):
+            direct = chi_r(mu, s2)
             # chi of S2 irreps: symmetric always 1, antisymmetric is the sign
             combo = (2 * c_triv * 1 + 2 * c_std * 1 + c_std * sign
                      + c_col * sign + c_row * 1)
             yield abs(direct - combo)
             # numeric trace of the doubled permutation representation
-            op = tensor(pm, pm) @ (np.eye(d * d) if s2 == (2, 0) else swap_operator(d))
+            op = tensor(pm, pm) @ (np.eye(d * d) if s2 == (1, 1) else swap_operator(d))
             yield abs(np.trace(op).real - direct)
 
 
@@ -451,16 +440,15 @@ def check_character_orthogonality(cfg: SuiteConfig):
     reports = []
     for d in (4, 5):
         parts = partitions(d)
-        classes = [partition_to_counts(c) for c in parts]
-        worst = max(abs(sum(class_size(c) * mn_character(lam, c) * mn_character(mu, c)
-                            for c in classes) - (factorial(d) if lam == mu else 0))
-                    for lam in parts for mu in parts)
+        worst = max(abs(sum(class_size(mu) * mn_character(lam, mu) * mn_character(nu, mu)
+                            for mu in parts) - (factorial(d) if lam == nu else 0))
+                    for lam in parts for nu in parts)
         reports.append(equality_report(f"character_orthogonality[d={d}]", worst, 0.0, 1e-12))
     return reports
 
 
 def check_hook_dimensions(cfg: SuiteConfig):
-    worst = max(abs(symgroup.hook_dimension(lam) - mn_character(lam, partition_to_counts((1,) * d)))
+    worst = max(abs(symgroup.hook_dimension(lam) - mn_character(lam, (1,) * d))
                 for d in (4, 5, 6, 7) for lam in partitions(d))
     return [equality_report("hook_vs_identity_character", float(worst), 0.0, 1e-12)]
 

@@ -7,8 +7,10 @@ element per coset of a subgroup), is one integer array (n, d) whose row k
 maps j to perms[k, j]: the array the group-average kernel reads. A weighted
 family is an `_groupavg.ElementSet` holding such an array. A single
 permutation p may be any sequence with p[j] the image of j. Partitions are
-non-increasing tuples of positive parts; a cycle type is the tuple
-(k_1, ..., k_d) of non-negative multiplicities with sum i*k_i = d.
+non-increasing tuples of positive parts, and a partition of d is the one
+spelling of both an irrep lam of S_d and a conjugacy class: the cycle type
+mu lists the cycle lengths, longest first, so (1,) * d is the identity and
+(d,) the d-cycles. mn_character(lam, mu) is the character chi^lam(mu).
 
 Every enumeration is counted in closed form first and refused, before any
 element is built, when the count exceeds MAX_ENUM_ELEMENTS = MAX_ENUM_D! =
@@ -116,14 +118,6 @@ def split_coset_perms(d1: int, d2: int) -> np.ndarray:
     return _split_perms(d1, d2, blocks=False)
 
 
-def cycle_lengths(counts) -> tuple[int, ...]:
-    """Cycle-length multiset from a multiplicity tuple, longest first."""
-    out = []
-    for length, k in enumerate(counts, start=1):
-        out.extend([length] * k)
-    return tuple(sorted(out, reverse=True))
-
-
 def partitions(d: int):
     """All partitions of d, non-increasing tuples, lexicographically descending."""
     d = whole(d, "d", 0)
@@ -137,29 +131,14 @@ def partitions(d: int):
     return list(gen(d, d))
 
 
-def partition_to_counts(lam) -> tuple[int, ...]:
-    d = sum(lam)
-    counts = [0] * d
-    for part in lam:
-        counts[part - 1] += 1
-    return tuple(counts)
-
-
-def class_size(counts) -> int:
-    """Size of the conjugacy class with the given cycle multiplicities."""
-    counts = [whole(k, "multiplicity", 0) for k in counts]
-    d = sum((i + 1) * k for i, k in enumerate(counts))
-    z = prod((i + 1) ** k * factorial(k) for i, k in enumerate(counts))
-    return factorial(d) // z
-
-
 @lru_cache(maxsize=None)
-def _mn(lam: tuple, cycles: tuple) -> int:
-    """Murnaghan-Nakayama recursion over border strips, longest cycle first."""
+def _mn(lam: tuple, mu: tuple) -> int:
+    """Murnaghan-Nakayama recursion over border strips, one per cycle of mu,
+    longest first."""
     if not lam:
         return 1
-    r = cycles[0]
-    rest = cycles[1:]
+    r = mu[0]
+    rest = mu[1:]
     ell = len(lam)
     beta = [lam[i] + (ell - 1 - i) for i in range(ell)]  # strictly decreasing
     beta_set = set(beta)
@@ -184,26 +163,36 @@ def _partition(lam) -> tuple[int, ...]:
     return lam
 
 
-def _cycle_type(counts, d: int) -> tuple[int, ...]:
-    """counts as a tuple; ValueError unless it is a cycle type of d points."""
-    counts = tuple(whole(k, "multiplicity", 0) for k in counts)
-    if sum((i + 1) * k for i, k in enumerate(counts)) != d:
-        raise ValueError(f"{counts} is not a cycle type of {d} points")
-    return counts
+def class_representative(mu) -> tuple[int, ...]:
+    """A permutation of cycle type mu: the points of each part, taken in
+    order, form one cycle."""
+    p = []
+    for part in _partition(mu):
+        start = len(p)
+        p.extend(range(start + 1, start + part))
+        p.append(start)
+    return tuple(p)
 
 
-def mn_character(lam, counts) -> int:
-    """Character of the irrep `lam` of S_d on the class with multiplicities `counts`."""
-    lam = _partition(lam)
-    return _mn(lam, cycle_lengths(_cycle_type(counts, sum(lam))))
+def class_size(mu) -> int:
+    """Size of the conjugacy class of cycle type mu in S_d, d = sum(mu)."""
+    mu = _partition(mu)
+    return factorial(sum(mu)) // (prod(mu) * prod(factorial(mu.count(m)) for m in set(mu)))
 
 
-def char_closed_forms(d: int, counts):
-    """{irrep: character} of (d), (d-1,1), (d-2,1,1), (d-2,2), by closed polynomials in k1, k2."""
-    d = whole(d, "d", 4)
-    counts = _cycle_type(counts, d)
-    k1 = counts[0]
-    k2 = counts[1] if len(counts) > 1 else 0
+def mn_character(lam, mu) -> int:
+    """chi^lam(mu): the character of the irrep lam of S_d on the class of cycle type mu."""
+    lam, mu = _partition(lam), _partition(mu)
+    if sum(mu) != sum(lam):
+        raise ValueError(f"{mu} is not a cycle type of {sum(lam)} points")
+    return _mn(lam, mu)
+
+
+def char_closed_forms(mu):
+    """{irrep: chi^irrep(mu)} of (d), (d-1,1), (d-2,1,1), (d-2,2), d = sum(mu),
+    by closed polynomials in mu's numbers k1 and k2 of 1- and 2-cycles."""
+    mu = _partition(mu)
+    d, k1, k2 = whole(sum(mu), "d", 4), mu.count(1), mu.count(2)
     return {
         (d,): 1,
         (d - 1, 1): k1 - 1,
@@ -212,17 +201,17 @@ def char_closed_forms(d: int, counts):
     }
 
 
-def chi_r(d: int, counts, s2_class) -> int:
+def chi_r(mu, s2_class) -> int:
     """Character of the joint permutation/swap representation on (class, S2-class).
 
-    s2_class is the cycle-multiplicity pair of S_2: (2, 0) identity, (0, 1) swap.
+    s2_class is a cycle type of S_2: (1, 1) identity, (2,) swap.
     """
-    counts = _cycle_type(counts, whole(d, "d", 2))
-    k1 = counts[0]
-    k2 = counts[1] if len(counts) > 1 else 0
-    if tuple(s2_class) == (2, 0):
+    mu = _partition(mu)
+    whole(sum(mu), "d", 2)
+    k1, k2 = mu.count(1), mu.count(2)
+    if tuple(s2_class) == (1, 1):
         return k1 * k1
-    if tuple(s2_class) == (0, 1):
+    if tuple(s2_class) == (2,):
         return k1 + 2 * k2
     raise ValueError(f"unknown S2 class {s2_class}")
 

@@ -36,7 +36,6 @@ from declab.symgroup import (
     classical_diamond_distance,
     mn_character,
     pairwise_dependence,
-    partition_to_counts,
     partitions,
 )
 from declab import suites, twirl, verify
@@ -142,22 +141,20 @@ def test_criterion_06_projection_vs_brute():
 def test_criterion_07_character_suite():
     worst_closed = 0
     for d in (4, 5, 6, 7):
-        for lam in partitions(d):
-            counts = partition_to_counts(lam)
+        for mu in partitions(d):
             worst_closed = max(worst_closed, max(
-                abs(c - mn_character(p, counts))
-                for p, c in char_closed_forms(d, counts).items()))
+                abs(c - mn_character(lam, mu))
+                for lam, c in char_closed_forms(mu).items()))
     cfg = SuiteConfig(seed=0)
     chi_reports = suites.check_chi_r_decomposition(cfg)
     ortho_ok = True
     for d in (4, 5):
         parts = partitions(d)
         for lam in parts:
-            for mu in parts:
-                total = sum(class_size(partition_to_counts(c))
-                            * mn_character(lam, partition_to_counts(c))
-                            * mn_character(mu, partition_to_counts(c)) for c in parts)
-                ortho_ok &= total == (factorial(d) if lam == mu else 0)
+            for nu in parts:
+                total = sum(class_size(mu) * mn_character(lam, mu) * mn_character(nu, mu)
+                            for mu in parts)
+                ortho_ok &= total == (factorial(d) if lam == nu else 0)
     chi_dims_ok = [r.name for r in chi_reports] == [f"chi_R_decomposition[d={d}]"
                                                    for d in (4, 5, 6)]
     ok = (worst_closed == 0 and chi_dims_ok and all(r.passed for r in chi_reports)

@@ -144,12 +144,17 @@ def test_gram_table_needs_no_commutant_operators(monkeypatch, capsys):
 def test_characters_table():
     r = run_cli("characters", "--d", "5")
     assert r.returncode == 0
-    identity_row = [line for line in r.stdout.splitlines()
-                    if line.startswith("(1, 1, 1, 1, 1)")]
-    assert identity_row
-    values = identity_row[0].split()
-    assert values[-5:-1] == ["1", "4", "6", "5"]
-    assert values[-1] == "yes"
+    # one row per class of S_5, by cycle type: chi of (5), (4,1), (3,1,1), (3,2) on it
+    assert r.stdout == """\
+class                           (5,)        (4, 1)     (3, 1, 1)        (3, 2)   MN agrees
+(5,)                               1            -1             1             0   yes
+(4, 1)                             1             0             0            -1   yes
+(3, 2)                             1            -1             0             1   yes
+(3, 1, 1)                          1             1             0            -1   yes
+(2, 2, 1)                          1             0            -2             1   yes
+(2, 1, 1, 1)                       1             2             0             1   yes
+(1, 1, 1, 1, 1)                    1             4             6             5   yes
+"""
 
 
 def test_family_output():

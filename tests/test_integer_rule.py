@@ -105,12 +105,12 @@ ARGUMENTS = {
     "split_coset_perms": ("d1", 1, lambda x: split_coset_perms(x, 2)),
     "block_partition_perms": ("d2", 1, lambda x: block_partition_perms(2, x)),
     "mn_character-partition": ("part", 1, lambda x: mn_character((2, x), (3,))),
-    "mn_character-cycle_type": ("multiplicity", 0, lambda x: mn_character((2, 1), (x, 1))),
+    "mn_character-cycle_type": ("part", 1, lambda x: mn_character((2, 1), (2, x))),
     "hook_dimension": ("part", 1, lambda x: hook_dimension((x,))),
     "partitions": ("d", 0, partitions),
-    "class_size": ("multiplicity", 0, lambda x: class_size((x, 1))),
-    "char_closed_forms": ("d", 4, lambda x: char_closed_forms(x, (4,))),
-    "chi_r": ("d", 2, lambda x: chi_r(x, (2,), (2, 0))),
+    "class_size": ("part", 1, lambda x: class_size((2, x))),
+    "char_closed_forms": ("part", 1, lambda x: char_closed_forms((3, x))),
+    "chi_r": ("part", 1, lambda x: chi_r((1, x), (1, 1))),
     "affine_family": ("n", 1, affine_family),
     "pairwise_dependence": ("d", 2, lambda x: pairwise_dependence(affine_family(2), x)),
     "classical_diamond_distance": ("d", 2, lambda x: classical_diamond_distance(
@@ -195,7 +195,7 @@ def test_integral_floats_are_taken_as_ints():
     assert np.array_equal(random_channel(2.0, 2.0, seed=4).choi, random_channel(2, 2, seed=4).choi)
     assert np.array_equal(haar_samples(2.0, 3.0, 5), haar_samples(2, 3, 5))
     assert commutant_basis(5.0) is commutant_basis(5)
-    assert partitions(4.0) == partitions(4) and class_size((1.0, 1.0)) == class_size((1, 1)) == 3
+    assert partitions(4.0) == partitions(4) and class_size((2.0, 1.0)) == class_size((2, 1)) == 3
     assert (verify_decoupling_lemma(m, (2.0, 2.0), ref).lhs
             == verify_decoupling_lemma(m, (2, 2), ref).lhs)
 

@@ -13,6 +13,7 @@ from declab.symgroup import (
     block_partition_perms,
     char_closed_forms,
     chi_r,
+    class_representative,
     class_size,
     classical_diamond_distance,
     gf2_mul,
@@ -20,7 +21,6 @@ from declab.symgroup import (
     image_set_perms,
     mn_character,
     pairwise_dependence,
-    partition_to_counts,
     partitions,
     perm_operator,
     split_coset_perms,
@@ -187,77 +187,100 @@ def test_one_element_cap_refuses_before_enumerating():
 
 
 def cycle_type(p):
-    """Multiplicities (k_1, ..., k_d) of the cycle lengths of p."""
-    counts, seen = [0] * len(p), set()
+    """The cycle lengths of p, longest first: a partition of len(p)."""
+    lengths, seen = [], set()
     for start in range(len(p)):
         length, x = 0, start
         while x not in seen:
             seen.add(x)
             x, length = p[x], length + 1
         if length:
-            counts[length - 1] += 1
-    return tuple(counts)
+            lengths.append(length)
+    return tuple(sorted(lengths, reverse=True))
+
+
+@pytest.mark.parametrize("d", range(9))
+def test_class_representative_has_the_cycle_type(d):
+    for mu in partitions(d):
+        p = class_representative(mu)
+        assert sorted(p) == list(range(d)) and cycle_type(p) == mu
+
+
+@pytest.mark.parametrize("d", range(1, 9))
+def test_what_a_class_means(d):
+    # the classes of S_d partition the group
+    assert sum(class_size(mu) for mu in partitions(d)) == factorial(d)
+    for lam in partitions(d):
+        # (1,) * d is the identity, where a character is the irrep's dimension
+        assert mn_character(lam, (1,) * d) == hook_dimension(lam)
+        # (d,) is the d-cycles: (-1)^r on the hook (d - r, 1^r), 0 off the hooks
+        r = len(lam) - 1
+        hook = lam[1:] == (1,) * r
+        assert mn_character(lam, (d,)) == ((-1) ** r if hook else 0)
+
+
+def test_multiplicity_spellings_are_not_classes():
+    # these multiplicity tuples (k_1, ..., k_d) have parts below 1, so no class reads them
+    for old in ((4, 0, 0, 0), (5, -1)):
+        for call in (lambda: mn_character((4,), old), lambda: class_size(old),
+                     lambda: char_closed_forms(old), lambda: chi_r(old, (1, 1)),
+                     lambda: class_representative(old)):
+            with pytest.raises(ValueError, match="needs part >= 1"):
+                call()
 
 
 def test_mn_character_examples():
     # trivial representation is one on every class
     for d in (4, 5, 6):
-        for lam in partitions(d):
-            assert mn_character((d,), partition_to_counts(lam)) == 1
+        for mu in partitions(d):
+            assert mn_character((d,), mu) == 1
     # S_4 identity class: standard irrep dimension k1 - 1 = 3
-    assert mn_character((3, 1), (4, 0, 0, 0)) == 3
-    # S_4 class (2,2): chi_(2,2) = k1(k1-3)/2 + k2 = 2
-    assert mn_character((2, 2), (0, 2, 0, 0)) == 2
+    assert mn_character((3, 1), (1, 1, 1, 1)) == 3
+    # S_4 class (2,2): chi_(2,2) = k1(k1-3)/2 + k2 = 2, chi_(3,1) = k1 - 1 = -1
+    assert mn_character((2, 2), (2, 2)) == 2
+    assert mn_character((3, 1), (2, 2)) == -1
 
 
 @pytest.mark.parametrize("d", [4, 5, 6])
 def test_char_closed_forms_match_mn(d):
-    for lam in partitions(d):
-        counts = partition_to_counts(lam)
-        closed = char_closed_forms(d, counts)
-        assert closed == {p: mn_character(p, counts) for p in closed}
+    for mu in partitions(d):
+        closed = char_closed_forms(mu)
+        assert closed == {lam: mn_character(lam, mu) for lam in closed}
 
 
 def test_char_closed_forms_values():
-    assert char_closed_forms(5, (5, 0, 0, 0, 0)) == {(5,): 1, (4, 1): 4, (3, 1, 1): 6, (3, 2): 5}
-    assert char_closed_forms(5, (3, 1, 0, 0, 0)) == {(5,): 1, (4, 1): 2, (3, 1, 1): 0, (3, 2): 1}
-    assert list(char_closed_forms(5, (3, 1, 0, 0, 0))) == [(5,), (4, 1), (3, 1, 1), (3, 2)]
+    assert char_closed_forms((1, 1, 1, 1, 1)) == {(5,): 1, (4, 1): 4, (3, 1, 1): 6, (3, 2): 5}
+    assert char_closed_forms((2, 1, 1, 1)) == {(5,): 1, (4, 1): 2, (3, 1, 1): 0, (3, 2): 1}
+    assert list(char_closed_forms((2, 1, 1, 1))) == [(5,), (4, 1), (3, 1, 1), (3, 2)]
 
 
 def test_chi_r():
-    assert chi_r(4, (4, 0, 0, 0), (2, 0)) == 16
+    assert chi_r((1, 1, 1, 1), (1, 1)) == 16
     from declab.linalg import swap_operator, tensor
 
-    for lam in partitions(4):
-        counts = partition_to_counts(lam)
-        rep = None
-        for p in all_perms(4):
-            if cycle_type(p) == counts:
-                rep = perm_operator(p)
-                break
-        assert np.isclose(np.trace(tensor(rep, rep)).real, chi_r(4, counts, (2, 0)))
+    for mu in partitions(4):
+        rep = perm_operator(class_representative(mu))
+        assert np.isclose(np.trace(tensor(rep, rep)).real, chi_r(mu, (1, 1)))
         assert np.isclose(np.trace(tensor(rep, rep) @ swap_operator(4)).real,
-                          chi_r(4, counts, (0, 1)))
+                          chi_r(mu, (2,)))
 
 
 def test_character_orthogonality_s4():
     d = 4
     parts = partitions(d)
     for lam in parts:
-        for mu in parts:
-            total = sum(class_size(partition_to_counts(c))
-                        * mn_character(lam, partition_to_counts(c))
-                        * mn_character(mu, partition_to_counts(c)) for c in parts)
-            assert total == (factorial(d) if lam == mu else 0)
+        for nu in parts:
+            total = sum(class_size(mu) * mn_character(lam, mu) * mn_character(nu, mu)
+                        for mu in parts)
+            assert total == (factorial(d) if lam == nu else 0)
 
 
 def test_hook_dimension():
     assert hook_dimension((7,)) == 1
     assert hook_dimension((3, 2)) == 5        # k1(k1-3)/2 at k1 = 5
     for d in (4, 5, 6):
-        identity = tuple([d] + [0] * (d - 1))
         for lam in partitions(d):
-            assert hook_dimension(lam) == mn_character(lam, identity)
+            assert hook_dimension(lam) == mn_character(lam, (1,) * d)
     # dimensions of irreps square-sum to the group order
     for d in (4, 5):
         assert sum(hook_dimension(lam) ** 2 for lam in partitions(d)) == factorial(d)
@@ -400,11 +423,12 @@ def test_malformed_family_or_dimension_is_refused(build, message):
     (lambda: hook_dimension((2, -1)), "needs part >= 1, got part = -1"),
     (lambda: mn_character((1, 2), (3,)), "not a partition"),
     (lambda: mn_character((2, 1), (1,)), "not a cycle type of 3 points"),
-    (lambda: mn_character((2, 1), (5, -1)), "needs multiplicity >= 0, got multiplicity = -1"),
-    (lambda: char_closed_forms(5, (4,)), "not a cycle type of 5 points"),
-    (lambda: chi_r(4, (1,), (2, 0)), "not a cycle type of 4 points"),
+    (lambda: mn_character((2, 1), (5, -1)), "needs part >= 1, got part = -1"),
+    (lambda: char_closed_forms((2, 1)), "needs d >= 4, got d = 3"),
+    (lambda: chi_r((1,), (1, 1)), "needs d >= 2, got d = 1"),
+    (lambda: chi_r((1, 1), (2, 0)), r"unknown S2 class \(2, 0\)"),
 ], ids=["hook-increasing", "hook-negative", "mn-partition", "mn-short-cycles",
-        "mn-negative-count", "closed-forms", "chi-r"])
+        "mn-negative-part", "closed-forms", "chi-r", "chi-r-s2-class"])
 def test_bad_partition_or_cycle_type_is_refused(build, message):
     with pytest.raises(ValueError, match=message):
         build()
